@@ -16,7 +16,7 @@ namespace {
 
 using namespace cellgan;
 
-void apply_topology(core::Grid& grid, const std::string& name) {
+void apply_topology(evolve::Grid& grid, const std::string& name) {
   if (name == "isolated") {
     for (int cell = 0; cell < grid.size(); ++cell) grid.set_neighbors(cell, {});
   } else if (name == "ring") {
@@ -51,8 +51,8 @@ struct AblationResult {
 AblationResult run_topology(const core::TrainingConfig& config,
                             const data::Dataset& dataset,
                             const std::string& topology) {
-  core::Grid grid(static_cast<int>(config.grid_rows),
-                  static_cast<int>(config.grid_cols));
+  evolve::Grid grid(static_cast<int>(config.grid_rows),
+                    static_cast<int>(config.grid_cols));
   apply_topology(grid, topology);
 
   core::ExecContext context;  // real-time

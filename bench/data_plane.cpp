@@ -1,5 +1,5 @@
-// Data-plane sweep: legacy DataLoader vs shared prefetching SampleStore
-// across grid sizes and lane counts, emitting BENCH_datastore.json.
+// Data-plane sweep: legacy DataLoader vs shared SampleStore across grid
+// sizes and lane counts, emitting BENCH_datastore.json.
 //
 // Two measurements per point, both over the same mmap-backed IDX dataset
 // (written once from the synthetic generator so the bench is hermetic):
@@ -8,16 +8,14 @@
 //     --data-plane legacy vs store — the end-to-end wall clock and the
 //     bit-parity gate (`"parity": true` is asserted by ci/check.sh --bench);
 //   * feed: lane-parallel batch-draw throughput with a consumer-side touch
-//     of every float (the overlap the prefetcher exists to exploit) —
-//     isolates the data plane from GEMM noise;
+//     of every float — isolates the data plane from GEMM noise;
 //   * ingest: time from IDX file on disk to the first staged minibatch plus
 //     the per-process float heap each plane needs — the store mmaps the byte
 //     plane and stages one batch, the legacy loader must read and normalize
 //     the whole file first.
 //
-// The JSON records the machine's core count: on a single-core container the
-// prefetch pool cannot overlap anything, so feed throughput there measures
-// pure staging overhead, not the design point.
+// Both planes stage batches synchronously on the drawing lane. The JSON
+// records the machine's core count, which bounds the lane sweep.
 //
 //   data_plane [--samples N] [--iterations N] [--lanes LIST] [--grids LIST]
 //              [--feed-epochs N] [--json PATH]
@@ -39,8 +37,6 @@
 #include "data/idx.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "datastore/batch_feed.hpp"
-#include "datastore/epoch_view.hpp"
-#include "datastore/prefetcher.hpp"
 #include "datastore/sample_store.hpp"
 #include "datastore/stats.hpp"
 
@@ -157,7 +153,7 @@ double feed_throughput(bool store_plane, std::size_t lanes, std::size_t epochs,
 
 int main(int argc, char** argv) {
   common::CliParser cli(
-      "Data-plane sweep: legacy loader vs prefetching SampleStore across "
+      "Data-plane sweep: legacy loader vs shared SampleStore across "
       "grids and lanes; writes BENCH_datastore.json");
   cli.add_flag("samples", "2000", "IDX training samples to generate");
   cli.add_flag("iterations", "4", "training epochs per session point");
@@ -166,10 +162,6 @@ int main(int argc, char** argv) {
   cli.add_flag("feed-epochs", "30", "epochs per lane in the feed microbench");
   cli.add_flag("json", "BENCH_datastore.json", "output JSON path (empty = skip)");
   if (!cli.parse(argc, argv)) return 1;
-
-  // Give the staging pool enough workers for the widest lane sweep (the env
-  // is only a default: an explicit CELLGAN_PREFETCH_THREADS wins).
-  setenv("CELLGAN_PREFETCH_THREADS", "4", /*overwrite=*/0);
 
   const std::size_t samples = static_cast<std::size_t>(cli.get_int("samples"));
   const auto lanes_list = parse_list(cli.get("lanes"));
@@ -265,10 +257,8 @@ int main(int argc, char** argv) {
     const auto t0 = Clock::now();
     auto mapped =
         datastore::SampleStore::map_idx(idx_dir + "/train-images-idx3-ubyte");
-    std::vector<std::uint32_t> order(mapped->samples());
-    for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-    datastore::EpochView view(mapped, order, 100);
-    const tensor::Tensor first = view.batch(0);
+    datastore::StoreFeed feed(mapped, 100);  // identity order, like a fresh loader
+    const tensor::Tensor first = feed.batch(0);
     store_first_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - t0).count() +
         first.data()[0] * 0.0;
@@ -280,11 +270,6 @@ int main(int argc, char** argv) {
               store_first_ms);
 
   const datastore::StatsSnapshot stats = datastore::stats().snapshot();
-  std::printf("store counters: hits=%llu waits=%llu stalls=%llu staged=%llu\n",
-              static_cast<unsigned long long>(stats.prefetch_hits),
-              static_cast<unsigned long long>(stats.prefetch_waits),
-              static_cast<unsigned long long>(stats.prefetch_stalls),
-              static_cast<unsigned long long>(stats.staged_batches));
   std::printf("parity: %s\n", parity ? "true" : "FALSE");
 
   const std::string json_path = cli.get("json");
@@ -301,9 +286,6 @@ int main(int argc, char** argv) {
     out << "    \"legacy_heap_bytes\": " << legacy_heap << ",\n";
     out << "    \"store_heap_bytes\": 0\n  },\n";
     out << "  \"bytes_mapped\": " << stats.bytes_mapped << ",\n";
-    out << "  \"prefetch_hits\": " << stats.prefetch_hits << ",\n";
-    out << "  \"prefetch_waits\": " << stats.prefetch_waits << ",\n";
-    out << "  \"prefetch_stalls\": " << stats.prefetch_stalls << ",\n";
     out << "  \"session\": [\n";
     for (std::size_t i = 0; i < session_rows.size(); ++i) {
       const SessionRow& r = session_rows[i];

@@ -92,6 +92,12 @@ grep -q '"event"' "$BUILD/SMOKE_chaos_telemetry.jsonl" || {
   exit 1
 }
 
+# The wall-clock ledger (bench/ledger, the repository's benchmark) builds its
+# own CMake project against the library APIs; a short smoke run here makes a
+# change to any API it calls fail CI rather than the benchmark.
+echo "=== smoke: wall-clock ledger (bench/ledger/run.sh --smoke) ==="
+bash "$ROOT/bench/ledger/run.sh" --smoke
+
 if [ "$RUN_BENCH" -eq 1 ]; then
   echo "=== bench: table3_scaling (reduced scale) -> BENCH_parallel.json ==="
   BENCH_THREADS=$(( JOBS < 2 ? 2 : JOBS ))
@@ -121,8 +127,7 @@ if [ "$RUN_BENCH" -eq 1 ]; then
     exit 1
   }
   echo "=== bench: micro_tensor (scalar vs SIMD) -> BENCH_tensor.json ==="
-  ./bench/micro_tensor --min-time 0.05 --threads 1,2,4 \
-    --json "$BUILD/BENCH_tensor.json"
+  ./bench/micro_tensor --min-time 0.05 --json "$BUILD/BENCH_tensor.json"
   grep -q '"best_single_thread_gemm_speedup"' "$BUILD/BENCH_tensor.json" || {
     echo "error: BENCH_tensor.json missing the kernel speedup summary" >&2
     exit 1

@@ -12,8 +12,8 @@
 #include <cstdio>
 
 #include "core/comm_manager.hpp"
-#include "core/grid.hpp"
 #include "core/session.hpp"
+#include "evolve/grid.hpp"
 
 namespace {
 
@@ -22,9 +22,9 @@ using namespace cellgan;
 /// Train `config.iterations` epochs over `grid`, applying `rewire` (if any)
 /// at the given iteration. Returns the best final generator loss.
 double train_with_topology(const core::TrainingConfig& config,
-                           const data::Dataset& dataset, core::Grid& grid,
+                           const data::Dataset& dataset, evolve::Grid& grid,
                            std::uint32_t rewire_at,
-                           void (*rewire)(core::Grid&)) {
+                           void (*rewire)(evolve::Grid&)) {
   common::Rng master_rng(config.seed);
   core::ExecContext context;  // pure real-time
   core::GenomeStore store(grid.size());
@@ -57,7 +57,7 @@ double train_with_topology(const core::TrainingConfig& config,
   return best;
 }
 
-void make_ring(core::Grid& grid) {
+void make_ring(evolve::Grid& grid) {
   for (int cell = 0; cell < grid.size(); ++cell) {
     const auto coord = grid.coords_of(cell);
     grid.set_neighbors(cell, {grid.cell_of({coord.row, coord.col - 1}),
@@ -65,7 +65,7 @@ void make_ring(core::Grid& grid) {
   }
 }
 
-void make_moore5(core::Grid& grid) { grid.reset_default_neighborhoods(); }
+void make_moore5(evolve::Grid& grid) { grid.reset_default_neighborhoods(); }
 
 }  // namespace
 
@@ -103,19 +103,19 @@ int main(int argc, char** argv) {
   const int rows = static_cast<int>(config.grid_rows);
   const int cols = static_cast<int>(config.grid_cols);
   std::printf("1) static five-cell toroidal neighborhoods\n");
-  core::Grid moore(rows, cols);
+  evolve::Grid moore(rows, cols);
   const double loss_moore =
       train_with_topology(config, dataset, moore, 0, nullptr);
   std::printf("   best G loss: %.4f\n", loss_moore);
 
   std::printf("2) static ring neighborhoods (E/W only)\n");
-  core::Grid ring(rows, cols);
+  evolve::Grid ring(rows, cols);
   make_ring(ring);
   const double loss_ring = train_with_topology(config, dataset, ring, 0, nullptr);
   std::printf("   best G loss: %.4f\n", loss_ring);
 
   std::printf("3) dynamic: ring for the first half, Moore-5 afterwards\n");
-  core::Grid dynamic(rows, cols);
+  evolve::Grid dynamic(rows, cols);
   make_ring(dynamic);
   const double loss_dynamic = train_with_topology(
       config, dataset, dynamic, config.iterations / 2, make_moore5);

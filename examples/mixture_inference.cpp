@@ -12,9 +12,9 @@
 #include <filesystem>
 
 #include "core/checkpoint.hpp"
-#include "core/grid.hpp"
 #include "core/session.hpp"
 #include "data/pgm.hpp"
+#include "evolve/grid.hpp"
 #include "serve/model_cache.hpp"
 
 int main(int argc, char** argv) {
@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
 
   // The reduction returns the best cell; its neighborhood on the torus is the
   // mixture the checkpoint sampler reassembles.
-  core::Grid grid(static_cast<int>(spec->config.grid_rows),
-                  static_cast<int>(spec->config.grid_cols));
+  evolve::Grid grid(static_cast<int>(spec->config.grid_rows),
+                    static_cast<int>(spec->config.grid_cols));
   const auto members = grid.neighborhood_of(outcome.best_cell);
   std::printf("best cell: %d, neighborhood:", outcome.best_cell);
   for (const int m : members) std::printf(" %d", m);

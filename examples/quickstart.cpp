@@ -13,6 +13,7 @@
 // on the master/slave backend.
 #include <cstdio>
 
+#include "core/parallel_trainer.hpp"
 #include "core/session.hpp"
 #include "data/pgm.hpp"
 #include "tensor/ops.hpp"
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
   const core::RunResult outcome = session.run();
   std::printf("\n%s run: %.2fs wall\n", core::to_string(outcome.backend),
               outcome.wall_s);
-  core::InProcessTrainer* trainer = session.trainer();
+  core::ParallelTrainer* trainer = session.trainer();
   for (std::size_t cell = 0; cell < outcome.g_fitnesses.size(); ++cell) {
     std::printf("  cell %zu: G loss %.4f | D loss %.4f", cell,
                 outcome.g_fitnesses[cell], outcome.d_fitnesses[cell]);

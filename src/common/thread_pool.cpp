@@ -1,8 +1,7 @@
 #include "common/thread_pool.hpp"
 
-#include <memory>
-
-#include "common/expect.hpp"
+#include <algorithm>
+#include <utility>
 
 namespace cellgan::common {
 
@@ -32,23 +31,38 @@ void ThreadPool::parallel_for(std::size_t n,
     fn(0, n);
     return;
   }
-  const std::size_t chunk = (n + parts - 1) / parts;
-  // Slot 0..parts-2 go to workers; the last chunk runs on the caller.
+  // Balanced split: participant i takes [i*n/parts, (i+1)*n/parts), so every
+  // chunk is non-empty. Slots 0..parts-2 go to workers; the last chunk runs
+  // on the caller.
+  const auto bound = [n, parts](std::size_t i) { return i * n / parts; };
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++generation_;
     pending_ = parts - 1;
+    error_ = nullptr;
     for (std::size_t i = 0; i + 1 < parts; ++i) {
       tasks_[i].fn = &fn;
-      tasks_[i].begin = i * chunk;
-      tasks_[i].end = std::min(n, (i + 1) * chunk);
+      tasks_[i].begin = bound(i);
+      tasks_[i].end = bound(i + 1);
     }
     for (std::size_t i = parts - 1; i < tasks_.size(); ++i) tasks_[i].fn = nullptr;
   }
   work_ready_.notify_all();
-  fn((parts - 1) * chunk, n);
+  run_chunk(Task{&fn, bound(parts - 1), n});
+  // Workers still hold `fn` until pending_ drains: never leave before that,
+  // even when the caller's own chunk threw.
   std::unique_lock<std::mutex> lock(mutex_);
   work_done_.wait(lock, [this] { return pending_ == 0; });
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+}
+
+void ThreadPool::run_chunk(const Task& task) {
+  try {
+    (*task.fn)(task.begin, task.end);
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!error_) error_ = std::current_exception();
+  }
 }
 
 void ThreadPool::worker_loop(std::size_t worker_index) {
@@ -63,23 +77,13 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       task = tasks_[worker_index];
       if (task.fn == nullptr) continue;  // no work for this worker this round
     }
-    (*task.fn)(task.begin, task.end);
+    run_chunk(task);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --pending_;
     }
     work_done_.notify_one();
   }
-}
-
-namespace {
-std::unique_ptr<ThreadPool> g_pool = std::make_unique<ThreadPool>(1);
-}  // namespace
-
-ThreadPool& global_pool() { return *g_pool; }
-
-void set_global_pool_threads(std::size_t num_threads) {
-  g_pool = std::make_unique<ThreadPool>(num_threads == 0 ? 1 : num_threads);
 }
 
 }  // namespace cellgan::common

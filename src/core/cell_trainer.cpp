@@ -4,8 +4,8 @@
 #include <utility>
 
 #include "common/serialize.hpp"
-#include "core/evolution.hpp"
 #include "core/gan_trainer.hpp"
+#include "evolve/evolution.hpp"
 #include "tensor/flops.hpp"
 #include "tensor/ops.hpp"
 
@@ -29,7 +29,7 @@ std::optional<data::Dataset> make_diet(const TrainingConfig& config,
 
 }  // namespace
 
-CellTrainer::CellTrainer(const TrainingConfig& config, const Grid& grid, int cell_id,
+CellTrainer::CellTrainer(const TrainingConfig& config, const evolve::Grid& grid, int cell_id,
                          const data::Dataset& dataset, common::Rng rng,
                          const ExecContext& context)
     : config_(config),
@@ -74,7 +74,7 @@ void CellTrainer::sync_topology() {
   }
   subpop_ = std::move(remapped);
   subpop_ids_ = neighbors;
-  mixture_ = MixtureWeights(neighbors.size() + 1);
+  mixture_ = evolve::MixtureWeights(neighbors.size() + 1);
 }
 
 void CellTrainer::step(const std::vector<std::vector<std::uint8_t>>& gathered) {
@@ -133,21 +133,21 @@ std::vector<int> CellTrainer::exchange_sources(std::uint32_t epoch) const {
   return policy_->sources(grid_, cell_, epoch);
 }
 
-const CellGenome* CellTrainer::subpop_genome(std::size_t slot) const {
+const evolve::CellGenome* CellTrainer::subpop_genome(std::size_t slot) const {
   return subpop_[slot].genome ? &*subpop_[slot].genome : nullptr;
 }
 
-void CellTrainer::install_subpop(std::size_t slot, CellGenome genome) {
+void CellTrainer::install_subpop(std::size_t slot, evolve::CellGenome genome) {
   subpop_[slot].genome = std::move(genome);
 }
 
-void CellTrainer::adopt_generator(const CellGenome& genome) {
+void CellTrainer::adopt_generator(const evolve::CellGenome& genome) {
   generator_.load_parameters(genome.generator_params);
   g_optimizer_.set_learning_rate(genome.g_learning_rate);
   g_fitness_ = genome.g_fitness;
 }
 
-void CellTrainer::adopt_discriminator(const CellGenome& genome) {
+void CellTrainer::adopt_discriminator(const evolve::CellGenome& genome) {
   discriminator_.load_parameters(genome.discriminator_params);
   d_optimizer_.set_learning_rate(genome.d_learning_rate);
   d_fitness_ = genome.d_fitness;
@@ -175,7 +175,7 @@ void CellTrainer::train() {
   // center, entries 1.. are the installed neighbor genomes.
   std::vector<double> d_table{d_fitness_};
   std::vector<double> g_table{g_fitness_};
-  std::vector<const CellGenome*> members{nullptr};  // nullptr = center
+  std::vector<const evolve::CellGenome*> members{nullptr};  // nullptr = center
   for (const auto& slot : subpop_) {
     if (!slot.genome) continue;
     d_table.push_back(slot.genome->d_fitness);
@@ -198,7 +198,7 @@ void CellTrainer::train() {
 
     // Train the center generator against a tournament-selected discriminator.
     const std::size_t d_pick =
-        tournament_select(d_table, config_.tournament_size, rng_);
+        evolve::tournament_select(d_table, config_.tournament_size, rng_);
     nn::Sequential* opponent_d = &discriminator_;
     if (members[d_pick] != nullptr) {
       scratch_discriminator_.load_parameters(members[d_pick]->discriminator_params);
@@ -212,7 +212,7 @@ void CellTrainer::train() {
     if (config_.discriminator_skip_steps == 0 ||
         b % config_.discriminator_skip_steps == 0) {
       const std::size_t g_pick =
-          tournament_select(g_table, config_.tournament_size, rng_);
+          evolve::tournament_select(g_table, config_.tournament_size, rng_);
       nn::Sequential* opponent_g = &generator_;
       if (members[g_pick] != nullptr) {
         scratch_generator_.load_parameters(members[g_pick]->generator_params);
@@ -253,23 +253,23 @@ void CellTrainer::evaluate_center_fitness() {
 void CellTrainer::mutate() {
   // Hyperparameter mutation (Table I): Gaussian on both Adam learning rates.
   g_optimizer_.set_learning_rate(
-      mutate_learning_rate(g_optimizer_.learning_rate(), config_.lr_mutation_sigma,
-                           config_.lr_mutation_probability, rng_));
+      evolve::mutate_learning_rate(g_optimizer_.learning_rate(), config_.lr_mutation_sigma,
+                                   config_.lr_mutation_probability, rng_));
   d_optimizer_.set_learning_rate(
-      mutate_learning_rate(d_optimizer_.learning_rate(), config_.lr_mutation_sigma,
-                           config_.lr_mutation_probability, rng_));
+      evolve::mutate_learning_rate(d_optimizer_.learning_rate(), config_.lr_mutation_sigma,
+                                   config_.lr_mutation_probability, rng_));
 
   // Mixture evolution: (1+1)-ES with Gaussian weight mutation. The candidate
   // replaces the incumbent when the mixture fools the center discriminator
   // at least as well.
-  const MixtureWeights candidate =
+  const evolve::MixtureWeights candidate =
       mixture_.mutated(config_.mixture_mutation_scale, rng_);
   if (mixture_quality(candidate) <= mixture_quality(mixture_)) {
     mixture_ = candidate;
   }
 }
 
-double CellTrainer::mixture_quality(const MixtureWeights& weights) {
+double CellTrainer::mixture_quality(const evolve::MixtureWeights& weights) {
   // Lower is better: generator-side BCE of mixture samples against the
   // center discriminator on a small probe batch.
   const std::size_t probe = std::max<std::size_t>(8, config_.fitness_eval_samples / 4);
@@ -326,7 +326,7 @@ std::vector<std::uint8_t> CellTrainer::export_genome() {
   return center_genome().serialize();
 }
 
-void CellTrainer::restore(const CellGenome& genome,
+void CellTrainer::restore(const evolve::CellGenome& genome,
                           std::span<const double> mixture_weights) {
   genome.install(generator_, discriminator_);
   g_optimizer_.set_learning_rate(genome.g_learning_rate);
@@ -377,7 +377,7 @@ std::vector<std::uint8_t> CellTrainer::serialize_training_state() {
 
 void CellTrainer::restore_training_state(std::span<const std::uint8_t> bytes) {
   common::ByteReader r(bytes);
-  const CellGenome genome = CellGenome::deserialize(r.read_vector<std::uint8_t>());
+  const evolve::CellGenome genome = evolve::CellGenome::deserialize(r.read_vector<std::uint8_t>());
   genome.install(generator_, discriminator_);
   g_optimizer_.set_learning_rate(genome.g_learning_rate);
   d_optimizer_.set_learning_rate(genome.d_learning_rate);
@@ -408,7 +408,7 @@ void CellTrainer::restore_training_state(std::span<const std::uint8_t> bytes) {
   CG_EXPECT(slots == subpop_.size());  // same config + grid topology
   for (auto& slot : subpop_) {
     if (r.read<std::uint8_t>() != 0) {
-      slot.genome = CellGenome::deserialize(r.read_vector<std::uint8_t>());
+      slot.genome = evolve::CellGenome::deserialize(r.read_vector<std::uint8_t>());
     } else {
       slot.genome.reset();
     }
@@ -424,8 +424,8 @@ void CellTrainer::restore_training_state(std::span<const std::uint8_t> bytes) {
   CG_ENSURE(r.exhausted());
 }
 
-CellGenome CellTrainer::center_genome() {
-  CellGenome g = CellGenome::capture(generator_, discriminator_);
+evolve::CellGenome CellTrainer::center_genome() {
+  evolve::CellGenome g = evolve::CellGenome::capture(generator_, discriminator_);
   g.g_learning_rate = g_optimizer_.learning_rate();
   g.d_learning_rate = d_optimizer_.learning_rate();
   g.g_fitness = g_fitness_;

@@ -31,12 +31,12 @@
 #include "core/config.hpp"
 #include "core/exec_context.hpp"
 #include "core/gan_losses.hpp"
-#include "core/genome.hpp"
-#include "core/mixture.hpp"
 #include "core/observer.hpp"
 #include "data/dataset.hpp"
 #include "datastore/batch_feed.hpp"
 #include "evolve/exchange.hpp"
+#include "evolve/genome.hpp"
+#include "evolve/mixture.hpp"
 #include "nn/gan_models.hpp"
 #include "nn/optimizer.hpp"
 
@@ -46,7 +46,7 @@ class CellTrainer : private evolve::ExchangeHost {
  public:
   /// `dataset` must outlive the trainer. `rng` seeds this cell's private
   /// stream (fork per cell for schedule-independent reproducibility).
-  CellTrainer(const TrainingConfig& config, const Grid& grid, int cell_id,
+  CellTrainer(const TrainingConfig& config, const evolve::Grid& grid, int cell_id,
               const data::Dataset& dataset, common::Rng rng,
               const ExecContext& context);
 
@@ -66,8 +66,8 @@ class CellTrainer : private evolve::ExchangeHost {
   GanLossKind current_loss() const { return current_loss_; }
   double g_learning_rate() const { return g_optimizer_.learning_rate(); }
   double d_learning_rate() const { return d_optimizer_.learning_rate(); }
-  const MixtureWeights& mixture() const { return mixture_; }
-  const Grid& grid() const override { return grid_; }
+  const evolve::MixtureWeights& mixture() const { return mixture_; }
+  const evolve::Grid& grid() const override { return grid_; }
 
   /// Cells whose genomes this cell's exchange policy needs for `epoch`
   /// (installation order). Drives the local comm-manager's copy list; network
@@ -78,7 +78,7 @@ class CellTrainer : private evolve::ExchangeHost {
   const evolve::ExchangeOutcome& last_exchange() const { return last_exchange_; }
 
   /// Snapshot of the center (params + hyperparams + fitness).
-  CellGenome center_genome();
+  evolve::CellGenome center_genome();
 
   /// Assemble this cell's observer record for `epoch` (fitnesses, learning
   /// rates, loss kind, cumulative train flops; on the configured
@@ -92,7 +92,7 @@ class CellTrainer : private evolve::ExchangeHost {
   /// snapshot: parameters, learning rates, fitnesses and iteration counter.
   /// Adam moment state restarts (only parameters travel in genomes, matching
   /// the exchange semantics).
-  void restore(const CellGenome& genome, std::span<const double> mixture_weights);
+  void restore(const evolve::CellGenome& genome, std::span<const double> mixture_weights);
 
   /// Serialize the *complete* training state — center genome, both Adam
   /// moment sets, the private rng stream, the loader's epoch order and
@@ -117,16 +117,16 @@ class CellTrainer : private evolve::ExchangeHost {
 
  private:
   struct SubpopSlot {
-    std::optional<CellGenome> genome;  ///< empty until first exchange
+    std::optional<evolve::CellGenome> genome;  ///< empty until first exchange
   };
 
   // ExchangeHost — the surface the pluggable exchange policy manipulates.
   int cell() const override { return cell_; }
   std::size_t subpop_slots() const override { return subpop_.size(); }
-  const CellGenome* subpop_genome(std::size_t slot) const override;
-  void install_subpop(std::size_t slot, CellGenome genome) override;
-  void adopt_generator(const CellGenome& genome) override;
-  void adopt_discriminator(const CellGenome& genome) override;
+  const evolve::CellGenome* subpop_genome(std::size_t slot) const override;
+  void install_subpop(std::size_t slot, evolve::CellGenome genome) override;
+  void adopt_generator(const evolve::CellGenome& genome) override;
+  void adopt_discriminator(const evolve::CellGenome& genome) override;
 
   /// Re-align subpopulation slots (and mixture size) with the grid's current
   /// neighbor list — supports dynamic topology reconfiguration: genomes of
@@ -138,17 +138,17 @@ class CellTrainer : private evolve::ExchangeHost {
   void train();
   void mutate();
   void evaluate_center_fitness();
-  double mixture_quality(const MixtureWeights& weights);
+  double mixture_quality(const evolve::MixtureWeights& weights);
 
   TrainingConfig config_;  // by value: outlives any caller-side copy
-  const Grid& grid_;
+  const evolve::Grid& grid_;
   int cell_;
   ExecContext context_;  // pointers inside must outlive the trainer
   common::Rng rng_;
 
   /// Owned subsample when data dieting is on (must precede feed_).
   std::optional<data::Dataset> diet_;
-  /// Batch source — legacy DataLoader or prefetching StoreFeed, selected by
+  /// Batch source — legacy DataLoader or store-backed StoreFeed, selected by
   /// config_.data_plane. Both planes are bit-identical (parity suites).
   std::unique_ptr<datastore::BatchFeed> feed_;
   std::size_t next_batch_ = 0;
@@ -164,7 +164,7 @@ class CellTrainer : private evolve::ExchangeHost {
 
   std::vector<SubpopSlot> subpop_;  ///< slot i <-> subpop_ids_[i]
   std::vector<int> subpop_ids_;     ///< neighbor cell ids, mirrors the grid
-  MixtureWeights mixture_;
+  evolve::MixtureWeights mixture_;
 
   /// How genomes migrate each epoch (cellular/ltfb/gap), resolved from the
   /// config at construction. Policies are pure functions of (seed, cell,

@@ -52,7 +52,7 @@ Checkpoint Checkpoint::deserialize(std::span<const std::uint8_t> bytes) {
   const auto cells = r.read<std::uint64_t>();
   out.centers.reserve(cells);
   for (std::uint64_t i = 0; i < cells; ++i) {
-    out.centers.push_back(CellGenome::deserialize(r.read_vector<std::uint8_t>()));
+    out.centers.push_back(evolve::CellGenome::deserialize(r.read_vector<std::uint8_t>()));
   }
   const auto mixtures = r.read<std::uint64_t>();
   out.mixtures.reserve(mixtures);

@@ -14,9 +14,9 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/genome.hpp"
-#include "core/mixture.hpp"
 #include "core/protocol.hpp"
+#include "evolve/genome.hpp"
+#include "evolve/mixture.hpp"
 
 namespace cellgan::core {
 
@@ -43,8 +43,8 @@ class CheckpointPolicyMismatchError : public std::runtime_error {
 struct Checkpoint {
   TrainingConfig config;
   std::uint32_t iteration = 0;
-  std::vector<CellGenome> centers;              ///< indexed by cell id
-  std::vector<std::vector<double>> mixtures;    ///< per-cell mixture weights
+  std::vector<evolve::CellGenome> centers;    ///< indexed by cell id
+  std::vector<std::vector<double>> mixtures;  ///< per-cell mixture weights
 
   std::vector<std::uint8_t> serialize() const;
   static Checkpoint deserialize(std::span<const std::uint8_t> bytes);

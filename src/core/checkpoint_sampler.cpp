@@ -24,8 +24,8 @@ CheckpointMixture::CheckpointMixture(const Checkpoint& snapshot, int cell)
   CG_EXPECT(snapshot.centers.size() == config_.grid_cells());
   CG_EXPECT(cell_ >= 0 && static_cast<std::uint32_t>(cell_) < config_.grid_cells());
 
-  const Grid grid(static_cast<int>(config_.grid_rows),
-                  static_cast<int>(config_.grid_cols));
+  const evolve::Grid grid(static_cast<int>(config_.grid_rows),
+                          static_cast<int>(config_.grid_cols));
   members_ = grid.neighborhood_of(cell_);
 
   // Construction draws are throwaway (load_parameters overwrites them); the
@@ -39,15 +39,15 @@ CheckpointMixture::CheckpointMixture(const Checkpoint& snapshot, int cell)
         snapshot.centers[static_cast<std::size_t>(member)].generator_params);
   }
 
-  weights_ = MixtureWeights(members_.size());
+  weights_ = evolve::MixtureWeights(members_.size());
   const auto& evolved = snapshot.mixtures[static_cast<std::size_t>(cell_)];
   if (evolved.size() == members_.size()) weights_.set_weights(evolved);
 }
 
-MixtureDraw CheckpointMixture::plan(std::size_t count, std::uint64_t seed) const {
+evolve::MixtureDraw CheckpointMixture::plan(std::size_t count, std::uint64_t seed) const {
   common::Rng rng(seed);
-  return plan_mixture_draw(weights_, generators_.size(), config_.arch.latent_dim,
-                           count, rng, config_.conditional_classes());
+  return evolve::plan_mixture_draw(weights_, generators_.size(), config_.arch.latent_dim,
+                                   count, rng, config_.conditional_classes());
 }
 
 tensor::Tensor CheckpointMixture::forward(std::size_t g,
@@ -57,11 +57,11 @@ tensor::Tensor CheckpointMixture::forward(std::size_t g,
 }
 
 tensor::Tensor CheckpointMixture::sample(std::size_t count, std::uint64_t seed) {
-  const MixtureDraw draw = plan(count, seed);
+  const evolve::MixtureDraw draw = plan(count, seed);
   tensor::Tensor out(count, config_.arch.image_dim);
   for (std::size_t g = 0; g < generators_.size(); ++g) {
     if (draw.rows_of[g].empty()) continue;
-    scatter_mixture_rows(draw, g, forward(g, draw.latents[g]), out);
+    evolve::scatter_mixture_rows(draw, g, forward(g, draw.latents[g]), out);
   }
   return out;
 }

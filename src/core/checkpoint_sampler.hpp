@@ -22,8 +22,8 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
-#include "core/grid.hpp"
-#include "core/mixture.hpp"
+#include "evolve/grid.hpp"
+#include "evolve/mixture.hpp"
 #include "nn/sequential.hpp"
 
 namespace cellgan::core {
@@ -40,7 +40,7 @@ class CheckpointMixture {
 
   int cell() const { return cell_; }
   const std::vector<int>& members() const { return members_; }
-  const MixtureWeights& weights() const { return weights_; }
+  const evolve::MixtureWeights& weights() const { return weights_; }
   const TrainingConfig& config() const { return config_; }
   std::size_t generators() const { return generators_.size(); }
   std::size_t latent_dim() const { return config_.arch.latent_dim; }
@@ -54,7 +54,7 @@ class CheckpointMixture {
 
   /// The stochastic half of one request's draw, on its own Rng(seed) stream.
   /// Const and thread-safe: touches no network state.
-  MixtureDraw plan(std::size_t count, std::uint64_t seed) const;
+  evolve::MixtureDraw plan(std::size_t count, std::uint64_t seed) const;
 
   /// Forward `latents` through member generator `g` (index into members()).
   /// NOT thread-safe; see sample().
@@ -65,7 +65,7 @@ class CheckpointMixture {
   int cell_ = 0;
   std::vector<int> members_;
   std::vector<nn::Sequential> generators_;  ///< one per member, center first
-  MixtureWeights weights_;
+  evolve::MixtureWeights weights_;
 };
 
 }  // namespace cellgan::core

@@ -49,7 +49,7 @@ void GenomeStore::flip() {
   ++epoch_;
 }
 
-LocalCommManager::LocalCommManager(GenomeStore& store, const Grid& grid, int cell,
+LocalCommManager::LocalCommManager(GenomeStore& store, const evolve::Grid& grid, int cell,
                                    const ExecContext& context)
     : store_(store), grid_(grid), cell_(cell), context_(context) {
   CG_EXPECT(static_cast<int>(store.size()) == grid.size());
@@ -97,7 +97,7 @@ namespace {
 constexpr int kTagAsyncGenome = 100;
 }  // namespace
 
-AsyncMpiCommManager::AsyncMpiCommManager(minimpi::Comm& local_comm, const Grid& grid)
+AsyncMpiCommManager::AsyncMpiCommManager(minimpi::Comm& local_comm, const evolve::Grid& grid)
     : local_comm_(local_comm),
       grid_(grid),
       latest_(static_cast<std::size_t>(grid.size())) {

@@ -21,7 +21,7 @@
 
 #include "common/aligned.hpp"
 #include "core/exec_context.hpp"
-#include "core/grid.hpp"
+#include "evolve/grid.hpp"
 #include "minimpi/comm.hpp"
 
 namespace cellgan::core {
@@ -102,7 +102,7 @@ class GenomeStore {
 /// keeps the one-call CommManager interface (publish, then collect).
 class LocalCommManager final : public CommManager {
  public:
-  LocalCommManager(GenomeStore& store, const Grid& grid, int cell,
+  LocalCommManager(GenomeStore& store, const evolve::Grid& grid, int cell,
                    const ExecContext& context);
 
   int cell_id() const override { return cell_; }
@@ -124,7 +124,7 @@ class LocalCommManager final : public CommManager {
 
  private:
   GenomeStore& store_;
-  const Grid& grid_;
+  const evolve::Grid& grid_;
   int cell_;
   const ExecContext& context_;
 };
@@ -153,7 +153,7 @@ class MpiCommManager final : public CommManager {
 class AsyncMpiCommManager final : public CommManager {
  public:
   /// `grid` defines whom to publish to; must outlive the manager.
-  AsyncMpiCommManager(minimpi::Comm& local_comm, const Grid& grid);
+  AsyncMpiCommManager(minimpi::Comm& local_comm, const evolve::Grid& grid);
 
   int cell_id() const override { return local_comm_.rank(); }
   std::vector<std::vector<std::uint8_t>> exchange(
@@ -161,7 +161,7 @@ class AsyncMpiCommManager final : public CommManager {
 
  private:
   minimpi::Comm& local_comm_;
-  const Grid& grid_;
+  const evolve::Grid& grid_;
   /// Latest genome seen from each cell (empty until first arrival).
   std::vector<std::vector<std::uint8_t>> latest_;
 };

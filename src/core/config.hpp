@@ -89,7 +89,7 @@ struct TrainingConfig {
   /// per-epoch records at all. Keeps unobserved runs free of record traffic.
   std::uint32_t forward_records = 0;
   /// Which data plane serves training batches: the legacy per-trainer
-  /// DataLoader or the shared prefetching SampleStore. kAuto defers to the
+  /// DataLoader or the shared SampleStore. kAuto defers to the
   /// CELLGAN_DATA_PLANE environment variable (default legacy). Bit-identical
   /// trajectories either way; broadcast so distributed slaves agree.
   datastore::DataPlane data_plane = datastore::DataPlane::kAuto;

@@ -344,11 +344,6 @@ void JsonlTelemetrySink::on_serve_batch(const ServeBatchRecord& record) {
 void JsonlTelemetrySink::on_data_store(const DataStoreRecord& record) {
   std::string line = "{\"event\":\"data_store\",\"bytes_mapped\":";
   line += std::to_string(record.bytes_mapped);
-  line += ",\"prefetch_hits\":" + std::to_string(record.prefetch_hits);
-  line += ",\"prefetch_waits\":" + std::to_string(record.prefetch_waits);
-  line += ",\"prefetch_stalls\":" + std::to_string(record.prefetch_stalls);
-  line += ",\"staged_batches\":" + std::to_string(record.staged_batches);
-  line += ",\"staging_depth\":" + std::to_string(record.staging_depth);
   line += "}";
   write_line(line);
 }
@@ -373,7 +368,7 @@ void CheckpointPolicyObserver::on_epoch_completed(const EpochRecord& record) {
   snapshot.centers.reserve(record.cells.size());
   snapshot.mixtures.reserve(record.cells.size());
   for (const auto& cell : record.cells) {
-    snapshot.centers.push_back(CellGenome::deserialize(cell.genome));
+    snapshot.centers.push_back(evolve::CellGenome::deserialize(cell.genome));
     snapshot.mixtures.push_back(cell.mixture_weights);
     // The genomes carry the cells' absolute iteration counters (which
     // survive restore), unlike the run-relative record.epoch — same

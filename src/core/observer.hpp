@@ -16,7 +16,7 @@
 //
 // Determinism contract (pinned by the observer-parity suite): every field of
 // an EpochRecord is schedule-independent. Within the in-process family the
-// stream is bit-identical across SequentialTrainer and ParallelTrainer at any
+// stream is bit-identical across the sequential and threads backends at any
 // lane count (a cell's virtual_s is the cell's OWN cumulative simulated
 // seconds, not the shared clock); within the distributed family it is
 // bit-identical between the thread-per-rank simulation and the TCP
@@ -157,18 +157,11 @@ struct ServeBatchRecord {
   double forward_us = 0.0;
 };
 
-/// Data-plane activity of one run — the delta of datastore::stats() across
-/// the run, published by the Session after the backend finishes (only when
-/// the store plane did any work). Shows how batches were served: bytes kept
-/// mmapped, how often training found its batch pre-staged (hits) vs. waited
-/// on an in-flight stage vs. staged synchronously (stalls).
+/// Data-plane state of one run, published by the Session after the backend
+/// finishes (only when the run used the store plane): the bytes of sample
+/// files kept mmapped, from datastore::stats().
 struct DataStoreRecord {
   std::uint64_t bytes_mapped = 0;
-  std::uint64_t prefetch_hits = 0;
-  std::uint64_t prefetch_waits = 0;
-  std::uint64_t prefetch_stalls = 0;
-  std::uint64_t staged_batches = 0;
-  std::uint64_t staging_depth = 0;  ///< max outstanding ring slots seen
 };
 
 /// What a run is, announced once before the first epoch.

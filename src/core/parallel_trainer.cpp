@@ -6,9 +6,8 @@ namespace cellgan::core {
 
 ParallelTrainer::ParallelTrainer(const TrainingConfig& config,
                                  const data::Dataset& dataset, std::size_t threads,
-                                 const CostModel& cost_model)
-    : InProcessTrainer(config, dataset, cost_model),
-      pool_(std::max<std::size_t>(1, threads)) {
+                                 const CostModel& cost_model, ExecMode mode)
+    : core_(config, dataset, cost_model), pool_(std::max<std::size_t>(1, threads)) {
   const auto n = static_cast<std::size_t>(core_.grid().size());
   // Balanced contiguous partition over exactly min(threads, cells) lanes:
   // the first n % lanes lanes take one extra cell, so no requested worker
@@ -26,10 +25,10 @@ ParallelTrainer::ParallelTrainer(const TrainingConfig& config,
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     lanes_.push_back(std::make_unique<Lane>(config.seed ^ 0x5eedbeefULL ^ lane));
   }
-  core_.build_cells([this](int cell) {
+  core_.build_cells([this, mode](int cell) {
     Lane& lane = *lanes_[lane_of(static_cast<std::size_t>(cell))];
     ExecContext context;
-    context.mode = ExecMode::MultiThread;
+    context.mode = mode;
     context.grid_cells = core_.grid().size();
     context.cost = &core_.cost_model();
     context.clock = &lane.clock;

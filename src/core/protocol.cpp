@@ -62,7 +62,7 @@ SlaveResult SlaveResult::deserialize(std::span<const std::uint8_t> bytes) {
   s.virtual_time_s = r.read<double>();
   s.mixture_weights = r.read_vector<double>();
   const auto genome_bytes = r.read_vector<std::uint8_t>();
-  s.center = CellGenome::deserialize(genome_bytes);
+  s.center = evolve::CellGenome::deserialize(genome_bytes);
   CG_ENSURE(r.exhausted());
   return s;
 }

@@ -11,7 +11,7 @@
 
 #include "common/serialize.hpp"
 #include "core/config.hpp"
-#include "core/genome.hpp"
+#include "evolve/genome.hpp"
 
 namespace cellgan::core::protocol {
 
@@ -71,7 +71,7 @@ struct StatusReply {
 /// slave -> master final result.
 struct SlaveResult {
   std::uint32_t cell_id = 0;
-  CellGenome center;
+  evolve::CellGenome center;
   std::vector<double> mixture_weights;
   double virtual_time_s = 0.0;
 

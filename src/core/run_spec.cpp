@@ -276,7 +276,7 @@ void RunSpec::add_flags(common::CliParser& cli, const RunSpec& defaults) {
                " reference) | simd (packed vectorized)");
   cli.add_flag("data-plane", datastore::to_string(defaults.config.data_plane),
                "batch source: auto (CELLGAN_DATA_PLANE/legacy) | legacy"
-               " (per-trainer DataLoader) | store (shared prefetching"
+               " (per-trainer DataLoader) | store (shared"
                " SampleStore); bit-identical trajectories");
   cli.add_flag("eval-every", std::to_string(defaults.observers.eval_every),
                "compute IS/FID/mode coverage every N epochs (0 = off; needs a"

@@ -7,18 +7,16 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/log.hpp"
-
 #include "common/expect.hpp"
+#include "common/log.hpp"
 #include "core/checkpoint_sampler.hpp"
-#include "core/grid.hpp"
-#include "minimpi/bootstrap.hpp"
-#include "core/mixture.hpp"
 #include "core/parallel_trainer.hpp"
-#include "core/sequential_trainer.hpp"
 #include "core/workload.hpp"
 #include "datastore/errors.hpp"
 #include "datastore/stats.hpp"
+#include "evolve/grid.hpp"
+#include "evolve/mixture.hpp"
+#include "minimpi/bootstrap.hpp"
 #include "nn/gan_models.hpp"
 #include "tensor/kernels.hpp"
 
@@ -115,18 +113,24 @@ bool write_result_json(const std::string& path, const RunSpec& spec,
 
 namespace {
 
-/// SequentialTrainer / ParallelTrainer behind the facade. The referenced
-/// dataset and cost model live in the owning Session and outlive the backend.
+/// ParallelTrainer behind the facade: kSequential is its one-lane
+/// SingleCore case, kThreads runs `spec.threads` MultiThread lanes. The
+/// referenced dataset and cost model live in the owning Session and outlive
+/// the backend.
 class InProcessBackend final : public SessionBackend {
  public:
-  InProcessBackend(Backend kind, std::unique_ptr<InProcessTrainer> trainer,
-                   EventBus* observers)
-      : kind_(kind), trainer_(std::move(trainer)) {
-    trainer_->set_observers(observers);
+  InProcessBackend(Backend kind, const BackendContext& context)
+      : kind_(kind),
+        trainer_(context.spec.config, context.train_set,
+                 kind == Backend::kSequential ? 1 : context.spec.threads,
+                 context.cost_model,
+                 kind == Backend::kSequential ? ExecMode::SingleCore
+                                              : ExecMode::MultiThread) {
+    trainer_.set_observers(context.observers);
   }
 
   RunResult run() override {
-    TrainOutcome outcome = trainer_->run();
+    TrainOutcome outcome = trainer_.run();
     RunResult result;
     result.backend = kind_;
     result.wall_s = outcome.wall_s;
@@ -139,11 +143,11 @@ class InProcessBackend final : public SessionBackend {
     return result;
   }
 
-  InProcessTrainer* trainer() override { return trainer_.get(); }
+  ParallelTrainer* trainer() override { return &trainer_; }
 
  private:
   Backend kind_;
-  std::unique_ptr<InProcessTrainer> trainer_;
+  ParallelTrainer trainer_;
 };
 
 /// One DistributedOutcome -> RunResult mapping for both distributed
@@ -238,24 +242,12 @@ class TcpDistributedBackend final : public SessionBackend {
 BackendRegistry::BackendRegistry() {
   // Built-ins are registered here (not via static initializers, which a
   // static-library link may drop) so the registry is always complete.
-  register_backend(to_string(Backend::kSequential),
-                   [](const BackendContext& context) -> std::unique_ptr<SessionBackend> {
-                     return std::make_unique<InProcessBackend>(
-                         Backend::kSequential,
-                         std::make_unique<SequentialTrainer>(
-                             context.spec.config, context.train_set,
-                             context.cost_model),
-                         context.observers);
-                   });
-  register_backend(to_string(Backend::kThreads),
-                   [](const BackendContext& context) -> std::unique_ptr<SessionBackend> {
-                     return std::make_unique<InProcessBackend>(
-                         Backend::kThreads,
-                         std::make_unique<ParallelTrainer>(
-                             context.spec.config, context.train_set,
-                             context.spec.threads, context.cost_model),
-                         context.observers);
-                   });
+  for (const Backend kind : {Backend::kSequential, Backend::kThreads}) {
+    register_backend(to_string(kind),
+                     [kind](const BackendContext& context) -> std::unique_ptr<SessionBackend> {
+                       return std::make_unique<InProcessBackend>(kind, context);
+                     });
+  }
   register_backend(to_string(Backend::kDistributed),
                    [](const BackendContext& context) -> std::unique_ptr<SessionBackend> {
                      return std::make_unique<DistributedBackend>(context);
@@ -517,21 +509,12 @@ RunResult Session::run() {
     throw std::runtime_error(error_);
   }
   observers_.run_started(RunInfo{to_string(spec_.backend), spec_.config});
-  const datastore::StatsSnapshot store_before = datastore::stats().snapshot();
   RunResult result = backend->run();
-  // Publish the run's data-plane activity (counter deltas) when the store
-  // plane did any work; legacy-plane runs skip the event entirely.
-  const datastore::StatsSnapshot store_after = datastore::stats().snapshot();
-  if (store_after != store_before) {
-    DataStoreRecord record;
-    record.bytes_mapped = store_after.bytes_mapped;
-    record.prefetch_hits = store_after.prefetch_hits - store_before.prefetch_hits;
-    record.prefetch_waits = store_after.prefetch_waits - store_before.prefetch_waits;
-    record.prefetch_stalls =
-        store_after.prefetch_stalls - store_before.prefetch_stalls;
-    record.staged_batches = store_after.staged_batches - store_before.staged_batches;
-    record.staging_depth = store_after.staging_depth;
-    observers_.data_store(record);
+  // Publish the data plane's state when the run read through the store;
+  // legacy-plane runs skip the event entirely.
+  if (datastore::resolve_data_plane(spec_.config.data_plane) ==
+      datastore::DataPlane::kStore) {
+    observers_.data_store(DataStoreRecord{datastore::stats().snapshot().bytes_mapped});
   }
   // Harvest the final metric snapshot from whichever evaluator subscribed.
   for (TrainObserver* observer : observers_.observers()) {
@@ -579,19 +562,19 @@ const CostModel& Session::cost_model() const {
   return cost_model_;
 }
 
-InProcessTrainer* Session::trainer() {
+ParallelTrainer* Session::trainer() {
   SessionBackend* backend = ensure_backend();
   return backend == nullptr ? nullptr : backend->trainer();
 }
 
 Checkpoint Session::checkpoint() {
-  InProcessTrainer* live = trainer();
+  ParallelTrainer* live = trainer();
   CG_EXPECT(live != nullptr);
   return live->checkpoint();
 }
 
 bool Session::restore(const Checkpoint& snapshot) {
-  InProcessTrainer* live = trainer();
+  ParallelTrainer* live = trainer();
   if (live == nullptr) return false;
   live->restore(snapshot);
   return true;
@@ -600,14 +583,14 @@ bool Session::restore(const Checkpoint& snapshot) {
 tensor::Tensor Session::sample_best(const RunResult& result, std::size_t count) {
   CG_EXPECT(prepared_);
   if (!result.distributed()) {
-    InProcessTrainer* live = trainer();
+    ParallelTrainer* live = trainer();
     CG_EXPECT(live != nullptr);
     return live->cell(result.best_cell).sample_from_mixture(count);
   }
   // Reassemble the best cell's neighborhood mixture from the master's
   // collected center genomes (Section II.B: the returned generative model).
   const auto& config = spec_.config;
-  Grid grid(static_cast<int>(config.grid_rows), static_cast<int>(config.grid_cols));
+  evolve::Grid grid(static_cast<int>(config.grid_rows), static_cast<int>(config.grid_cols));
   const auto members = grid.neighborhood_of(result.best_cell);
   common::Rng rng(config.seed ^ 0xabcdULL);
   std::vector<nn::Sequential> generators;
@@ -621,12 +604,12 @@ tensor::Tensor Session::sample_best(const RunResult& result, std::size_t count) 
   std::vector<nn::Sequential*> generator_ptrs;
   generator_ptrs.reserve(generators.size());
   for (auto& generator : generators) generator_ptrs.push_back(&generator);
-  MixtureWeights weights(members.size());
+  evolve::MixtureWeights weights(members.size());
   const auto& evolved =
       result.cell_results[static_cast<std::size_t>(result.best_cell)].mixture_weights;
   if (evolved.size() == members.size()) weights.set_weights(evolved);
-  return sample_mixture(weights, generator_ptrs, config.arch.latent_dim, count,
-                        rng, config.conditional_classes());
+  return evolve::sample_mixture(weights, generator_ptrs, config.arch.latent_dim, count,
+                                rng, config.conditional_classes());
 }
 
 Checkpoint Session::result_checkpoint(const RunResult& result) {

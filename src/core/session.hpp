@@ -10,8 +10,8 @@
 // vehicle (e.g. a sockets-backed minimpi) plugs in by registering a backend
 // instead of migrating every call site.
 //
-// The facade is a pure wrapper: Backend::kSequential is bit-identical to
-// calling SequentialTrainer directly, kThreads to ParallelTrainer, and
+// The facade is a pure wrapper: Backend::kSequential is bit-identical to a
+// one-lane SingleCore ParallelTrainer, kThreads to a `threads`-lane one, and
 // kDistributed to run_distributed (the backend-parity suite pins this).
 #pragma once
 
@@ -33,6 +33,8 @@
 #include "datastore/sample_store.hpp"
 
 namespace cellgan::core {
+
+class ParallelTrainer;
 
 /// Unified result of a Session run, whichever backend executed it.
 struct RunResult {
@@ -78,7 +80,7 @@ class SessionBackend {
 
   /// The live in-process trainer (sampling, checkpoint/restore); nullptr for
   /// backends that run outside this process' address space.
-  virtual InProcessTrainer* trainer() { return nullptr; }
+  virtual ParallelTrainer* trainer() { return nullptr; }
 };
 
 /// Everything a backend factory may need to build its vehicle.
@@ -182,7 +184,7 @@ class Session {
   const CostModel& cost_model() const;
 
   /// The live in-process trainer; nullptr for the distributed backend.
-  InProcessTrainer* trainer();
+  ParallelTrainer* trainer();
 
   /// Checkpoint/restore, forwarded to the in-process trainer (returns
   /// false / CG_EXPECTs on the distributed backend).

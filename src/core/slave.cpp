@@ -5,8 +5,8 @@
 
 #include "common/log.hpp"
 #include "core/comm_manager.hpp"
-#include "core/grid.hpp"
 #include "core/observer.hpp"
+#include "evolve/grid.hpp"
 #include "minimpi/errors.hpp"
 
 namespace cellgan::core {
@@ -50,7 +50,7 @@ protocol::SlaveResult Slave::run() {
 
   // Assemble the execution grid from the configuration (Fig. 3 "assemble
   // execution grid") and launch the execution thread for the training.
-  Grid grid(static_cast<int>(config.grid_rows), static_cast<int>(config.grid_cols));
+  evolve::Grid grid(static_cast<int>(config.grid_rows), static_cast<int>(config.grid_cols));
   ExecContext context;
   context.mode = ExecMode::Distributed;
   context.grid_cells = grid.size();

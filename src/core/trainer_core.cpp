@@ -143,7 +143,7 @@ WorkloadProbe TrainerCore::measure_workload(const TrainingConfig& config,
   // Run two iterations of a throwaway cell wired to itself: the second
   // iteration installs a full set of neighbor genomes, giving representative
   // update bytes and train flops.
-  Grid grid(static_cast<int>(config.grid_rows), static_cast<int>(config.grid_cols));
+  evolve::Grid grid(static_cast<int>(config.grid_rows), static_cast<int>(config.grid_cols));
   ExecContext context;  // RealTime: no cost model, no clocks
   common::Rng rng(config.seed ^ 0x9e0be5ULL);
   CellTrainer probe_cell(config, grid, 0, dataset, rng, context);

@@ -1,14 +1,12 @@
-// Shared core of the in-process trainers (sequential and thread-parallel).
+// Schedule-independent core of the in-process trainer
+// (core/parallel_trainer.hpp).
 //
-// Both trainers run the same cellular epoch — collect the neighbors'
+// Every cell runs the same cellular epoch — collect the neighbors'
 // previous-epoch genomes, step the cell's coevolutionary algorithm, publish
-// the new center genome — over the same double-buffered GenomeStore; they
-// differ only in who executes the per-cell tasks (the caller, or a
-// common::ThreadPool) and in how per-rank virtual clocks aggregate (serial
-// sum vs max-over-lanes). TrainerCore owns everything schedule-independent:
-// grid, cells, comm managers, outcome assembly, checkpoint/restore and the
-// workload calibration probe. InProcessTrainer is the common API surface so
-// callers can pick a trainer at runtime.
+// the new center genome — over one double-buffered GenomeStore, whichever
+// lane executes it. TrainerCore owns everything schedule-independent: grid,
+// cells, comm managers, outcome assembly, checkpoint/restore and the
+// workload calibration probe.
 #pragma once
 
 #include <functional>
@@ -21,9 +19,9 @@
 #include "core/comm_manager.hpp"
 #include "core/config.hpp"
 #include "core/cost_model.hpp"
-#include "core/grid.hpp"
 #include "core/observer.hpp"
 #include "data/dataset.hpp"
+#include "evolve/grid.hpp"
 
 namespace cellgan::core {
 
@@ -48,8 +46,7 @@ class TrainerCore {
   /// Construct one CellTrainer + LocalCommManager per grid cell, seeding each
   /// cell's private rng stream exactly as the paper's reproducibility rule
   /// requires (fork of the master seed keyed by cell id). `context_of(cell)`
-  /// supplies each cell's execution context — one shared context in the
-  /// sequential trainer, one per worker lane in the parallel trainer. The
+  /// supplies each cell's execution context — one per worker lane. The
   /// returned contexts are stored by value, so the clock/profiler/cost
   /// pointers inside must outlive this core. Call exactly once.
   void build_cells(const std::function<ExecContext(int)>& context_of);
@@ -100,7 +97,7 @@ class TrainerCore {
 
   const TrainingConfig& config() const { return config_; }
   const CostModel& cost_model() const { return cost_model_; }
-  Grid& grid() { return grid_; }
+  evolve::Grid& grid() { return grid_; }
   GenomeStore& store() { return store_; }
   CellTrainer& cell(int cell_id) { return *cells_[cell_id]; }
   const CellTrainer& cell(int cell_id) const { return *cells_[cell_id]; }
@@ -110,7 +107,7 @@ class TrainerCore {
   TrainingConfig config_;
   const data::Dataset& dataset_;
   CostModel cost_model_;
-  Grid grid_;
+  evolve::Grid grid_;
   GenomeStore store_;
   std::vector<ExecContext> contexts_;  ///< one per cell; addresses stable
   std::vector<std::unique_ptr<CellTrainer>> cells_;
@@ -126,41 +123,6 @@ class TrainerCore {
   /// coherence traffic.
   std::vector<common::CacheAligned<double>> cell_virtual_s_;
   std::vector<CellEpochRecord> epoch_records_;  ///< one slot per cell
-};
-
-/// Common API of the in-process trainers, so examples and benchmarks can
-/// select sequential vs parallel at runtime behind one pointer.
-class InProcessTrainer {
- public:
-  /// `dataset` must outlive the trainer.
-  InProcessTrainer(const TrainingConfig& config, const data::Dataset& dataset,
-                   const CostModel& cost_model)
-      : core_(config, dataset, cost_model) {}
-  virtual ~InProcessTrainer() = default;
-
-  InProcessTrainer(const InProcessTrainer&) = delete;
-  InProcessTrainer& operator=(const InProcessTrainer&) = delete;
-
-  /// Run the configured number of iterations over every cell.
-  virtual TrainOutcome run() = 0;
-
-  /// Subscribe the run to an event bus (epoch-started / cell-stepped /
-  /// epoch-completed). Call before run(); the bus must outlive the trainer.
-  void set_observers(EventBus* bus) { core_.set_observers(bus); }
-
-  /// Access to trained cells (valid after run()) for sampling / inspection.
-  Grid& grid() { return core_.grid(); }
-  CellTrainer& cell(int cell_id) { return core_.cell(cell_id); }
-  int cells() const { return core_.cells(); }
-
-  Checkpoint checkpoint() { return core_.checkpoint(); }
-
-  /// Restore every cell from a compatible checkpoint; a subsequent run()
-  /// trains `config.iterations` further epochs.
-  void restore(const Checkpoint& snapshot) { core_.restore(snapshot); }
-
- protected:
-  TrainerCore core_;
 };
 
 }  // namespace cellgan::core

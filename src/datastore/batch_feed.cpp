@@ -1,180 +1,36 @@
 #include "datastore/batch_feed.hpp"
 
-#include <algorithm>
-#include <condition_variable>
-#include <mutex>
 #include <utility>
 
-#include "common/aligned.hpp"
 #include "common/expect.hpp"
-#include "datastore/epoch_view.hpp"
-#include "datastore/prefetcher.hpp"
-#include "datastore/stats.hpp"
 
 namespace cellgan::datastore {
 
-namespace {
-
-constexpr std::uint64_t kUnkeyed = ~std::uint64_t{0};
-
-}  // namespace
-
-/// Shared between the feed and in-flight prefetch tasks (which hold it weakly:
-/// a dying feed orphans its workers harmlessly).
-struct StoreFeed::State {
-  /// One staging slot. `key`/`ready`/`inflight` are guarded by `mutex`;
-  /// `staging` is written lock-free by the single worker that claimed the
-  /// slot (inflight, matching key) and read by the consumer only once ready.
-  struct Slot {
-    std::uint64_t key = kUnkeyed;
-    bool ready = false;
-    bool inflight = false;
-    common::AlignedBuffer staging;
-  };
-
-  std::shared_ptr<const SampleStore> store;
-  std::size_t batch_size = 0;
-  std::size_t dim = 0;
-  std::size_t depth = 0;
-
-  std::mutex mutex;
-  std::condition_variable ready_cv;
-  std::vector<std::unique_ptr<Slot>> slots;
-};
-
 StoreFeed::StoreFeed(std::shared_ptr<const SampleStore> store, std::size_t batch_size,
                      std::vector<std::uint32_t> labels)
-    : shuffle_(store->samples()), state_(std::make_shared<State>()),
+    : shuffle_(store->samples()), store_(std::move(store)), batch_size_(batch_size),
       labels_(std::move(labels)) {
-  CG_EXPECT(batch_size > 0);
-  CG_EXPECT(labels_.empty() || labels_.size() == store->samples());
-  state_->store = std::move(store);
-  state_->batch_size = batch_size;
-  state_->dim = state_->store->sample_dim();
-  const std::size_t batches = state_->store->samples() / batch_size;
-  state_->depth = std::clamp<std::size_t>(batches, 1, 8);
-  state_->slots.reserve(state_->depth);
-  for (std::size_t i = 0; i < state_->depth; ++i) {
-    auto slot = std::make_unique<State::Slot>();
-    slot->staging.grow(batch_size * state_->dim);
-    state_->slots.push_back(std::move(slot));
-  }
+  CG_EXPECT(batch_size_ > 0);
+  CG_EXPECT(labels_.empty() || labels_.size() == store_->samples());
 }
-
-StoreFeed::~StoreFeed() = default;
-
-std::size_t StoreFeed::batch_size() const { return state_->batch_size; }
 
 std::size_t StoreFeed::batches_per_epoch() const {
-  return shuffle_.order().size() / state_->batch_size;
+  return shuffle_.order().size() / batch_size_;
 }
 
-const SampleStore& StoreFeed::store() const { return *state_->store; }
-
-std::uint64_t StoreFeed::key_of(std::size_t index) const {
-  return (static_cast<std::uint64_t>(generation_) << 32) | static_cast<std::uint32_t>(index);
-}
-
-void StoreFeed::reshuffle(common::Rng& rng) {
-  shuffle_.reshuffle(rng);
-  ++generation_;  // orphan any slot keyed to the old order
-  // Warm the ring for the fresh epoch: batch 0 is about to be drawn.
-  const std::size_t batches = batches_per_epoch();
-  for (std::size_t k = 0; k < std::min(state_->depth, batches); ++k) schedule_one(k);
-}
+void StoreFeed::reshuffle(common::Rng& rng) { shuffle_.reshuffle(rng); }
 
 void StoreFeed::restore_order(std::vector<std::uint32_t> order) {
   shuffle_.restore(std::move(order));
-  ++generation_;  // the restored epoch's first read takes one stall, then refills
-}
-
-void StoreFeed::schedule_one(std::size_t index) {
-  auto& state = *state_;
-  const std::uint64_t key = key_of(index);
-  std::vector<std::uint32_t> rows;
-  const std::size_t slot_idx = index % state.depth;
-  {
-    std::lock_guard<std::mutex> lock(state.mutex);
-    State::Slot& slot = *state.slots[slot_idx];
-    if (slot.key == key && (slot.ready || slot.inflight)) return;  // covered
-    if (slot.inflight) return;  // stale work still owns the buffer; retry later
-    slot.key = key;
-    slot.ready = false;
-    slot.inflight = true;
-    std::size_t outstanding = 0;
-    for (const auto& s : state.slots) outstanding += (s->ready || s->inflight) ? 1 : 0;
-    stats().note_depth(outstanding);
-  }
-  const auto& order = shuffle_.order();
-  rows.assign(order.begin() + static_cast<std::ptrdiff_t>(index * state.batch_size),
-              order.begin() + static_cast<std::ptrdiff_t>((index + 1) * state.batch_size));
-
-  std::weak_ptr<State> weak = state_;
-  Prefetcher::global().enqueue([weak, key, slot_idx, rows = std::move(rows)] {
-    auto state = weak.lock();
-    if (!state) return;
-    State::Slot& slot = *state->slots[slot_idx];
-    // Sole owner of `staging` while (inflight, key) names this task.
-    float* dst = slot.staging.data();
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      state->store->stage_row(rows[i], dst + i * state->dim);
-    }
-    bool published = false;
-    {
-      std::lock_guard<std::mutex> lock(state->mutex);
-      if (slot.key == key && slot.inflight) {
-        slot.inflight = false;
-        slot.ready = true;
-        published = true;
-      }
-    }
-    if (published) {
-      stats().staged_batches.value.fetch_add(1, std::memory_order_relaxed);
-      state->ready_cv.notify_all();
-    }
-  });
-}
-
-void StoreFeed::schedule_ahead(std::size_t index) {
-  const std::size_t batches = batches_per_epoch();
-  // Stop short of reclaiming `index`'s own slot ((index + depth) % depth):
-  // the trainer peeks an index before consuming it and must hit twice.
-  for (std::size_t k = index + 1; k < index + state_->depth && k < batches; ++k) {
-    schedule_one(k);
-  }
 }
 
 tensor::Tensor StoreFeed::batch(std::size_t index) {
-  auto& state = *state_;
   CG_EXPECT(index < batches_per_epoch());
-  tensor::Tensor out(state.batch_size, state.dim);
-  const std::uint64_t key = key_of(index);
-  State::Slot& slot = *state.slots[index % state.depth];
-
-  bool copied = false;
-  {
-    std::unique_lock<std::mutex> lock(state.mutex);
-    if (slot.key == key) {
-      if (!slot.ready && slot.inflight) {
-        stats().prefetch_waits.value.fetch_add(1, std::memory_order_relaxed);
-        state.ready_cv.wait(lock, [&] { return slot.key != key || slot.ready; });
-      }
-      if (slot.key == key && slot.ready) {
-        const float* src = slot.staging.data();
-        std::copy(src, src + state.batch_size * state.dim, out.data().data());
-        stats().prefetch_hits.value.fetch_add(1, std::memory_order_relaxed);
-        copied = true;
-      }
-    }
-  }
-  if (!copied) {
-    // Cold read (first touch after construction/restore, or ring miss):
-    // stage synchronously through the same view path the workers use.
-    stats().prefetch_stalls.value.fetch_add(1, std::memory_order_relaxed);
-    EpochView(state.store, shuffle_.order(), state.batch_size)
-        .stage_batch(index, out.data().data());
-  }
-  schedule_ahead(index);
+  const std::size_t dim = store_->sample_dim();
+  tensor::Tensor out(batch_size_, dim);
+  const std::uint32_t* rows = shuffle_.order().data() + index * batch_size_;
+  float* dst = out.data().data();
+  for (std::size_t i = 0; i < batch_size_; ++i) store_->stage_row(rows[i], dst + i * dim);
   return out;
 }
 
@@ -182,9 +38,9 @@ std::vector<std::uint32_t> StoreFeed::batch_labels(std::size_t index) const {
   CG_EXPECT(index < batches_per_epoch());
   CG_EXPECT(!labels_.empty());  // feed built without a label plane
   const auto& order = shuffle_.order();
-  std::vector<std::uint32_t> out(state_->batch_size);
-  for (std::size_t i = 0; i < state_->batch_size; ++i) {
-    out[i] = labels_[order[index * state_->batch_size + i]];
+  std::vector<std::uint32_t> out(batch_size_);
+  for (std::size_t i = 0; i < batch_size_; ++i) {
+    out[i] = labels_[order[index * batch_size_ + i]];
   }
   return out;
 }

@@ -5,18 +5,17 @@
 //
 //   * LegacyFeed forwards to data::DataLoader — byte-for-byte the historical
 //     path, the parity baseline.
-//   * StoreFeed reads a shared SampleStore through a generation-keyed ring of
-//     cache-aligned staging slots filled by the background Prefetcher, so the
-//     gather+normalize cost overlaps training compute.
+//   * StoreFeed stages each batch synchronously from a shared SampleStore on
+//     the calling lane (gather + normalize, ~0.35 ms per paper-shape batch).
 //
-// Contract (both planes, pinned by tests/datastore/prefetch_test.cpp):
+// Contract (both planes, pinned by tests/datastore/store_feed_test.cpp):
 //   * construction leaves the identity order, like a fresh DataLoader;
 //   * reshuffle() consumes exactly the Rng draws DataLoader::reshuffle does;
 //   * batch(i) is repeatable — the trainer peeks an index in
 //     evaluate_center_fitness() and reads it again in train();
 //   * order()/restore_order() round-trip through checkpoints.
 // Feeds are single-consumer: all methods are called from the owning trainer's
-// thread. Cross-thread concurrency lives inside StoreFeed (prefetch workers).
+// thread. Any number of feeds may read one shared store concurrently.
 #pragma once
 
 #include <cstdint>
@@ -75,27 +74,15 @@ class LegacyFeed final : public BatchFeed {
   data::DataLoader loader_;
 };
 
-/// Store-served batches with background prefetch.
-///
-/// A ring of `depth` staging slots covers the next few batches of the current
-/// epoch order. Slots are keyed by (generation << 32 | batch index); every
-/// reshuffle/restore bumps the generation so stale in-flight work can never
-/// publish into the new epoch — a worker compares its captured key against the
-/// slot's before marking it ready and silently drops on mismatch. Row indices
-/// are snapshotted into the task at schedule time (on the consumer thread,
-/// which owns the order), so workers never read the mutable order vector.
-///
-/// batch(i): ready slot with matching key → copy out (hit); matching slot
-/// still in flight → wait on the slot condvar (wait); anything else → stage
-/// synchronously from the store (stall). Counters land in datastore::stats().
+/// Store-served batches: batch(i) gathers the epoch order's rows from the
+/// shared SampleStore into a fresh tensor, bit-identical to LegacyFeed.
 class StoreFeed final : public BatchFeed {
  public:
   StoreFeed(std::shared_ptr<const SampleStore> store, std::size_t batch_size,
             std::vector<std::uint32_t> labels = {});
-  ~StoreFeed() override;
 
   DataPlane plane() const override { return DataPlane::kStore; }
-  std::size_t batch_size() const override;
+  std::size_t batch_size() const override { return batch_size_; }
   std::size_t batches_per_epoch() const override;
   void reshuffle(common::Rng& rng) override;
   const std::vector<std::uint32_t>& order() const override { return shuffle_.order(); }
@@ -103,21 +90,10 @@ class StoreFeed final : public BatchFeed {
   tensor::Tensor batch(std::size_t index) override;
   std::vector<std::uint32_t> batch_labels(std::size_t index) const override;
 
-  const SampleStore& store() const;
-
  private:
-  struct State;
-
-  std::uint64_t key_of(std::size_t index) const;
-  /// Claim and enqueue staging for batches (index, index + depth - 1] that
-  /// are in range and not already covered. Never touches `index`'s own slot,
-  /// so a peeked batch stays resident for its second read.
-  void schedule_ahead(std::size_t index);
-  void schedule_one(std::size_t index);
-
   ShuffleService shuffle_;
-  std::uint32_t generation_ = 0;
-  std::shared_ptr<State> state_;
+  std::shared_ptr<const SampleStore> store_;
+  std::size_t batch_size_;
   /// Per-sample class labels (copied from the dataset at feed construction);
   /// the store itself only holds the pixel plane.
   std::vector<std::uint32_t> labels_;

@@ -1,7 +1,7 @@
 // DataPlane — which batch-feeding implementation the trainers consume.
 //
 // kLegacy is the original per-cell data::DataLoader path; kStore routes
-// batches through the shared SampleStore + background Prefetcher. The two are
+// batches through the shared SampleStore, staged on the drawing lane. The two are
 // bit-identical by construction (same shuffle, same normalization, same
 // gather), so the switch is a pure performance seam — mirrored on
 // RunSpec/TrainingConfig the way TensorKernel mirrors the microkernel seam.

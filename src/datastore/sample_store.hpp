@@ -19,7 +19,7 @@
 // per-rank copies. Registry entries are weak: a store lives exactly as long
 // as some feed (or the Session that bound it) holds it.
 //
-// All read paths are const and thread-safe; EpochViews and the prefetcher
+// All read paths are const and thread-safe; feeds on every lane and rank
 // read concurrently without synchronization.
 #pragma once
 

@@ -4,7 +4,7 @@
 // set of relaxed atomics; core::Session snapshots them around a run and
 // publishes the delta through the EventBus as a DataStoreRecord, so the JSONL
 // telemetry stream shows how the data plane behaved (bytes served from the
-// page cache, how often training found its batch pre-staged vs. stalled).
+// page cache, stores built).
 // Relaxed ordering is enough: the counters are diagnostics, never control
 // flow, and each is independently monotone.
 #pragma once
@@ -19,43 +19,19 @@ namespace cellgan::datastore {
 struct StatsSnapshot {
   std::uint64_t bytes_mapped = 0;     ///< live mmap bytes across all stores
   std::uint64_t stores_created = 0;   ///< SampleStore constructions
-  std::uint64_t prefetch_hits = 0;    ///< batch() found its slot staged & ready
-  std::uint64_t prefetch_waits = 0;   ///< batch() waited on an inflight stage
-  std::uint64_t prefetch_stalls = 0;  ///< batch() staged synchronously (miss)
-  std::uint64_t staged_batches = 0;   ///< batches staged by the background pool
-  std::uint64_t staging_depth = 0;    ///< largest configured ring depth seen
-
-  friend bool operator==(const StatsSnapshot&, const StatsSnapshot&) = default;
 };
 
-/// The live counters. Each on its own cache line: the prefetcher pool and
-/// every training lane write them concurrently.
+/// The live counters. Each on its own cache line: stores are created and
+/// dropped from any lane or rank thread.
 struct GlobalStats {
   common::CacheAligned<std::atomic<std::uint64_t>> bytes_mapped;
   common::CacheAligned<std::atomic<std::uint64_t>> stores_created;
-  common::CacheAligned<std::atomic<std::uint64_t>> prefetch_hits;
-  common::CacheAligned<std::atomic<std::uint64_t>> prefetch_waits;
-  common::CacheAligned<std::atomic<std::uint64_t>> prefetch_stalls;
-  common::CacheAligned<std::atomic<std::uint64_t>> staged_batches;
-  common::CacheAligned<std::atomic<std::uint64_t>> staging_depth;  // max gauge
 
   StatsSnapshot snapshot() const {
     StatsSnapshot s;
     s.bytes_mapped = bytes_mapped.value.load(std::memory_order_relaxed);
     s.stores_created = stores_created.value.load(std::memory_order_relaxed);
-    s.prefetch_hits = prefetch_hits.value.load(std::memory_order_relaxed);
-    s.prefetch_waits = prefetch_waits.value.load(std::memory_order_relaxed);
-    s.prefetch_stalls = prefetch_stalls.value.load(std::memory_order_relaxed);
-    s.staged_batches = staged_batches.value.load(std::memory_order_relaxed);
-    s.staging_depth = staging_depth.value.load(std::memory_order_relaxed);
     return s;
-  }
-
-  void note_depth(std::uint64_t depth) {
-    std::uint64_t seen = staging_depth.value.load(std::memory_order_relaxed);
-    while (seen < depth && !staging_depth.value.compare_exchange_weak(
-                               seen, depth, std::memory_order_relaxed)) {
-    }
   }
 };
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/genome.hpp"
-#include "core/mixture.hpp"
+#include "evolve/genome.hpp"
+#include "evolve/mixture.hpp"
 #include "metrics/fid.hpp"
 #include "metrics/inception_score.hpp"
 #include "metrics/mode_coverage.hpp"
@@ -36,7 +36,7 @@ Classifier make_trained_classifier(const data::Dataset& real,
 nn::Sequential generator_from_record(const core::TrainingConfig& config,
                                      const core::CellEpochRecord& record,
                                      common::Rng& rng) {
-  const core::CellGenome genome = core::CellGenome::deserialize(record.genome);
+  const evolve::CellGenome genome = evolve::CellGenome::deserialize(record.genome);
   nn::Sequential generator =
       nn::make_generator(config.arch, rng, config.conditional_classes());
   generator.load_parameters(genome.generator_params);
@@ -73,10 +73,10 @@ void EvaluatorObserver::on_epoch_completed(const core::EpochRecord& record) {
   snapshot.cell_is.reserve(record.cells.size());
   for (const auto& cell : record.cells) {
     nn::Sequential generator = generator_from_record(config_, cell, rng);
-    const core::MixtureWeights single(1);
+    const evolve::MixtureWeights single(1);
     const tensor::Tensor images =
-        core::sample_mixture(single, {&generator}, config_.arch.latent_dim,
-                             options_.samples, rng, config_.conditional_classes());
+        evolve::sample_mixture(single, {&generator}, config_.arch.latent_dim,
+                               options_.samples, rng, config_.conditional_classes());
     snapshot.cell_is.push_back(inception_score(classifier_, images));
   }
 
@@ -91,11 +91,11 @@ void EvaluatorObserver::on_epoch_completed(const core::EpochRecord& record) {
   std::vector<nn::Sequential*> generator_ptrs;
   generator_ptrs.reserve(generators.size());
   for (auto& generator : generators) generator_ptrs.push_back(&generator);
-  core::MixtureWeights weights(members.size());
+  evolve::MixtureWeights weights(members.size());
   const auto& evolved =
       record.cells[static_cast<std::size_t>(snapshot.best_cell)].mixture_weights;
   if (evolved.size() == members.size()) weights.set_weights(evolved);
-  const tensor::Tensor mixture_images = core::sample_mixture(
+  const tensor::Tensor mixture_images = evolve::sample_mixture(
       weights, generator_ptrs, config_.arch.latent_dim, options_.samples, rng,
       config_.conditional_classes());
 

@@ -21,9 +21,9 @@
 #include <optional>
 #include <vector>
 
-#include "core/grid.hpp"
 #include "core/observer.hpp"
 #include "data/dataset.hpp"
+#include "evolve/grid.hpp"
 #include "metrics/classifier.hpp"
 
 namespace cellgan::metrics {
@@ -56,7 +56,7 @@ class EvaluatorObserver final : public core::TrainObserver {
 
  private:
   core::TrainingConfig config_;
-  core::Grid grid_;
+  evolve::Grid grid_;
   data::Dataset real_;
   EvaluatorOptions options_;
   Classifier classifier_;

@@ -93,7 +93,7 @@ void Batcher::run_batch(std::deque<SampleJob> batch) {
 
   // Each job's stochastic draw on its own Rng(seed) stream — this is what
   // makes the result independent of which jobs shared the batch.
-  std::vector<core::MixtureDraw> draws;
+  std::vector<evolve::MixtureDraw> draws;
   draws.reserve(batch.size());
   std::uint32_t batch_samples = 0;
   for (const auto& job : batch) {

@@ -5,8 +5,8 @@
 // max_batch jobs are queued for the same model or max_delay_us has elapsed
 // since the first arrival — the classic latency/throughput knob of serving
 // systems. One worker thread executes batches (model forwards reuse layer
-// activation buffers, so they must be serialized anyway; intra-op SIMD and
-// the common::global_pool inside the GEMMs provide the parallelism).
+// activation buffers, so they must be serialized anyway; the batch itself,
+// vectorized by the SIMD GEMM microkernel, is the parallelism).
 //
 // Bit-identity: each job's stochastic draw is planned on its OWN Rng(seed)
 // stream (CheckpointMixture::plan), then the per-generator latents of all

@@ -17,7 +17,7 @@
 #endif
 
 // Portable "please vectorize" hint for the fallback tile and the elementwise
-// kSimd loops: every iteration is independent, so the hint only licenses what
+// loops: every iteration is independent, so the hint only licenses what
 // is already legal.
 #if defined(__clang__)
 #define CG_VEC_LOOP _Pragma("clang loop vectorize(enable) interleave(enable)")
@@ -180,8 +180,8 @@ void scalar_gemm_nt(const float* a, const float* b, float* c,
 // Determinism: for any output element, partial products accumulate in panel
 // (pc) order, and within a panel in l order on a fixed register lane — none
 // of which depends on the caller's row partition [row_begin, row_end) or on
-// which jc/ic block the element lands in. Threaded runs are therefore
-// bit-identical to single-threaded runs for the same kind.
+// which jc/ic block the element lands in. Any row split (serve batching
+// stacks requests as rows) is therefore bit-identical to one full-range call.
 
 constexpr std::size_t kMR = 6;    ///< microkernel rows (A register tile)
 constexpr std::size_t kNR = 16;   ///< microkernel cols (two 8-float vectors)
@@ -335,8 +335,8 @@ void simd_gemm(const float* a, const float* b, float* c, std::size_t row_begin,
     return;
   }
   const MicroKernel micro = active_microkernel();
-  // Thread-local so pool workers pack into private panels; capacity persists
-  // across calls (the training loop reuses a handful of shapes).
+  // Thread-local so concurrent cell lanes pack into private panels; capacity
+  // persists across calls (the training loop reuses a handful of shapes).
   static thread_local common::AlignedBuffer a_panels;
   static thread_local common::AlignedBuffer b_panels;
   const std::size_t m = row_end - row_begin;
@@ -431,103 +431,57 @@ const char* instruction_set_name() {
 }
 
 // --- elementwise family -----------------------------------------------------
-// Per-element expressions are identical across kinds, so kScalar == kSimd bit
-// for bit; the kSimd variants only add a vectorization hint (and give the
-// parity suite a second dispatch path to pin).
+// One loop per op, independent of the kernel kind: each output element is one
+// expression over its own inputs, so there is nothing for a second
+// implementation to change. The vectorization hint only licenses what is
+// already legal; tanh/sigmoid call libm and stay scalar.
 
-void ew_add(KernelKind kind, const float* a, const float* b, float* c,
-            std::size_t n) {
-  if (kind == KernelKind::kScalar) {
-    for (std::size_t i = 0; i < n; ++i) c[i] = a[i] + b[i];
-  } else {
+void ew_add(const float* a, const float* b, float* c, std::size_t n) {
+  CG_VEC_LOOP
+  for (std::size_t i = 0; i < n; ++i) c[i] = a[i] + b[i];
+}
+
+void ew_sub(const float* a, const float* b, float* c, std::size_t n) {
+  CG_VEC_LOOP
+  for (std::size_t i = 0; i < n; ++i) c[i] = a[i] - b[i];
+}
+
+void ew_mul(const float* a, const float* b, float* c, std::size_t n) {
+  CG_VEC_LOOP
+  for (std::size_t i = 0; i < n; ++i) c[i] = a[i] * b[i];
+}
+
+void ew_scale(const float* a, float s, float* c, std::size_t n) {
+  CG_VEC_LOOP
+  for (std::size_t i = 0; i < n; ++i) c[i] = a[i] * s;
+}
+
+void ew_axpy(float alpha, const float* x, float* y, std::size_t n) {
+  CG_VEC_LOOP
+  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+}
+
+void ew_add_row_bias(float* a, const float* bias, std::size_t rows, std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* row = a + r * cols;
     CG_VEC_LOOP
-    for (std::size_t i = 0; i < n; ++i) c[i] = a[i] + b[i];
+    for (std::size_t c = 0; c < cols; ++c) row[c] += bias[c];
   }
 }
 
-void ew_sub(KernelKind kind, const float* a, const float* b, float* c,
-            std::size_t n) {
-  if (kind == KernelKind::kScalar) {
-    for (std::size_t i = 0; i < n; ++i) c[i] = a[i] - b[i];
-  } else {
-    CG_VEC_LOOP
-    for (std::size_t i = 0; i < n; ++i) c[i] = a[i] - b[i];
-  }
-}
-
-void ew_mul(KernelKind kind, const float* a, const float* b, float* c,
-            std::size_t n) {
-  if (kind == KernelKind::kScalar) {
-    for (std::size_t i = 0; i < n; ++i) c[i] = a[i] * b[i];
-  } else {
-    CG_VEC_LOOP
-    for (std::size_t i = 0; i < n; ++i) c[i] = a[i] * b[i];
-  }
-}
-
-void ew_scale(KernelKind kind, const float* a, float s, float* c,
-              std::size_t n) {
-  if (kind == KernelKind::kScalar) {
-    for (std::size_t i = 0; i < n; ++i) c[i] = a[i] * s;
-  } else {
-    CG_VEC_LOOP
-    for (std::size_t i = 0; i < n; ++i) c[i] = a[i] * s;
-  }
-}
-
-void ew_axpy(KernelKind kind, float alpha, const float* x, float* y,
-             std::size_t n) {
-  if (kind == KernelKind::kScalar) {
-    for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-  } else {
-    CG_VEC_LOOP
-    for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-  }
-}
-
-void ew_add_row_bias(KernelKind kind, float* a, const float* bias,
-                     std::size_t rows, std::size_t cols) {
-  if (kind == KernelKind::kScalar) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      float* row = a + r * cols;
-      for (std::size_t c = 0; c < cols; ++c) row[c] += bias[c];
-    }
-  } else {
-    for (std::size_t r = 0; r < rows; ++r) {
-      float* row = a + r * cols;
-      CG_VEC_LOOP
-      for (std::size_t c = 0; c < cols; ++c) row[c] += bias[c];
-    }
-  }
-}
-
-void ew_tanh_forward(KernelKind kind, const float* x, float* y,
-                     std::size_t n) {
-  // libm calls do not vectorize without -ffast-math/libmvec; both kinds run
-  // the same loop so results stay identical whatever the toolchain does.
-  (void)kind;
+void ew_tanh_forward(const float* x, float* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
 }
 
-void ew_tanh_backward(KernelKind kind, const float* dy, const float* y,
-                      float* dx, std::size_t n) {
-  if (kind == KernelKind::kScalar) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const float yi = y[i];
-      dx[i] = dy[i] * (1.0f - yi * yi);
-    }
-  } else {
-    CG_VEC_LOOP
-    for (std::size_t i = 0; i < n; ++i) {
-      const float yi = y[i];
-      dx[i] = dy[i] * (1.0f - yi * yi);
-    }
+void ew_tanh_backward(const float* dy, const float* y, float* dx, std::size_t n) {
+  CG_VEC_LOOP
+  for (std::size_t i = 0; i < n; ++i) {
+    const float yi = y[i];
+    dx[i] = dy[i] * (1.0f - yi * yi);
   }
 }
 
-void ew_sigmoid_forward(KernelKind kind, const float* x, float* y,
-                        std::size_t n) {
-  (void)kind;  // branchy + libm: one loop, identical results for both kinds
+void ew_sigmoid_forward(const float* x, float* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const float v = x[i];
     y[i] = v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
@@ -535,49 +489,27 @@ void ew_sigmoid_forward(KernelKind kind, const float* x, float* y,
   }
 }
 
-void ew_sigmoid_backward(KernelKind kind, const float* dy, const float* y,
-                         float* dx, std::size_t n) {
-  if (kind == KernelKind::kScalar) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const float yi = y[i];
-      dx[i] = dy[i] * yi * (1.0f - yi);
-    }
-  } else {
-    CG_VEC_LOOP
-    for (std::size_t i = 0; i < n; ++i) {
-      const float yi = y[i];
-      dx[i] = dy[i] * yi * (1.0f - yi);
-    }
+void ew_sigmoid_backward(const float* dy, const float* y, float* dx, std::size_t n) {
+  CG_VEC_LOOP
+  for (std::size_t i = 0; i < n; ++i) {
+    const float yi = y[i];
+    dx[i] = dy[i] * yi * (1.0f - yi);
   }
 }
 
-void ew_leaky_relu_forward(KernelKind kind, const float* x, float slope,
-                           float* y, std::size_t n) {
-  if (kind == KernelKind::kScalar) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const float v = x[i];
-      y[i] = v >= 0.0f ? v : slope * v;
-    }
-  } else {
-    CG_VEC_LOOP
-    for (std::size_t i = 0; i < n; ++i) {
-      const float v = x[i];
-      y[i] = v >= 0.0f ? v : slope * v;
-    }
+void ew_leaky_relu_forward(const float* x, float slope, float* y, std::size_t n) {
+  CG_VEC_LOOP
+  for (std::size_t i = 0; i < n; ++i) {
+    const float v = x[i];
+    y[i] = v >= 0.0f ? v : slope * v;
   }
 }
 
-void ew_leaky_relu_backward(KernelKind kind, const float* dy, const float* x,
-                            float slope, float* dx, std::size_t n) {
-  if (kind == KernelKind::kScalar) {
-    for (std::size_t i = 0; i < n; ++i) {
-      dx[i] = dy[i] * (x[i] >= 0.0f ? 1.0f : slope);
-    }
-  } else {
-    CG_VEC_LOOP
-    for (std::size_t i = 0; i < n; ++i) {
-      dx[i] = dy[i] * (x[i] >= 0.0f ? 1.0f : slope);
-    }
+void ew_leaky_relu_backward(const float* dy, const float* x, float slope, float* dx,
+                            std::size_t n) {
+  CG_VEC_LOOP
+  for (std::size_t i = 0; i < n; ++i) {
+    dx[i] = dy[i] * (x[i] >= 0.0f ? 1.0f : slope);
   }
 }
 

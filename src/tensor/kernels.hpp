@@ -1,26 +1,27 @@
 // The tensor microkernel seam: scalar reference kernels and a vectorized
 // (packed-panel SIMD) implementation behind one runtime switch.
 //
-// ops.cpp owns shape checks, flop accounting and thread-pool fan-out; this
-// layer owns only the inner loops. Two kernel kinds exist:
+// ops.cpp owns shape checks and flop accounting; this layer owns only the
+// inner loops. Two GEMM kernel kinds exist:
 //
 //  * kScalar — the bit-exact reference. Plain loops in the exact
 //    accumulation order the repo has always used, so runs pinned to it
-//    reproduce the seed behavior bit for bit.
+//    reproduce the seed behavior bit for bit; it is the oracle the
+//    kernel_parity suite checks kSimd against.
 //  * kSimd — packed A/B panels (L1/L2-sized, 64-byte aligned) swept by a
 //    register-tiled microkernel: AVX2+FMA when the CPU supports it (runtime
 //    dispatch via target attributes), NEON on ARM, and a
 //    compiler-autovectorized portable tile otherwise. GEMM results may
 //    differ from scalar by accumulation order (FMA + vector-lane sums); the
-//    kernel_parity suite bounds the drift. The elementwise family is
-//    bit-identical to scalar by construction (same per-element expression).
+//    kernel_parity suite bounds the drift.
 //
 // Selection: CELLGAN_TENSOR_KERNEL=scalar|simd in the environment sets the
 // process default (unset -> simd); set_kernel_kind() — reachable through
 // RunSpec::tensor_kernel / `--tensor-kernel` — overrides it at runtime.
 // Whatever the kind, results are deterministic for a fixed kind and
-// independent of the thread count: row-partitioned GEMM accumulates every
-// output element in an order that does not depend on the partition.
+// independent of how rows are split: row-range GEMM accumulates every output
+// element in an order that does not depend on the range (serve batching
+// relies on this to stay bit-identical to solo draws).
 //
 // Output contract (uniform across all three GEMM kernels): gemm, gemm_tn and
 // gemm_nt OVERWRITE C rows [row_begin, row_end); callers never pre-zero.
@@ -71,36 +72,24 @@ void gemm_nt(KernelKind kind, const float* a, const float* b, float* c,
              std::size_t row_begin, std::size_t row_end, std::size_t k,
              std::size_t n);
 
-// Elementwise family over [0, n). Bit-identical across kinds (one
-// independent expression per element; the kSimd variants only widen the
-// loop). Kept behind the seam so the selection knob and the parity suite
-// cover every op the layers execute.
+// Elementwise family over [0, n): one loop each, the same for every kernel
+// kind (one independent expression per element leaves nothing to vary).
 
-void ew_add(KernelKind kind, const float* a, const float* b, float* c,
-            std::size_t n);
-void ew_sub(KernelKind kind, const float* a, const float* b, float* c,
-            std::size_t n);
-void ew_mul(KernelKind kind, const float* a, const float* b, float* c,
-            std::size_t n);
-void ew_scale(KernelKind kind, const float* a, float s, float* c,
-              std::size_t n);
+void ew_add(const float* a, const float* b, float* c, std::size_t n);
+void ew_sub(const float* a, const float* b, float* c, std::size_t n);
+void ew_mul(const float* a, const float* b, float* c, std::size_t n);
+void ew_scale(const float* a, float s, float* c, std::size_t n);
 /// y += alpha * x
-void ew_axpy(KernelKind kind, float alpha, const float* x, float* y,
-             std::size_t n);
+void ew_axpy(float alpha, const float* x, float* y, std::size_t n);
 /// rows [0, rows) of a (rows x cols) += bias (1 x cols)
-void ew_add_row_bias(KernelKind kind, float* a, const float* bias,
-                     std::size_t rows, std::size_t cols);
-void ew_tanh_forward(KernelKind kind, const float* x, float* y, std::size_t n);
-void ew_tanh_backward(KernelKind kind, const float* dy, const float* y,
-                      float* dx, std::size_t n);
-void ew_sigmoid_forward(KernelKind kind, const float* x, float* y,
-                        std::size_t n);
-void ew_sigmoid_backward(KernelKind kind, const float* dy, const float* y,
-                         float* dx, std::size_t n);
-void ew_leaky_relu_forward(KernelKind kind, const float* x, float slope,
-                           float* y, std::size_t n);
-void ew_leaky_relu_backward(KernelKind kind, const float* dy, const float* x,
-                            float slope, float* dx, std::size_t n);
+void ew_add_row_bias(float* a, const float* bias, std::size_t rows, std::size_t cols);
+void ew_tanh_forward(const float* x, float* y, std::size_t n);
+void ew_tanh_backward(const float* dy, const float* y, float* dx, std::size_t n);
+void ew_sigmoid_forward(const float* x, float* y, std::size_t n);
+void ew_sigmoid_backward(const float* dy, const float* y, float* dx, std::size_t n);
+void ew_leaky_relu_forward(const float* x, float slope, float* y, std::size_t n);
+void ew_leaky_relu_backward(const float* dy, const float* x, float slope, float* dx,
+                            std::size_t n);
 
 }  // namespace kernels
 

@@ -3,64 +3,22 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/thread_pool.hpp"
 #include "tensor/flops.hpp"
 #include "tensor/kernels.hpp"
 
 namespace cellgan::tensor {
 
-namespace {
-
-// Fan an elementwise map over [0, n) out to the process pool. Chunks are
-// independent and each output element depends on exactly its own inputs, so
-// results are bit-identical to the serial loop at any thread count. Below
-// the cutoff the pool dispatch overhead dwarfs the loop itself — the GAN's
-// activation/gradient tensors only clear it at real batch sizes.
-constexpr std::size_t kElementwiseParallelCutoff = 1 << 14;
-
-// Templated so the common below-cutoff case is a direct call into the body
-// (no std::function type erasure on the per-step hot path); the wrapper is
-// only materialized when the pool dispatch actually happens.
-template <typename Body>
-void elementwise_for(std::size_t n, Body&& body) {
-  auto& pool = common::global_pool();
-  if (pool.size() > 1 && n >= kElementwiseParallelCutoff) {
-    pool.parallel_for(n, body);
-  } else {
-    body(0, n);
-  }
-}
-
-// Row-parallel GEMM dispatch: the selected kernel (tensor/kernels.hpp seam)
-// overwrites its row range, so fan-out only partitions rows. The kernel kind
-// is sampled once per op, so a mid-run set_kernel_kind can never split one
-// matrix between implementations.
-template <typename RowKernel>
-void gemm_over_rows(std::size_t m, const RowKernel& kernel) {
-  auto& pool = common::global_pool();
-  if (pool.size() > 1 && m >= 2 * pool.size()) {
-    pool.parallel_for(m, kernel);
-  } else {
-    kernel(0, m);
-  }
-}
-
-}  // namespace
+// Every op runs its kernel once over the whole tensor on the calling thread
+// (parallelism lives one level up, in the cell lanes), so flops land on the
+// caller's thread-local counter.
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   CG_EXPECT(a.cols() == b.rows());
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   Tensor c(m, n);
-  // Flops must be charged on the caller's thread-local counter: worker
-  // threads would otherwise swallow them.
   count_flops(2ULL * m * k * n);
-  const KernelKind kind = active_kernel_kind();
-  const float* ap = a.data().data();
-  const float* bp = b.data().data();
-  float* cp = c.data().data();
-  gemm_over_rows(m, [&](std::size_t begin, std::size_t end) {
-    kernels::gemm(kind, ap, bp, cp, begin, end, k, n);
-  });
+  kernels::gemm(active_kernel_kind(), a.data().data(), b.data().data(),
+                c.data().data(), 0, m, k, n);
   return c;
 }
 
@@ -69,13 +27,8 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
   Tensor c(m, n);
   count_flops(2ULL * m * k * n);
-  const KernelKind kind = active_kernel_kind();
-  const float* ap = a.data().data();
-  const float* bp = b.data().data();
-  float* cp = c.data().data();
-  gemm_over_rows(m, [&](std::size_t begin, std::size_t end) {
-    kernels::gemm_tn(kind, ap, bp, cp, begin, end, k, m, n);
-  });
+  kernels::gemm_tn(active_kernel_kind(), a.data().data(), b.data().data(),
+                   c.data().data(), 0, m, k, m, n);
   return c;
 }
 
@@ -84,29 +37,16 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   Tensor c(m, n);
   count_flops(2ULL * m * k * n);
-  const KernelKind kind = active_kernel_kind();
-  const float* ap = a.data().data();
-  const float* bp = b.data().data();
-  float* cp = c.data().data();
-  gemm_over_rows(m, [&](std::size_t begin, std::size_t end) {
-    kernels::gemm_nt(kind, ap, bp, cp, begin, end, k, n);
-  });
+  kernels::gemm_nt(active_kernel_kind(), a.data().data(), b.data().data(),
+                   c.data().data(), 0, m, k, n);
   return c;
 }
 
 Tensor add(const Tensor& a, const Tensor& b) {
   CG_EXPECT(a.same_shape(b));
   Tensor c(a.rows(), a.cols());
-  // Flops on the caller's counter (same convention as matmul): worker
-  // threads would otherwise swallow them.
   count_flops(a.size());
-  const KernelKind kind = active_kernel_kind();
-  const float* ap = a.data().data();
-  const float* bp = b.data().data();
-  float* cp = c.data().data();
-  elementwise_for(a.size(), [&](std::size_t begin, std::size_t end) {
-    kernels::ew_add(kind, ap + begin, bp + begin, cp + begin, end - begin);
-  });
+  kernels::ew_add(a.data().data(), b.data().data(), c.data().data(), a.size());
   return c;
 }
 
@@ -114,13 +54,7 @@ Tensor sub(const Tensor& a, const Tensor& b) {
   CG_EXPECT(a.same_shape(b));
   Tensor c(a.rows(), a.cols());
   count_flops(a.size());
-  const KernelKind kind = active_kernel_kind();
-  const float* ap = a.data().data();
-  const float* bp = b.data().data();
-  float* cp = c.data().data();
-  elementwise_for(a.size(), [&](std::size_t begin, std::size_t end) {
-    kernels::ew_sub(kind, ap + begin, bp + begin, cp + begin, end - begin);
-  });
+  kernels::ew_sub(a.data().data(), b.data().data(), c.data().data(), a.size());
   return c;
 }
 
@@ -128,57 +62,27 @@ Tensor mul(const Tensor& a, const Tensor& b) {
   CG_EXPECT(a.same_shape(b));
   Tensor c(a.rows(), a.cols());
   count_flops(a.size());
-  const KernelKind kind = active_kernel_kind();
-  const float* ap = a.data().data();
-  const float* bp = b.data().data();
-  float* cp = c.data().data();
-  elementwise_for(a.size(), [&](std::size_t begin, std::size_t end) {
-    kernels::ew_mul(kind, ap + begin, bp + begin, cp + begin, end - begin);
-  });
+  kernels::ew_mul(a.data().data(), b.data().data(), c.data().data(), a.size());
   return c;
 }
 
 Tensor scale(const Tensor& a, float s) {
   Tensor c(a.rows(), a.cols());
   count_flops(a.size());
-  const KernelKind kind = active_kernel_kind();
-  const float* ap = a.data().data();
-  float* cp = c.data().data();
-  elementwise_for(a.size(), [&](std::size_t begin, std::size_t end) {
-    kernels::ew_scale(kind, ap + begin, s, cp + begin, end - begin);
-  });
+  kernels::ew_scale(a.data().data(), s, c.data().data(), a.size());
   return c;
 }
 
 void axpy(float alpha, const Tensor& x, Tensor& y) {
   CG_EXPECT(x.same_shape(y));
   count_flops(2ULL * x.size());
-  const KernelKind kind = active_kernel_kind();
-  const float* xp = x.data().data();
-  float* yp = y.data().data();
-  elementwise_for(x.size(), [&](std::size_t begin, std::size_t end) {
-    kernels::ew_axpy(kind, alpha, xp + begin, yp + begin, end - begin);
-  });
+  kernels::ew_axpy(alpha, x.data().data(), y.data().data(), x.size());
 }
 
 void add_row_bias(Tensor& a, const Tensor& bias) {
   CG_EXPECT(bias.rows() == 1 && bias.cols() == a.cols());
   count_flops(a.size());
-  const KernelKind kind = active_kernel_kind();
-  const float* bp = bias.data().data();
-  float* ap = a.data().data();
-  const std::size_t cols = a.cols();
-  const auto body = [&](std::size_t begin, std::size_t end) {
-    kernels::ew_add_row_bias(kind, ap + begin * cols, bp, end - begin, cols);
-  };
-  // Chunked over rows, but gated on total elements: the work per row is
-  // `cols` flops, so a rows-only threshold would leave wide matrices serial.
-  auto& pool = common::global_pool();
-  if (pool.size() > 1 && a.size() >= kElementwiseParallelCutoff && a.rows() >= 2) {
-    pool.parallel_for(a.rows(), body);
-  } else {
-    body(0, a.rows());
-  }
+  kernels::ew_add_row_bias(a.data().data(), bias.data().data(), a.rows(), a.cols());
 }
 
 Tensor col_sum(const Tensor& a) {
@@ -194,12 +98,7 @@ Tensor col_sum(const Tensor& a) {
 Tensor tanh_forward(const Tensor& x) {
   Tensor y(x.rows(), x.cols());
   count_flops(8ULL * x.size());  // tanh ~ several flops; fixed estimate
-  const KernelKind kind = active_kernel_kind();
-  const float* xp = x.data().data();
-  float* yp = y.data().data();
-  elementwise_for(x.size(), [&](std::size_t begin, std::size_t end) {
-    kernels::ew_tanh_forward(kind, xp + begin, yp + begin, end - begin);
-  });
+  kernels::ew_tanh_forward(x.data().data(), y.data().data(), x.size());
   return y;
 }
 
@@ -207,26 +106,15 @@ Tensor tanh_backward(const Tensor& dy, const Tensor& y) {
   CG_EXPECT(dy.same_shape(y));
   Tensor dx(y.rows(), y.cols());
   count_flops(3ULL * y.size());
-  const KernelKind kind = active_kernel_kind();
-  const float* dyp = dy.data().data();
-  const float* yp = y.data().data();
-  float* dxp = dx.data().data();
-  elementwise_for(y.size(), [&](std::size_t begin, std::size_t end) {
-    kernels::ew_tanh_backward(kind, dyp + begin, yp + begin, dxp + begin,
-                              end - begin);
-  });
+  kernels::ew_tanh_backward(dy.data().data(), y.data().data(), dx.data().data(),
+                            y.size());
   return dx;
 }
 
 Tensor sigmoid_forward(const Tensor& x) {
   Tensor y(x.rows(), x.cols());
   count_flops(8ULL * x.size());
-  const KernelKind kind = active_kernel_kind();
-  const float* xp = x.data().data();
-  float* yp = y.data().data();
-  elementwise_for(x.size(), [&](std::size_t begin, std::size_t end) {
-    kernels::ew_sigmoid_forward(kind, xp + begin, yp + begin, end - begin);
-  });
+  kernels::ew_sigmoid_forward(x.data().data(), y.data().data(), x.size());
   return y;
 }
 
@@ -234,27 +122,16 @@ Tensor sigmoid_backward(const Tensor& dy, const Tensor& y) {
   CG_EXPECT(dy.same_shape(y));
   Tensor dx(y.rows(), y.cols());
   count_flops(3ULL * y.size());
-  const KernelKind kind = active_kernel_kind();
-  const float* dyp = dy.data().data();
-  const float* yp = y.data().data();
-  float* dxp = dx.data().data();
-  elementwise_for(y.size(), [&](std::size_t begin, std::size_t end) {
-    kernels::ew_sigmoid_backward(kind, dyp + begin, yp + begin, dxp + begin,
-                                 end - begin);
-  });
+  kernels::ew_sigmoid_backward(dy.data().data(), y.data().data(), dx.data().data(),
+                               y.size());
   return dx;
 }
 
 Tensor leaky_relu_forward(const Tensor& x, float negative_slope) {
   Tensor y(x.rows(), x.cols());
   count_flops(x.size());
-  const KernelKind kind = active_kernel_kind();
-  const float* xp = x.data().data();
-  float* yp = y.data().data();
-  elementwise_for(x.size(), [&](std::size_t begin, std::size_t end) {
-    kernels::ew_leaky_relu_forward(kind, xp + begin, negative_slope,
-                                   yp + begin, end - begin);
-  });
+  kernels::ew_leaky_relu_forward(x.data().data(), negative_slope, y.data().data(),
+                                 x.size());
   return y;
 }
 
@@ -262,14 +139,8 @@ Tensor leaky_relu_backward(const Tensor& dy, const Tensor& x, float negative_slo
   CG_EXPECT(dy.same_shape(x));
   Tensor dx(x.rows(), x.cols());
   count_flops(x.size());
-  const KernelKind kind = active_kernel_kind();
-  const float* dyp = dy.data().data();
-  const float* xp = x.data().data();
-  float* dxp = dx.data().data();
-  elementwise_for(x.size(), [&](std::size_t begin, std::size_t end) {
-    kernels::ew_leaky_relu_backward(kind, dyp + begin, xp + begin,
-                                    negative_slope, dxp + begin, end - begin);
-  });
+  kernels::ew_leaky_relu_backward(dy.data().data(), x.data().data(), negative_slope,
+                                  dx.data().data(), x.size());
   return dx;
 }
 

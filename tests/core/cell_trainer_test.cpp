@@ -16,7 +16,7 @@ struct CellFixture : public ::testing::Test {
     dataset = make_matched_dataset(config, 120, 5);
   }
 
-  CellTrainer make_cell(const Grid& grid, int cell_id) {
+  CellTrainer make_cell(const evolve::Grid& grid, int cell_id) {
     common::Rng master(config.seed);
     return CellTrainer(config, grid, cell_id, dataset, master.fork(cell_id),
                        context);
@@ -28,7 +28,7 @@ struct CellFixture : public ::testing::Test {
 };
 
 TEST_F(CellFixture, StepWithEmptyInboxWorks) {
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   CellTrainer cell = make_cell(grid, 0);
   std::vector<std::vector<std::uint8_t>> empty(grid.size());
   cell.step(empty);
@@ -40,11 +40,11 @@ TEST_F(CellFixture, StepWithEmptyInboxWorks) {
 }
 
 TEST_F(CellFixture, ExportedGenomeCarriesState) {
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   CellTrainer cell = make_cell(grid, 4);
   std::vector<std::vector<std::uint8_t>> empty(grid.size());
   cell.step(empty);
-  const CellGenome genome = CellGenome::deserialize(cell.export_genome());
+  const evolve::CellGenome genome = evolve::CellGenome::deserialize(cell.export_genome());
   EXPECT_EQ(genome.origin_cell, 4u);
   EXPECT_EQ(genome.iteration, 1u);
   EXPECT_EQ(genome.generator_params.size(),
@@ -54,7 +54,7 @@ TEST_F(CellFixture, ExportedGenomeCarriesState) {
 }
 
 TEST_F(CellFixture, NeighborGenomesAreInstalled) {
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   CellTrainer cell0 = make_cell(grid, 0);
   CellTrainer cell1 = make_cell(grid, 1);
   std::vector<std::vector<std::uint8_t>> inbox(grid.size());
@@ -71,14 +71,14 @@ TEST_F(CellFixture, SelectionAdoptsStrictlyBetterNeighborCenter) {
   // Pins the CELLULAR policy's selection rule: explicit so a
   // CELLGAN_EXCHANGE override cannot swap the policy under the test.
   config.exchange_policy = evolve::ExchangePolicyKind::kCellular;
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   CellTrainer cell = make_cell(grid, 0);
   std::vector<std::vector<std::uint8_t>> inbox(grid.size());
   cell.step(inbox);
 
   // Craft a neighbor genome that claims (and plausibly has) far better
   // fitness; selection must adopt its learning rate bookkeeping.
-  CellGenome fake = CellGenome::deserialize(cell.export_genome());
+  evolve::CellGenome fake = evolve::CellGenome::deserialize(cell.export_genome());
   fake.origin_cell = 1;
   fake.g_fitness = cell.g_fitness() - 10.0;  // strictly better
   fake.d_fitness = cell.d_fitness() - 10.0;
@@ -94,11 +94,11 @@ TEST_F(CellFixture, SelectionAdoptsStrictlyBetterNeighborCenter) {
 
 TEST_F(CellFixture, WorseNeighborIsNotAdopted) {
   config.exchange_policy = evolve::ExchangePolicyKind::kCellular;
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   CellTrainer cell = make_cell(grid, 0);
   std::vector<std::vector<std::uint8_t>> inbox(grid.size());
   cell.step(inbox);
-  CellGenome fake = CellGenome::deserialize(cell.export_genome());
+  evolve::CellGenome fake = evolve::CellGenome::deserialize(cell.export_genome());
   fake.g_fitness = cell.g_fitness() + 100.0;  // much worse
   fake.d_fitness = cell.d_fitness() + 100.0;
   fake.g_learning_rate = 0.0999;
@@ -108,7 +108,7 @@ TEST_F(CellFixture, WorseNeighborIsNotAdopted) {
 }
 
 TEST_F(CellFixture, FitnessStaysFiniteOverManySteps) {
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   CellTrainer cell = make_cell(grid, 0);
   std::vector<std::vector<std::uint8_t>> inbox(grid.size());
   for (int i = 0; i < 10; ++i) {
@@ -121,11 +121,11 @@ TEST_F(CellFixture, FitnessStaysFiniteOverManySteps) {
 }
 
 TEST_F(CellFixture, MixtureSizeTracksNeighborhood) {
-  Grid big(3, 3);
+  evolve::Grid big(3, 3);
   CellTrainer cell_big = make_cell(big, 0);
   EXPECT_EQ(cell_big.mixture().size(), 5u);
 
-  Grid small(2, 2);
+  evolve::Grid small(2, 2);
   config.grid_rows = config.grid_cols = 2;
   common::Rng master(config.seed);
   CellTrainer cell_small(config, small, 0, dataset, master.fork(0), context);
@@ -133,7 +133,7 @@ TEST_F(CellFixture, MixtureSizeTracksNeighborhood) {
 }
 
 TEST_F(CellFixture, SampleFromMixtureShape) {
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   CellTrainer cell = make_cell(grid, 0);
   std::vector<std::vector<std::uint8_t>> inbox(grid.size());
   cell.step(inbox);
@@ -147,7 +147,7 @@ TEST_F(CellFixture, SampleFromMixtureShape) {
 }
 
 TEST_F(CellFixture, DynamicTopologyShrinkAndGrow) {
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   CellTrainer cell = make_cell(grid, 0);
   std::vector<std::vector<std::uint8_t>> inbox(grid.size());
   cell.step(inbox);
@@ -163,7 +163,7 @@ TEST_F(CellFixture, DynamicTopologyShrinkAndGrow) {
 }
 
 TEST_F(CellFixture, DeterministicGivenSeedAndInbox) {
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   CellTrainer a = make_cell(grid, 0);
   CellTrainer b = make_cell(grid, 0);
   std::vector<std::vector<std::uint8_t>> inbox(grid.size());
@@ -177,7 +177,7 @@ TEST_F(CellFixture, DeterministicGivenSeedAndInbox) {
 }
 
 TEST_F(CellFixture, DifferentCellsDiverge) {
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   CellTrainer a = make_cell(grid, 0);
   CellTrainer b = make_cell(grid, 1);
   std::vector<std::vector<std::uint8_t>> inbox(grid.size());
@@ -192,7 +192,7 @@ TEST_F(CellFixture, ProfilerReceivesAllFourRoutines) {
   ExecContext profiled;
   profiled.profiler = &profiler;
   profiled.clock = &clock;
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   common::Rng master(config.seed);
   CellTrainer cell(config, grid, 0, dataset, master.fork(0), profiled);
   std::vector<std::vector<std::uint8_t>> inbox(grid.size());

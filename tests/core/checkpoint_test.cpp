@@ -17,7 +17,7 @@ Checkpoint make_checkpoint() {
   cp.config.loss_mode = LossMode::kMustangs;
   cp.iteration = 17;
   for (std::uint32_t cell = 0; cell < 4; ++cell) {
-    CellGenome genome;
+    evolve::CellGenome genome;
     genome.generator_params = {static_cast<float>(cell), 1.0f, 2.0f};
     genome.discriminator_params = {3.0f, static_cast<float>(cell)};
     genome.g_fitness = 0.1 * cell;

@@ -63,7 +63,7 @@ TEST(GenomeStoreDeathTest, OutOfRangeAborts) {
 }
 
 TEST(LocalCommManagerTest, ReturnsNeighborsOnly) {
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   GenomeStore store(grid.size());
   ExecContext context;
   // Pre-publish everyone's genome and cross the epoch barrier.
@@ -85,7 +85,7 @@ TEST(LocalCommManagerTest, ReturnsNeighborsOnly) {
 }
 
 TEST(LocalCommManagerTest, ExchangePublishesOwnGenomeForNextEpoch) {
-  Grid grid(2, 2);
+  evolve::Grid grid(2, 2);
   GenomeStore store(grid.size());
   ExecContext context;
   LocalCommManager comm(store, grid, 0, context);
@@ -96,7 +96,7 @@ TEST(LocalCommManagerTest, ExchangePublishesOwnGenomeForNextEpoch) {
 }
 
 TEST(LocalCommManagerTest, CollectSeesPreviousEpochOnly) {
-  Grid grid(1, 2);  // two cells, mutual neighbors
+  evolve::Grid grid(1, 2);  // two cells, mutual neighbors
   GenomeStore store(grid.size());
   ExecContext context;
   LocalCommManager a(store, grid, 0, context);
@@ -109,7 +109,7 @@ TEST(LocalCommManagerTest, CollectSeesPreviousEpochOnly) {
 }
 
 TEST(LocalCommManagerTest, ChargesGatherWhenCostModelEnabled) {
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   GenomeStore store(grid.size());
   for (int cell = 0; cell < grid.size(); ++cell) {
     store.publish(cell, std::vector<std::uint8_t>(100, 1));
@@ -168,7 +168,7 @@ TEST(MpiCommManagerTest, RepeatedExchangesSeeLatestGenomes) {
 }
 
 TEST(AsyncMpiCommManagerTest, PublishedGenomesAreVisibleNextRound) {
-  Grid grid(2, 2);
+  evolve::Grid grid(2, 2);
   minimpi::Runtime runtime(4);
   runtime.run([&grid](minimpi::Comm& world) {
     AsyncMpiCommManager comm(world, grid);
@@ -193,7 +193,7 @@ TEST(AsyncMpiCommManagerTest, PublishedGenomesAreVisibleNextRound) {
 }
 
 TEST(AsyncMpiCommManagerTest, NewestGenomeWins) {
-  Grid grid(1, 2);  // two cells, mutual neighbors
+  evolve::Grid grid(1, 2);  // two cells, mutual neighbors
   minimpi::Runtime runtime(2);
   runtime.run([&grid](minimpi::Comm& world) {
     AsyncMpiCommManager comm(world, grid);
@@ -217,7 +217,7 @@ TEST(AsyncMpiCommManagerTest, NewestGenomeWins) {
 TEST(AsyncMpiCommManagerTest, VirtualTimeRespectsCausality) {
   // A message sent "late" in virtual time must be invisible to a receiver
   // whose clock has not reached the arrival stamp.
-  Grid grid(1, 2);
+  evolve::Grid grid(1, 2);
   minimpi::NetModelConfig net;
   net.enabled = true;
   net.latency_s = 100.0;  // arrival far in the receiver's future

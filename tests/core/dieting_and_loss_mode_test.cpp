@@ -25,7 +25,7 @@ struct Fixture : public ::testing::Test {
   }
 
   TrainingConfig config;
-  Grid grid{3, 3};
+  evolve::Grid grid{3, 3};
   data::Dataset dataset;
   ExecContext context;
 };

@@ -1,4 +1,4 @@
-#include "core/genome.hpp"
+#include "evolve/genome.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,8 +9,8 @@
 namespace cellgan::core {
 namespace {
 
-CellGenome make_test_genome() {
-  CellGenome g;
+evolve::CellGenome make_test_genome() {
+  evolve::CellGenome g;
   g.generator_params = {1.0f, 2.0f, 3.0f};
   g.discriminator_params = {-1.0f, -2.0f};
   g.g_learning_rate = 0.0002;
@@ -23,9 +23,9 @@ CellGenome make_test_genome() {
 }
 
 TEST(GenomeTest, SerializeRoundtrip) {
-  const CellGenome g = make_test_genome();
+  const evolve::CellGenome g = make_test_genome();
   const auto bytes = g.serialize();
-  const CellGenome loaded = CellGenome::deserialize(bytes);
+  const evolve::CellGenome loaded = evolve::CellGenome::deserialize(bytes);
   EXPECT_EQ(loaded.generator_params, g.generator_params);
   EXPECT_EQ(loaded.discriminator_params, g.discriminator_params);
   EXPECT_DOUBLE_EQ(loaded.g_learning_rate, g.g_learning_rate);
@@ -37,7 +37,7 @@ TEST(GenomeTest, SerializeRoundtrip) {
 }
 
 TEST(GenomeTest, ByteSizeMatchesSerializedLength) {
-  const CellGenome g = make_test_genome();
+  const evolve::CellGenome g = make_test_genome();
   EXPECT_EQ(g.serialize().size(), g.byte_size());
 }
 
@@ -46,7 +46,7 @@ TEST(GenomeTest, CaptureTakesCurrentParameters) {
   const nn::GanArch arch = nn::GanArch::tiny();
   nn::Sequential generator = nn::make_generator(arch, rng);
   nn::Sequential discriminator = nn::make_discriminator(arch, rng);
-  const CellGenome g = CellGenome::capture(generator, discriminator);
+  const evolve::CellGenome g = evolve::CellGenome::capture(generator, discriminator);
   EXPECT_EQ(g.generator_params.size(), arch.generator_parameter_count());
   EXPECT_EQ(g.discriminator_params.size(), arch.discriminator_parameter_count());
   EXPECT_EQ(g.generator_params, generator.flatten_parameters());
@@ -57,7 +57,7 @@ TEST(GenomeTest, InstallRestoresNetworkBehavior) {
   const nn::GanArch arch = nn::GanArch::tiny();
   nn::Sequential g1 = nn::make_generator(arch, rng);
   nn::Sequential d1 = nn::make_discriminator(arch, rng);
-  const CellGenome genome = CellGenome::capture(g1, d1);
+  const evolve::CellGenome genome = evolve::CellGenome::capture(g1, d1);
 
   nn::Sequential g2 = nn::make_generator(arch, rng);  // different weights
   nn::Sequential d2 = nn::make_discriminator(arch, rng);
@@ -74,7 +74,7 @@ TEST(GenomeTest, InstallRestoresNetworkBehavior) {
 TEST(GenomeTest, PaperGenomeByteSizeIsMegabytes) {
   // The exchanged payload at paper scale: ~2.2 MB of float32 parameters —
   // the size that drives the gather-time calibration.
-  CellGenome g;
+  evolve::CellGenome g;
   g.generator_params.resize(nn::GanArch::paper().generator_parameter_count());
   g.discriminator_params.resize(
       nn::GanArch::paper().discriminator_parameter_count());
@@ -84,8 +84,8 @@ TEST(GenomeTest, PaperGenomeByteSizeIsMegabytes) {
 }
 
 TEST(GenomeTest, EmptyGenomeRoundtrips) {
-  CellGenome g;
-  const CellGenome loaded = CellGenome::deserialize(g.serialize());
+  evolve::CellGenome g;
+  const evolve::CellGenome loaded = evolve::CellGenome::deserialize(g.serialize());
   EXPECT_TRUE(loaded.generator_params.empty());
   EXPECT_TRUE(loaded.discriminator_params.empty());
 }
@@ -93,7 +93,7 @@ TEST(GenomeTest, EmptyGenomeRoundtrips) {
 TEST(GenomeDeathTest, TruncatedPayloadAborts) {
   const auto bytes = make_test_genome().serialize();
   const std::span<const std::uint8_t> truncated(bytes.data(), bytes.size() - 4);
-  EXPECT_DEATH((void)CellGenome::deserialize(truncated), "condition");
+  EXPECT_DEATH((void)evolve::CellGenome::deserialize(truncated), "condition");
 }
 
 }  // namespace

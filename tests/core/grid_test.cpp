@@ -1,4 +1,4 @@
-#include "core/grid.hpp"
+#include "evolve/grid.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,7 @@ bool contains(const std::vector<int>& v, int x) {
 }
 
 TEST(GridTest, DefaultNeighborhoodIsFiveCell) {
-  Grid grid(4, 4);
+  evolve::Grid grid(4, 4);
   for (int cell = 0; cell < grid.size(); ++cell) {
     EXPECT_EQ(grid.subpopulation_size(cell), 5u);
     EXPECT_EQ(grid.neighbors_of(cell).size(), 4u);
@@ -21,7 +21,7 @@ TEST(GridTest, DefaultNeighborhoodIsFiveCell) {
 }
 
 TEST(GridTest, NeighborhoodOfPutsCenterFirst) {
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   const auto hood = grid.neighborhood_of(4);
   ASSERT_EQ(hood.size(), 5u);
   EXPECT_EQ(hood[0], 4);
@@ -29,7 +29,7 @@ TEST(GridTest, NeighborhoodOfPutsCenterFirst) {
 
 TEST(GridTest, TwoByTwoSubpopulationIsThree) {
   // N==S and W==E on the 2x2 torus.
-  Grid grid(2, 2);
+  evolve::Grid grid(2, 2);
   for (int cell = 0; cell < 4; ++cell) {
     EXPECT_EQ(grid.subpopulation_size(cell), 3u);
   }
@@ -38,7 +38,7 @@ TEST(GridTest, TwoByTwoSubpopulationIsThree) {
 TEST(GridTest, Figure1OverlapExample) {
   // The paper's Fig. 1: on the 4x4 toroid, updates in N1,0 and N1,2 reach
   // the neighborhoods of N1,1 and N1,3 through overlap.
-  Grid grid(4, 4);
+  evolve::Grid grid(4, 4);
   const int c10 = grid.cell_of({1, 0});
   const int c12 = grid.cell_of({1, 2});
   const int c11 = grid.cell_of({1, 1});
@@ -57,7 +57,7 @@ TEST(GridTest, Figure1OverlapExample) {
 }
 
 TEST(GridTest, DefaultInfluenceIsSymmetric) {
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   for (int cell = 0; cell < grid.size(); ++cell) {
     const auto influenced = grid.influenced_by(cell);
     const auto& neighbors = grid.neighbors_of(cell);
@@ -67,20 +67,20 @@ TEST(GridTest, DefaultInfluenceIsSymmetric) {
 }
 
 TEST(GridTest, SetNeighborsReplacesList) {
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   grid.set_neighbors(0, {1, 2});
   EXPECT_EQ(grid.neighbors_of(0), (std::vector<int>{1, 2}));
   EXPECT_EQ(grid.subpopulation_size(0), 3u);
 }
 
 TEST(GridTest, SetNeighborsDropsSelfAndDuplicates) {
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   grid.set_neighbors(0, {0, 1, 1, 2, 0, 2});
   EXPECT_EQ(grid.neighbors_of(0), (std::vector<int>{1, 2}));
 }
 
 TEST(GridTest, SetNeighborsAllowsEmpty) {
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   grid.set_neighbors(4, {});
   EXPECT_TRUE(grid.neighbors_of(4).empty());
   EXPECT_EQ(grid.subpopulation_size(4), 1u);  // isolated cell trains alone
@@ -89,7 +89,7 @@ TEST(GridTest, SetNeighborsAllowsEmpty) {
 TEST(GridTest, SetNeighborsSelfOnlyListBecomesIsolated) {
   // A list of only the cell itself collapses to the empty neighborhood (self
   // entries are dropped, not errors — the cell is always its own center).
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   grid.set_neighbors(4, {4, 4});
   EXPECT_TRUE(grid.neighbors_of(4).empty());
   EXPECT_EQ(grid.subpopulation_size(4), 1u);
@@ -98,14 +98,14 @@ TEST(GridTest, SetNeighborsSelfOnlyListBecomesIsolated) {
 TEST(GridTest, SetNeighborsRejectsOutOfRangeWithNamedError) {
   // Out-of-range neighbor ids used to be silently accepted and blow up later
   // inside exchange; now they are a named topology error at the call site.
-  Grid grid(3, 3);
-  EXPECT_THROW(grid.set_neighbors(0, {9}), GridTopologyError);
-  EXPECT_THROW(grid.set_neighbors(0, {-1}), GridTopologyError);
-  EXPECT_THROW(grid.set_neighbors(0, {1, 2, 42}), GridTopologyError);
+  evolve::Grid grid(3, 3);
+  EXPECT_THROW(grid.set_neighbors(0, {9}), evolve::GridTopologyError);
+  EXPECT_THROW(grid.set_neighbors(0, {-1}), evolve::GridTopologyError);
+  EXPECT_THROW(grid.set_neighbors(0, {1, 2, 42}), evolve::GridTopologyError);
   try {
     grid.set_neighbors(0, {9});
     FAIL() << "expected GridTopologyError";
-  } catch (const GridTopologyError& e) {
+  } catch (const evolve::GridTopologyError& e) {
     // The diagnostic names the offending id and the valid range.
     EXPECT_NE(std::string(e.what()).find('9'), std::string::npos) << e.what();
   }
@@ -114,7 +114,7 @@ TEST(GridTest, SetNeighborsRejectsOutOfRangeWithNamedError) {
 }
 
 TEST(GridTest, DynamicRewiringCanBeAsymmetric) {
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   grid.set_neighbors(0, {4});
   // 4 sees its default neighbors; 0 is not among them (not adjacent).
   EXPECT_TRUE(grid.is_neighbor(0, 4));
@@ -123,7 +123,7 @@ TEST(GridTest, DynamicRewiringCanBeAsymmetric) {
 }
 
 TEST(GridTest, ResetRestoresDefaults) {
-  Grid grid(3, 3);
+  evolve::Grid grid(3, 3);
   const auto original = grid.neighbors_of(4);
   grid.set_neighbors(4, {0});
   EXPECT_NE(grid.neighbors_of(4), original);
@@ -132,14 +132,14 @@ TEST(GridTest, ResetRestoresDefaults) {
 }
 
 TEST(GridTest, CoordsRoundtrip) {
-  Grid grid(3, 4);
+  evolve::Grid grid(3, 4);
   for (int cell = 0; cell < grid.size(); ++cell) {
     EXPECT_EQ(grid.cell_of(grid.coords_of(cell)), cell);
   }
 }
 
 TEST(GridDeathTest, InvalidCellAborts) {
-  Grid grid(2, 2);
+  evolve::Grid grid(2, 2);
   EXPECT_DEATH((void)grid.neighbors_of(4), "precondition");
   // The CELL argument is still a hard contract violation (abort); only the
   // neighbor LIST is user/config input and throws GridTopologyError.

@@ -1,4 +1,4 @@
-#include "core/mixture.hpp"
+#include "evolve/mixture.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,20 +9,20 @@
 namespace cellgan::core {
 namespace {
 
-double weight_sum(const MixtureWeights& w) {
+double weight_sum(const evolve::MixtureWeights& w) {
   double total = 0.0;
   for (std::size_t i = 0; i < w.size(); ++i) total += w.weight(i);
   return total;
 }
 
 TEST(MixtureWeightsTest, StartsUniformNormalized) {
-  MixtureWeights w(5);
+  evolve::MixtureWeights w(5);
   EXPECT_EQ(w.size(), 5u);
   for (std::size_t i = 0; i < 5; ++i) EXPECT_DOUBLE_EQ(w.weight(i), 0.2);
 }
 
 TEST(MixtureWeightsTest, SetWeightsNormalizes) {
-  MixtureWeights w(3);
+  evolve::MixtureWeights w(3);
   w.set_weights({2.0, 1.0, 1.0});
   EXPECT_DOUBLE_EQ(w.weight(0), 0.5);
   EXPECT_DOUBLE_EQ(w.weight(1), 0.25);
@@ -31,7 +31,7 @@ TEST(MixtureWeightsTest, SetWeightsNormalizes) {
 
 TEST(MixtureWeightsTest, MutationKeepsSimplexInvariants) {
   common::Rng rng(1);
-  MixtureWeights w(5);
+  evolve::MixtureWeights w(5);
   for (int round = 0; round < 100; ++round) {
     w = w.mutated(0.05, rng);
     EXPECT_NEAR(weight_sum(w), 1.0, 1e-9) << "round " << round;
@@ -43,8 +43,8 @@ TEST(MixtureWeightsTest, MutationKeepsSimplexInvariants) {
 
 TEST(MixtureWeightsTest, MutationWithPaperScaleIsSmall) {
   common::Rng rng(2);
-  MixtureWeights w(5);
-  const MixtureWeights m = w.mutated(0.01, rng);  // Table I scale
+  evolve::MixtureWeights w(5);
+  const evolve::MixtureWeights m = w.mutated(0.01, rng);  // Table I scale
   for (std::size_t i = 0; i < w.size(); ++i) {
     EXPECT_NEAR(m.weight(i), w.weight(i), 0.1);
   }
@@ -52,19 +52,19 @@ TEST(MixtureWeightsTest, MutationWithPaperScaleIsSmall) {
 
 TEST(MixtureWeightsTest, MutationDoesNotChangeOriginal) {
   common::Rng rng(3);
-  MixtureWeights w(4);
+  evolve::MixtureWeights w(4);
   (void)w.mutated(0.5, rng);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(w.weight(i), 0.25);
 }
 
 TEST(MixtureWeightsTest, DegenerateMutationFallsBackToUniform) {
   common::Rng rng(4);
-  MixtureWeights w(3);
+  evolve::MixtureWeights w(3);
   // Huge negative shifts clamp everything to zero -> renormalize to uniform.
   w.set_weights({1.0, 0.0, 0.0});
   bool saw_uniform_fallback = false;
   for (int i = 0; i < 200 && !saw_uniform_fallback; ++i) {
-    const MixtureWeights m = w.mutated(5.0, rng);
+    const evolve::MixtureWeights m = w.mutated(5.0, rng);
     saw_uniform_fallback = std::abs(m.weight(0) - 1.0 / 3) < 1e-12 &&
                            std::abs(m.weight(1) - 1.0 / 3) < 1e-12;
     EXPECT_NEAR(weight_sum(m), 1.0, 1e-9);
@@ -75,7 +75,7 @@ TEST(MixtureWeightsTest, DegenerateMutationFallsBackToUniform) {
 
 TEST(MixtureWeightsTest, SampleIndexFollowsDistribution) {
   common::Rng rng(5);
-  MixtureWeights w(3);
+  evolve::MixtureWeights w(3);
   w.set_weights({0.7, 0.2, 0.1});
   std::vector<int> counts(3, 0);
   const int n = 20000;
@@ -87,15 +87,15 @@ TEST(MixtureWeightsTest, SampleIndexFollowsDistribution) {
 
 TEST(MixtureWeightsTest, ZeroWeightNeverSampled) {
   common::Rng rng(6);
-  MixtureWeights w(3);
+  evolve::MixtureWeights w(3);
   w.set_weights({0.5, 0.0, 0.5});
   for (int i = 0; i < 5000; ++i) EXPECT_NE(w.sample_index(rng), 1u);
 }
 
 TEST(MixtureWeightsTest, SerializeRoundtrip) {
-  MixtureWeights w(4);
+  evolve::MixtureWeights w(4);
   w.set_weights({0.1, 0.2, 0.3, 0.4});
-  const MixtureWeights loaded = MixtureWeights::deserialize(w.serialize());
+  const evolve::MixtureWeights loaded = evolve::MixtureWeights::deserialize(w.serialize());
   ASSERT_EQ(loaded.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_DOUBLE_EQ(loaded.weight(i), w.weight(i));
@@ -103,12 +103,12 @@ TEST(MixtureWeightsTest, SerializeRoundtrip) {
 }
 
 TEST(MixtureWeightsDeathTest, NegativeWeightAborts) {
-  MixtureWeights w(2);
+  evolve::MixtureWeights w(2);
   EXPECT_DEATH(w.set_weights({0.5, -0.1}), "precondition");
 }
 
 TEST(MixtureWeightsDeathTest, EmptyMixtureAborts) {
-  EXPECT_DEATH(MixtureWeights(0), "precondition");
+  EXPECT_DEATH(evolve::MixtureWeights(0), "precondition");
 }
 
 TEST(SampleMixtureTest, ProducesRequestedCount) {
@@ -116,9 +116,9 @@ TEST(SampleMixtureTest, ProducesRequestedCount) {
   const nn::GanArch arch = nn::GanArch::tiny();
   nn::Sequential g1 = nn::make_generator(arch, rng);
   nn::Sequential g2 = nn::make_generator(arch, rng);
-  MixtureWeights w(2);
+  evolve::MixtureWeights w(2);
   const tensor::Tensor samples =
-      sample_mixture(w, {&g1, &g2}, arch.latent_dim, 17, rng);
+      evolve::sample_mixture(w, {&g1, &g2}, arch.latent_dim, 17, rng);
   EXPECT_EQ(samples.rows(), 17u);
   EXPECT_EQ(samples.cols(), arch.image_dim);
   for (const float v : samples.data()) {
@@ -132,12 +132,12 @@ TEST(SampleMixtureTest, DegenerateWeightUsesOnlyThatGenerator) {
   const nn::GanArch arch = nn::GanArch::tiny();
   nn::Sequential g1 = nn::make_generator(arch, rng);
   nn::Sequential g2 = nn::make_generator(arch, rng);
-  MixtureWeights w(2);
+  evolve::MixtureWeights w(2);
   w.set_weights({1.0, 0.0});
   // Same RNG state twice: mixture output must equal g1's direct output.
   common::Rng rng_a(99), rng_b(99);
   const tensor::Tensor via_mixture =
-      sample_mixture(w, {&g1, &g2}, arch.latent_dim, 5, rng_a);
+      evolve::sample_mixture(w, {&g1, &g2}, arch.latent_dim, 5, rng_a);
   // Reproduce: sample_index consumes one uniform per sample.
   for (int i = 0; i < 5; ++i) (void)rng_b.uniform();
   const tensor::Tensor z = tensor::Tensor::randn(5, arch.latent_dim, rng_b);

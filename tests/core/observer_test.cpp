@@ -2,7 +2,7 @@
 // wire format slaves forward to rank 0 and the parity suite compares bit for
 // bit), EventBus dispatch order and metric republication, the JSONL
 // telemetry sink's line format, the checkpoint policy observer's cadence,
-// and a whole SequentialTrainer run publishing the expected stream.
+// and a whole sequential-backend run publishing the expected stream.
 #include "core/observer.hpp"
 
 #include <gtest/gtest.h>
@@ -10,8 +10,8 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/sequential_trainer.hpp"
 #include "core/workload.hpp"
+#include "testsupport/sequential.hpp"
 #include "testsupport/temp_dir.hpp"
 
 namespace cellgan::core {
@@ -31,8 +31,8 @@ CellEpochRecord make_record(std::uint32_t cell, std::uint32_t epoch) {
   return record;
 }
 
-CellGenome make_genome(std::uint32_t cell) {
-  CellGenome genome;
+evolve::CellGenome make_genome(std::uint32_t cell) {
+  evolve::CellGenome genome;
   genome.generator_params = {0.5f, -1.0f, static_cast<float>(cell)};
   genome.discriminator_params = {2.0f};
   genome.g_fitness = 0.25 + cell;
@@ -244,7 +244,7 @@ TEST(ObserverTest, CheckpointPolicyWritesOnCadenceEpochsWithGenomes) {
   EXPECT_EQ(snapshot->mixtures[0], (std::vector<double>{0.75, 0.25}));
 }
 
-TEST(ObserverTest, SequentialTrainerPublishesTheFullStream) {
+TEST(ObserverTest, SequentialRunPublishesTheFullStream) {
   TrainingConfig config = TrainingConfig::tiny();
   config.grid_rows = config.grid_cols = 2;
   config.iterations = 3;
@@ -254,7 +254,7 @@ TEST(ObserverTest, SequentialTrainerPublishesTheFullStream) {
   EventBus bus;
   RecordingObserver recorder;
   bus.subscribe(&recorder);
-  SequentialTrainer trainer(config, dataset);
+  auto trainer = testsupport::sequential_trainer(config, dataset);
   trainer.set_observers(&bus);
   const TrainOutcome outcome = trainer.run();
 
@@ -298,7 +298,7 @@ TEST(ObserverTest, ObservationDoesNotPerturbTraining) {
   config.iterations = 2;
   const auto dataset = make_matched_dataset(config, 64, 5);
 
-  SequentialTrainer bare(config, dataset);
+  auto bare = testsupport::sequential_trainer(config, dataset);
   const TrainOutcome reference = bare.run();
 
   TrainingConfig observed_config = config;
@@ -306,7 +306,7 @@ TEST(ObserverTest, ObservationDoesNotPerturbTraining) {
   EventBus bus;
   RecordingObserver recorder;
   bus.subscribe(&recorder);
-  SequentialTrainer observed(observed_config, dataset);
+  auto observed = testsupport::sequential_trainer(observed_config, dataset);
   observed.set_observers(&bus);
   const TrainOutcome outcome = observed.run();
 

@@ -11,15 +11,15 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/genome.hpp"
 #include "core/protocol.hpp"
+#include "evolve/genome.hpp"
 #include "testsupport/temp_dir.hpp"
 
 namespace cellgan::core::protocol {
 namespace {
 
-CellGenome make_genome() {
-  CellGenome genome;
+evolve::CellGenome make_genome() {
+  evolve::CellGenome genome;
   genome.generator_params = {0.5f, -1.25f, 3.0f, 0.0f};
   genome.discriminator_params = {2.0f, 7.5f};
   genome.g_learning_rate = 1e-3;
@@ -31,7 +31,7 @@ CellGenome make_genome() {
   return genome;
 }
 
-void expect_genomes_equal(const CellGenome& a, const CellGenome& b) {
+void expect_genomes_equal(const evolve::CellGenome& a, const evolve::CellGenome& b) {
   EXPECT_EQ(a.generator_params, b.generator_params);
   EXPECT_EQ(a.discriminator_params, b.discriminator_params);
   EXPECT_DOUBLE_EQ(a.g_learning_rate, b.g_learning_rate);

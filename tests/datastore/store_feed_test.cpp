@@ -1,9 +1,12 @@
-// The prefetch pipeline: StoreFeed vs. the legacy DataLoader (bit-identical
-// batch streams under the trainer's exact interleaving), EpochView sharding,
-// and the concurrent-reader hammer the ASan job leans on.
+// The store plane's feed: StoreFeed vs. the legacy DataLoader (bit-identical
+// batch streams under the trainer's exact interleaving), synchronous staging
+// on the calling thread, and the concurrent-reader hammer the ASan job leans
+// on.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -11,11 +14,8 @@
 #include "data/dataloader.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "datastore/batch_feed.hpp"
-#include "datastore/epoch_view.hpp"
-#include "datastore/prefetcher.hpp"
 #include "datastore/sample_store.hpp"
 #include "datastore/shuffle_service.hpp"
-#include "datastore/stats.hpp"
 #include "testsupport/temp_dir.hpp"
 
 namespace cellgan::datastore {
@@ -106,108 +106,30 @@ TEST(StoreFeedTest, MakeFeedResolvesPlanes) {
   }
 }
 
-TEST(StoreFeedTest, CountersAccountForEveryRead) {
-  const data::Dataset dataset = data::make_synthetic_mnist(64, 31);
-  StoreFeed feed(SampleStore::adopt(dataset), 8);
-  common::Rng rng(testsupport::deterministic_seed());
-  const StatsSnapshot before = stats().snapshot();
-  std::size_t reads = 0;
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    feed.reshuffle(rng);
-    for (std::size_t i = 0; i < feed.batches_per_epoch(); ++i) {
-      (void)feed.batch(i);
-      ++reads;
-    }
-  }
-  Prefetcher::global().drain();
-  const StatsSnapshot after = stats().snapshot();
-  // Every batch() resolved exactly one way: staged hit, waited-for stage, or
-  // synchronous stall.
-  EXPECT_EQ((after.prefetch_hits - before.prefetch_hits) +
-                (after.prefetch_stalls - before.prefetch_stalls),
-            reads);
-  EXPECT_GE(after.staged_batches, before.staged_batches);
-  EXPECT_GE(after.staging_depth, 1u);
+std::size_t live_threads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
 }
 
-TEST(EpochViewTest, ShardsPartitionTheEpochsBatches) {
-  const data::Dataset dataset = data::make_synthetic_mnist(60, 37);
-  auto store = SampleStore::adopt(dataset);
-  ShuffleService shuffle(dataset.size());
+TEST(StoreFeedTest, StagesOnTheCallingThread) {
+  // The store plane stages every batch synchronously: building a feed and
+  // drawing two epochs must not start a single thread.
+  const data::Dataset dataset = data::make_synthetic_mnist(40, 47);
+  const std::size_t threads_before = live_threads();
+  auto feed = make_feed(DataPlane::kStore, dataset, 8);
   common::Rng rng(testsupport::deterministic_seed());
-  shuffle.reshuffle(rng);
-  const EpochView full(store, shuffle.order(), 6);  // 10 batches
-
-  for (std::size_t lanes : {1u, 2u, 3u, 4u, 7u}) {
-    std::size_t covered = 0;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      const EpochView shard = full.shard(lane, lanes);
-      for (std::size_t b = 0; b < shard.batches(); ++b) {
-        expect_same_tensor(shard.batch(b), full.batch(covered + b));
-      }
-      covered += shard.batches();
-    }
-    EXPECT_EQ(covered, full.batches()) << lanes << " lanes";
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    feed->reshuffle(rng);
+    for (std::size_t i = 0; i < feed->batches_per_epoch(); ++i) (void)feed->batch(i);
   }
+  EXPECT_EQ(live_threads(), threads_before);
 }
 
-TEST(EpochViewTest, ConcurrentShardedReadersSeeConsistentData) {
-  // The ASan hammer: many lanes reading overlapping + sharded views of one
-  // store concurrently. Every read must reproduce the single-threaded
-  // reference exactly; any data race trips the sanitizer job.
-  const data::Dataset dataset = data::make_synthetic_mnist(96, 41);
-  auto store = SampleStore::adopt(dataset);
-  ShuffleService shuffle(dataset.size());
-  common::Rng rng(testsupport::deterministic_seed());
-  shuffle.reshuffle(rng);
-  const std::size_t batch = 8;
-  const EpochView full(store, shuffle.order(), batch);
-
-  std::vector<tensor::Tensor> reference;
-  for (std::size_t b = 0; b < full.batches(); ++b) reference.push_back(full.batch(b));
-
-  const std::size_t lanes = 8;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    threads.emplace_back([&, lane] {
-      const EpochView shard = full.shard(lane, lanes);
-      const std::size_t base = full.batches() * lane / lanes;
-      for (int iter = 0; iter < 50; ++iter) {
-        // Sharded read...
-        for (std::size_t b = 0; b < shard.batches(); ++b) {
-          const tensor::Tensor got = shard.batch(b);
-          const auto want = reference[base + b].data();
-          const auto have = got.data();
-          for (std::size_t i = 0; i < have.size(); ++i) {
-            if (have[i] != want[i]) {
-              mismatches.fetch_add(1);
-              return;
-            }
-          }
-        }
-        // ...and an overlapping full-view read from every lane.
-        const std::size_t b = (lane + static_cast<std::size_t>(iter)) % full.batches();
-        const tensor::Tensor got = full.batch(b);
-        const auto want = reference[b].data();
-        const auto have = got.data();
-        for (std::size_t i = 0; i < have.size(); ++i) {
-          if (have[i] != want[i]) {
-            mismatches.fetch_add(1);
-            return;
-          }
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST(EpochViewTest, ConcurrentStoreFeedsShareOneStore) {
+TEST(StoreFeedTest, ConcurrentStoreFeedsShareOneStore) {
   // Several feeds (as parallel lanes would create) over one interned store,
-  // each on its own thread with its own rng/order, all prefetching through
-  // the shared pool — every feed must match its private legacy loader.
+  // each on its own thread with its own rng/order — every feed must match its
+  // private legacy loader. The ASan job leans on this concurrent-reader
+  // hammer.
   const data::Dataset dataset = data::make_synthetic_mnist(48, 43);
   const std::size_t lanes = 6;
   std::atomic<int> mismatches{0};
@@ -222,10 +144,10 @@ TEST(EpochViewTest, ConcurrentStoreFeedsShareOneStore) {
         loader.reshuffle(rng_a);
         feed.reshuffle(rng_b);
         for (std::size_t i = 0; i < loader.batches_per_epoch(); ++i) {
-          const auto a = loader.batch(i).data();
-          const auto b = feed.batch(i).data();
+          const tensor::Tensor a = loader.batch(i);
+          const tensor::Tensor b = feed.batch(i);
           for (std::size_t j = 0; j < a.size(); ++j) {
-            if (a[j] != b[j]) {
+            if (a.data()[j] != b.data()[j]) {
               mismatches.fetch_add(1);
               return;
             }

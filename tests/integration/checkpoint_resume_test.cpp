@@ -8,8 +8,8 @@
 
 #include "core/checkpoint.hpp"
 #include "core/distributed_trainer.hpp"
-#include "core/sequential_trainer.hpp"
 #include "core/workload.hpp"
+#include "testsupport/sequential.hpp"
 #include "testsupport/temp_dir.hpp"
 
 namespace cellgan::core {
@@ -25,7 +25,7 @@ TrainingConfig test_config() {
 TEST(CheckpointResumeTest, SnapshotCapturesTrainedState) {
   const TrainingConfig config = test_config();
   const auto dataset = make_matched_dataset(config, 100, 31);
-  SequentialTrainer trainer(config, dataset);
+  auto trainer = testsupport::sequential_trainer(config, dataset);
   (void)trainer.run();
   Checkpoint snapshot = trainer.checkpoint();
   EXPECT_EQ(snapshot.centers.size(), 4u);
@@ -40,11 +40,11 @@ TEST(CheckpointResumeTest, SnapshotCapturesTrainedState) {
 TEST(CheckpointResumeTest, RestoreReproducesCentersExactly) {
   const TrainingConfig config = test_config();
   const auto dataset = make_matched_dataset(config, 100, 32);
-  SequentialTrainer original(config, dataset);
+  auto original = testsupport::sequential_trainer(config, dataset);
   (void)original.run();
   const Checkpoint snapshot = original.checkpoint();
 
-  SequentialTrainer resumed(config, dataset);
+  auto resumed = testsupport::sequential_trainer(config, dataset);
   resumed.restore(snapshot);
   for (int cell = 0; cell < 4; ++cell) {
     EXPECT_EQ(resumed.cell(cell).center_genome().generator_params,
@@ -60,11 +60,11 @@ TEST(CheckpointResumeTest, RestoreReproducesCentersExactly) {
 TEST(CheckpointResumeTest, ResumedTrainingContinuesFromState) {
   const TrainingConfig config = test_config();
   const auto dataset = make_matched_dataset(config, 100, 33);
-  SequentialTrainer trainer(config, dataset);
+  auto trainer = testsupport::sequential_trainer(config, dataset);
   (void)trainer.run();
   const Checkpoint snapshot = trainer.checkpoint();
 
-  SequentialTrainer resumed(config, dataset);
+  auto resumed = testsupport::sequential_trainer(config, dataset);
   resumed.restore(snapshot);
   const TrainOutcome outcome = resumed.run();  // 4 more epochs
   EXPECT_EQ(resumed.cell(0).iteration(), 8u);
@@ -74,7 +74,7 @@ TEST(CheckpointResumeTest, ResumedTrainingContinuesFromState) {
 TEST(CheckpointResumeTest, DiskRoundtripThroughTrainer) {
   const TrainingConfig config = test_config();
   const auto dataset = make_matched_dataset(config, 100, 34);
-  SequentialTrainer trainer(config, dataset);
+  auto trainer = testsupport::sequential_trainer(config, dataset);
   (void)trainer.run();
 
   const testsupport::TempDir tmp{"cellgan_resume"};
@@ -83,7 +83,7 @@ TEST(CheckpointResumeTest, DiskRoundtripThroughTrainer) {
   const auto loaded = load_checkpoint(path);
   ASSERT_TRUE(loaded.has_value());
 
-  SequentialTrainer resumed(config, dataset);
+  auto resumed = testsupport::sequential_trainer(config, dataset);
   resumed.restore(*loaded);
   EXPECT_EQ(resumed.cell(1).center_genome().generator_params,
             trainer.cell(1).center_genome().generator_params);
@@ -92,7 +92,7 @@ TEST(CheckpointResumeTest, DiskRoundtripThroughTrainer) {
 TEST(CheckpointResumeTest, GridMismatchAborts) {
   const TrainingConfig config = test_config();
   const auto dataset = make_matched_dataset(config, 100, 35);
-  SequentialTrainer trainer(config, dataset);
+  auto trainer = testsupport::sequential_trainer(config, dataset);
   Checkpoint wrong;
   wrong.config = config;
   wrong.centers.resize(9);  // 3x3 snapshot into a 2x2 trainer
@@ -110,7 +110,7 @@ TEST(CheckpointResumeTest, DistributedResultsBecomeResumableCheckpoint) {
   EXPECT_EQ(snapshot.centers.size(), 4u);
   EXPECT_EQ(snapshot.iteration, config.iterations);
 
-  SequentialTrainer resumed(config, dataset);
+  auto resumed = testsupport::sequential_trainer(config, dataset);
   resumed.restore(snapshot);
   for (int cell = 0; cell < 4; ++cell) {
     EXPECT_EQ(resumed.cell(cell).center_genome().generator_params,
@@ -124,7 +124,7 @@ TEST(CheckpointResumeTest, MustangsLossModeSurvivesRoundtrip) {
   TrainingConfig config = test_config();
   config.loss_mode = LossMode::kMustangs;
   const auto dataset = make_matched_dataset(config, 100, 36);
-  SequentialTrainer trainer(config, dataset);
+  auto trainer = testsupport::sequential_trainer(config, dataset);
   (void)trainer.run();
   const Checkpoint snapshot = trainer.checkpoint();
   EXPECT_EQ(snapshot.config.loss_mode, LossMode::kMustangs);

@@ -109,7 +109,7 @@ TEST(DataPlaneParityTest, StorePlaneRidesTheTcpConfigBroadcast) {
 TEST(DataPlaneParityTest, MmapIdxSessionMatchesLegacyAndPublishesTelemetry) {
   // Full-resolution IDX dataset on disk -> the Session binds the mmap-backed
   // store. The store-plane run must match the legacy run bit for bit AND
-  // emit a data_store telemetry event whose counters show real prefetching.
+  // emit a data_store telemetry event reporting the live mapping.
   testsupport::TempDir tmp{"cellgan_plane"};
   const std::size_t train_n = 64, test_n = 8;
   const auto write_split = [&](const char* images_name, const char* labels_name,

@@ -4,8 +4,8 @@
 
 #include <cmath>
 
-#include "core/sequential_trainer.hpp"
 #include "core/workload.hpp"
+#include "testsupport/sequential.hpp"
 
 namespace cellgan::core {
 namespace {
@@ -149,7 +149,7 @@ TEST(DistributedTrainerTest, ResultsMatchSequentialStructure) {
   // DESIGN.md on asynchronous vs lockstep exchange).
   const TrainingConfig config = small_config(2, 3);
   const auto dataset = make_matched_dataset(config, 100, 9);
-  SequentialTrainer seq(config, dataset);
+  auto seq = testsupport::sequential_trainer(config, dataset);
   const TrainOutcome seq_outcome = seq.run();
   const DistributedOutcome dist_outcome = run_distributed(config, dataset);
   ASSERT_EQ(seq_outcome.g_fitnesses.size(), dist_outcome.master.results.size());

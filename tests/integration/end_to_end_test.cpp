@@ -5,12 +5,12 @@
 
 #include <cmath>
 
-#include "core/sequential_trainer.hpp"
 #include "core/workload.hpp"
 #include "data/pgm.hpp"
 #include "metrics/fid.hpp"
 #include "metrics/inception_score.hpp"
 #include "metrics/mode_coverage.hpp"
+#include "testsupport/sequential.hpp"
 #include "testsupport/temp_dir.hpp"
 
 namespace cellgan::core {
@@ -23,7 +23,7 @@ TEST(EndToEndTest, TrainSampleEvaluate) {
   config.batches_per_iteration = 2;
   const auto dataset = make_matched_dataset(config, 400, 21);
 
-  SequentialTrainer trainer(config, dataset);
+  auto trainer = testsupport::sequential_trainer(config, dataset);
   const TrainOutcome outcome = trainer.run();
 
   // Sample from the winning mixture.
@@ -62,11 +62,11 @@ TEST(EndToEndTest, TrainingImprovesGeneratorAgainstFixedCritic) {
   const auto dataset = make_matched_dataset(config, 400, 22);
 
   config.iterations = 1;
-  SequentialTrainer short_trainer(config, dataset);
+  auto short_trainer = testsupport::sequential_trainer(config, dataset);
   const TrainOutcome short_outcome = short_trainer.run();
 
   config.iterations = 10;
-  SequentialTrainer long_trainer(config, dataset);
+  auto long_trainer = testsupport::sequential_trainer(config, dataset);
   const TrainOutcome long_outcome = long_trainer.run();
 
   // Generator loss against its own discriminator after more coevolution
@@ -85,7 +85,7 @@ TEST(EndToEndTest, PaperArchitectureRunsAtTinyScale) {
   config.fitness_eval_samples = 20;
   const auto dataset = make_matched_dataset(config, 60, 23);
 
-  SequentialTrainer trainer(config, dataset);
+  auto trainer = testsupport::sequential_trainer(config, dataset);
   const TrainOutcome outcome = trainer.run();
   for (const double f : outcome.g_fitnesses) EXPECT_TRUE(std::isfinite(f));
   const auto genome = trainer.cell(0).center_genome();
@@ -100,7 +100,7 @@ TEST(EndToEndTest, SampleSheetIsWritable) {
   config.batch_size = 10;
   config.fitness_eval_samples = 10;
   const auto dataset = make_matched_dataset(config, 40, 24);
-  SequentialTrainer trainer(config, dataset);
+  auto trainer = testsupport::sequential_trainer(config, dataset);
   (void)trainer.run();
   const tensor::Tensor samples = trainer.cell(0).sample_from_mixture(4);
   const testsupport::TempDir tmp{"cellgan_e2e"};

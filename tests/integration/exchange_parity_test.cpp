@@ -1,8 +1,9 @@
 // Cross-backend exchange-policy parity: every registered policy (cellular,
 // ltfb, gap) must produce bit-identical per-cell results on all four
-// backends — SequentialTrainer, ParallelTrainer, run_distributed and the
-// real-TCP world — at a fixed seed, because policies are pure functions of
-// (seed, cell, epoch) and consume no RNG from the training streams. Also the
+// backends — the one-lane sequential trainer, ParallelTrainer,
+// run_distributed and the real-TCP world — at a fixed seed, because
+// policies are pure functions of (seed, cell, epoch) and consume no RNG
+// from the training streams. Also the
 // wasserstein + conditional pathway end to end on every backend, and the
 // checkpoint guard that refuses to resume under a different policy.
 #include <gtest/gtest.h>
@@ -15,8 +16,8 @@
 #include "core/checkpoint.hpp"
 #include "core/distributed_trainer.hpp"
 #include "core/parallel_trainer.hpp"
-#include "core/sequential_trainer.hpp"
 #include "core/workload.hpp"
+#include "testsupport/sequential.hpp"
 
 namespace cellgan::core {
 namespace {
@@ -69,7 +70,7 @@ void expect_all_backends_bit_identical(const TrainingConfig& config,
                                        const data::Dataset& dataset,
                                        const char* label) {
   const std::size_t cells = config.grid_cells();
-  SequentialTrainer seq(config, dataset);
+  auto seq = testsupport::sequential_trainer(config, dataset);
   const TrainOutcome seq_outcome = seq.run();
 
   ParallelTrainer par(config, dataset, /*threads=*/2);
@@ -156,7 +157,7 @@ TEST(ExchangeParityTest, WassersteinConditionalTrainsOnAllBackends) {
 
   // And the critic clip actually bites: every discriminator parameter of the
   // trained centers sits inside [-clip, clip].
-  SequentialTrainer seq(config, dataset);
+  auto seq = testsupport::sequential_trainer(config, dataset);
   (void)seq.run();
   for (int cell = 0; cell < seq.cells(); ++cell) {
     for (const float w : seq.cell(cell).center_genome().discriminator_params) {
@@ -181,12 +182,12 @@ TEST(ExchangeParityTest, CheckpointRefusesResumeUnderDifferentPolicy) {
   // policies in the message.
   const auto cellular = policy_config(evolve::ExchangePolicyKind::kCellular);
   const auto dataset = make_matched_dataset(cellular, 64, 47);
-  SequentialTrainer original(cellular, dataset);
+  auto original = testsupport::sequential_trainer(cellular, dataset);
   (void)original.run();
   const Checkpoint snapshot = original.checkpoint();
 
-  SequentialTrainer ltfb_trainer(policy_config(evolve::ExchangePolicyKind::kLtfb),
-                                 dataset);
+  auto ltfb_trainer = testsupport::sequential_trainer(
+      policy_config(evolve::ExchangePolicyKind::kLtfb), dataset);
   EXPECT_THROW(ltfb_trainer.restore(snapshot), CheckpointPolicyMismatchError);
   try {
     ltfb_trainer.restore(snapshot);
@@ -198,7 +199,7 @@ TEST(ExchangeParityTest, CheckpointRefusesResumeUnderDifferentPolicy) {
   }
 
   // Same policy resumes fine (and continues training).
-  SequentialTrainer resumed(cellular, dataset);
+  auto resumed = testsupport::sequential_trainer(cellular, dataset);
   EXPECT_NO_THROW(resumed.restore(snapshot));
   const TrainOutcome outcome = resumed.run();
   for (const double f : outcome.g_fitnesses) EXPECT_TRUE(std::isfinite(f));

@@ -1,7 +1,7 @@
 // Determinism of the unified TrainObserver stream across execution vehicles,
 // in the style of the existing parity suites: the serialized EpochRecord
-// stream must be bit-identical across SequentialTrainer and ParallelTrainer
-// at 1/2/4 lanes (every field of a record is schedule-independent by
+// stream must be bit-identical across the one-lane sequential trainer and
+// ParallelTrainer at 1/2/4 lanes (every field of a record is schedule-independent by
 // construction), and bit-identical between the in-process distributed
 // simulation and a real TCP world on the same seed. That is the guarantee
 // that makes telemetry, metric evaluation and checkpoint policies portable
@@ -14,9 +14,9 @@
 #include "core/distributed_trainer.hpp"
 #include "core/observer.hpp"
 #include "core/parallel_trainer.hpp"
-#include "core/sequential_trainer.hpp"
 #include "core/session.hpp"
 #include "core/workload.hpp"
+#include "testsupport/sequential.hpp"
 
 namespace cellgan::core {
 namespace {
@@ -40,7 +40,7 @@ TrainingConfig parity_config() {
 }
 
 CostModel table3_cost(const TrainingConfig& config, const data::Dataset& dataset) {
-  const WorkloadProbe probe = SequentialTrainer::measure_workload(config, dataset);
+  const WorkloadProbe probe = TrainerCore::measure_workload(config, dataset);
   CostProfile profile = CostProfile::table3();
   profile.reference_iterations = static_cast<double>(config.iterations);
   return CostModel::calibrated(profile, probe);
@@ -64,7 +64,7 @@ TEST(ObserverParityTest, SequentialAndThreadsStreamsBitIdentical) {
   {
     EventBus bus;
     bus.subscribe(&sequential_stream);
-    SequentialTrainer trainer(config, dataset, cost);
+    auto trainer = testsupport::sequential_trainer(config, dataset, cost);
     trainer.set_observers(&bus);
     (void)trainer.run();
   }
@@ -187,7 +187,7 @@ TEST(ObserverParityTest, DistributedRecordsMatchCollectedResults) {
     EXPECT_EQ(last.cells[cell].g_fitness, collected.center.g_fitness);
     EXPECT_EQ(last.cells[cell].d_fitness, collected.center.d_fitness);
     EXPECT_EQ(last.cells[cell].mixture_weights, collected.mixture_weights);
-    const CellGenome genome = CellGenome::deserialize(last.cells[cell].genome);
+    const evolve::CellGenome genome = evolve::CellGenome::deserialize(last.cells[cell].genome);
     EXPECT_EQ(genome.generator_params, collected.center.generator_params);
   }
   EXPECT_EQ(last.best_cell(), outcome.master.best_cell);

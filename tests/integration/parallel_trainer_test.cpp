@@ -1,9 +1,11 @@
-// ParallelTrainer correctness: the thread-parallel trainer must be a pure
-// scheduling change — bit-identical fitness trajectories across thread
-// counts and against SequentialTrainer on the same seed (the double-buffered
-// exchange plus per-cell rng streams make this a hard guarantee, not a
-// tolerance), matching per-routine virtual totals and flops counts, and a
-// virtual-time makespan that shrinks with lanes (the "p cores" column).
+// The in-process trainer. Its one-lane SingleCore case is the sequential
+// backend (SingleLaneTrainerTest): every cell on one lane, virtual time
+// accumulated serially. More lanes must be a pure scheduling change —
+// bit-identical fitness trajectories across lane counts and against the
+// sequential case on the same seed (the double-buffered exchange plus
+// per-cell rng streams make this a hard guarantee, not a tolerance),
+// matching per-routine virtual totals and flops counts, and a virtual-time
+// makespan that shrinks with lanes (the "p cores" column).
 #include "core/parallel_trainer.hpp"
 
 #include <gtest/gtest.h>
@@ -11,8 +13,8 @@
 #include <cmath>
 #include <memory>
 
-#include "core/sequential_trainer.hpp"
 #include "core/workload.hpp"
+#include "testsupport/sequential.hpp"
 
 namespace cellgan::core {
 namespace {
@@ -39,7 +41,7 @@ void expect_bit_identical(const TrainOutcome& a, const TrainOutcome& b,
 TEST(ParallelTrainerTest, DeterministicAcrossThreadCounts2x2) {
   const TrainingConfig config = small_config(2, 3);
   const auto dataset = make_matched_dataset(config, 100, 21);
-  SequentialTrainer seq(config, dataset);
+  auto seq = testsupport::sequential_trainer(config, dataset);
   const TrainOutcome reference = seq.run();
   for (const std::size_t threads : {1u, 2u, 4u}) {
     ParallelTrainer par(config, dataset, threads);
@@ -53,7 +55,7 @@ TEST(ParallelTrainerTest, DeterministicAcrossThreadCounts2x2) {
 TEST(ParallelTrainerTest, DeterministicAcrossThreadCounts3x3) {
   const TrainingConfig config = small_config(3, 2);
   const auto dataset = make_matched_dataset(config, 100, 22);
-  SequentialTrainer seq(config, dataset);
+  auto seq = testsupport::sequential_trainer(config, dataset);
   const TrainOutcome reference = seq.run();
   for (const std::size_t threads : {1u, 2u, 4u}) {
     ParallelTrainer par(config, dataset, threads);
@@ -88,9 +90,9 @@ TEST(ParallelTrainerTest, LanesClampToCellCount) {
 TEST(ParallelTrainerTest, ProfilerTotalsMatchSequential) {
   const TrainingConfig config = small_config(2, 2);
   const auto dataset = make_matched_dataset(config, 100, 25);
-  const WorkloadProbe probe = SequentialTrainer::measure_workload(config, dataset);
+  const WorkloadProbe probe = TrainerCore::measure_workload(config, dataset);
   const CostModel cost = CostModel::calibrated(CostProfile::table3(), probe);
-  SequentialTrainer seq(config, dataset, cost);
+  auto seq = testsupport::sequential_trainer(config, dataset, cost);
   ParallelTrainer par(config, dataset, 4, cost);
   const TrainOutcome seq_outcome = seq.run();
   const TrainOutcome par_outcome = par.run();
@@ -114,9 +116,9 @@ TEST(ParallelTrainerTest, VirtualMakespanShrinksWithLanes) {
   // should approach a 4x virtual speedup over the serial sum.
   const TrainingConfig config = small_config(2, 2);
   const auto dataset = make_matched_dataset(config, 100, 26);
-  const WorkloadProbe probe = SequentialTrainer::measure_workload(config, dataset);
+  const WorkloadProbe probe = TrainerCore::measure_workload(config, dataset);
   const CostModel cost = CostModel::calibrated(CostProfile::table3(), probe);
-  SequentialTrainer seq(config, dataset, cost);
+  auto seq = testsupport::sequential_trainer(config, dataset, cost);
   ParallelTrainer par(config, dataset, 4, cost);
   const double seq_virtual = seq.run().virtual_s;
   const double par_virtual = par.run().virtual_s;
@@ -130,11 +132,11 @@ TEST(ParallelTrainerTest, CheckpointInteropWithSequential) {
   // the parallel trainer (and vice versa): the core machinery is shared.
   const TrainingConfig config = small_config(2, 2);
   const auto dataset = make_matched_dataset(config, 100, 27);
-  SequentialTrainer original(config, dataset);
+  auto original = testsupport::sequential_trainer(config, dataset);
   (void)original.run();
   const Checkpoint snapshot = original.checkpoint();
 
-  SequentialTrainer seq_resumed(config, dataset);
+  auto seq_resumed = testsupport::sequential_trainer(config, dataset);
   seq_resumed.restore(snapshot);
   ParallelTrainer par_resumed(config, dataset, 2);
   par_resumed.restore(snapshot);
@@ -148,16 +150,132 @@ TEST(ParallelTrainerTest, SelectableBehindCommonInterface) {
   const TrainingConfig config = small_config(2, 1);
   const auto dataset = make_matched_dataset(config, 100, 28);
   for (const std::size_t threads : {1u, 2u}) {
-    std::unique_ptr<InProcessTrainer> trainer;
-    if (threads > 1) {
-      trainer = std::make_unique<ParallelTrainer>(config, dataset, threads);
-    } else {
-      trainer = std::make_unique<SequentialTrainer>(config, dataset);
-    }
+    const ExecMode mode = threads > 1 ? ExecMode::MultiThread : ExecMode::SingleCore;
+    auto trainer = std::make_unique<ParallelTrainer>(config, dataset, threads,
+                                                     CostModel{}, mode);
     const TrainOutcome outcome = trainer->run();
     EXPECT_EQ(outcome.g_fitnesses.size(), 4u);
     EXPECT_EQ(trainer->cells(), 4);
   }
+}
+
+// --- the one-lane SingleCore case (the sequential backend) -------------------
+
+TEST(SingleLaneTrainerTest, RunsAllCellsAllIterations) {
+  const TrainingConfig config = small_config(2, 3);
+  const auto dataset = make_matched_dataset(config, 100, 1);
+  auto trainer = testsupport::sequential_trainer(config, dataset);
+  EXPECT_EQ(trainer.lanes(), 1u);
+  const TrainOutcome outcome = trainer.run();
+  EXPECT_EQ(outcome.g_fitnesses.size(), 4u);
+  EXPECT_EQ(outcome.d_fitnesses.size(), 4u);
+  for (int cell = 0; cell < 4; ++cell) {
+    EXPECT_EQ(trainer.cell(cell).iteration(), 3u);
+    EXPECT_TRUE(std::isfinite(outcome.g_fitnesses[cell]));
+  }
+  EXPECT_GT(outcome.wall_s, 0.0);
+}
+
+TEST(SingleLaneTrainerTest, BestCellIsArgminGeneratorFitness) {
+  const TrainingConfig config = small_config(3, 2);
+  const auto dataset = make_matched_dataset(config, 100, 2);
+  auto trainer = testsupport::sequential_trainer(config, dataset);
+  const TrainOutcome outcome = trainer.run();
+  for (const double f : outcome.g_fitnesses) {
+    EXPECT_GE(f, outcome.g_fitnesses[outcome.best_cell]);
+  }
+}
+
+TEST(SingleLaneTrainerTest, DeterministicAcrossRuns) {
+  const TrainingConfig config = small_config(2, 3);
+  const auto dataset = make_matched_dataset(config, 100, 3);
+  auto a = testsupport::sequential_trainer(config, dataset);
+  auto b = testsupport::sequential_trainer(config, dataset);
+  const TrainOutcome oa = a.run();
+  const TrainOutcome ob = b.run();
+  ASSERT_EQ(oa.g_fitnesses.size(), ob.g_fitnesses.size());
+  for (std::size_t i = 0; i < oa.g_fitnesses.size(); ++i) {
+    EXPECT_DOUBLE_EQ(oa.g_fitnesses[i], ob.g_fitnesses[i]);
+    EXPECT_DOUBLE_EQ(oa.d_fitnesses[i], ob.d_fitnesses[i]);
+  }
+  EXPECT_EQ(oa.best_cell, ob.best_cell);
+}
+
+TEST(SingleLaneTrainerTest, SeedChangesOutcome) {
+  TrainingConfig config = small_config(2, 3);
+  const auto dataset = make_matched_dataset(config, 100, 4);
+  auto a = testsupport::sequential_trainer(config, dataset);
+  config.seed = 4343;
+  auto b = testsupport::sequential_trainer(config, dataset);
+  const TrainOutcome oa = a.run();
+  const TrainOutcome ob = b.run();
+  bool any_different = false;
+  for (std::size_t i = 0; i < oa.g_fitnesses.size(); ++i) {
+    if (oa.g_fitnesses[i] != ob.g_fitnesses[i]) any_different = true;
+  }
+  EXPECT_TRUE(any_different);
+}
+
+TEST(SingleLaneTrainerTest, ProfilerCoversAllRoutines) {
+  const TrainingConfig config = small_config(2, 2);
+  const auto dataset = make_matched_dataset(config, 100, 5);
+  auto trainer = testsupport::sequential_trainer(config, dataset);
+  const TrainOutcome outcome = trainer.run();
+  for (const char* routine :
+       {common::routine::kTrain, common::routine::kUpdateGenomes,
+        common::routine::kMutate, common::routine::kGather}) {
+    EXPECT_TRUE(outcome.profiler.has(routine)) << routine;
+  }
+  // train/update/mutate are called once per cell per iteration.
+  EXPECT_EQ(outcome.profiler.cost(common::routine::kTrain).calls, 4u * 2u);
+}
+
+TEST(SingleLaneTrainerTest, NeighborGenomesFlowBetweenCells) {
+  // After >= 2 iterations, every cell must have installed neighbor bytes.
+  const TrainingConfig config = small_config(2, 3);
+  const auto dataset = make_matched_dataset(config, 100, 6);
+  auto trainer = testsupport::sequential_trainer(config, dataset);
+  (void)trainer.run();
+  for (int cell = 0; cell < trainer.cells(); ++cell) {
+    EXPECT_GT(trainer.cell(cell).last_update_bytes(), 0.0) << "cell " << cell;
+  }
+}
+
+TEST(SingleLaneTrainerTest, VirtualTimeZeroWithoutCostModel) {
+  const TrainingConfig config = small_config(2, 2);
+  const auto dataset = make_matched_dataset(config, 100, 7);
+  auto trainer = testsupport::sequential_trainer(config, dataset);
+  const TrainOutcome outcome = trainer.run();
+  EXPECT_DOUBLE_EQ(outcome.virtual_s, 0.0);
+}
+
+TEST(SingleLaneTrainerTest, WorkloadProbeMeasuresPositiveWork) {
+  const TrainingConfig config = small_config(3, 2);
+  const auto dataset = make_matched_dataset(config, 100, 8);
+  const WorkloadProbe probe = TrainerCore::measure_workload(config, dataset);
+  EXPECT_GT(probe.train_flops, 0.0);
+  EXPECT_GT(probe.update_bytes, 0.0);
+  EXPECT_GT(probe.genome_bytes, 0.0);
+  // Update bytes = 4 neighbor genomes on a 3x3 grid.
+  EXPECT_NEAR(probe.update_bytes, 4.0 * probe.genome_bytes, 1.0);
+}
+
+TEST(SingleLaneTrainerTest, CalibratedRunAccumulatesVirtualTime) {
+  const TrainingConfig config = small_config(2, 2);
+  const auto dataset = make_matched_dataset(config, 100, 9);
+  const WorkloadProbe probe = TrainerCore::measure_workload(config, dataset);
+  const CostModel cost = CostModel::calibrated(CostProfile::table3(), probe);
+  auto trainer = testsupport::sequential_trainer(config, dataset, cost);
+  const TrainOutcome outcome = trainer.run();
+  EXPECT_GT(outcome.virtual_s, 0.0);
+  // Virtual time must dwarf anything wall-clock at paper calibration.
+  EXPECT_GT(outcome.virtual_s, outcome.wall_s);
+  EXPECT_GT(outcome.profiler.cost(common::routine::kTrain).virtual_s, 0.0);
+  EXPECT_GT(outcome.profiler.cost(common::routine::kGather).virtual_s, 0.0);
+  // One lane: every cell's charges accumulate serially on one clock, so the
+  // makespan is the whole grid's routine total.
+  const double serial_sum = outcome.profiler.total_virtual_s();
+  EXPECT_NEAR(outcome.virtual_s, serial_sum, 1e-9 * serial_sum);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Backend parity of the core::Session facade: a Session run must be a pure
-// wrapper — bit-identical to calling the legacy entry points
-// (SequentialTrainer, ParallelTrainer, run_distributed) directly with the
-// same configuration — plus the facade-only surfaces: IDX dataset
+// wrapper — bit-identical to calling the direct entry points (one-lane
+// and multi-lane ParallelTrainer, run_distributed) with the same
+// configuration — plus the facade-only surfaces: IDX dataset
 // resolution with clear errors, the backend registry, checkpoint interop
 // and the RunResult JSON artifact.
 #include "core/session.hpp"
@@ -12,9 +12,9 @@
 #include <sstream>
 
 #include "core/parallel_trainer.hpp"
-#include "core/sequential_trainer.hpp"
 #include "core/workload.hpp"
 #include "data/idx.hpp"
+#include "testsupport/sequential.hpp"
 #include "testsupport/temp_dir.hpp"
 
 namespace cellgan::core {
@@ -34,7 +34,7 @@ RunSpec small_spec(Backend backend, int side, int iterations) {
 /// The legacy calibration the spec's table3 profile must reproduce.
 CostModel legacy_table3_cost(const TrainingConfig& config,
                              const data::Dataset& dataset) {
-  const WorkloadProbe probe = SequentialTrainer::measure_workload(config, dataset);
+  const WorkloadProbe probe = TrainerCore::measure_workload(config, dataset);
   CostProfile profile = CostProfile::table3();
   profile.reference_iterations = static_cast<double>(config.iterations);
   return CostModel::calibrated(profile, probe);
@@ -57,7 +57,7 @@ TEST(SessionTest, SequentialBackendBitIdenticalToLegacy) {
   const RunResult facade = session.run();
 
   const auto dataset = make_matched_dataset(spec.config, 100, 21);
-  SequentialTrainer legacy(spec.config, dataset);
+  auto legacy = testsupport::sequential_trainer(spec.config, dataset);
   expect_bit_identical(facade, legacy.run());
   EXPECT_FALSE(facade.distributed());
   EXPECT_NE(session.trainer(), nullptr);
@@ -70,8 +70,8 @@ TEST(SessionTest, SequentialBackendBitIdenticalWithCostModel) {
   const RunResult facade = session.run();
 
   const auto dataset = make_matched_dataset(spec.config, 100, 21);
-  SequentialTrainer legacy(spec.config, dataset,
-                           legacy_table3_cost(spec.config, dataset));
+  auto legacy = testsupport::sequential_trainer(spec.config, dataset,
+                                               legacy_table3_cost(spec.config, dataset));
   expect_bit_identical(facade, legacy.run());
   EXPECT_GT(facade.virtual_s, 0.0);
 }
@@ -171,7 +171,7 @@ TEST(SessionTest, CheckpointInteropWithLegacyTrainer) {
   const RunResult facade = resumed.run();
 
   const auto dataset = make_matched_dataset(spec.config, 100, 21);
-  SequentialTrainer legacy(spec.config, dataset);
+  auto legacy = testsupport::sequential_trainer(spec.config, dataset);
   legacy.restore(snapshot);
   expect_bit_identical(facade, legacy.run());
 }

@@ -11,8 +11,8 @@
 #include <thread>
 
 #include "core/distributed_trainer.hpp"
-#include "core/sequential_trainer.hpp"
 #include "core/session.hpp"
+#include "core/trainer_core.hpp"
 #include "core/workload.hpp"
 
 namespace cellgan::core {
@@ -104,7 +104,7 @@ TEST(TcpParityTest, CalibratedVirtualClocksMatchInProcessBitForBit) {
   // accounting between the two deployments would show up here.
   const TrainingConfig config = parity_config();
   const auto dataset = make_matched_dataset(config, 64, 21);
-  const WorkloadProbe probe = SequentialTrainer::measure_workload(config, dataset);
+  const WorkloadProbe probe = TrainerCore::measure_workload(config, dataset);
   CostProfile profile = CostProfile::table3();
   profile.reference_iterations = static_cast<double>(config.iterations);
   const CostModel cost_model = CostModel::calibrated(profile, probe);

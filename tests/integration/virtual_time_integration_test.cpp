@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/distributed_trainer.hpp"
-#include "core/sequential_trainer.hpp"
 #include "core/workload.hpp"
+#include "testsupport/sequential.hpp"
 
 namespace cellgan::core {
 namespace {
@@ -23,11 +23,11 @@ VirtualRun run_both(int side, int iterations, std::uint64_t seed) {
   config.iterations = static_cast<std::uint32_t>(iterations);
   config.seed = seed;
   const auto dataset = make_matched_dataset(config, 100, seed);
-  const WorkloadProbe probe = SequentialTrainer::measure_workload(config, dataset);
+  const WorkloadProbe probe = TrainerCore::measure_workload(config, dataset);
   const CostModel cost = CostModel::calibrated(CostProfile::table3(), probe);
 
   VirtualRun run;
-  SequentialTrainer seq(config, dataset, cost);
+  auto seq = testsupport::sequential_trainer(config, dataset, cost);
   run.seq_min = seq.run().virtual_s / 60.0;
   run.dist = run_distributed(config, dataset, cost);
   run.dist_min = run.dist.virtual_makespan_s / 60.0;

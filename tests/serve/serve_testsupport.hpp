@@ -8,8 +8,8 @@
 #include "common/rng.hpp"
 #include "core/checkpoint.hpp"
 #include "core/config.hpp"
-#include "core/genome.hpp"
-#include "core/grid.hpp"
+#include "evolve/genome.hpp"
+#include "evolve/grid.hpp"
 #include "nn/gan_models.hpp"
 #include "tensor/tensor.hpp"
 
@@ -23,12 +23,12 @@ inline core::Checkpoint synthetic_checkpoint(std::uint64_t seed) {
   snapshot.config = core::TrainingConfig::tiny();
   snapshot.config.seed = seed;
   common::Rng rng(seed);
-  const core::Grid grid(static_cast<int>(snapshot.config.grid_rows),
-                        static_cast<int>(snapshot.config.grid_cols));
+  const evolve::Grid grid(static_cast<int>(snapshot.config.grid_rows),
+                          static_cast<int>(snapshot.config.grid_cols));
   for (std::uint32_t c = 0; c < snapshot.config.grid_cells(); ++c) {
     auto generator = nn::make_generator(snapshot.config.arch, rng);
     auto discriminator = nn::make_discriminator(snapshot.config.arch, rng);
-    auto genome = core::CellGenome::capture(generator, discriminator);
+    auto genome = evolve::CellGenome::capture(generator, discriminator);
     genome.origin_cell = c;
     // Ascending fitness makes cell 0 the unambiguous best.
     genome.g_fitness = 1.0 + 0.1 * static_cast<double>(c);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -56,14 +57,23 @@ TEST(FlopsTest, ElementwiseChargesPerElement) {
 }
 
 TEST(FlopsTest, ThreadedMatmulStillChargesCaller) {
-  common::set_global_pool_threads(3);
+  // Each cell lane harvests its own thread's counter, so a matmul must charge
+  // the lane that calls it — and nothing to the thread that started the lanes.
   exchange_thread_flops();
   common::Rng rng(4);
   const Tensor a = Tensor::randn(32, 16, rng);
   const Tensor b = Tensor::randn(16, 8, rng);
-  (void)matmul(a, b);
-  EXPECT_EQ(exchange_thread_flops(), 2ULL * 32 * 16 * 8);
-  common::set_global_pool_threads(1);
+  common::ThreadPool pool(3);
+  std::vector<std::uint64_t> charged(3, 0);
+  pool.parallel_for(charged.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t lane = begin; lane < end; ++lane) {
+      exchange_thread_flops();
+      (void)matmul(a, b);
+      charged[lane] = exchange_thread_flops();
+    }
+  });
+  for (const std::uint64_t flops : charged) EXPECT_EQ(flops, 2ULL * 32 * 16 * 8);
+  EXPECT_EQ(exchange_thread_flops(), 0u);
 }
 
 TEST(FlopsTest, ScopedCounterIsolatesASection) {

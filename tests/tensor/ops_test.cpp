@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -56,77 +57,91 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MatmulShapeSweep,
                                            std::tuple{16, 32, 8},
                                            std::tuple{33, 17, 29}));
 
+// "Threaded" here means what the trainer does: cell lanes call ops
+// concurrently, each op running whole on its lane. Every lane must get the
+// serial result bit for bit (no shared scratch, no partition effects).
+template <typename Op>
+std::vector<Tensor> on_lanes(const Op& op) {
+  common::ThreadPool pool(3);
+  std::vector<Tensor> results(3, Tensor(0, 0));
+  pool.parallel_for(results.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t lane = begin; lane < end; ++lane) results[lane] = op();
+  });
+  return results;
+}
+
+void expect_same(const Tensor& lane, const Tensor& serial) {
+  ASSERT_TRUE(lane.same_shape(serial));
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_EQ(lane.data()[i], serial.data()[i]) << "element " << i;
+  }
+}
+
 TEST(OpsTest, MatmulThreadedMatchesSerial) {
   common::Rng rng(123);
   Tensor a = Tensor::randn(64, 32, rng);
   Tensor b = Tensor::randn(32, 48, rng);
   const Tensor serial = matmul(a, b);
-  common::set_global_pool_threads(3);
-  const Tensor threaded = matmul(a, b);
-  common::set_global_pool_threads(1);
-  expect_near(serial, threaded, 1e-5f);
+  for (const Tensor& lane : on_lanes([&] { return matmul(a, b); })) {
+    expect_same(lane, serial);
+  }
 }
 
 TEST(OpsTest, ElementwiseThreadedIsBitIdenticalToSerial) {
-  // Above the elementwise cutoff the maps fan out over the pool; chunked
-  // execution must not change a single bit (each output element depends only
-  // on its own inputs, so there is no summation-order slack to hide behind).
   common::Rng rng(321);
-  Tensor a = Tensor::randn(200, 120, rng);  // 24000 elements > cutoff
+  Tensor a = Tensor::randn(200, 120, rng);
   Tensor b = Tensor::randn(200, 120, rng);
-  const Tensor sum_serial = add(a, b);
-  const Tensor diff_serial = sub(a, b);
-  const Tensor prod_serial = mul(a, b);
-  const Tensor scaled_serial = scale(a, 0.37f);
-  const Tensor tanh_serial = tanh_forward(a);
-  const Tensor sig_serial = sigmoid_forward(a);
-  const Tensor relu_serial = leaky_relu_forward(a, 0.2f);
-  const Tensor dtanh_serial = tanh_backward(b, tanh_serial);
-  const Tensor dsig_serial = sigmoid_backward(b, sig_serial);
-  const Tensor drelu_serial = leaky_relu_backward(b, a, 0.2f);
-  Tensor axpy_serial = b;
-  axpy(0.11f, a, axpy_serial);
-
-  common::set_global_pool_threads(3);
-  const auto expect_same = [](const Tensor& threaded, const Tensor& serial) {
-    ASSERT_EQ(threaded.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_EQ(threaded.data()[i], serial.data()[i]) << "element " << i;
+  const Tensor tanh_y = tanh_forward(a);
+  const Tensor sig_y = sigmoid_forward(a);
+  const std::vector<Tensor> serial = {
+      add(a, b), sub(a, b), mul(a, b), scale(a, 0.37f), tanh_y, sig_y,
+      leaky_relu_forward(a, 0.2f), tanh_backward(b, tanh_y),
+      sigmoid_backward(b, sig_y), leaky_relu_backward(b, a, 0.2f)};
+  const auto ops = [&](std::size_t i) {
+    switch (i) {
+      case 0: return add(a, b);
+      case 1: return sub(a, b);
+      case 2: return mul(a, b);
+      case 3: return scale(a, 0.37f);
+      case 4: return tanh_forward(a);
+      case 5: return sigmoid_forward(a);
+      case 6: return leaky_relu_forward(a, 0.2f);
+      case 7: return tanh_backward(b, tanh_y);
+      case 8: return sigmoid_backward(b, sig_y);
+      default: return leaky_relu_backward(b, a, 0.2f);
     }
   };
-  expect_same(add(a, b), sum_serial);
-  expect_same(sub(a, b), diff_serial);
-  expect_same(mul(a, b), prod_serial);
-  expect_same(scale(a, 0.37f), scaled_serial);
-  expect_same(tanh_forward(a), tanh_serial);
-  expect_same(sigmoid_forward(a), sig_serial);
-  expect_same(leaky_relu_forward(a, 0.2f), relu_serial);
-  expect_same(tanh_backward(b, tanh_serial), dtanh_serial);
-  expect_same(sigmoid_backward(b, sig_serial), dsig_serial);
-  expect_same(leaky_relu_backward(b, a, 0.2f), drelu_serial);
-  Tensor axpy_threaded = b;
-  axpy(0.11f, a, axpy_threaded);
-  expect_same(axpy_threaded, axpy_serial);
-  common::set_global_pool_threads(1);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    for (const Tensor& lane : on_lanes([&] { return ops(i); })) {
+      expect_same(lane, serial[i]);
+    }
+  }
+  Tensor axpy_serial = b;
+  axpy(0.11f, a, axpy_serial);
+  for (const Tensor& lane : on_lanes([&] {
+         Tensor y = b;
+         axpy(0.11f, a, y);
+         return y;
+       })) {
+    expect_same(lane, axpy_serial);
+  }
 }
 
 TEST(OpsTest, AddRowBiasThreadedIsBitIdenticalToSerial) {
-  // Tall-skinny and short-wide shapes: both cross the element cutoff (the
-  // gate is total elements, not rows) and both must chunk bit-identically.
+  // Tall-skinny and short-wide shapes.
   for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{20000, 4},
                                    std::pair<std::size_t, std::size_t>{64, 512}}) {
     common::Rng rng(654);
-    Tensor a = Tensor::randn(rows, cols, rng);
-    Tensor bias = Tensor::randn(1, cols, rng);
+    const Tensor a = Tensor::randn(rows, cols, rng);
+    const Tensor bias = Tensor::randn(1, cols, rng);
     Tensor serial = a;
     add_row_bias(serial, bias);
-    common::set_global_pool_threads(3);
-    Tensor threaded = a;
-    add_row_bias(threaded, bias);
-    common::set_global_pool_threads(1);
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_EQ(threaded.data()[i], serial.data()[i])
-          << rows << "x" << cols << " element " << i;
+    for (const Tensor& lane : on_lanes([&] {
+           Tensor y = a;
+           add_row_bias(y, bias);
+           return y;
+         })) {
+      expect_same(lane, serial);
     }
   }
 }
@@ -154,16 +169,14 @@ TEST(OpsTest, MatmulNtEqualsMatmulWithTransposedB) {
 }
 
 TEST(OpsTest, MatmulTnThreadedAndBlockedMatchesSerial) {
-  // Big enough to cross both the parallel_for row threshold and the l-block
-  // size, so the tiled path and the worker partitioning are exercised.
+  // Big enough to cross the scalar kernel's l-block size.
   common::Rng rng(11);
   Tensor a = Tensor::randn(100, 24, rng);  // (k x m)
   Tensor b = Tensor::randn(100, 18, rng);
   const Tensor serial = matmul_tn(a, b);
-  common::set_global_pool_threads(3);
-  const Tensor threaded = matmul_tn(a, b);
-  common::set_global_pool_threads(1);
-  expect_near(serial, threaded, 1e-5f);
+  for (const Tensor& lane : on_lanes([&] { return matmul_tn(a, b); })) {
+    expect_same(lane, serial);
+  }
   Tensor at(24, 100);
   for (std::size_t i = 0; i < 100; ++i) {
     for (std::size_t j = 0; j < 24; ++j) at.at(j, i) = a.at(i, j);
@@ -176,10 +189,9 @@ TEST(OpsTest, MatmulNtThreadedAndTiledMatchesSerial) {
   Tensor a = Tensor::randn(40, 33, rng);
   Tensor b = Tensor::randn(27, 33, rng);  // n = 27 exercises the 4-wide tail
   const Tensor serial = matmul_nt(a, b);
-  common::set_global_pool_threads(3);
-  const Tensor threaded = matmul_nt(a, b);
-  common::set_global_pool_threads(1);
-  expect_near(serial, threaded, 1e-5f);
+  for (const Tensor& lane : on_lanes([&] { return matmul_nt(a, b); })) {
+    expect_same(lane, serial);
+  }
   Tensor bt(33, 27);
   for (std::size_t i = 0; i < 27; ++i) {
     for (std::size_t j = 0; j < 33; ++j) bt.at(j, i) = b.at(i, j);
