@@ -75,7 +75,9 @@ class ByteReader {
     const auto count = read<std::uint64_t>();
     CG_EXPECT(pos_ + count * sizeof(T) <= data_.size());
     std::vector<T> values(count);
-    std::memcpy(values.data(), data_.data() + pos_, count * sizeof(T));
+    // An empty vector's data() may be null, and memcpy with null is UB even
+    // for zero bytes.
+    if (count > 0) std::memcpy(values.data(), data_.data() + pos_, count * sizeof(T));
     pos_ += count * sizeof(T);
     return values;
   }

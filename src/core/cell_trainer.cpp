@@ -52,9 +52,8 @@ CellTrainer::CellTrainer(const TrainingConfig& config, const evolve::Grid& grid,
       subpop_(grid.neighbors_of(cell_id).size()),
       subpop_ids_(grid.neighbors_of(cell_id)),
       mixture_(grid.subpopulation_size(cell_id)),
-      policy_(evolve::make_exchange_policy(
-          evolve::resolve_exchange_policy(config.exchange_policy), config.seed,
-          config.exchange_every)) {
+      policy_(evolve::make_exchange_policy(config.exchange_policy, config.seed,
+                                           config.exchange_every)) {
   CG_EXPECT(dataset.images.cols() == config_.arch.image_dim);
   feed_->reshuffle(rng_);
   evaluate_center_fitness();

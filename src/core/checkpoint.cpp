@@ -18,7 +18,9 @@ constexpr std::uint32_t kMagic = 0xCE11'6A17;  // "cell gan"
 // v4: TrainingConfig gained exchange_policy/exchange_every (population
 //     exchange seam), conditional and weight_clip (wasserstein + class-
 //     conditional training).
-constexpr std::uint32_t kVersion = 4;
+// v5: data_plane and exchange_policy are always concrete (the environment-
+//     resolved `auto` value 0 is gone).
+constexpr std::uint32_t kVersion = 5;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {

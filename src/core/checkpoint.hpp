@@ -33,8 +33,7 @@ class CheckpointWriteError : public std::runtime_error {
 /// another. Policies shape the whole population trajectory (which genomes
 /// moved where), so silently continuing under a different policy would
 /// produce a run that no policy could have generated — resuming refuses
-/// instead. Compared after env resolution, so `--exchange auto` resumes
-/// whatever CELLGAN_EXCHANGE names only if it matches the snapshot.
+/// instead.
 class CheckpointPolicyMismatchError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

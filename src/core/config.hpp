@@ -89,17 +89,15 @@ struct TrainingConfig {
   /// per-epoch records at all. Keeps unobserved runs free of record traffic.
   std::uint32_t forward_records = 0;
   /// Which data plane serves training batches: the legacy per-trainer
-  /// DataLoader or the shared SampleStore. kAuto defers to the
-  /// CELLGAN_DATA_PLANE environment variable (default legacy). Bit-identical
-  /// trajectories either way; broadcast so distributed slaves agree.
-  datastore::DataPlane data_plane = datastore::DataPlane::kAuto;
+  /// DataLoader or the shared SampleStore. Bit-identical trajectories either
+  /// way; broadcast so distributed slaves agree.
+  datastore::DataPlane data_plane = datastore::DataPlane::kLegacy;
   std::uint64_t seed = 42;
   /// How genomes/discriminators migrate between cells each epoch (cellular
-  /// neighborhoods, LTFB tournaments, GAP discriminator rotation). kAuto
-  /// defers to the CELLGAN_EXCHANGE environment variable (default cellular).
+  /// neighborhoods, LTFB tournaments, GAP discriminator rotation).
   /// Broadcast so all ranks run the identical policy; a checkpoint refuses to
-  /// resume under a different resolved policy (CheckpointPolicyMismatchError).
-  evolve::ExchangePolicyKind exchange_policy = evolve::ExchangePolicyKind::kAuto;
+  /// resume under a different policy (CheckpointPolicyMismatchError).
+  evolve::ExchangePolicyKind exchange_policy = evolve::ExchangePolicyKind::kCellular;
   /// Tournament/rotation cadence in epochs for ltfb/gap (cellular migrates
   /// every epoch regardless).
   std::uint32_t exchange_every = 1;

@@ -117,46 +117,18 @@ std::string registered_exchange_policy_names() {
   return joined;
 }
 
-namespace {
-
-/// The async transport only moves neighbor genomes, so policies that need a
-/// non-neighbor counterpart (ltfb tournaments, gap rotation) cannot run on
-/// it. Checked at parse time AND by Session::prepare (specs can arrive via
-/// from_text without a CLI in front).
-bool validate_exchange_combo(const TrainingConfig& config, std::string* error) {
-  const auto policy = evolve::resolve_exchange_policy(config.exchange_policy);
-  if (policy != evolve::ExchangePolicyKind::kCellular &&
+bool validate_exchange(const TrainingConfig& config, std::string* error) {
+  if (config.exchange_policy != evolve::ExchangePolicyKind::kCellular &&
       config.exchange_mode == ExchangeMode::kAsyncNeighbors) {
     if (error != nullptr) {
-      *error = std::string("exchange policy '") + evolve::to_string(policy) +
+      *error = std::string("exchange policy '") +
+               evolve::to_string(config.exchange_policy) +
                "' needs the allgather transport (async-neighbors only moves "
                "neighbor genomes)";
     }
     return false;
   }
   return true;
-}
-
-}  // namespace
-
-bool validate_exchange(const TrainingConfig& config, std::string* error) {
-  return validate_exchange_combo(config, error);
-}
-
-const char* to_string(TensorKernel kernel) {
-  switch (kernel) {
-    case TensorKernel::kAuto: return "auto";
-    case TensorKernel::kScalar: return "scalar";
-    case TensorKernel::kSimd: return "simd";
-  }
-  return "unknown";
-}
-
-std::optional<TensorKernel> tensor_kernel_from_string(std::string_view name) {
-  if (name == "auto") return TensorKernel::kAuto;
-  if (name == "scalar") return TensorKernel::kScalar;
-  if (name == "simd") return TensorKernel::kSimd;
-  return std::nullopt;
 }
 
 // --- DatasetSpec ------------------------------------------------------------
@@ -242,8 +214,7 @@ void RunSpec::add_flags(common::CliParser& cli, const RunSpec& defaults) {
   cli.add_flag("loss", to_string(defaults.config.loss_mode),
                "objective: heuristic | minimax | lsq | mustangs | wasserstein");
   cli.add_flag("exchange", evolve::to_string(defaults.config.exchange_policy),
-               "population-exchange policy: auto (CELLGAN_EXCHANGE/cellular) |"
-               " cellular | ltfb | gap");
+               "population-exchange policy: cellular | ltfb | gap");
   cli.add_flag("exchange-transport", to_string(defaults.config.exchange_mode),
                "genome transport: allgather | async-neighbors (cellular only)");
   cli.add_flag("exchange-every", std::to_string(defaults.config.exchange_every),
@@ -271,12 +242,11 @@ void RunSpec::add_flags(common::CliParser& cli, const RunSpec& defaults) {
                "use the paper's full-size MLPs (Table I); upgrade-only");
   cli.add_flag("cost-profile", to_string(defaults.cost_profile),
                "virtual-time calibration: none | table3 | table4");
-  cli.add_flag("tensor-kernel", to_string(defaults.tensor_kernel),
-               "tensor microkernels: auto (env/default) | scalar (bit-exact"
-               " reference) | simd (packed vectorized)");
+  cli.add_flag("tensor-kernel", tensor::to_string(defaults.tensor_kernel),
+               "tensor microkernels: scalar (bit-exact reference) | simd"
+               " (packed vectorized)");
   cli.add_flag("data-plane", datastore::to_string(defaults.config.data_plane),
-               "batch source: auto (CELLGAN_DATA_PLANE/legacy) | legacy"
-               " (per-trainer DataLoader) | store (shared"
+               "batch source: legacy (per-trainer DataLoader) | store (shared"
                " SampleStore); bit-identical trajectories");
   cli.add_flag("eval-every", std::to_string(defaults.observers.eval_every),
                "compute IS/FID/mode coverage every N epochs (0 = off; needs a"
@@ -434,10 +404,10 @@ std::optional<RunSpec> RunSpec::from_cli(const common::CliParser& cli,
     spec.cost_profile = *kind;
   }
   if (cli.was_set("tensor-kernel")) {
-    const auto kernel = tensor_kernel_from_string(cli.get("tensor-kernel"));
+    const auto kernel = tensor::kernel_kind_from_string(cli.get("tensor-kernel"));
     if (!kernel) {
-      std::fprintf(stderr, "unknown tensor kernel '%s' (want auto | scalar |"
-                   " simd)\n", cli.get("tensor-kernel").c_str());
+      std::fprintf(stderr, "unknown tensor kernel '%s' (want scalar | simd)\n",
+                   cli.get("tensor-kernel").c_str());
       return std::nullopt;
     }
     spec.tensor_kernel = *kernel;
@@ -445,8 +415,8 @@ std::optional<RunSpec> RunSpec::from_cli(const common::CliParser& cli,
   if (cli.was_set("data-plane")) {
     const auto plane = datastore::data_plane_from_string(cli.get("data-plane"));
     if (!plane) {
-      std::fprintf(stderr, "unknown data plane '%s' (want auto | legacy |"
-                   " store)\n", cli.get("data-plane").c_str());
+      std::fprintf(stderr, "unknown data plane '%s' (want legacy | store)\n",
+                   cli.get("data-plane").c_str());
       return std::nullopt;
     }
     spec.config.data_plane = *plane;
@@ -712,7 +682,7 @@ std::string RunSpec::to_text() const {
   append_escaped(dataset_text, dataset.to_text());
   out << "  \"dataset\": " << dataset_text << ",\n";
   out << "  \"cost_profile\": \"" << to_string(cost_profile) << "\",\n";
-  out << "  \"tensor_kernel\": \"" << to_string(tensor_kernel) << "\",\n";
+  out << "  \"tensor_kernel\": \"" << tensor::to_string(tensor_kernel) << "\",\n";
   out << "  \"observers\": {\n";
   out << "    \"eval_every\": " << observers.eval_every << ",\n";
   out << "    \"eval_samples\": " << observers.eval_samples << ",\n";
@@ -809,7 +779,7 @@ std::optional<RunSpec> RunSpec::from_text(const std::string& text,
     }
     if (key == "tensor_kernel") {
       if (!r.read_string(value)) return false;
-      const auto kernel = tensor_kernel_from_string(value);
+      const auto kernel = tensor::kernel_kind_from_string(value);
       if (!kernel) return r.fail("unknown tensor_kernel '" + value + "'");
       spec.tensor_kernel = *kernel;
       return true;

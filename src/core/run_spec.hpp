@@ -22,6 +22,7 @@
 
 #include "common/cli.hpp"
 #include "core/config.hpp"
+#include "tensor/kernels.hpp"
 
 namespace cellgan::core {
 
@@ -71,15 +72,6 @@ std::string registered_exchange_policy_names();
 /// On failure fills `error` with a named diagnostic. Called by from_cli and
 /// Session::prepare (specs can arrive via from_text without a CLI in front).
 bool validate_exchange(const TrainingConfig& config, std::string* error);
-
-/// Which tensor microkernel implementation the run executes on (the seam in
-/// tensor/kernels.hpp). kAuto keeps the process default — the
-/// CELLGAN_TENSOR_KERNEL environment variable, or simd when unset; the two
-/// explicit choices pin the kind process-wide when the Session prepares.
-enum class TensorKernel : std::uint32_t { kAuto = 0, kScalar = 1, kSimd = 2 };
-
-const char* to_string(TensorKernel kernel);
-std::optional<TensorKernel> tensor_kernel_from_string(std::string_view name);
 
 /// Where the training data comes from. Text grammar (the `--dataset` flag):
 ///   synthetic              procedural stand-in, keeping the program's
@@ -135,11 +127,12 @@ struct RunSpec {
   std::size_t threads = 2;  ///< worker lanes for Backend::kThreads
   DatasetSpec dataset;
   CostProfileKind cost_profile = CostProfileKind::kNone;
-  /// Tensor microkernel selection (`--tensor-kernel`): auto | scalar | simd.
-  /// scalar is the bit-exact seed-identical reference; simd is the packed
-  /// vectorized path (deterministic per kind, may differ from scalar in
-  /// low-order GEMM bits).
-  TensorKernel tensor_kernel = TensorKernel::kAuto;
+  /// Tensor microkernel the run executes on (`--tensor-kernel`: scalar |
+  /// simd; the seam in tensor/kernels.hpp), pinned process-wide when the
+  /// Session prepares. scalar is the bit-exact seed-identical reference; simd
+  /// is the packed vectorized path (deterministic per kind, may differ from
+  /// scalar in low-order GEMM bits).
+  tensor::KernelKind tensor_kernel = tensor::KernelKind::kSimd;
   ObserverSpec observers;
   /// When non-empty, Session::run() writes the unified RunResult as JSON here.
   std::string result_json;

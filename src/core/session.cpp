@@ -332,14 +332,8 @@ bool Session::prepare() {
 
   // Pin the tensor microkernel kind before anything computes (the cost-model
   // calibration probe below runs real kernels). The selection is
-  // process-wide — the kernels are a global seam — so an explicit spec choice
-  // wins over the CELLGAN_TENSOR_KERNEL environment default; kAuto touches
-  // nothing.
-  if (spec_.tensor_kernel != TensorKernel::kAuto) {
-    tensor::set_kernel_kind(spec_.tensor_kernel == TensorKernel::kScalar
-                                ? tensor::KernelKind::kScalar
-                                : tensor::KernelKind::kSimd);
-  }
+  // process-wide — the kernels are a global seam.
+  tensor::set_kernel_kind(spec_.tensor_kernel);
 
   // 0. Derive the genome-record cadences the spec's observers need: records
   // carry genomes on epochs matching either config divisor, so each
@@ -512,8 +506,7 @@ RunResult Session::run() {
   RunResult result = backend->run();
   // Publish the data plane's state when the run read through the store;
   // legacy-plane runs skip the event entirely.
-  if (datastore::resolve_data_plane(spec_.config.data_plane) ==
-      datastore::DataPlane::kStore) {
+  if (spec_.config.data_plane == datastore::DataPlane::kStore) {
     observers_.data_store(DataStoreRecord{datastore::stats().snapshot().bytes_mapped});
   }
   // Harvest the final metric snapshot from whichever evaluator subscribed.

@@ -119,16 +119,13 @@ void TrainerCore::restore(const Checkpoint& snapshot) {
   CG_EXPECT(snapshot.centers.size() == cells_.size());
   CG_EXPECT(snapshot.config.arch == config_.arch);
   // A snapshot trained under one exchange policy must not silently continue
-  // under another (compared after env resolution, so `auto` has a concrete
-  // meaning on both sides).
-  const auto snapshot_policy =
-      evolve::resolve_exchange_policy(snapshot.config.exchange_policy);
-  const auto run_policy = evolve::resolve_exchange_policy(config_.exchange_policy);
-  if (snapshot_policy != run_policy) {
+  // under another.
+  if (snapshot.config.exchange_policy != config_.exchange_policy) {
     throw CheckpointPolicyMismatchError(
         std::string("checkpoint was written under exchange policy '") +
-        evolve::to_string(snapshot_policy) + "' but this run uses '" +
-        evolve::to_string(run_policy) + "'");
+        evolve::to_string(snapshot.config.exchange_policy) +
+        "' but this run uses '" + evolve::to_string(config_.exchange_policy) +
+        "'");
   }
   for (std::size_t cell = 0; cell < cells_.size(); ++cell) {
     const auto& mixture = cell < snapshot.mixtures.size()

@@ -98,7 +98,8 @@ bool read_idx_labels(const std::string& path, std::vector<std::uint8_t>& out) {
     return false;
   }
   out.resize(count);
-  return std::fread(out.data(), 1, count, f.get()) == count;
+  // fread/fwrite take nonnull buffers, and an empty vector's data() may be null.
+  return count == 0 || std::fread(out.data(), 1, count, f.get()) == count;
 }
 
 bool write_idx_images(const std::string& path, const IdxImages& images) {
@@ -108,8 +109,9 @@ bool write_idx_images(const std::string& path, const IdxImages& images) {
       !write_u32_be(f.get(), images.rows) || !write_u32_be(f.get(), images.cols)) {
     return false;
   }
-  return std::fwrite(images.pixels.data(), 1, images.pixels.size(), f.get()) ==
-         images.pixels.size();
+  return images.pixels.empty() ||
+         std::fwrite(images.pixels.data(), 1, images.pixels.size(), f.get()) ==
+             images.pixels.size();
 }
 
 bool write_idx_labels(const std::string& path, const std::vector<std::uint8_t>& labels) {
@@ -119,7 +121,8 @@ bool write_idx_labels(const std::string& path, const std::vector<std::uint8_t>& 
       !write_u32_be(f.get(), static_cast<std::uint32_t>(labels.size()))) {
     return false;
   }
-  return std::fwrite(labels.data(), 1, labels.size(), f.get()) == labels.size();
+  return labels.empty() ||
+         std::fwrite(labels.data(), 1, labels.size(), f.get()) == labels.size();
 }
 
 }  // namespace cellgan::data

@@ -47,8 +47,7 @@ std::vector<std::uint32_t> StoreFeed::batch_labels(std::size_t index) const {
 
 std::unique_ptr<BatchFeed> make_feed(DataPlane plane, const data::Dataset& dataset,
                                      std::size_t batch_size) {
-  const DataPlane resolved = resolve_data_plane(plane);
-  if (resolved == DataPlane::kStore) {
+  if (plane == DataPlane::kStore) {
     auto store = SampleStore::for_dataset(dataset);
     CG_EXPECT(store->sample_dim() == dataset.images.cols());
     return std::make_unique<StoreFeed>(std::move(store), batch_size, dataset.labels);

@@ -1,7 +1,7 @@
 // BatchFeed — the seam between training loops and the data plane.
 //
 // CellTrainer consumes batches through this interface; which plane serves
-// them is a RunSpec/env switch (see data_plane.hpp):
+// them is TrainingConfig::data_plane (see data_plane.hpp):
 //
 //   * LegacyFeed forwards to data::DataLoader — byte-for-byte the historical
 //     path, the parity baseline.
@@ -99,8 +99,8 @@ class StoreFeed final : public BatchFeed {
   std::vector<std::uint32_t> labels_;
 };
 
-/// Build the feed `plane` selects (resolving kAuto via CELLGAN_DATA_PLANE).
-/// Store feeds intern the process-wide SampleStore for `dataset`.
+/// Build the feed `plane` selects. Store feeds intern the process-wide
+/// SampleStore for `dataset`.
 std::unique_ptr<BatchFeed> make_feed(DataPlane plane, const data::Dataset& dataset,
                                      std::size_t batch_size);
 

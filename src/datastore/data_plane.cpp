@@ -1,13 +1,9 @@
 #include "datastore/data_plane.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace cellgan::datastore {
 
 const char* to_string(DataPlane plane) {
   switch (plane) {
-    case DataPlane::kAuto: return "auto";
     case DataPlane::kLegacy: return "legacy";
     case DataPlane::kStore: return "store";
   }
@@ -15,26 +11,9 @@ const char* to_string(DataPlane plane) {
 }
 
 std::optional<DataPlane> data_plane_from_string(std::string_view name) {
-  if (name == "auto") return DataPlane::kAuto;
   if (name == "legacy") return DataPlane::kLegacy;
   if (name == "store") return DataPlane::kStore;
   return std::nullopt;
-}
-
-DataPlane resolve_data_plane(DataPlane requested) {
-  if (requested != DataPlane::kAuto) return requested;
-  static const DataPlane env_default = [] {
-    const char* env = std::getenv("CELLGAN_DATA_PLANE");
-    if (env == nullptr || *env == '\0') return DataPlane::kLegacy;
-    const auto parsed = data_plane_from_string(env);
-    if (parsed.has_value() && *parsed != DataPlane::kAuto) return *parsed;
-    std::fprintf(stderr,
-                 "warning: CELLGAN_DATA_PLANE='%s' is not legacy|store; "
-                 "using legacy\n",
-                 env);
-    return DataPlane::kLegacy;
-  }();
-  return env_default;
 }
 
 }  // namespace cellgan::datastore

@@ -3,11 +3,8 @@
 // kLegacy is the original per-cell data::DataLoader path; kStore routes
 // batches through the shared SampleStore, staged on the drawing lane. The two are
 // bit-identical by construction (same shuffle, same normalization, same
-// gather), so the switch is a pure performance seam — mirrored on
-// RunSpec/TrainingConfig the way TensorKernel mirrors the microkernel seam.
-// kAuto defers to the CELLGAN_DATA_PLANE environment variable (legacy when
-// unset), which is how CI forces the whole tier-1 bed through the store path
-// without touching any test.
+// gather), so the switch is a pure performance seam, selected per run by
+// TrainingConfig::data_plane (`--data-plane`, default legacy).
 #pragma once
 
 #include <cstdint>
@@ -16,14 +13,10 @@
 
 namespace cellgan::datastore {
 
-enum class DataPlane : std::uint32_t { kAuto = 0, kLegacy = 1, kStore = 2 };
+/// Values are checkpoint bytes (TrainingConfig serialization); 0 is unused.
+enum class DataPlane : std::uint32_t { kLegacy = 1, kStore = 2 };
 
 const char* to_string(DataPlane plane);
 std::optional<DataPlane> data_plane_from_string(std::string_view name);
-
-/// Resolve kAuto against the process environment (CELLGAN_DATA_PLANE=legacy|
-/// store; unset or unparsable -> legacy, with a one-time warning on garbage).
-/// Explicit choices pass through untouched.
-DataPlane resolve_data_plane(DataPlane requested);
 
 }  // namespace cellgan::datastore

@@ -1,8 +1,6 @@
 #include "evolve/exchange.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <numeric>
 
 #include "common/expect.hpp"
@@ -12,7 +10,6 @@ namespace cellgan::evolve {
 
 const char* to_string(ExchangePolicyKind kind) {
   switch (kind) {
-    case ExchangePolicyKind::kAuto: return "auto";
     case ExchangePolicyKind::kCellular: return "cellular";
     case ExchangePolicyKind::kLtfb: return "ltfb";
     case ExchangePolicyKind::kGap: return "gap";
@@ -21,7 +18,6 @@ const char* to_string(ExchangePolicyKind kind) {
 }
 
 std::optional<ExchangePolicyKind> exchange_policy_from_string(std::string_view name) {
-  if (name == "auto") return ExchangePolicyKind::kAuto;
   if (name == "cellular") return ExchangePolicyKind::kCellular;
   if (name == "ltfb") return ExchangePolicyKind::kLtfb;
   if (name == "gap") return ExchangePolicyKind::kGap;
@@ -30,22 +26,6 @@ std::optional<ExchangePolicyKind> exchange_policy_from_string(std::string_view n
 
 std::vector<std::string> exchange_policy_names() {
   return {"cellular", "ltfb", "gap"};
-}
-
-ExchangePolicyKind resolve_exchange_policy(ExchangePolicyKind requested) {
-  if (requested != ExchangePolicyKind::kAuto) return requested;
-  static const ExchangePolicyKind env_default = [] {
-    const char* env = std::getenv("CELLGAN_EXCHANGE");
-    if (env == nullptr || *env == '\0') return ExchangePolicyKind::kCellular;
-    const auto parsed = exchange_policy_from_string(env);
-    if (parsed.has_value() && *parsed != ExchangePolicyKind::kAuto) return *parsed;
-    std::fprintf(stderr,
-                 "warning: CELLGAN_EXCHANGE='%s' is not cellular|ltfb|gap; "
-                 "using cellular\n",
-                 env);
-    return ExchangePolicyKind::kCellular;
-  }();
-  return env_default;
 }
 
 std::vector<int> ltfb_pairing(std::uint64_t seed, int cells, std::uint64_t round) {
@@ -320,9 +300,8 @@ std::unique_ptr<ExchangePolicy> make_exchange_policy(ExchangePolicyKind kind,
     case ExchangePolicyKind::kLtfb:
       return std::make_unique<LtfbPolicy>(seed, every);
     case ExchangePolicyKind::kGap: return std::make_unique<GapPolicy>(every);
-    case ExchangePolicyKind::kAuto: break;
   }
-  CG_EXPECT(!"make_exchange_policy: resolve kAuto before construction");
+  CG_EXPECT(!"make_exchange_policy: unknown policy kind");
   return nullptr;
 }
 

@@ -36,8 +36,8 @@
 
 namespace cellgan::evolve {
 
+/// Values are checkpoint bytes (TrainingConfig serialization); 0 is unused.
 enum class ExchangePolicyKind : std::uint32_t {
-  kAuto = 0,      ///< defer to CELLGAN_EXCHANGE (cellular when unset)
   kCellular = 1,
   kLtfb = 2,
   kGap = 3,
@@ -45,19 +45,13 @@ enum class ExchangePolicyKind : std::uint32_t {
 
 const char* to_string(ExchangePolicyKind kind);
 
-/// Parse a registered policy name ("cellular" | "ltfb" | "gap", plus "auto");
-/// nullopt for anything else.
+/// Parse a registered policy name ("cellular" | "ltfb" | "gap"); nullopt for
+/// anything else.
 std::optional<ExchangePolicyKind> exchange_policy_from_string(std::string_view name);
 
 /// The registered policy names, for CLI validation messages and
 /// `cellgan_run --list-exchanges`.
 std::vector<std::string> exchange_policy_names();
-
-/// Resolve kAuto against the process environment (CELLGAN_EXCHANGE=cellular|
-/// ltfb|gap; unset or unparsable -> cellular, with a one-time warning on
-/// garbage). Explicit choices pass through untouched — mirrors
-/// datastore::resolve_data_plane.
-ExchangePolicyKind resolve_exchange_policy(ExchangePolicyKind requested);
 
 /// Sub-stream id the LTFB pairing RNG forks off the run seed. Cells fork
 /// their private streams at ids 0..cells-1, so this keeps the pairing stream
@@ -136,9 +130,8 @@ class ExchangePolicy {
   virtual void restore_state(common::ByteReader& reader);
 };
 
-/// Construct a policy. `kind` must be concrete (resolve kAuto first);
-/// `exchange_every` is the tournament/rotation cadence in epochs (>= 1,
-/// ignored by cellular).
+/// Construct a policy. `exchange_every` is the tournament/rotation cadence in
+/// epochs (>= 1, ignored by cellular).
 std::unique_ptr<ExchangePolicy> make_exchange_policy(ExchangePolicyKind kind,
                                                      std::uint64_t seed,
                                                      std::uint32_t exchange_every);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/aligned.hpp"
@@ -47,36 +45,13 @@ std::optional<KernelKind> kernel_kind_from_string(std::string_view name) {
 
 namespace {
 
-KernelKind env_default_kind() {
-  const char* env = std::getenv("CELLGAN_TENSOR_KERNEL");
-  if (env == nullptr || *env == '\0') return KernelKind::kSimd;
-  const auto kind = kernel_kind_from_string(env);
-  if (!kind) {
-    std::fprintf(stderr,
-                 "warning: CELLGAN_TENSOR_KERNEL='%s' is not scalar|simd; "
-                 "using simd\n",
-                 env);
-    return KernelKind::kSimd;
-  }
-  return *kind;
-}
-
-std::atomic<KernelKind>& kind_state() {
-  // Magic static so the env read happens on first use, whatever the TU
-  // initialization order.
-  static std::atomic<KernelKind> state{env_default_kind()};
-  return state;
-}
+std::atomic<KernelKind> g_kind{KernelKind::kSimd};
 
 }  // namespace
 
-KernelKind active_kernel_kind() {
-  return kind_state().load(std::memory_order_relaxed);
-}
+KernelKind active_kernel_kind() { return g_kind.load(std::memory_order_relaxed); }
 
-void set_kernel_kind(KernelKind kind) {
-  kind_state().store(kind, std::memory_order_relaxed);
-}
+void set_kernel_kind(KernelKind kind) { g_kind.store(kind, std::memory_order_relaxed); }
 
 namespace kernels {
 

@@ -15,11 +15,10 @@
 //    differ from scalar by accumulation order (FMA + vector-lane sums); the
 //    kernel_parity suite bounds the drift.
 //
-// Selection: CELLGAN_TENSOR_KERNEL=scalar|simd in the environment sets the
-// process default (unset -> simd); set_kernel_kind() — reachable through
-// RunSpec::tensor_kernel / `--tensor-kernel` — overrides it at runtime.
-// Whatever the kind, results are deterministic for a fixed kind and
-// independent of how rows are split: row-range GEMM accumulates every output
+// Selection: the process starts on kSimd; set_kernel_kind() switches it, and
+// Session::prepare applies RunSpec::tensor_kernel (`--tensor-kernel`) that
+// way, so the spec alone decides a run's kind. Results are deterministic
+// for a fixed kind and independent of how rows are split: row-range GEMM accumulates every output
 // element in an order that does not depend on the range (serve batching
 // relies on this to stay bit-identical to solo draws).
 //
@@ -43,9 +42,9 @@ enum class KernelKind : std::uint32_t {
 const char* to_string(KernelKind kind);
 std::optional<KernelKind> kernel_kind_from_string(std::string_view name);
 
-/// Currently selected kernel kind (env default until set_kernel_kind).
+/// Currently selected kernel kind (kSimd until set_kernel_kind).
 KernelKind active_kernel_kind();
-/// Select the kernel kind process-wide (overrides CELLGAN_TENSOR_KERNEL).
+/// Select the kernel kind process-wide.
 void set_kernel_kind(KernelKind kind);
 
 /// Name of the vector instruction set the kSimd path engages on this

@@ -2,13 +2,13 @@
 //
 // GEMM variants cover forward (A*B), weight gradients (A^T*B) and input
 // gradients (A*B^T) so layers never materialize transposes. Ops report
-// their flop counts (see flops.hpp) and parallelize across the process
-// thread pool — the shared-memory level of the paper's two-level model.
+// their flop counts (see flops.hpp) and run on the calling thread; the
+// shared-memory level of the paper's two-level model is the cell lanes.
 //
 // The inner loops live behind the microkernel seam in tensor/kernels.hpp:
 // a scalar bit-exact reference and a packed-panel SIMD implementation,
-// selected at runtime (CELLGAN_TENSOR_KERNEL=scalar|simd, or
-// RunSpec::tensor_kernel through the Session). This header's contracts are
+// selected at runtime (set_kernel_kind, which the Session calls with
+// RunSpec::tensor_kernel). This header's contracts are
 // kind-independent; only GEMM accumulation order (and so low-order float
 // bits) may differ between kinds.
 #pragma once

@@ -68,8 +68,7 @@ TEST_F(CellFixture, NeighborGenomesAreInstalled) {
 }
 
 TEST_F(CellFixture, SelectionAdoptsStrictlyBetterNeighborCenter) {
-  // Pins the CELLULAR policy's selection rule: explicit so a
-  // CELLGAN_EXCHANGE override cannot swap the policy under the test.
+  // Pins the CELLULAR policy's selection rule.
   config.exchange_policy = evolve::ExchangePolicyKind::kCellular;
   evolve::Grid grid(3, 3);
   CellTrainer cell = make_cell(grid, 0);

@@ -175,7 +175,7 @@ TEST(RunSpecTest, PaperArchFlag) {
 
 TEST(RunSpecTest, DataPlaneFlagAndTextRoundTrip) {
   RunSpec defaults;
-  EXPECT_EQ(defaults.config.data_plane, datastore::DataPlane::kAuto);
+  EXPECT_EQ(defaults.config.data_plane, datastore::DataPlane::kLegacy);
   const auto store = parse_args({"--data-plane", "store"}, defaults);
   ASSERT_TRUE(store.has_value());
   EXPECT_EQ(store->config.data_plane, datastore::DataPlane::kStore);
@@ -217,10 +217,34 @@ TEST(RunSpecTest, BadValuesAreRejected) {
   EXPECT_FALSE(parse_args({"--dieting", "nan"}, defaults).has_value());
 }
 
+TEST(RunSpecTest, AutoSelectionValuesAreRejected) {
+  // Planes, policies and kernels are always named explicitly: `auto` is not
+  // a value of any of them, in flags or in the JSON text form.
+  RunSpec defaults;
+  EXPECT_FALSE(parse_args({"--data-plane", "auto"}, defaults).has_value());
+  EXPECT_FALSE(parse_args({"--exchange", "auto"}, defaults).has_value());
+  EXPECT_FALSE(parse_args({"--tensor-kernel", "auto"}, defaults).has_value());
+  std::string error;
+  EXPECT_FALSE(
+      RunSpec::from_text("{\"config\": {\"data_plane\": \"auto\"}}", &error).has_value());
+  EXPECT_NE(error.find("unknown data_plane 'auto'"), std::string::npos) << error;
+  EXPECT_FALSE(RunSpec::from_text("{\"config\": {\"exchange_policy\": \"auto\"}}", &error)
+                   .has_value());
+  EXPECT_NE(error.find("unknown exchange_policy 'auto'"), std::string::npos) << error;
+  EXPECT_FALSE(RunSpec::from_text("{\"tensor_kernel\": \"auto\"}", &error).has_value());
+  EXPECT_NE(error.find("unknown tensor_kernel 'auto'"), std::string::npos) << error;
+
+  // The defaults print as the concrete names they run.
+  const std::string text = defaults.to_text();
+  EXPECT_NE(text.find("\"tensor_kernel\": \"simd\""), std::string::npos) << text;
+  EXPECT_NE(text.find("\"data_plane\": \"legacy\""), std::string::npos) << text;
+  EXPECT_NE(text.find("\"exchange_policy\": \"cellular\""), std::string::npos) << text;
+}
+
 TEST(RunSpecTest, ExchangePolicyFlagsParse) {
   RunSpec defaults;
   defaults.config = TrainingConfig::tiny();
-  EXPECT_EQ(defaults.config.exchange_policy, evolve::ExchangePolicyKind::kAuto);
+  EXPECT_EQ(defaults.config.exchange_policy, evolve::ExchangePolicyKind::kCellular);
   const auto spec = parse_args(
       {"--exchange", "ltfb", "--exchange-every", "3", "--loss", "wasserstein",
        "--conditional", "true", "--weight-clip", "0.05"},
@@ -268,7 +292,7 @@ TEST(RunSpecTest, NonCellularPolicyRejectsAsyncTransport) {
   EXPECT_FALSE(parse_args({"--exchange", "gap", "--exchange-transport", "async"},
                           defaults)
                    .has_value());
-  // Cellular (and auto, which resolves to it here) stays fine on async.
+  // Cellular stays fine on async.
   const auto ok = parse_args({"--exchange", "cellular", "--exchange-transport",
                               "async-neighbors"},
                              defaults);

@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <iterator>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/config.hpp"
 #include "data/dataloader.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "datastore/batch_feed.hpp"
@@ -104,6 +106,16 @@ TEST(StoreFeedTest, MakeFeedResolvesPlanes) {
   for (std::size_t i = 0; i < store->batches_per_epoch(); ++i) {
     expect_same_tensor(store->batch(i), legacy->batch(i));
   }
+}
+
+TEST(StoreFeedTest, EnvironmentDoesNotChooseThePlane) {
+  // A default config trains on the legacy plane whatever the environment
+  // says; only TrainingConfig::data_plane selects.
+  ::setenv("CELLGAN_DATA_PLANE", "store", 1);
+  const data::Dataset dataset = data::make_synthetic_mnist(24, 29);
+  EXPECT_EQ(make_feed(core::TrainingConfig{}.data_plane, dataset, 8)->plane(),
+            DataPlane::kLegacy);
+  ::unsetenv("CELLGAN_DATA_PLANE");
 }
 
 std::size_t live_threads() {

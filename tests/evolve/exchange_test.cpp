@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/serialize.hpp"
+#include "core/config.hpp"
 
 namespace cellgan::evolve {
 namespace {
@@ -83,25 +85,29 @@ std::vector<std::vector<std::uint8_t>> gather(
 
 TEST(ExchangeRegistryTest, NamesRoundTripAndListRegistered) {
   for (const auto kind : {ExchangePolicyKind::kCellular, ExchangePolicyKind::kLtfb,
-                          ExchangePolicyKind::kGap, ExchangePolicyKind::kAuto}) {
+                          ExchangePolicyKind::kGap}) {
     const auto parsed = exchange_policy_from_string(to_string(kind));
     ASSERT_TRUE(parsed.has_value()) << to_string(kind);
     EXPECT_EQ(*parsed, kind);
   }
   EXPECT_FALSE(exchange_policy_from_string("ring").has_value());
+  EXPECT_FALSE(exchange_policy_from_string("auto").has_value());
   EXPECT_FALSE(exchange_policy_from_string("").has_value());
-  // The registered set the CLI diagnostics print ("auto" is a resolution
-  // mode, not a policy, so it is not listed).
+  // The registered set the CLI diagnostics print.
   EXPECT_EQ(exchange_policy_names(),
             (std::vector<std::string>{"cellular", "ltfb", "gap"}));
 }
 
-TEST(ExchangeRegistryTest, ExplicitKindsPassThroughResolution) {
-  // Only kAuto consults the environment; explicit choices are untouched.
-  for (const auto kind : {ExchangePolicyKind::kCellular, ExchangePolicyKind::kLtfb,
-                          ExchangePolicyKind::kGap}) {
-    EXPECT_EQ(resolve_exchange_policy(kind), kind);
-  }
+TEST(ExchangeRegistryTest, EnvironmentDoesNotChooseThePolicy) {
+  // A default config runs the cellular policy whatever the environment says;
+  // only TrainingConfig::exchange_policy selects.
+  ::setenv("CELLGAN_EXCHANGE", "ltfb", 1);
+  const core::TrainingConfig config;
+  const auto policy =
+      make_exchange_policy(config.exchange_policy, config.seed, config.exchange_every);
+  ASSERT_NE(policy, nullptr);
+  EXPECT_EQ(policy->kind(), ExchangePolicyKind::kCellular);
+  ::unsetenv("CELLGAN_EXCHANGE");
 }
 
 TEST(ExchangeRegistryTest, FactoryBuildsEveryRegisteredPolicy) {

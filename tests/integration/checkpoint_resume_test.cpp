@@ -9,6 +9,7 @@
 #include "core/checkpoint.hpp"
 #include "core/distributed_trainer.hpp"
 #include "core/workload.hpp"
+#include "testsupport/kind_guard.hpp"
 #include "testsupport/sequential.hpp"
 #include "testsupport/temp_dir.hpp"
 
@@ -40,20 +41,24 @@ TEST(CheckpointResumeTest, SnapshotCapturesTrainedState) {
 TEST(CheckpointResumeTest, RestoreReproducesCentersExactly) {
   const TrainingConfig config = test_config();
   const auto dataset = make_matched_dataset(config, 100, 32);
-  auto original = testsupport::sequential_trainer(config, dataset);
-  (void)original.run();
-  const Checkpoint snapshot = original.checkpoint();
+  for (const tensor::KernelKind kind : testsupport::kAllKernelKinds) {
+    SCOPED_TRACE(tensor::to_string(kind));
+    const testsupport::KindGuard guard(kind);
+    auto original = testsupport::sequential_trainer(config, dataset);
+    (void)original.run();
+    const Checkpoint snapshot = original.checkpoint();
 
-  auto resumed = testsupport::sequential_trainer(config, dataset);
-  resumed.restore(snapshot);
-  for (int cell = 0; cell < 4; ++cell) {
-    EXPECT_EQ(resumed.cell(cell).center_genome().generator_params,
-              original.cell(cell).center_genome().generator_params);
-    EXPECT_DOUBLE_EQ(resumed.cell(cell).g_learning_rate(),
-                     original.cell(cell).g_learning_rate());
-    EXPECT_EQ(resumed.cell(cell).iteration(), original.cell(cell).iteration());
-    EXPECT_EQ(resumed.cell(cell).mixture().weights(),
-              original.cell(cell).mixture().weights());
+    auto resumed = testsupport::sequential_trainer(config, dataset);
+    resumed.restore(snapshot);
+    for (int cell = 0; cell < 4; ++cell) {
+      EXPECT_EQ(resumed.cell(cell).center_genome().generator_params,
+                original.cell(cell).center_genome().generator_params);
+      EXPECT_DOUBLE_EQ(resumed.cell(cell).g_learning_rate(),
+                       original.cell(cell).g_learning_rate());
+      EXPECT_EQ(resumed.cell(cell).iteration(), original.cell(cell).iteration());
+      EXPECT_EQ(resumed.cell(cell).mixture().weights(),
+                original.cell(cell).mixture().weights());
+    }
   }
 }
 

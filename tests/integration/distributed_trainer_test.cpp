@@ -117,9 +117,6 @@ TEST(DistributedTrainerTest, HeartbeatDisabledStillCompletes) {
 TEST(DistributedTrainerTest, AsyncExchangeModeCompletes) {
   TrainingConfig config = small_config(3, 4);
   config.exchange_mode = ExchangeMode::kAsyncNeighbors;
-  // Async transport only carries neighbor genomes: pin the cellular policy so
-  // a CELLGAN_EXCHANGE override cannot pick one that needs more.
-  config.exchange_policy = evolve::ExchangePolicyKind::kCellular;
   const auto dataset = make_matched_dataset(config, 100, 10);
   const DistributedOutcome outcome = run_distributed(config, dataset);
   ASSERT_EQ(outcome.master.results.size(), 9u);
@@ -134,7 +131,6 @@ TEST(DistributedTrainerTest, AsyncExchangeStillSpreadsGenomes) {
   // (update_genomes calls > 0 on every slave's profiler).
   TrainingConfig config = small_config(2, 6);
   config.exchange_mode = ExchangeMode::kAsyncNeighbors;
-  config.exchange_policy = evolve::ExchangePolicyKind::kCellular;
   const auto dataset = make_matched_dataset(config, 100, 11);
   const DistributedOutcome outcome = run_distributed(config, dataset);
   for (std::size_t r = 1; r < outcome.ranks.size(); ++r) {

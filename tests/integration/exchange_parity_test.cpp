@@ -27,7 +27,7 @@ TrainingConfig policy_config(evolve::ExchangePolicyKind policy) {
   config.grid_rows = 1;
   config.grid_cols = 2;
   config.iterations = 3;
-  config.exchange_policy = policy;  // explicit: CELLGAN_EXCHANGE must not leak in
+  config.exchange_policy = policy;
   config.exchange_every = 1;
   return config;
 }

@@ -14,6 +14,7 @@
 #include <memory>
 
 #include "core/workload.hpp"
+#include "testsupport/kind_guard.hpp"
 #include "testsupport/sequential.hpp"
 
 namespace cellgan::core {
@@ -41,14 +42,19 @@ void expect_bit_identical(const TrainOutcome& a, const TrainOutcome& b,
 TEST(ParallelTrainerTest, DeterministicAcrossThreadCounts2x2) {
   const TrainingConfig config = small_config(2, 3);
   const auto dataset = make_matched_dataset(config, 100, 21);
-  auto seq = testsupport::sequential_trainer(config, dataset);
-  const TrainOutcome reference = seq.run();
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    ParallelTrainer par(config, dataset, threads);
-    const TrainOutcome outcome = par.run();
-    expect_bit_identical(reference, outcome,
-                         threads == 1 ? "1 thread" : threads == 2 ? "2 threads"
-                                                                  : "4 threads");
+  for (const tensor::KernelKind kind : testsupport::kAllKernelKinds) {
+    SCOPED_TRACE(tensor::to_string(kind));
+    const testsupport::KindGuard guard(kind);
+    auto seq = testsupport::sequential_trainer(config, dataset);
+    const TrainOutcome reference = seq.run();
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      ParallelTrainer par(config, dataset, threads);
+      const TrainOutcome outcome = par.run();
+      expect_bit_identical(reference, outcome,
+                           threads == 1   ? "1 thread"
+                           : threads == 2 ? "2 threads"
+                                          : "4 threads");
+    }
   }
 }
 

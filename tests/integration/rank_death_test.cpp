@@ -154,9 +154,6 @@ TEST(RankDeathTest, RecoveryDisabledUnderAsyncExchangeStillCompletes) {
   // break parity — and the run itself proceeds untouched.
   TrainingConfig config = recovery_config();
   config.exchange_mode = ExchangeMode::kAsyncNeighbors;
-  // Async transport only carries neighbor genomes: pin the cellular policy so
-  // a CELLGAN_EXCHANGE override cannot pick one that needs more.
-  config.exchange_policy = evolve::ExchangePolicyKind::kCellular;
   const auto dataset = make_matched_dataset(config, 64, 21);
   testsupport::TempDir dir("rank-death-async");
 

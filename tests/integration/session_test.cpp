@@ -14,6 +14,7 @@
 #include "core/parallel_trainer.hpp"
 #include "core/workload.hpp"
 #include "data/idx.hpp"
+#include "testsupport/kind_guard.hpp"
 #include "testsupport/sequential.hpp"
 #include "testsupport/temp_dir.hpp"
 
@@ -111,21 +112,27 @@ TEST(SessionTest, DistributedBackendBitIdenticalToLegacy) {
 
 TEST(SessionTest, AllBackendsAgreeOnFitnesses) {
   // The cross-backend guarantee behind the whole facade: same spec, same
-  // final fitness trajectory, whichever vehicle executed it.
-  const RunSpec base = small_spec(Backend::kSequential, 2, 2);
-  Session sequential(base);
-  const RunResult reference = sequential.run();
-  for (const Backend backend : {Backend::kThreads, Backend::kDistributed}) {
-    RunSpec spec = base;
-    spec.backend = backend;
-    Session session(spec);
-    const RunResult outcome = session.run();
-    ASSERT_EQ(outcome.g_fitnesses.size(), reference.g_fitnesses.size());
-    for (std::size_t i = 0; i < reference.g_fitnesses.size(); ++i) {
-      EXPECT_EQ(outcome.g_fitnesses[i], reference.g_fitnesses[i])
-          << to_string(backend) << " cell " << i;
+  // final fitness trajectory, whichever vehicle executed it — under either
+  // tensor kernel kind.
+  for (const tensor::KernelKind kind : testsupport::kAllKernelKinds) {
+    SCOPED_TRACE(tensor::to_string(kind));
+    const testsupport::KindGuard guard(kind);
+    RunSpec base = small_spec(Backend::kSequential, 2, 2);
+    base.tensor_kernel = kind;
+    Session sequential(base);
+    const RunResult reference = sequential.run();
+    for (const Backend backend : {Backend::kThreads, Backend::kDistributed}) {
+      RunSpec spec = base;
+      spec.backend = backend;
+      Session session(spec);
+      const RunResult outcome = session.run();
+      ASSERT_EQ(outcome.g_fitnesses.size(), reference.g_fitnesses.size());
+      for (std::size_t i = 0; i < reference.g_fitnesses.size(); ++i) {
+        EXPECT_EQ(outcome.g_fitnesses[i], reference.g_fitnesses[i])
+            << to_string(backend) << " cell " << i;
+      }
+      EXPECT_EQ(outcome.best_cell, reference.best_cell) << to_string(backend);
     }
-    EXPECT_EQ(outcome.best_cell, reference.best_cell) << to_string(backend);
   }
 }
 

@@ -14,6 +14,7 @@
 #include "core/session.hpp"
 #include "core/trainer_core.hpp"
 #include "core/workload.hpp"
+#include "testsupport/kind_guard.hpp"
 
 namespace cellgan::core {
 namespace {
@@ -93,9 +94,13 @@ void expect_parity(const std::vector<DistributedOutcome>& tcp,
 TEST(TcpParityTest, RealTimeWorldMatchesInProcessBitForBit) {
   const TrainingConfig config = parity_config();
   const auto dataset = make_matched_dataset(config, 64, 21);
-  const auto tcp = run_tcp_world(config, dataset, CostModel{});
-  const auto inproc = run_distributed(config, dataset, CostModel{});
-  expect_parity(tcp, inproc);
+  for (const tensor::KernelKind kind : testsupport::kAllKernelKinds) {
+    SCOPED_TRACE(tensor::to_string(kind));
+    const testsupport::KindGuard guard(kind);
+    const auto tcp = run_tcp_world(config, dataset, CostModel{});
+    const auto inproc = run_distributed(config, dataset, CostModel{});
+    expect_parity(tcp, inproc);
+  }
 }
 
 TEST(TcpParityTest, CalibratedVirtualClocksMatchInProcessBitForBit) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "serve/serve_testsupport.hpp"
+#include "testsupport/kind_guard.hpp"
 
 namespace cellgan::serve {
 namespace {
@@ -47,17 +48,21 @@ std::vector<SampleOutcome> run_jobs(
 
 TEST(Batcher, BatchedOutcomesBitIdenticalToSoloSamples) {
   auto model = make_model();
-  // A long delay bound so all jobs land in one batch deterministically.
-  Batcher batcher(BatchPolicy{8, 200'000});
   const std::vector<std::pair<std::uint64_t, std::uint32_t>> jobs = {
       {11, 5}, {22, 3}, {33, 8}, {44, 1}};
-  const auto outcomes = run_jobs(batcher, model, jobs);
-  batcher.drain_and_stop();
+  for (const tensor::KernelKind kind : testsupport::kAllKernelKinds) {
+    SCOPED_TRACE(tensor::to_string(kind));
+    const testsupport::KindGuard guard(kind);
+    // A long delay bound so all jobs land in one batch deterministically.
+    Batcher batcher(BatchPolicy{8, 200'000});
+    const auto outcomes = run_jobs(batcher, model, jobs);
+    batcher.drain_and_stop();
 
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const tensor::Tensor solo = model->sample(jobs[i].second, jobs[i].first);
-    EXPECT_TRUE(bit_identical(outcomes[i].samples, solo))
-        << "job " << i << " diverged from its solo draw";
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const tensor::Tensor solo = model->sample(jobs[i].second, jobs[i].first);
+      EXPECT_TRUE(bit_identical(outcomes[i].samples, solo))
+          << "job " << i << " diverged from its solo draw";
+    }
   }
 }
 

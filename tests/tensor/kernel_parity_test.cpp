@@ -20,29 +20,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/run_spec.hpp"
 #include "tensor/ops.hpp"
+#include "testsupport/kind_guard.hpp"
 
 namespace cellgan::tensor {
 namespace {
 
-/// Scoped kernel selection: restores the surrounding kind on exit so test
-/// order never leaks a selection.
-class KindGuard {
- public:
-  explicit KindGuard(KernelKind kind) : previous_(active_kernel_kind()) {
-    set_kernel_kind(kind);
-  }
-  ~KindGuard() { set_kernel_kind(previous_); }
-
- private:
-  KernelKind previous_;
-};
+using testsupport::KindGuard;
 
 struct GemmShape {
   std::size_t m, k, n;
@@ -300,6 +292,15 @@ TEST(KernelSelection, NameRoundTripAndSetGet) {
   // Whatever the hardware, the instruction-set name is one of the known ones.
   const std::string isa = simd_instruction_set();
   EXPECT_TRUE(isa == "avx2+fma" || isa == "neon" || isa == "portable") << isa;
+}
+
+TEST(KernelSelection, EnvironmentDoesNotChooseTheKind) {
+  // The process default and the spec default are simd whatever the
+  // environment says; only RunSpec::tensor_kernel / set_kernel_kind select.
+  ::setenv("CELLGAN_TENSOR_KERNEL", "scalar", 1);
+  EXPECT_EQ(KernelKind::kSimd, active_kernel_kind());
+  EXPECT_EQ(KernelKind::kSimd, core::RunSpec{}.tensor_kernel);
+  ::unsetenv("CELLGAN_TENSOR_KERNEL");
 }
 
 }  // namespace
