@@ -10,7 +10,9 @@
 //    initialization contract) — poisoned output memory must not leak in;
 //  * row-range calls reproduce the full-range call bit for bit for a fixed
 //    kind (serve batching stacks requests as rows and relies on it), and
-//    concurrent calls from cell lanes reproduce the serial call.
+//    concurrent calls from cell lanes reproduce the serial call;
+//  * on AVX2+FMA, the simd output bits of three seeded GEMMs per variant are
+//    pinned by hash, so a change to the tile's FMA order fails across builds.
 //
 // Shapes sweep odd/prime/tail-heavy sizes so partial kMR x kNR tiles, panel
 // remainders and sub-vector widths all get exercised, and run under the
@@ -20,9 +22,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -271,6 +275,58 @@ TEST(KernelParity, ThreadedMatmulBitIdenticalToSerialPerKind) {
                                serial.size() * sizeof(float)))
           << to_string(kind);
     }
+  }
+}
+
+/// FNV-1a (64-bit) over the bytes of a tensor's elements.
+std::uint64_t fnv1a_64(const Tensor& t) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(t.data().data());
+  for (std::size_t i = 0; i < t.size() * sizeof(float); ++i) {
+    hash ^= bytes[i];
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+TEST(KernelParity, SimdGemmBitsArePinned) {
+  // Every other GEMM test compares kinds, rows or lanes within one build, so
+  // a microkernel change that reorders an output element's FMA chain would
+  // pass them all. These hashes pin the AVX2+FMA tile's exact output bits
+  // across builds. Operands are uniform, not normal: Rng::uniform uses only
+  // integer and IEEE arithmetic, so the inputs do not depend on libm.
+  if (std::string(simd_instruction_set()) != "avx2+fma") {
+    GTEST_SKIP() << "hashes are of the avx2+fma tile; this CPU runs "
+                 << simd_instruction_set();
+  }
+  struct Pinned {
+    GemmShape shape;
+    std::uint64_t nn, tn, nt;
+  };
+  const Pinned kPinned[] = {
+      // two k panels, partial 6x16 tiles
+      {{13, 300, 47},
+       0x1a1b8176b7f65ca8ull, 0xb0d020016b6a9a60ull, 0x5239dd1799ffb208ull},
+      // four k panels, the last one 16 deep (the Table I 784-wide layers)
+      {{100, 784, 256},
+       0x3e63b9a877a7934bull, 0x3be6e31128760136ull, 0x7a32e0aa71ce9589ull},
+      // GanArch::tiny scale
+      {{16, 64, 16},
+       0x627c435060e091aaull, 0xdfbd9fe3e1f17026ull, 0xbe4c4b3a86d1c85eull},
+  };
+  KindGuard guard(KernelKind::kSimd);
+  for (const Pinned& pinned : kPinned) {
+    const GemmShape& s = pinned.shape;
+    common::Rng rng(1000 * s.m + s.n);
+    const Tensor a = Tensor::rand_uniform(s.m, s.k, rng, -1.0f, 1.0f);
+    const Tensor b = Tensor::rand_uniform(s.k, s.n, rng, -1.0f, 1.0f);
+    const Tensor a_t = Tensor::rand_uniform(s.k, s.m, rng, -1.0f, 1.0f);
+    const Tensor b_t = Tensor::rand_uniform(s.n, s.k, rng, -1.0f, 1.0f);
+    const std::string label = std::to_string(s.m) + "x" + std::to_string(s.k) +
+                              "x" + std::to_string(s.n);
+    EXPECT_EQ(pinned.nn, fnv1a_64(matmul(a, b))) << "matmul " << label;
+    EXPECT_EQ(pinned.tn, fnv1a_64(matmul_tn(a_t, b))) << "matmul_tn " << label;
+    EXPECT_EQ(pinned.nt, fnv1a_64(matmul_nt(a, b_t))) << "matmul_nt " << label;
   }
 }
 
