@@ -185,12 +185,17 @@ void micro_portable(std::size_t kc, const float* pa, const float* pb,
 
 #if defined(CELLGAN_X86)
 
+// The 6x16 tile lives in twelve ymm registers only because all three `r`
+// loops fully unroll: if any of them stays a loop, GCC keeps acc0/acc1 in
+// stack memory and every FMA becomes a load-FMA-store round trip, ~3x slower.
 __attribute__((target("avx2,fma"))) void micro_avx2(std::size_t kc,
                                                     const float* pa,
                                                     const float* pb,
                                                     float* ctile) {
+  static_assert(kMR == 6, "the unroll pragmas below must equal kMR");
   __m256 acc0[kMR];
   __m256 acc1[kMR];
+#pragma GCC unroll 6
   for (std::size_t r = 0; r < kMR; ++r) {
     acc0[r] = _mm256_setzero_ps();
     acc1[r] = _mm256_setzero_ps();
@@ -199,12 +204,14 @@ __attribute__((target("avx2,fma"))) void micro_avx2(std::size_t kc,
     const __m256 b0 = _mm256_load_ps(pb + l * kNR);
     const __m256 b1 = _mm256_load_ps(pb + l * kNR + 8);
     const float* al = pa + l * kMR;
+#pragma GCC unroll 6
     for (std::size_t r = 0; r < kMR; ++r) {
       const __m256 av = _mm256_broadcast_ss(al + r);
       acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
       acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
     }
   }
+#pragma GCC unroll 6
   for (std::size_t r = 0; r < kMR; ++r) {
     _mm256_store_ps(ctile + r * kNR, acc0[r]);
     _mm256_store_ps(ctile + r * kNR + 8, acc1[r]);
