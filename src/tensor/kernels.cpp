@@ -187,7 +187,7 @@ void micro_portable(std::size_t kc, const float* pa, const float* pb,
 
 // The 6x16 tile lives in twelve ymm registers only because all three `r`
 // loops fully unroll: if any of them stays a loop, GCC keeps acc0/acc1 in
-// stack memory and every FMA becomes a load-FMA-store round trip, ~3x slower.
+// stack memory and every FMA becomes a load-FMA-store round trip, 2-3x slower.
 __attribute__((target("avx2,fma"))) void micro_avx2(std::size_t kc,
                                                     const float* pa,
                                                     const float* pb,
