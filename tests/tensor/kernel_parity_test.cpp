@@ -12,7 +12,11 @@
 //    kind (serve batching stacks requests as rows and relies on it), and
 //    concurrent calls from cell lanes reproduce the serial call;
 //  * on AVX2+FMA, the simd output bits of three seeded GEMMs per variant are
-//    pinned by hash, so a change to the tile's FMA order fails across builds.
+//    pinned by hash, so a change to the tile's FMA order fails across builds;
+//  * tanh: the scalar kind is libm bit for bit, the simd kind stays within an
+//    absolute bound of the double-precision tanh with libm's special values,
+//    and every output depends only on its own input (no effect of the call's
+//    start offset or length, the vector tail included).
 //
 // Shapes sweep odd/prime/tail-heavy sizes so partial kMR x kNR tiles, panel
 // remainders and sub-vector widths all get exercised, and run under the
@@ -21,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -327,6 +332,95 @@ TEST(KernelParity, SimdGemmBitsArePinned) {
     EXPECT_EQ(pinned.nn, fnv1a_64(matmul(a, b))) << "matmul " << label;
     EXPECT_EQ(pinned.tn, fnv1a_64(matmul_tn(a_t, b))) << "matmul_tn " << label;
     EXPECT_EQ(pinned.nt, fnv1a_64(matmul_nt(a, b_t))) << "matmul_nt " << label;
+  }
+}
+
+/// kernels::ew_tanh_forward under `kind`.
+void tanh_kernel(KernelKind kind, const float* x, float* y, std::size_t n) {
+  KindGuard guard(kind);
+  kernels::ew_tanh_forward(x, y, n);
+}
+
+TEST(KernelParity, TanhWithinBoundBothKinds) {
+  // A linear sweep of [0, 16] plus a geometric one down to 1.5e-11, so the
+  // tiny-input, polynomial and clamped regimes are all dense.
+  std::vector<float> sweep;
+  constexpr int kLinear = 250000;
+  for (int i = 0; i <= kLinear; ++i) sweep.push_back(16.0f * i / kLinear);
+  for (int i = 0; i <= 64 * 40; ++i) {
+    sweep.push_back(16.0f * std::exp2(-static_cast<float>(i) / 64.0f));
+  }
+  const std::size_t n = sweep.size();
+  const Tensor x(1, n, sweep);
+  Tensor neg_x(1, n);
+  for (std::size_t i = 0; i < n; ++i) neg_x.data()[i] = -sweep[i];
+
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float kDenormal = std::numeric_limits<float>::denorm_min() * 77.0f;
+  const Tensor special = Tensor::row(
+      {std::numeric_limits<float>::quiet_NaN(), kInf, -kInf, -0.0f, 0.0f,
+       kDenormal, -kDenormal});
+
+  for (const KernelKind kind : testsupport::kAllKernelKinds) {
+    KindGuard guard(kind);
+    const Tensor y = tanh_forward(x);
+    const Tensor neg_y = tanh_forward(neg_x);
+    for (std::size_t i = 0; i < n; ++i) {
+      const float v = y.data()[i];
+      if (kind == KernelKind::kScalar) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(std::tanh(sweep[i])),
+                  std::bit_cast<std::uint32_t>(v))
+            << "x=" << sweep[i];
+      }
+      ASSERT_NEAR(v, std::tanh(static_cast<double>(sweep[i])), 3e-7)
+          << to_string(kind) << " x=" << sweep[i];
+      ASSERT_LE(std::abs(v), 1.0f) << to_string(kind) << " x=" << sweep[i];
+      ASSERT_EQ(-v, neg_y.data()[i]) << to_string(kind) << " x=" << sweep[i];
+    }
+
+    const Tensor s = tanh_forward(special);
+    EXPECT_TRUE(std::isnan(s.data()[0])) << to_string(kind);
+    EXPECT_EQ(1.0f, s.data()[1]) << to_string(kind);
+    EXPECT_EQ(-1.0f, s.data()[2]) << to_string(kind);
+    EXPECT_EQ(0.0f, s.data()[3]) << to_string(kind);
+    EXPECT_TRUE(std::signbit(s.data()[3])) << to_string(kind);
+    EXPECT_EQ(0.0f, s.data()[4]) << to_string(kind);
+    EXPECT_FALSE(std::signbit(s.data()[4])) << to_string(kind);
+    EXPECT_EQ(kDenormal, s.data()[5]) << to_string(kind);
+    EXPECT_EQ(-kDenormal, s.data()[6]) << to_string(kind);
+  }
+}
+
+TEST(KernelParity, TanhIsPositionIndependent) {
+  // Row splits, cell lanes and batched serving call tanh on sub-ranges, so an
+  // output may depend only on its own input: not on its offset from a vector
+  // boundary nor on the call's length. Every start offset mod 8 and every
+  // length 1..17 (tails of every size) is checked against one full call, and
+  // nothing past the range may be written.
+  constexpr std::size_t kMaxStart = 8;
+  constexpr std::size_t kMaxN = 17;
+  common::Rng rng(77);
+  const Tensor values = Tensor::rand_uniform(1, kMaxStart + kMaxN, rng, -9.0f, 9.0f);
+  std::vector<float> x(values.data().begin(), values.data().end());
+  x[3] = 1e-5f;   // below the tiny-input cutoff
+  x[11] = -0.0f;
+  x[12] = std::numeric_limits<float>::quiet_NaN();
+  const float sentinel = 12345.0f;
+  for (const KernelKind kind : testsupport::kAllKernelKinds) {
+    std::vector<float> whole(x.size());
+    tanh_kernel(kind, x.data(), whole.data(), x.size());
+    for (std::size_t start = 0; start < kMaxStart; ++start) {
+      for (std::size_t n = 1; n <= kMaxN; ++n) {
+        std::vector<float> y(n + 1, sentinel);
+        tanh_kernel(kind, x.data() + start, y.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(whole[start + i]),
+                    std::bit_cast<std::uint32_t>(y[i]))
+              << to_string(kind) << " start " << start << " n " << n << " i " << i;
+        }
+        ASSERT_EQ(sentinel, y[n]) << to_string(kind) << " start " << start << " n " << n;
+      }
+    }
   }
 }
 
