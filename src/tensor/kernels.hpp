@@ -2,18 +2,20 @@
 // (packed-panel SIMD) implementation behind one runtime switch.
 //
 // ops.cpp owns shape checks and flop accounting; this layer owns only the
-// inner loops. Two GEMM kernel kinds exist:
+// inner loops. The kernel kind picks the GEMMs and tanh; two kinds exist:
 //
 //  * kScalar — the bit-exact reference. Plain loops in the exact
-//    accumulation order the repo has always used, so runs pinned to it
-//    reproduce the seed behavior bit for bit; it is the oracle the
-//    kernel_parity suite checks kSimd against.
+//    accumulation order the repo has always used, and libm tanh, so runs
+//    pinned to it reproduce the seed behavior bit for bit; it is the oracle
+//    the kernel_parity suite checks kSimd against.
 //  * kSimd — packed A/B panels (L1/L2-sized, 64-byte aligned) swept by a
 //    register-tiled microkernel: AVX2+FMA when the CPU supports it (runtime
 //    dispatch via target attributes), NEON on ARM, and a
 //    compiler-autovectorized portable tile otherwise. GEMM results may
 //    differ from scalar by accumulation order (FMA + vector-lane sums); the
-//    kernel_parity suite bounds the drift.
+//    kernel_parity suite bounds the drift. On AVX2+FMA, tanh is an 8-wide
+//    rational approximation within 3e-7 of the exact value (elsewhere it
+//    stays libm).
 //
 // Selection: the process starts on kSimd; set_kernel_kind() switches it, and
 // Session::prepare applies RunSpec::tensor_kernel (`--tensor-kernel`) that
@@ -72,8 +74,9 @@ void gemm_nt(KernelKind kind, const float* a, const float* b, float* c,
              std::size_t row_begin, std::size_t row_end, std::size_t k,
              std::size_t n);
 
-// Elementwise family over [0, n): one loop each, the same for every kernel
-// kind (one independent expression per element leaves nothing to vary).
+// Elementwise family over [0, n). Each output element depends only on its own
+// inputs, so any split of [0, n) reproduces one full call bit for bit. All but
+// tanh are one loop, the same for every kernel kind.
 
 void ew_add(const float* a, const float* b, float* c, std::size_t n);
 void ew_sub(const float* a, const float* b, float* c, std::size_t n);
@@ -83,7 +86,10 @@ void ew_scale(const float* a, float s, float* c, std::size_t n);
 void ew_axpy(float alpha, const float* x, float* y, std::size_t n);
 /// rows [0, rows) of a (rows x cols) += bias (1 x cols)
 void ew_add_row_bias(float* a, const float* bias, std::size_t rows, std::size_t cols);
-void ew_tanh_forward(const float* x, float* y, std::size_t n);
+/// kScalar: libm tanh. kSimd on AVX2+FMA: the rational approximation
+/// x*P(x^2)/Q(x^2) on x clamped to +-7.9988 (x itself when |x| < 0.0004),
+/// at most 3e-7 from the exact tanh; NaN stays NaN, +-inf gives +-1.
+void ew_tanh_forward(KernelKind kind, const float* x, float* y, std::size_t n);
 void ew_tanh_backward(const float* dy, const float* y, float* dx, std::size_t n);
 void ew_sigmoid_forward(const float* x, float* y, std::size_t n);
 void ew_sigmoid_backward(const float* dy, const float* y, float* dx, std::size_t n);

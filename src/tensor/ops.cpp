@@ -98,7 +98,8 @@ Tensor col_sum(const Tensor& a) {
 Tensor tanh_forward(const Tensor& x) {
   Tensor y(x.rows(), x.cols());
   count_flops(8ULL * x.size());  // tanh ~ several flops; fixed estimate
-  kernels::ew_tanh_forward(x.data().data(), y.data().data(), x.size());
+  kernels::ew_tanh_forward(active_kernel_kind(), x.data().data(), y.data().data(),
+                           x.size());
   return y;
 }
 

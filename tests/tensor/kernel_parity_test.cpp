@@ -16,7 +16,8 @@
 //  * tanh: the scalar kind is libm bit for bit, the simd kind stays within an
 //    absolute bound of the double-precision tanh with libm's special values,
 //    and every output depends only on its own input (no effect of the call's
-//    start offset or length, the vector tail included).
+//    start offset or length, the vector tail included). On AVX2+FMA its
+//    output bits are pinned by hash, like the GEMMs'.
 //
 // Shapes sweep odd/prime/tail-heavy sizes so partial kMR x kNR tiles, panel
 // remainders and sub-vector widths all get exercised, and run under the
@@ -335,12 +336,6 @@ TEST(KernelParity, SimdGemmBitsArePinned) {
   }
 }
 
-/// kernels::ew_tanh_forward under `kind`.
-void tanh_kernel(KernelKind kind, const float* x, float* y, std::size_t n) {
-  KindGuard guard(kind);
-  kernels::ew_tanh_forward(x, y, n);
-}
-
 TEST(KernelParity, TanhWithinBoundBothKinds) {
   // A linear sweep of [0, 16] plus a geometric one down to 1.5e-11, so the
   // tiny-input, polynomial and clamped regimes are all dense.
@@ -408,11 +403,11 @@ TEST(KernelParity, TanhIsPositionIndependent) {
   const float sentinel = 12345.0f;
   for (const KernelKind kind : testsupport::kAllKernelKinds) {
     std::vector<float> whole(x.size());
-    tanh_kernel(kind, x.data(), whole.data(), x.size());
+    kernels::ew_tanh_forward(kind, x.data(), whole.data(), x.size());
     for (std::size_t start = 0; start < kMaxStart; ++start) {
       for (std::size_t n = 1; n <= kMaxN; ++n) {
         std::vector<float> y(n + 1, sentinel);
-        tanh_kernel(kind, x.data() + start, y.data(), n);
+        kernels::ew_tanh_forward(kind, x.data() + start, y.data(), n);
         for (std::size_t i = 0; i < n; ++i) {
           ASSERT_EQ(std::bit_cast<std::uint32_t>(whole[start + i]),
                     std::bit_cast<std::uint32_t>(y[i]))
@@ -421,6 +416,31 @@ TEST(KernelParity, TanhIsPositionIndependent) {
         ASSERT_EQ(sentinel, y[n]) << to_string(kind) << " start " << start << " n " << n;
       }
     }
+  }
+}
+
+TEST(KernelParity, SimdTanhBitsArePinned) {
+  // The bound above leaves room for a reordered polynomial; these hashes pin
+  // the avx2+fma tanh's exact output bits across builds, on the paper's
+  // 100x784 generator output and an odd shape with an n % 8 tail.
+  if (std::string(simd_instruction_set()) != "avx2+fma") {
+    GTEST_SKIP() << "hashes are of the avx2+fma tanh; this CPU runs "
+                 << simd_instruction_set();
+  }
+  struct Pinned {
+    std::size_t rows, cols;
+    std::uint64_t hash;
+  };
+  const Pinned kPinned[] = {
+      {100, 784, 0x71997d2ec4036643ull},
+      {13, 37, 0xe8197f10119bbc06ull},
+  };
+  KindGuard guard(KernelKind::kSimd);
+  for (const Pinned& pinned : kPinned) {
+    common::Rng rng(1000 * pinned.rows + pinned.cols);
+    const Tensor x = Tensor::rand_uniform(pinned.rows, pinned.cols, rng, -8.0f, 8.0f);
+    EXPECT_EQ(pinned.hash, fnv1a_64(tanh_forward(x)))
+        << "tanh " << pinned.rows << "x" << pinned.cols;
   }
 }
 
