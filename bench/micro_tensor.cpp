@@ -1,7 +1,7 @@
 // Tensor microkernel benchmark: scalar vs SIMD GEMM across the paper's layer
-// shapes plus the elementwise family, emitting BENCH_tensor.json. Every op
-// runs on the calling thread (tensor ops never fan out), so these are the
-// per-lane numbers a training cell sees.
+// shapes plus the elementwise family (tanh under both kinds), emitting
+// BENCH_tensor.json. Every op runs on the calling thread (tensor ops never
+// fan out), so these are the per-lane numbers a training cell sees.
 //
 // Self-contained (no Google Benchmark) so the sweep always builds and the
 // JSON carries exactly the fields CI asserts on: per-shape GFLOP/s for both
@@ -16,6 +16,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -95,12 +96,15 @@ double run_gemm_gflops(GemmOp op, const GemmShape& shape,
 
 struct ElementwiseResult {
   std::string op;
+  tensor::KernelKind kind;
   std::size_t elements;
-  double gelems = 0.0;  ///< 1e9 elements per second (one loop for every kind)
+  double gelems = 0.0;  ///< 1e9 elements per second
 };
 
-double run_elementwise_gelems(const std::string& op, const tensor::Tensor& x,
-                              const tensor::Tensor& y, double min_seconds) {
+double run_elementwise_gelems(const std::string& op, tensor::KernelKind kind,
+                              const tensor::Tensor& x, const tensor::Tensor& y,
+                              double min_seconds) {
+  tensor::set_kernel_kind(kind);
   volatile float sink = 0.0f;
   const double seconds = time_per_iteration(min_seconds, [&] {
     tensor::Tensor r =
@@ -163,15 +167,26 @@ int main(int argc, char** argv) {
     }
   }
 
+  // tanh_forward is the one elementwise op whose loop depends on the kind; the
+  // others run one loop for both, measured under simd.
   std::vector<ElementwiseResult> ew_results;
   {
     common::Rng rng(2);
     const tensor::Tensor x = tensor::Tensor::randn(100, 784, rng);
     const tensor::Tensor y = tensor::Tensor::randn(100, 784, rng);
-    for (const char* op : {"add", "mul", "scale", "tanh_forward",
-                           "sigmoid_forward", "leaky_relu_forward"}) {
-      ElementwiseResult r{op, x.size(), run_elementwise_gelems(op, x, y, min_seconds)};
-      std::printf("%-19s %7zu elems %12.2f Gelem/s\n", op, r.elements, r.gelems);
+    const std::pair<const char*, tensor::KernelKind> rows[] = {
+        {"add", tensor::KernelKind::kSimd},
+        {"mul", tensor::KernelKind::kSimd},
+        {"scale", tensor::KernelKind::kSimd},
+        {"tanh_forward", tensor::KernelKind::kScalar},
+        {"tanh_forward", tensor::KernelKind::kSimd},
+        {"sigmoid_forward", tensor::KernelKind::kSimd},
+        {"leaky_relu_forward", tensor::KernelKind::kSimd}};
+    for (const auto& [op, kind] : rows) {
+      ElementwiseResult r{op, kind, x.size(),
+                          run_elementwise_gelems(op, kind, x, y, min_seconds)};
+      std::printf("%-19s %-6s %7zu elems %12.2f Gelem/s\n", op,
+                  tensor::to_string(kind), r.elements, r.gelems);
       ew_results.push_back(r);
     }
   }
@@ -199,7 +214,8 @@ int main(int argc, char** argv) {
     out << "  ],\n  \"elementwise\": [\n";
     for (std::size_t i = 0; i < ew_results.size(); ++i) {
       const ElementwiseResult& r = ew_results[i];
-      out << "    {\"op\": \"" << r.op << "\", \"elements\": " << r.elements
+      out << "    {\"op\": \"" << r.op << "\", \"kind\": \""
+          << tensor::to_string(r.kind) << "\", \"elements\": " << r.elements
           << ", \"gelems_per_s\": " << format_double(r.gelems) << "}"
           << (i + 1 < ew_results.size() ? "," : "") << "\n";
     }

@@ -14,9 +14,13 @@
 #include <arm_neon.h>
 #endif
 
-// Portable "please vectorize" hint for the fallback tile and the elementwise
-// loops: every iteration is independent, so the hint only licenses what
-// is already legal.
+// Independence hint for the fallback tile and the elementwise loops: no
+// iteration reads another's output. Under GCC it is `ivdep`, which removes
+// the vectorizer's runtime alias checks and nothing more; it does not make a
+// loop vectorize. At -O2, GCC 12's default very-cheap cost model vectorizes
+// only loops that need no scalar epilogue, so the portable tile (trip count
+// kNR) gets packed mulps/addps while the elementwise loops (trip count n)
+// compile to scalar movss/addss.
 #if defined(__clang__)
 #define CG_VEC_LOOP _Pragma("clang loop vectorize(enable) interleave(enable)")
 #elif defined(__GNUC__)
@@ -413,12 +417,11 @@ const char* instruction_set_name() {
 }
 
 // --- elementwise family -----------------------------------------------------
-// One loop per op, independent of the kernel kind, except tanh: each output
-// element is one expression over its own inputs, so there is nothing for a
-// second implementation to change. tanh is the exception because libm's is
-// scalar and costs ~30 ns an element, as much as the GEMMs around it; its
-// simd kind is a vector rational approximation. sigmoid stays libm (no
-// training net uses it).
+// Each output element is one expression over its own inputs. Every op but
+// tanh runs one loop for both kernel kinds (scalar code at -O2, see
+// CG_VEC_LOOP). libm's tanh costs ~30 ns an element, as much as the GEMMs
+// around it, so tanh's simd kind on AVX2+FMA is a vector rational
+// approximation; sigmoid stays libm (no training net uses it).
 
 #if defined(CELLGAN_X86)
 
