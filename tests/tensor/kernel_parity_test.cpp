@@ -397,7 +397,7 @@ TEST(KernelParity, TanhIsPositionIndependent) {
   common::Rng rng(77);
   const Tensor values = Tensor::rand_uniform(1, kMaxStart + kMaxN, rng, -9.0f, 9.0f);
   std::vector<float> x(values.data().begin(), values.data().end());
-  x[3] = 1e-5f;   // below the tiny-input cutoff
+  x[3] = 1e-5f;  // below the tiny-input cutoff
   x[11] = -0.0f;
   x[12] = std::numeric_limits<float>::quiet_NaN();
   const float sentinel = 12345.0f;
