@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -260,6 +261,77 @@ TEST(KernelParity, RowRangeKernelMatchesFullRun) {
     ASSERT_EQ(0,
               std::memcmp(whole.data(), split.data(), m * n * sizeof(float)))
         << to_string(kind);
+  }
+}
+
+/// One GEMM variant bound to its operands: writes rows [row_begin, row_end)
+/// of a dense m x n C.
+using RowRangeGemm =
+    std::function<void(float* c, std::size_t row_begin, std::size_t row_end)>;
+
+/// Runs `gemm` on rows [3, 11) and [5, 13) of a sentinel-filled C with 64
+/// guard floats past its end: rows in the range must match a full-range call
+/// bit for bit, and every other row and guard float must keep the sentinel.
+void expect_writes_only_its_rows(const RowRangeGemm& gemm, std::size_t m,
+                                 std::size_t n, const std::string& label) {
+  constexpr std::size_t kGuard = 64;
+  const float sentinel = 1234.5f;
+  std::vector<float> whole(m * n);
+  gemm(whole.data(), 0, m);
+  const std::size_t ranges[][2] = {{3, 11}, {5, 13}};
+  for (const auto& [row_begin, row_end] : ranges) {
+    std::vector<float> c(m * n + kGuard, sentinel);
+    gemm(c.data(), row_begin, row_end);
+    for (std::size_t i = 0; i < m; ++i) {
+      const bool in_range = i >= row_begin && i < row_end;
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(in_range ? whole[i * n + j] : sentinel),
+                  std::bit_cast<std::uint32_t>(c[i * n + j]))
+            << label << " rows [" << row_begin << "," << row_end << ") element ("
+            << i << "," << j << ")";
+      }
+    }
+    for (std::size_t g = 0; g < kGuard; ++g) {
+      ASSERT_EQ(sentinel, c[m * n + g])
+          << label << " rows [" << row_begin << "," << row_end << ") guard " << g;
+    }
+  }
+}
+
+TEST(KernelParity, GemmWritesOnlyItsRows) {
+  // n covers every column tail of a 16- and a 32-wide tile; k = 7 takes only
+  // the first k panel's store, k = 300 also the second panel's add into C.
+  constexpr std::size_t m = 13;
+  for (const std::size_t k : {std::size_t{7}, std::size_t{300}}) {
+    for (std::size_t n = 1; n <= 33; ++n) {
+      const Tensor a = random_tensor(m, k, 3 * n + k);
+      const Tensor b = random_tensor(k, n, 5 * n + k);
+      const Tensor a_t = random_tensor(k, m, 7 * n + k);
+      const Tensor b_t = random_tensor(n, k, 11 * n + k);
+      for (const KernelKind kind : testsupport::kAllKernelKinds) {
+        const std::string label = std::string(to_string(kind)) + " " +
+                                   std::to_string(m) + "x" + std::to_string(k) +
+                                   "x" + std::to_string(n);
+        expect_writes_only_its_rows(
+            [&](float* c, std::size_t row_begin, std::size_t row_end) {
+              kernels::gemm(kind, a.data().data(), b.data().data(), c, row_begin,
+                            row_end, k, n);
+            },
+            m, n, "gemm " + label);
+        expect_writes_only_its_rows(
+            [&](float* c, std::size_t row_begin, std::size_t row_end) {
+              kernels::gemm_tn(kind, a_t.data().data(), b.data().data(), c,
+                               row_begin, row_end, k, m, n);
+            },
+            m, n, "gemm_tn " + label);
+        expect_writes_only_its_rows(
+            [&](float* c, std::size_t row_begin, std::size_t row_end) {
+              kernels::gemm_nt(kind, a.data().data(), b_t.data().data(), c,
+                               row_begin, row_end, k, n);
+            },
+            m, n, "gemm_nt " + label);
+      }
+    }
   }
 }
 
