@@ -4,8 +4,10 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "common/aligned.hpp"
+#include "common/expect.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -152,25 +154,59 @@ void scalar_gemm_nt(const float* a, const float* b, float* c,
 // Op(A)[i,l] and Op(B)[l,j] are addressed through (row, col) strides, so the
 // TN/NT transposes are absorbed by the packing routines instead of
 // materialized. Panels are packed into 64-byte-aligned thread-local scratch
-// (kKC x kNR B slabs, kMR x kKC A slabs, zero-padded to full tiles) and swept
-// by a kMR x kNR register-tiled microkernel — AVX2+FMA (runtime-dispatched),
-// NEON, or an autovectorized portable tile.
+// (kKC x nr B slabs, kMR x kKC A slabs, zero-padded to full tiles) and swept
+// by a kMR x nr register-tiled microkernel, picked at runtime: AVX-512F 6x32,
+// AVX2+FMA 6x16, NEON 6x16, or an autovectorized portable 6x16 tile.
 //
 // Determinism: for any output element, partial products accumulate in panel
 // (pc) order, and within a panel in l order on a fixed register lane — none
-// of which depends on the caller's row partition [row_begin, row_end) or on
-// which jc/ic block the element lands in. Any row split (serve batching
-// stacks requests as rows) is therefore bit-identical to one full-range call.
+// of which depends on the caller's row partition [row_begin, row_end), on
+// which jc/ic block the element lands in, or on the tile's width. Any row
+// split (serve batching stacks requests as rows) is therefore bit-identical
+// to one full-range call, and the FMA tiles to each other.
 
 constexpr std::size_t kMR = 6;    ///< microkernel rows (A register tile)
-constexpr std::size_t kNR = 16;   ///< microkernel cols (two 8-float vectors)
+constexpr std::size_t kNR = 16;   ///< cols of the 16-wide tiles
 constexpr std::size_t kKC = 256;  ///< k panel: packed A slab ~kMR*kKC*4 = 6KB
 constexpr std::size_t kMC = 96;   ///< m panel: packed A block ~96KB, L2-sized
 constexpr std::size_t kNC = 1024; ///< n panel: packed B block <= 1MB
 
+/// Writes the rows x cols corner of the kMR x nr tile
+/// sum_l pa[l*kMR + r] * pb[l*nr + c] to C (row stride ldc): C = tile on the
+/// first k panel, C + tile on later ones (`accumulate`).
+using TileKernel = void (*)(std::size_t kc, const float* pa, const float* pb,
+                            float* c, std::size_t ldc, std::size_t rows,
+                            std::size_t cols, bool accumulate);
+
+/// A microkernel and the B slab width it sweeps; `name` is what
+/// simd_instruction_set() reports when it is the dispatched tile.
+struct GemmTile {
+  TileKernel kernel;
+  std::size_t nr;
+  const char* name;
+};
+
 /// ctile[kMR * kNR] = sum_l pa[l*kMR + r] * pb[l*kNR + c]
-using MicroKernel = void (*)(std::size_t kc, const float* pa, const float* pb,
-                             float* ctile);
+using StackTileKernel = void (*)(std::size_t kc, const float* pa,
+                                 const float* pb, float* ctile);
+
+/// Runs a 16-wide tile into a stack tile and copies its corner into C.
+template <StackTileKernel micro>
+void via_stack_tile(std::size_t kc, const float* pa, const float* pb, float* c,
+                    std::size_t ldc, std::size_t rows, std::size_t cols,
+                    bool accumulate) {
+  alignas(common::kCacheLineBytes) float ctile[kMR * kNR];
+  micro(kc, pa, pb, ctile);
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* crow = c + r * ldc;
+    const float* trow = ctile + r * kNR;
+    if (accumulate) {
+      for (std::size_t cc = 0; cc < cols; ++cc) crow[cc] += trow[cc];
+    } else {
+      for (std::size_t cc = 0; cc < cols; ++cc) crow[cc] = trow[cc];
+    }
+  }
+}
 
 void micro_portable(std::size_t kc, const float* pa, const float* pb,
                     float* ctile) {
@@ -222,6 +258,56 @@ __attribute__((target("avx2,fma"))) void micro_avx2(std::size_t kc,
   }
 }
 
+// micro_avx2's six rows at 32 columns: twelve zmm accumulators, two B loads,
+// six broadcasts and twelve register-to-register FMAs per k step. The same
+// unroll rule holds. C is read and written through lane masks, so no lane
+// past `cols` and no row past `rows` touches memory.
+__attribute__((target("avx512f"))) void micro_avx512(
+    std::size_t kc, const float* pa, const float* pb, float* c,
+    std::size_t ldc, std::size_t rows, std::size_t cols, bool accumulate) {
+  static_assert(kMR == 6, "the unroll pragmas below must equal kMR");
+  constexpr std::size_t nr = 32;
+  __m512 acc0[kMR];
+  __m512 acc1[kMR];
+#pragma GCC unroll 6
+  for (std::size_t r = 0; r < kMR; ++r) {
+    acc0[r] = _mm512_setzero_ps();
+    acc1[r] = _mm512_setzero_ps();
+  }
+  for (std::size_t l = 0; l < kc; ++l) {
+    const __m512 b0 = _mm512_load_ps(pb + l * nr);
+    const __m512 b1 = _mm512_load_ps(pb + l * nr + 16);
+    const float* al = pa + l * kMR;
+#pragma GCC unroll 6
+    for (std::size_t r = 0; r < kMR; ++r) {
+      const __m512 av = _mm512_set1_ps(al[r]);
+      acc0[r] = _mm512_fmadd_ps(av, b0, acc0[r]);
+      acc1[r] = _mm512_fmadd_ps(av, b1, acc1[r]);
+    }
+  }
+  const auto lanes = [](std::size_t n) -> __mmask16 {
+    return n >= 16 ? 0xFFFF : static_cast<__mmask16>((1u << n) - 1);
+  };
+  const __mmask16 mask0 = lanes(cols);
+  const bool wide = cols > 16;
+  const __mmask16 mask1 = wide ? lanes(cols - 16) : 0;
+#pragma GCC unroll 6
+  for (std::size_t r = 0; r < kMR; ++r) {
+    if (r == rows) break;
+    float* crow = c + r * ldc;
+    __m512 v0 = acc0[r];
+    if (accumulate) v0 = _mm512_add_ps(_mm512_maskz_loadu_ps(mask0, crow), v0);
+    _mm512_mask_storeu_ps(crow, mask0, v0);
+    if (wide) {
+      __m512 v1 = acc1[r];
+      if (accumulate) {
+        v1 = _mm512_add_ps(_mm512_maskz_loadu_ps(mask1, crow + 16), v1);
+      }
+      _mm512_mask_storeu_ps(crow + 16, mask1, v1);
+    }
+  }
+}
+
 bool cpu_has_avx2_fma() {
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 }
@@ -255,20 +341,26 @@ void micro_neon(std::size_t kc, const float* pa, const float* pb,
 
 #endif
 
-MicroKernel select_microkernel() {
+/// The tiles this CPU can run, fastest first; the first is dispatched.
+std::vector<GemmTile> runnable_tiles() {
+  std::vector<GemmTile> tiles;
 #if defined(CELLGAN_X86)
-  if (cpu_has_avx2_fma()) return micro_avx2;
-  return micro_portable;
+  if (__builtin_cpu_supports("avx512f")) {
+    tiles.push_back({micro_avx512, 32, "avx512f"});
+  }
+  if (cpu_has_avx2_fma()) {
+    tiles.push_back({via_stack_tile<micro_avx2>, kNR, "avx2+fma"});
+  }
 #elif defined(__ARM_NEON)
-  return micro_neon;
-#else
-  return micro_portable;
+  tiles.push_back({via_stack_tile<micro_neon>, kNR, "neon"});
 #endif
+  tiles.push_back({via_stack_tile<micro_portable>, kNR, "portable"});
+  return tiles;
 }
 
-MicroKernel active_microkernel() {
-  static const MicroKernel kernel = select_microkernel();
-  return kernel;
+const GemmTile& active_tile() {
+  static const GemmTile tile = runnable_tiles().front();
+  return tile;
 }
 
 /// Pack Op(A) rows [i0, i0+mc) x cols [l0, l0+kc) into kMR-row slabs:
@@ -289,19 +381,24 @@ void pack_a(const float* a, float* dst, std::size_t i0, std::size_t mc,
   }
 }
 
-/// Pack Op(B) rows [l0, l0+kc) x cols [j0, j0+nc) into kNR-column slabs
-/// (dst[l*kNR + c], zero-padded past nc).
-void pack_b(const float* b, float* dst, std::size_t l0, std::size_t kc,
-            std::size_t j0, std::size_t nc, std::size_t row_stride,
-            std::size_t col_stride) {
-  for (std::size_t slab = 0; slab < nc; slab += kNR) {
-    const std::size_t cols = std::min(kNR, nc - slab);
+/// Pack Op(B) rows [l0, l0+kc) x cols [j0, j0+nc) into nr-column slabs
+/// (dst[l*nr + c], zero-padded past nc). Unit column stride (B in gemm and
+/// gemm_tn) copies each row with memcpy.
+void pack_b(const float* b, float* dst, std::size_t nr, std::size_t l0,
+            std::size_t kc, std::size_t j0, std::size_t nc,
+            std::size_t row_stride, std::size_t col_stride) {
+  for (std::size_t slab = 0; slab < nc; slab += nr) {
+    const std::size_t cols = std::min(nr, nc - slab);
     float* out = dst + slab * kc;
     for (std::size_t l = 0; l < kc; ++l) {
       const float* src = b + (l0 + l) * row_stride + (j0 + slab) * col_stride;
-      std::size_t c = 0;
-      for (; c < cols; ++c) out[l * kNR + c] = src[c * col_stride];
-      for (; c < kNR; ++c) out[l * kNR + c] = 0.0f;
+      float* row = out + l * nr;
+      if (col_stride == 1) {
+        std::memcpy(row, src, cols * sizeof(float));
+      } else {
+        for (std::size_t c = 0; c < cols; ++c) row[c] = src[c * col_stride];
+      }
+      std::fill(row + cols, row + nr, 0.0f);
     }
   }
 }
@@ -309,10 +406,10 @@ void pack_b(const float* b, float* dst, std::size_t l0, std::size_t kc,
 /// Blocked, packed GEMM over logical operands: C rows [row_begin, row_end)
 /// OVERWRITTEN with Op(A) * Op(B), where Op(A)[i,l] = a[i*a_rs + l*a_cs] and
 /// Op(B)[l,j] = b[l*b_rs + j*b_cs]. C is dense row-major (m x n).
-void simd_gemm(const float* a, const float* b, float* c, std::size_t row_begin,
-               std::size_t row_end, std::size_t k, std::size_t n,
-               std::size_t a_rs, std::size_t a_cs, std::size_t b_rs,
-               std::size_t b_cs) {
+void simd_gemm(const GemmTile& tile, const float* a, const float* b, float* c,
+               std::size_t row_begin, std::size_t row_end, std::size_t k,
+               std::size_t n, std::size_t a_rs, std::size_t a_cs,
+               std::size_t b_rs, std::size_t b_cs) {
   if (row_end <= row_begin || n == 0) return;
   if (k == 0) {
     for (std::size_t i = row_begin; i < row_end; ++i) {
@@ -320,21 +417,20 @@ void simd_gemm(const float* a, const float* b, float* c, std::size_t row_begin,
     }
     return;
   }
-  const MicroKernel micro = active_microkernel();
   // Thread-local so concurrent cell lanes pack into private panels; capacity
   // persists across calls (the training loop reuses a handful of shapes).
   static thread_local common::AlignedBuffer a_panels;
   static thread_local common::AlignedBuffer b_panels;
+  const std::size_t nr = tile.nr;
   const std::size_t m = row_end - row_begin;
-  alignas(common::kCacheLineBytes) float ctile[kMR * kNR];
   for (std::size_t jc = 0; jc < n; jc += kNC) {
     const std::size_t nc = std::min(kNC, n - jc);
-    const std::size_t n_slabs = (nc + kNR - 1) / kNR;
+    const std::size_t n_slabs = (nc + nr - 1) / nr;
     for (std::size_t pc = 0; pc < k; pc += kKC) {
       const std::size_t kc = std::min(kKC, k - pc);
-      float* pb = b_panels.grow(n_slabs * kNR * kc);
-      pack_b(b, pb, pc, kc, jc, nc, b_rs, b_cs);
-      const bool first_panel = pc == 0;
+      float* pb = b_panels.grow(n_slabs * nr * kc);
+      pack_b(b, pb, nr, pc, kc, jc, nc, b_rs, b_cs);
+      const bool accumulate = pc > 0;
       for (std::size_t ic = 0; ic < m; ic += kMC) {
         const std::size_t mc = std::min(kMC, m - ic);
         const std::size_t m_slabs = (mc + kMR - 1) / kMR;
@@ -342,28 +438,37 @@ void simd_gemm(const float* a, const float* b, float* c, std::size_t row_begin,
         pack_a(a, pa, row_begin + ic, mc, pc, kc, a_rs, a_cs);
         for (std::size_t si = 0; si < m_slabs; ++si) {
           const std::size_t tile_rows = std::min(kMR, mc - si * kMR);
+          float* crow = c + (row_begin + ic + si * kMR) * n + jc;
           for (std::size_t sj = 0; sj < n_slabs; ++sj) {
-            const std::size_t tile_cols = std::min(kNR, nc - sj * kNR);
-            micro(kc, pa + si * kMR * kc, pb + sj * kNR * kc, ctile);
-            float* cbase =
-                c + (row_begin + ic + si * kMR) * n + jc + sj * kNR;
-            for (std::size_t r = 0; r < tile_rows; ++r) {
-              float* crow = cbase + r * n;
-              const float* trow = ctile + r * kNR;
-              if (first_panel) {
-                for (std::size_t cc = 0; cc < tile_cols; ++cc) {
-                  crow[cc] = trow[cc];
-                }
-              } else {
-                for (std::size_t cc = 0; cc < tile_cols; ++cc) {
-                  crow[cc] += trow[cc];
-                }
-              }
-            }
+            tile.kernel(kc, pa + si * kMR * kc, pb + sj * nr * kc,
+                        crow + sj * nr, n, tile_rows,
+                        std::min(nr, nc - sj * nr), accumulate);
           }
         }
       }
     }
+  }
+}
+
+/// The kSimd GEMM of one layout on `tile`; the strides absorb the
+/// transposes. m (A's row count) is read only by kTn.
+void simd_gemm(const GemmTile& tile, GemmLayout layout, const float* a,
+               const float* b, float* c, std::size_t row_begin,
+               std::size_t row_end, std::size_t k, std::size_t m,
+               std::size_t n) {
+  switch (layout) {
+    case GemmLayout::kNn:
+      simd_gemm(tile, a, b, c, row_begin, row_end, k, n, /*a_rs=*/k,
+                /*a_cs=*/1, /*b_rs=*/n, /*b_cs=*/1);
+      return;
+    case GemmLayout::kTn:  // Op(A)[i,l] = a[l*m + i]
+      simd_gemm(tile, a, b, c, row_begin, row_end, k, n, /*a_rs=*/1,
+                /*a_cs=*/m, /*b_rs=*/n, /*b_cs=*/1);
+      return;
+    case GemmLayout::kNt:  // Op(B)[l,j] = b[j*k + l]
+      simd_gemm(tile, a, b, c, row_begin, row_end, k, n, /*a_rs=*/k,
+                /*a_cs=*/1, /*b_rs=*/1, /*b_cs=*/k);
+      return;
   }
 }
 
@@ -377,8 +482,8 @@ void gemm(KernelKind kind, const float* a, const float* b, float* c,
   if (kind == KernelKind::kScalar) {
     scalar_gemm(a, b, c, row_begin, row_end, k, n);
   } else {
-    simd_gemm(a, b, c, row_begin, row_end, k, n, /*a_rs=*/k, /*a_cs=*/1,
-              /*b_rs=*/n, /*b_cs=*/1);
+    simd_gemm(active_tile(), GemmLayout::kNn, a, b, c, row_begin, row_end, k,
+              /*m=*/0, n);
   }
 }
 
@@ -388,9 +493,8 @@ void gemm_tn(KernelKind kind, const float* a, const float* b, float* c,
   if (kind == KernelKind::kScalar) {
     scalar_gemm_tn(a, b, c, row_begin, row_end, k, m, n);
   } else {
-    // Op(A)[i,l] = a[l*m + i]: the packing absorbs the transpose.
-    simd_gemm(a, b, c, row_begin, row_end, k, n, /*a_rs=*/1, /*a_cs=*/m,
-              /*b_rs=*/n, /*b_cs=*/1);
+    simd_gemm(active_tile(), GemmLayout::kTn, a, b, c, row_begin, row_end, k,
+              m, n);
   }
 }
 
@@ -400,20 +504,27 @@ void gemm_nt(KernelKind kind, const float* a, const float* b, float* c,
   if (kind == KernelKind::kScalar) {
     scalar_gemm_nt(a, b, c, row_begin, row_end, k, n);
   } else {
-    // Op(B)[l,j] = b[j*k + l].
-    simd_gemm(a, b, c, row_begin, row_end, k, n, /*a_rs=*/k, /*a_cs=*/1,
-              /*b_rs=*/1, /*b_cs=*/k);
+    simd_gemm(active_tile(), GemmLayout::kNt, a, b, c, row_begin, row_end, k,
+              /*m=*/0, n);
   }
 }
 
-const char* instruction_set_name() {
-#if defined(CELLGAN_X86)
-  return cpu_has_avx2_fma() ? "avx2+fma" : "portable";
-#elif defined(__ARM_NEON)
-  return "neon";
-#else
-  return "portable";
-#endif
+std::vector<const char*> runnable_gemm_tiles() {
+  std::vector<const char*> names;
+  for (const GemmTile& tile : runnable_tiles()) names.push_back(tile.name);
+  return names;
+}
+
+void simd_gemm_on_tile(std::string_view tile_name, GemmLayout layout,
+                       const float* a, const float* b, float* c,
+                       std::size_t row_begin, std::size_t row_end,
+                       std::size_t k, std::size_t m, std::size_t n) {
+  const std::vector<GemmTile> tiles = runnable_tiles();
+  const auto tile = std::find_if(tiles.begin(), tiles.end(), [&](const GemmTile& t) {
+    return t.name == tile_name;
+  });
+  CG_EXPECT(tile != tiles.end());
+  simd_gemm(*tile, layout, a, b, c, row_begin, row_end, k, m, n);
 }
 
 // --- elementwise family -----------------------------------------------------
@@ -561,6 +672,6 @@ void ew_leaky_relu_backward(const float* dy, const float* x, float slope, float*
 
 }  // namespace kernels
 
-const char* simd_instruction_set() { return kernels::instruction_set_name(); }
+const char* simd_instruction_set() { return kernels::active_tile().name; }
 
 }  // namespace cellgan::tensor

@@ -9,13 +9,13 @@
 //    pinned to it reproduce the seed behavior bit for bit; it is the oracle
 //    the kernel_parity suite checks kSimd against.
 //  * kSimd — packed A/B panels (L1/L2-sized, 64-byte aligned) swept by a
-//    register-tiled microkernel: AVX2+FMA when the CPU supports it (runtime
-//    dispatch via target attributes), NEON on ARM, and a
-//    compiler-autovectorized portable tile otherwise. GEMM results may
-//    differ from scalar by accumulation order (FMA + vector-lane sums); the
-//    kernel_parity suite bounds the drift. On AVX2+FMA, tanh is an 8-wide
-//    rational approximation within 3e-7 of the exact value (elsewhere it
-//    stays libm).
+//    register-tiled microkernel, the first this CPU runs of: AVX-512F 6x32,
+//    AVX2+FMA 6x16 (both runtime-dispatched via target attributes), NEON
+//    6x16 on ARM, and a compiler-autovectorized portable 6x16 tile. The FMA
+//    tiles give identical bits; GEMM results may differ from scalar by
+//    accumulation order (FMA + vector-lane sums), and the kernel_parity
+//    suite bounds the drift. On AVX2+FMA, tanh is an 8-wide rational
+//    approximation within 3e-7 of the exact value (elsewhere it stays libm).
 //
 // Selection: the process starts on kSimd; set_kernel_kind() switches it, and
 // Session::prepare applies RunSpec::tensor_kernel (`--tensor-kernel`) that
@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 namespace cellgan::tensor {
 
@@ -50,8 +51,8 @@ KernelKind active_kernel_kind();
 /// Select the kernel kind process-wide.
 void set_kernel_kind(KernelKind kind);
 
-/// Name of the vector instruction set the kSimd path engages on this
-/// machine: "avx2+fma", "neon" or "portable" (autovectorized tile).
+/// Name of the GEMM tile the kSimd path engages on this machine: "avx512f",
+/// "avx2+fma", "neon" or "portable" (autovectorized tile).
 const char* simd_instruction_set();
 
 namespace kernels {
@@ -73,6 +74,23 @@ void gemm_tn(KernelKind kind, const float* a, const float* b, float* c,
 void gemm_nt(KernelKind kind, const float* a, const float* b, float* c,
              std::size_t row_begin, std::size_t row_end, std::size_t k,
              std::size_t n);
+
+// Test hooks. kSimd runs one tile per process, the first the CPU can run;
+// these reach the others, so each is tested where the CPU can run it.
+
+/// The three GEMMs above: gemm, gemm_tn, gemm_nt.
+enum class GemmLayout { kNn, kTn, kNt };
+
+/// Names of the kSimd GEMM tiles this CPU can run, the dispatched one first.
+std::vector<const char*> runnable_gemm_tiles();
+
+/// The kSimd GEMM of `layout` on the named tile (one of
+/// runnable_gemm_tiles()), with the operands and output contract of that
+/// layout's function above; m is read only by kTn.
+void simd_gemm_on_tile(std::string_view tile, GemmLayout layout, const float* a,
+                       const float* b, float* c, std::size_t row_begin,
+                       std::size_t row_end, std::size_t k, std::size_t m,
+                       std::size_t n);
 
 // Elementwise family over [0, n). Each output element depends only on its own
 // inputs, so any split of [0, n) reproduces one full call bit for bit. All but

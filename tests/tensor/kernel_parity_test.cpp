@@ -9,23 +9,29 @@
 //  * all three GEMM kernels OVERWRITE their output rows (the unified
 //    initialization contract) — poisoned output memory must not leak in;
 //  * row-range calls reproduce the full-range call bit for bit for a fixed
-//    kind (serve batching stacks requests as rows and relies on it), and
-//    concurrent calls from cell lanes reproduce the serial call;
-//  * on AVX2+FMA, the simd output bits of three seeded GEMMs per variant are
-//    pinned by hash, so a change to the tile's FMA order fails across builds;
+//    kind (serve batching stacks requests as rows and relies on it), write
+//    no other row and nothing past C, and concurrent calls from cell lanes
+//    reproduce the serial call;
+//  * kSimd dispatches the first tile the CPU can run (AVX-512F 6x32, AVX2+FMA
+//    6x16, NEON 6x16, portable 6x16); every tile the CPU can run gets the
+//    bound and the row-write check, not only the dispatched one;
+//  * on an FMA tile, the simd output bits of three seeded GEMMs per variant
+//    are pinned by hash, the same for every FMA tile, so a change to a tile's
+//    FMA order fails across builds;
 //  * tanh: the scalar kind is libm bit for bit, the simd kind stays within an
 //    absolute bound of the double-precision tanh with libm's special values,
 //    and every output depends only on its own input (no effect of the call's
 //    start offset or length, the vector tail included). On AVX2+FMA its
 //    output bits are pinned by hash, like the GEMMs'.
 //
-// Shapes sweep odd/prime/tail-heavy sizes so partial kMR x kNR tiles, panel
-// remainders and sub-vector widths all get exercised, and run under the
+// Shapes sweep odd/prime/tail-heavy sizes so partial 6x16 and 6x32 tiles,
+// panel remainders and sub-vector widths all get exercised, and run under the
 // tier1 label so the ASan/UBSan CI job covers the packing scratch buffers.
 #include "tensor/kernels.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -51,8 +57,8 @@ struct GemmShape {
   std::size_t m, k, n;
 };
 
-// Odd, prime and tail-heavy shapes around the 6x16 microkernel tile and the
-// 256-deep k panel, plus the paper's discriminator first layer.
+// Odd, prime and tail-heavy shapes around the 6x16 and 6x32 microkernel
+// tiles and the 256-deep k panel, plus the paper's discriminator first layer.
 const GemmShape kShapes[] = {
     {1, 1, 1},   {2, 3, 5},     {5, 7, 3},    {6, 16, 16},  {7, 17, 19},
     {17, 13, 11}, {31, 64, 33},  {33, 65, 17}, {3, 257, 65}, {129, 31, 63},
@@ -298,9 +304,18 @@ void expect_writes_only_its_rows(const RowRangeGemm& gemm, std::size_t m,
   }
 }
 
-TEST(KernelParity, GemmWritesOnlyItsRows) {
-  // n covers every column tail of a 16- and a 32-wide tile; k = 7 takes only
-  // the first k panel's store, k = 300 also the second panel's add into C.
+/// Runs one layout's GEMM on rows [row_begin, row_end) of C, with a and b
+/// stored as that layout's kernel takes them.
+using LayoutGemm = std::function<void(
+    kernels::GemmLayout layout, const float* a, const float* b, float* c,
+    std::size_t row_begin, std::size_t row_end, std::size_t k, std::size_t m,
+    std::size_t n)>;
+
+/// GemmWritesOnlyItsRows' sweep: n covers every column tail of a 16- and a
+/// 32-wide tile; k = 7 takes only the first k panel's store, k = 300 also the
+/// second panel's add into C.
+void expect_layouts_write_only_their_rows(const LayoutGemm& gemm,
+                                          const std::string& label) {
   constexpr std::size_t m = 13;
   for (const std::size_t k : {std::size_t{7}, std::size_t{300}}) {
     for (std::size_t n = 1; n <= 33; ++n) {
@@ -308,30 +323,47 @@ TEST(KernelParity, GemmWritesOnlyItsRows) {
       const Tensor b = random_tensor(k, n, 5 * n + k);
       const Tensor a_t = random_tensor(k, m, 7 * n + k);
       const Tensor b_t = random_tensor(n, k, 11 * n + k);
-      for (const KernelKind kind : testsupport::kAllKernelKinds) {
-        const std::string label = std::string(to_string(kind)) + " " +
-                                   std::to_string(m) + "x" + std::to_string(k) +
-                                   "x" + std::to_string(n);
+      const struct {
+        kernels::GemmLayout layout;
+        const Tensor& a;
+        const Tensor& b;
+        const char* name;
+      } cases[] = {{kernels::GemmLayout::kNn, a, b, "gemm"},
+                   {kernels::GemmLayout::kTn, a_t, b, "gemm_tn"},
+                   {kernels::GemmLayout::kNt, a, b_t, "gemm_nt"}};
+      for (const auto& op : cases) {
         expect_writes_only_its_rows(
             [&](float* c, std::size_t row_begin, std::size_t row_end) {
-              kernels::gemm(kind, a.data().data(), b.data().data(), c, row_begin,
-                            row_end, k, n);
+              gemm(op.layout, op.a.data().data(), op.b.data().data(), c,
+                   row_begin, row_end, k, m, n);
             },
-            m, n, "gemm " + label);
-        expect_writes_only_its_rows(
-            [&](float* c, std::size_t row_begin, std::size_t row_end) {
-              kernels::gemm_tn(kind, a_t.data().data(), b.data().data(), c,
-                               row_begin, row_end, k, m, n);
-            },
-            m, n, "gemm_tn " + label);
-        expect_writes_only_its_rows(
-            [&](float* c, std::size_t row_begin, std::size_t row_end) {
-              kernels::gemm_nt(kind, a.data().data(), b_t.data().data(), c,
-                               row_begin, row_end, k, n);
-            },
-            m, n, "gemm_nt " + label);
+            m, n,
+            label + " " + op.name + " " + std::to_string(m) + "x" +
+                std::to_string(k) + "x" + std::to_string(n));
       }
     }
+  }
+}
+
+TEST(KernelParity, GemmWritesOnlyItsRows) {
+  for (const KernelKind kind : testsupport::kAllKernelKinds) {
+    expect_layouts_write_only_their_rows(
+        [kind](kernels::GemmLayout layout, const float* a, const float* b,
+               float* c, std::size_t row_begin, std::size_t row_end,
+               std::size_t k, std::size_t m, std::size_t n) {
+          switch (layout) {
+            case kernels::GemmLayout::kNn:
+              kernels::gemm(kind, a, b, c, row_begin, row_end, k, n);
+              return;
+            case kernels::GemmLayout::kTn:
+              kernels::gemm_tn(kind, a, b, c, row_begin, row_end, k, m, n);
+              return;
+            case kernels::GemmLayout::kNt:
+              kernels::gemm_nt(kind, a, b, c, row_begin, row_end, k, n);
+              return;
+          }
+        },
+        to_string(kind));
   }
 }
 
@@ -356,6 +388,63 @@ TEST(KernelParity, ThreadedMatmulBitIdenticalToSerialPerKind) {
   }
 }
 
+/// Op(A) * Op(B) over all rows on the named simd tile, with a and b stored
+/// as the layout's kernel takes them.
+Tensor gemm_on_tile(const char* tile, kernels::GemmLayout layout, const Tensor& a,
+                    const Tensor& b) {
+  const bool tn = layout == kernels::GemmLayout::kTn;
+  const std::size_t m = tn ? a.cols() : a.rows();
+  const std::size_t k = tn ? a.rows() : a.cols();
+  const std::size_t n = layout == kernels::GemmLayout::kNt ? b.rows() : b.cols();
+  Tensor c(m, n);
+  kernels::simd_gemm_on_tile(tile, layout, a.data().data(), b.data().data(),
+                             c.data().data(), 0, m, k, m, n);
+  return c;
+}
+
+TEST(KernelParity, EveryTileWithinBound) {
+  // kSimd dispatches one tile; every other tile this CPU can run (the AVX2
+  // and portable tiles on an AVX-512 host) gets the *WithinBoundBothKinds
+  // bound here, on all three layouts.
+  for (const char* tile : kernels::runnable_gemm_tiles()) {
+    for (const auto& shape : kShapes) {
+      const Tensor a = random_tensor(shape.m, shape.k, 11 + shape.m);
+      const Tensor b = random_tensor(shape.k, shape.n, 23 + shape.n);
+      const Tensor a_t = random_tensor(shape.k, shape.m, 31 + shape.k);
+      const Tensor b_t = random_tensor(shape.n, shape.k, 61 + shape.k);
+      const auto at_a = [&](std::size_t i, std::size_t l) { return a.at(i, l); };
+      const auto at_b = [&](std::size_t l, std::size_t j) { return b.at(l, j); };
+      const auto at_a_t = [&](std::size_t i, std::size_t l) { return a_t.at(l, i); };
+      const auto at_b_t = [&](std::size_t l, std::size_t j) { return b_t.at(j, l); };
+      const std::string label = std::string(tile) + " ";
+      expect_within_gemm_bound(gemm_on_tile(tile, kernels::GemmLayout::kNn, a, b),
+                               shape.m, shape.k, shape.n, at_a, at_b,
+                               (label + "gemm").c_str());
+      expect_within_gemm_bound(gemm_on_tile(tile, kernels::GemmLayout::kTn, a_t, b),
+                               shape.m, shape.k, shape.n, at_a_t, at_b,
+                               (label + "gemm_tn").c_str());
+      expect_within_gemm_bound(gemm_on_tile(tile, kernels::GemmLayout::kNt, a, b_t),
+                               shape.m, shape.k, shape.n, at_a, at_b_t,
+                               (label + "gemm_nt").c_str());
+    }
+  }
+}
+
+TEST(KernelParity, EveryTileWritesOnlyItsRows) {
+  // The 16-wide tiles write C from a stack tile, the 32-wide one through
+  // lane masks; each tile this CPU can run gets GemmWritesOnlyItsRows' sweep.
+  for (const char* tile : kernels::runnable_gemm_tiles()) {
+    expect_layouts_write_only_their_rows(
+        [tile](kernels::GemmLayout layout, const float* a, const float* b,
+               float* c, std::size_t row_begin, std::size_t row_end,
+               std::size_t k, std::size_t m, std::size_t n) {
+          kernels::simd_gemm_on_tile(tile, layout, a, b, c, row_begin, row_end,
+                                     k, m, n);
+        },
+        tile);
+  }
+}
+
 /// FNV-1a (64-bit) over the bytes of a tensor's elements.
 std::uint64_t fnv1a_64(const Tensor& t) {
   std::uint64_t hash = 0xcbf29ce484222325ull;
@@ -370,19 +459,23 @@ std::uint64_t fnv1a_64(const Tensor& t) {
 TEST(KernelParity, SimdGemmBitsArePinned) {
   // Every other GEMM test compares kinds, rows or lanes within one build, so
   // a microkernel change that reorders an output element's FMA chain would
-  // pass them all. These hashes pin the AVX2+FMA tile's exact output bits
-  // across builds. Operands are uniform, not normal: Rng::uniform uses only
-  // integer and IEEE arithmetic, so the inputs do not depend on libm.
-  if (std::string(simd_instruction_set()) != "avx2+fma") {
-    GTEST_SKIP() << "hashes are of the avx2+fma tile; this CPU runs "
-                 << simd_instruction_set();
+  // pass them all. These hashes pin the exact output bits of the dispatched
+  // kSimd path and of every FMA tile this CPU can run (avx512f, avx2+fma,
+  // neon: the tile width does not change any element's chain) across
+  // builds. Operands are uniform, not normal: Rng::uniform uses only integer
+  // and IEEE arithmetic, so the inputs do not depend on libm.
+  const std::vector<const char*> tiles = kernels::runnable_gemm_tiles();
+  const auto is_fma = [](const char* tile) { return std::string(tile) != "portable"; };
+  if (!is_fma(tiles.front())) {
+    GTEST_SKIP() << "hashes are of the FMA tiles; this CPU runs only the "
+                 << tiles.front() << " tile";
   }
   struct Pinned {
     GemmShape shape;
     std::uint64_t nn, tn, nt;
   };
   const Pinned kPinned[] = {
-      // two k panels, partial 6x16 tiles
+      // two k panels, partial tiles
       {{13, 300, 47},
        0x1a1b8176b7f65ca8ull, 0xb0d020016b6a9a60ull, 0x5239dd1799ffb208ull},
       // four k panels, the last one 16 deep (the Table I 784-wide layers)
@@ -405,6 +498,15 @@ TEST(KernelParity, SimdGemmBitsArePinned) {
     EXPECT_EQ(pinned.nn, fnv1a_64(matmul(a, b))) << "matmul " << label;
     EXPECT_EQ(pinned.tn, fnv1a_64(matmul_tn(a_t, b))) << "matmul_tn " << label;
     EXPECT_EQ(pinned.nt, fnv1a_64(matmul_nt(a, b_t))) << "matmul_nt " << label;
+    for (const char* tile : tiles) {
+      if (!is_fma(tile)) continue;
+      EXPECT_EQ(pinned.nn, fnv1a_64(gemm_on_tile(tile, kernels::GemmLayout::kNn, a, b)))
+          << tile << " gemm " << label;
+      EXPECT_EQ(pinned.tn, fnv1a_64(gemm_on_tile(tile, kernels::GemmLayout::kTn, a_t, b)))
+          << tile << " gemm_tn " << label;
+      EXPECT_EQ(pinned.nt, fnv1a_64(gemm_on_tile(tile, kernels::GemmLayout::kNt, a, b_t)))
+          << tile << " gemm_nt " << label;
+    }
   }
 }
 
@@ -494,10 +596,14 @@ TEST(KernelParity, TanhIsPositionIndependent) {
 TEST(KernelParity, SimdTanhBitsArePinned) {
   // The bound above leaves room for a reordered polynomial; these hashes pin
   // the avx2+fma tanh's exact output bits across builds, on the paper's
-  // 100x784 generator output and an odd shape with an n % 8 tail.
-  if (std::string(simd_instruction_set()) != "avx2+fma") {
-    GTEST_SKIP() << "hashes are of the avx2+fma tanh; this CPU runs "
-                 << simd_instruction_set();
+  // 100x784 generator output and an odd shape with an n % 8 tail. The simd
+  // tanh runs where the CPU has AVX2+FMA, that is where the avx2+fma GEMM
+  // tile is runnable, whichever tile the GEMMs dispatch.
+  const std::vector<const char*> tiles = kernels::runnable_gemm_tiles();
+  if (std::none_of(tiles.begin(), tiles.end(), [](const char* tile) {
+        return std::string(tile) == "avx2+fma";
+      })) {
+    GTEST_SKIP() << "hashes are of the avx2+fma tanh; this CPU lacks AVX2+FMA";
   }
   struct Pinned {
     std::size_t rows, cols;
@@ -531,9 +637,13 @@ TEST(KernelSelection, NameRoundTripAndSetGet) {
   EXPECT_EQ(KernelKind::kSimd, active_kernel_kind());
   set_kernel_kind(before);
 
-  // Whatever the hardware, the instruction-set name is one of the known ones.
+  // Whatever the hardware, the instruction-set name is one of the known ones,
+  // and it is the first tile this CPU can run.
   const std::string isa = simd_instruction_set();
-  EXPECT_TRUE(isa == "avx2+fma" || isa == "neon" || isa == "portable") << isa;
+  EXPECT_TRUE(isa == "avx512f" || isa == "avx2+fma" || isa == "neon" ||
+              isa == "portable")
+      << isa;
+  EXPECT_EQ(isa, kernels::runnable_gemm_tiles().front());
 }
 
 TEST(KernelSelection, EnvironmentDoesNotChooseTheKind) {
