@@ -282,8 +282,11 @@ void expect_writes_only_its_rows(const RowRangeGemm& gemm, std::size_t m,
                                  std::size_t n, const std::string& label) {
   constexpr std::size_t kGuard = 64;
   const float sentinel = 1234.5f;
-  std::vector<float> whole(m * n);
+  std::vector<float> whole(m * n + kGuard, sentinel);
   gemm(whole.data(), 0, m);
+  for (std::size_t g = 0; g < kGuard; ++g) {
+    ASSERT_EQ(sentinel, whole[m * n + g]) << label << " all rows, guard " << g;
+  }
   const std::size_t ranges[][2] = {{3, 11}, {5, 13}};
   for (const auto& [row_begin, row_end] : ranges) {
     std::vector<float> c(m * n + kGuard, sentinel);
@@ -340,6 +343,7 @@ void expect_layouts_write_only_their_rows(const LayoutGemm& gemm,
             m, n,
             label + " " + op.name + " " + std::to_string(m) + "x" +
                 std::to_string(k) + "x" + std::to_string(n));
+        if (::testing::Test::HasFatalFailure()) return;
       }
     }
   }
