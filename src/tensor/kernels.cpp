@@ -258,6 +258,8 @@ __attribute__((target("avx2,fma"))) void micro_avx2(std::size_t kc,
   }
 }
 
+constexpr std::size_t kNR512 = 32;  ///< cols of the AVX-512 tile
+
 // micro_avx2's six rows at 32 columns: twelve zmm accumulators, two B loads,
 // six broadcasts and twelve register-to-register FMAs per k step. The same
 // unroll rule holds. C is read and written through lane masks, so no lane
@@ -266,7 +268,6 @@ __attribute__((target("avx512f"))) void micro_avx512(
     std::size_t kc, const float* pa, const float* pb, float* c,
     std::size_t ldc, std::size_t rows, std::size_t cols, bool accumulate) {
   static_assert(kMR == 6, "the unroll pragmas below must equal kMR");
-  constexpr std::size_t nr = 32;
   __m512 acc0[kMR];
   __m512 acc1[kMR];
 #pragma GCC unroll 6
@@ -275,8 +276,8 @@ __attribute__((target("avx512f"))) void micro_avx512(
     acc1[r] = _mm512_setzero_ps();
   }
   for (std::size_t l = 0; l < kc; ++l) {
-    const __m512 b0 = _mm512_load_ps(pb + l * nr);
-    const __m512 b1 = _mm512_load_ps(pb + l * nr + 16);
+    const __m512 b0 = _mm512_load_ps(pb + l * kNR512);
+    const __m512 b1 = _mm512_load_ps(pb + l * kNR512 + 16);
     const float* al = pa + l * kMR;
 #pragma GCC unroll 6
     for (std::size_t r = 0; r < kMR; ++r) {
@@ -346,7 +347,7 @@ std::vector<GemmTile> runnable_tiles() {
   std::vector<GemmTile> tiles;
 #if defined(CELLGAN_X86)
   if (__builtin_cpu_supports("avx512f")) {
-    tiles.push_back({micro_avx512, 32, "avx512f"});
+    tiles.push_back({micro_avx512, kNR512, "avx512f"});
   }
   if (cpu_has_avx2_fma()) {
     tiles.push_back({via_stack_tile<micro_avx2>, kNR, "avx2+fma"});
