@@ -13,13 +13,9 @@
 // summary is printed from the actual world layout. Wall-clock times of the
 // reduced runs are also reported (honest small-scale measurement on this
 // machine) — the virtual-time columns are the paper-scale reproduction.
-//
-// --json FILE writes the measured rows as machine-readable JSON so CI can
-// archive bench numbers (ci/check.sh --bench -> BENCH_parallel.json) and
-// future perf PRs can show deltas.
+// `ci/check.sh --bench` runs it at reduced scale as a smoke.
 #include <cmath>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -117,40 +113,6 @@ GridResult run_grid(int side, std::uint32_t iterations, int repetitions,
   return result;
 }
 
-void write_json(const std::string& path, const std::vector<GridResult>& rows,
-                std::uint32_t iterations, std::size_t threads) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"table3_scaling\",\n");
-  std::fprintf(f, "  \"iterations\": %u,\n  \"threads\": %zu,\n  \"grids\": [\n",
-               iterations, threads);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const GridResult& r = rows[i];
-    std::fprintf(f,
-                 "    {\"side\": %d, \"seq_virtual_min\": %.6f, "
-                 "\"seq_wall_s\": %.6f, \"seq_train_flops\": %.0f,\n"
-                 "     \"mt_virtual_min\": %.6f, \"mt_wall_s\": %.6f, "
-                 "\"mt_wall_speedup\": %.4f, \"mt_virtual_speedup\": %.4f,\n"
-                 "     \"mt_flops_match\": %s, \"mt_profile_match\": %s,\n"
-                 "     \"dist_virtual_min_avg\": %.6f, "
-                 "\"dist_virtual_min_std\": %.6f, \"dist_wall_s\": %.6f}%s\n",
-                 r.side, r.seq_virtual_min, r.seq_wall_s, r.seq_train_flops,
-                 r.mt_virtual_min, r.mt_wall_s,
-                 r.mt_wall_s > 0.0 ? r.seq_wall_s / r.mt_wall_s : 0.0,
-                 r.mt_virtual_min > 0.0 ? r.seq_virtual_min / r.mt_virtual_min : 0.0,
-                 r.mt_flops_match ? "true" : "false",
-                 r.mt_profile_match ? "true" : "false", r.dist_virtual_min_avg,
-                 r.dist_virtual_min_std, r.dist_wall_s,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -161,7 +123,6 @@ int main(int argc, char** argv) {
   cli.add_flag("threads", "0",
                "worker lanes for an extra in-process multithread column "
                "(0 = skip)");
-  cli.add_flag("json", "", "write machine-readable results to this file");
   if (!cli.parse(argc, argv)) return 1;
 
   const auto iterations = static_cast<std::uint32_t>(cli.get_int("iterations"));
@@ -225,9 +186,6 @@ int main(int argc, char** argv) {
     std::printf("  (wall speedup is bounded by this machine's cores; the"
                 " virtual column is the calibrated p-core makespan)\n");
   }
-
-  const std::string json_path = cli.get("json");
-  if (!json_path.empty()) write_json(json_path, rows, iterations, threads);
 
   std::printf("\nshape check: superlinear speedup at 2x2/3x3 (memory-pressure"
               " model),\nsublinear at 4x4 (management + gather overhead) — see"

@@ -7,12 +7,11 @@
 # Usage:
 #   ci/check.sh [--bench] [build-dir]
 #
-# --bench additionally runs the perf bed at reduced scale and records the
-# numbers (BENCH_parallel.json, the unified-runner RunResult
-# BENCH_session.json, the Table II metric sweep BENCH_metrics.json, the
-# scalar-vs-SIMD tensor kernel sweep BENCH_tensor.json, the exchange-policy
-# sweep BENCH_exchange.json, the legacy-vs-store
-# data-plane sweep BENCH_datastore.json, the serving-plane
+# --bench additionally runs the perf bed at reduced scale (table3_scaling as
+# a smoke) and records the numbers (the Table II metric sweep
+# BENCH_metrics.json, the scalar-vs-SIMD tensor kernel sweep
+# BENCH_tensor.json, the exchange-policy sweep BENCH_exchange.json, the
+# legacy-vs-store data-plane sweep BENCH_datastore.json, the serving-plane
 # latency/QPS sweep BENCH_serving.json with its telemetry stream
 # SMOKE_serving.jsonl, and a smoke-run telemetry stream
 # SMOKE_telemetry.jsonl in the build dir), so perf and quality PRs can show
@@ -81,14 +80,10 @@ echo "=== smoke: wall-clock ledger (bench/ledger/run.sh --smoke) ==="
 bash "$ROOT/bench/ledger/run.sh" --smoke
 
 if [ "$RUN_BENCH" -eq 1 ]; then
-  echo "=== bench: table3_scaling (reduced scale) -> BENCH_parallel.json ==="
+  echo "=== smoke: table3_scaling (reduced scale) ==="
   BENCH_THREADS=$(( JOBS < 2 ? 2 : JOBS ))
   ./bench/table3_scaling --iterations 4 --repetitions 2 --samples 64 \
-    --threads "$BENCH_THREADS" --json "$BUILD/BENCH_parallel.json"
-  echo "=== bench: unified runner (threads backend) -> BENCH_session.json ==="
-  ./examples/cellgan_run --backend threads --threads "$BENCH_THREADS" \
-    --iterations 4 --grid 2 --samples 64 --cost-profile table3 \
-    --result-json "$BUILD/BENCH_session.json"
+    --threads "$BENCH_THREADS"
   echo "=== bench: table2_metrics (reduced scale) -> BENCH_metrics.json ==="
   ./bench/table2_metrics --iterations 4 --samples 96 --max-side 2 \
     --eval-every 2 --eval-samples 48 --json "$BUILD/BENCH_metrics.json"
