@@ -32,21 +32,20 @@ TEST(HeartbeatTest, MonitorSeesProcessingThenFinished) {
       const MasterOutcome outcome = master.run();
       EXPECT_EQ(outcome.results.size(), 1u);
     } else {
+      // Observe the state machine from the execution thread, which runs
+      // on_iteration once per iteration and only while the slave is
+      // Processing, so no iteration can slip between two samples.
+      const Slave* observed = nullptr;
       Slave::Options slave_options;
-      slave_options.on_iteration = [&](std::uint32_t) {};
+      slave_options.on_iteration = [&](std::uint32_t) {
+        if (observed->state() == protocol::SlaveState::kProcessing) {
+          saw_processing.store(true);
+        }
+      };
       Slave slave(world, *local, *global, dataset, CostModel{},
                   std::move(slave_options));
-      // Observe own state machine from a probe thread while running.
-      std::thread observer([&] {
-        for (int i = 0; i < 200; ++i) {
-          if (slave.state() == protocol::SlaveState::kProcessing) {
-            saw_processing.store(true);
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-      });
+      observed = &slave;
       const protocol::SlaveResult result = slave.run();
-      observer.join();
       EXPECT_EQ(slave.state(), protocol::SlaveState::kFinished);
       EXPECT_EQ(result.cell_id, 0u);
     }
