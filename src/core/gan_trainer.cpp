@@ -83,7 +83,7 @@ void clip_parameters(nn::Sequential& net, double clip) {
 }
 
 double train_discriminator_step(nn::Sequential& discriminator,
-                                nn::Optimizer& d_optimizer,
+                                nn::Adam& d_optimizer,
                                 nn::Sequential& generator,
                                 const tensor::Tensor& real_batch,
                                 std::size_t latent_dim, common::Rng& rng,
@@ -115,7 +115,7 @@ double train_discriminator_step(nn::Sequential& discriminator,
   return static_cast<double>(real_loss) + fake_loss;
 }
 
-double train_generator_step(nn::Sequential& generator, nn::Optimizer& g_optimizer,
+double train_generator_step(nn::Sequential& generator, nn::Adam& g_optimizer,
                             nn::Sequential& discriminator, std::size_t batch_size,
                             std::size_t latent_dim, common::Rng& rng,
                             GanLossKind loss_kind, const GanStepOptions& options) {

@@ -44,7 +44,7 @@ struct GanStepOptions {
 /// Returns the discriminator loss before the step. `loss_kind` selects the
 /// objective (Mustangs loss diversity); the default reproduces Lipizzaner.
 double train_discriminator_step(nn::Sequential& discriminator,
-                                nn::Optimizer& d_optimizer,
+                                nn::Adam& d_optimizer,
                                 nn::Sequential& generator,
                                 const tensor::Tensor& real_batch,
                                 std::size_t latent_dim, common::Rng& rng,
@@ -53,7 +53,7 @@ double train_discriminator_step(nn::Sequential& discriminator,
 
 /// One generator update against a fixed discriminator. Returns the generator
 /// loss before the step.
-double train_generator_step(nn::Sequential& generator, nn::Optimizer& g_optimizer,
+double train_generator_step(nn::Sequential& generator, nn::Adam& g_optimizer,
                             nn::Sequential& discriminator, std::size_t batch_size,
                             std::size_t latent_dim, common::Rng& rng,
                             GanLossKind loss_kind = GanLossKind::kHeuristic,

@@ -6,7 +6,6 @@
 
 #include "common/log.hpp"
 #include "data/idx.hpp"
-#include "data/synthetic_mnist.hpp"
 
 namespace cellgan::data {
 
@@ -144,22 +143,6 @@ Dataset downsampled(const Dataset& dataset, std::size_t new_side) {
     }
   }
   return out;
-}
-
-std::pair<Dataset, Dataset> load_mnist_or_synthetic(const std::string& dir,
-                                                    std::size_t synthetic_train,
-                                                    std::size_t synthetic_test,
-                                                    std::uint64_t seed) {
-  if (!dir.empty()) {
-    if (auto loaded = load_mnist_idx(dir)) {
-      common::log_info() << "loaded real MNIST from " << dir;
-      return std::move(*loaded);
-    }
-  }
-  common::log_info() << "MNIST IDX files not found; using synthetic stand-in ("
-                     << synthetic_train << " train / " << synthetic_test << " test)";
-  return {make_synthetic_mnist(synthetic_train, seed),
-          make_synthetic_mnist(synthetic_test, seed + 1)};
 }
 
 }  // namespace cellgan::data

@@ -44,14 +44,6 @@ struct Dataset {
 std::optional<std::pair<Dataset, Dataset>> load_mnist_idx(const std::string& dir,
                                                           std::string* error = nullptr);
 
-/// Load MNIST from IDX files when they exist at `dir` (train-images-idx3-ubyte
-/// etc.); otherwise synthesize a procedural stand-in with the same shape
-/// (see synthetic_mnist.hpp and DESIGN.md §1). Returns {train, test}.
-std::pair<Dataset, Dataset> load_mnist_or_synthetic(const std::string& dir,
-                                                    std::size_t synthetic_train,
-                                                    std::size_t synthetic_test,
-                                                    std::uint64_t seed);
-
 /// Area-average the square images of a dataset down to new_side x new_side
 /// (used to feed reduced architectures in tests and wall-clock benchmarks).
 Dataset downsampled(const Dataset& dataset, std::size_t new_side);

@@ -17,6 +17,10 @@ namespace {
 /// range (>= 0) and the collectives' internal tags (comm.cpp, -2..-6).
 constexpr int kTagSplit = -100;
 
+/// Deadline for the distributed split rendezvous (a dead peer then surfaces
+/// as TimeoutError instead of hanging the split forever).
+constexpr std::chrono::seconds kSplitTimeout{120};
+
 /// Process-independent child-communicator key: every member of a split
 /// derives the same value from the parent's key, the split sequence number
 /// and its color (splitmix64 finalizer — collision odds are negligible and
@@ -374,10 +378,7 @@ int Runtime::split_context_distributed(int parent_context, int caller_local_rank
   std::vector<int> keys(n, 0);
   colors[caller_local_rank] = color;
   keys[caller_local_rank] = key;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(split_timeout_s_));
+  const auto deadline = std::chrono::steady_clock::now() + kSplitTimeout;
   for (int r = 0; r < n; ++r) {
     if (r == caller_local_rank) continue;
     // Sliced wait so a peer whose stream is gone is named as PeerDeathError
@@ -401,7 +402,7 @@ int Runtime::split_context_distributed(int parent_context, int caller_local_rank
     if (!message) {
       throw TimeoutError("split rendezvous: no contribution from world rank " +
                          std::to_string(members[r]) + " within " +
-                         std::to_string(split_timeout_s_) + "s");
+                         std::to_string(kSplitTimeout.count()) + "s");
     }
     CG_EXPECT(message->payload.size() == 8);
     colors[r] = unpack_i32(message->payload.data());

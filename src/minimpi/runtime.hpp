@@ -105,10 +105,6 @@ class Runtime {
   /// early arrivals during a split, or strays with a corrupted context key.
   std::size_t pending_frames() const;
 
-  /// Deadline for the distributed split rendezvous (a dead peer then
-  /// surfaces as TimeoutError instead of hanging the split forever).
-  void set_split_timeout(double seconds) { split_timeout_s_ = seconds; }
-
   // -- peer liveness --------------------------------------------------------
   //
   // In distributed mode the transport reports every lost peer stream here
@@ -163,7 +159,6 @@ class Runtime {
   NetModel net_;
   std::unique_ptr<Transport> transport_;
   std::vector<std::unique_ptr<RankState>> rank_states_;
-  double split_timeout_s_ = 120.0;
 
   struct PeerLoss {
     bool clean = false;

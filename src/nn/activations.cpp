@@ -13,22 +13,4 @@ tensor::Tensor Tanh::backward(const tensor::Tensor& grad_output) {
   return tensor::tanh_backward(grad_output, cached_output_);
 }
 
-tensor::Tensor Sigmoid::forward(const tensor::Tensor& input) {
-  cached_output_ = tensor::sigmoid_forward(input);
-  return cached_output_;
-}
-
-tensor::Tensor Sigmoid::backward(const tensor::Tensor& grad_output) {
-  return tensor::sigmoid_backward(grad_output, cached_output_);
-}
-
-tensor::Tensor LeakyReLU::forward(const tensor::Tensor& input) {
-  cached_input_ = input;
-  return tensor::leaky_relu_forward(input, negative_slope_);
-}
-
-tensor::Tensor LeakyReLU::backward(const tensor::Tensor& grad_output) {
-  return tensor::leaky_relu_backward(grad_output, cached_input_, negative_slope_);
-}
-
 }  // namespace cellgan::nn

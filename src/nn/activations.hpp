@@ -1,4 +1,4 @@
-// Parameter-free activation layers.
+// The parameter-free tanh layer, the paper's only activation (Table I).
 #pragma once
 
 #include "nn/module.hpp"
@@ -9,32 +9,9 @@ class Tanh final : public Layer {
  public:
   tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  std::string name() const override { return "Tanh"; }
 
  private:
   tensor::Tensor cached_output_;
-};
-
-class Sigmoid final : public Layer {
- public:
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  std::string name() const override { return "Sigmoid"; }
-
- private:
-  tensor::Tensor cached_output_;
-};
-
-class LeakyReLU final : public Layer {
- public:
-  explicit LeakyReLU(float negative_slope = 0.2f) : negative_slope_(negative_slope) {}
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  std::string name() const override { return "LeakyReLU"; }
-
- private:
-  float negative_slope_;
-  tensor::Tensor cached_input_;
 };
 
 }  // namespace cellgan::nn

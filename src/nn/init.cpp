@@ -20,15 +20,4 @@ void xavier_uniform_init(Sequential& net, common::Rng& rng) {
   }
 }
 
-void normal_init(Sequential& net, common::Rng& rng, float stddev) {
-  for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    auto* linear = dynamic_cast<Linear*>(&net.layer(i));
-    if (linear == nullptr) continue;
-    for (auto& w : linear->weight().data()) {
-      w = static_cast<float>(rng.normal(0.0, stddev));
-    }
-    linear->bias().fill(0.0f);
-  }
-}
-
 }  // namespace cellgan::nn

@@ -10,7 +10,4 @@ namespace cellgan::nn {
 /// a = sqrt(6 / (fan_in + fan_out)); biases zero.
 void xavier_uniform_init(Sequential& net, common::Rng& rng);
 
-/// N(0, stddev) on weights, zero biases (DCGAN-style).
-void normal_init(Sequential& net, common::Rng& rng, float stddev = 0.02f);
-
 }  // namespace cellgan::nn

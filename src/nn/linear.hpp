@@ -17,8 +17,6 @@ class Linear final : public Layer {
   std::vector<tensor::Tensor*> gradients() override { return {&grad_weight_, &grad_bias_}; }
   void zero_grad() override;
 
-  std::string name() const override { return "Linear"; }
-
   std::size_t in_features() const { return weight_.rows(); }
   std::size_t out_features() const { return weight_.cols(); }
 

@@ -3,12 +3,11 @@
 // No tape autograd — the paper's networks are straight-line MLPs, so each
 // layer caches what its backward pass needs (input or output) and backward()
 // must be called after the matching forward(). Parameters and their gradients
-// are exposed as tensor pointers so optimizers and the genome codec
+// are exposed as tensor pointers so Adam and the genome codec
 // (flatten/unflatten) can walk them uniformly.
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -33,8 +32,6 @@ class Layer {
 
   /// Set all gradients to zero.
   virtual void zero_grad() {}
-
-  virtual std::string name() const = 0;
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

@@ -6,20 +6,6 @@
 
 namespace cellgan::nn {
 
-void Sgd::step(Layer& layer) {
-  auto params = layer.parameters();
-  auto grads = layer.gradients();
-  CG_EXPECT(params.size() == grads.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    auto p = params[i]->data();
-    auto g = grads[i]->data();
-    CG_EXPECT(p.size() == g.size());
-    tensor::count_flops(2ULL * p.size());
-    const float lr = static_cast<float>(lr_);
-    for (std::size_t j = 0; j < p.size(); ++j) p[j] -= lr * g[j];
-  }
-}
-
 Adam::Adam(double lr, double beta1, double beta2, double epsilon)
     : lr_(lr), beta1_(beta1), beta2_(beta2), epsilon_(epsilon) {}
 

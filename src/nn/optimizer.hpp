@@ -1,4 +1,4 @@
-// Gradient-descent optimizers.
+// The paper's optimizer, Adam.
 //
 // The learning rate is mutable at any time: Lipizzaner's hyperparameter
 // mutation perturbs the Adam learning rate between epochs (Table I:
@@ -14,44 +14,21 @@
 
 namespace cellgan::nn {
 
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  /// Apply one update step from the layer's accumulated gradients.
-  virtual void step(Layer& layer) = 0;
-
-  virtual void set_learning_rate(double lr) = 0;
-  virtual double learning_rate() const = 0;
-
-  /// Reset internal state (moments, step counter).
-  virtual void reset() = 0;
-};
-
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(double lr) : lr_(lr) {}
-
-  void step(Layer& layer) override;
-  void set_learning_rate(double lr) override { lr_ = lr; }
-  double learning_rate() const override { return lr_; }
-  void reset() override {}
-
- private:
-  double lr_;
-};
-
 /// Adam (Kingma & Ba, 2015) with bias correction — the paper's optimizer
 /// (initial learning rate 2e-4).
-class Adam final : public Optimizer {
+class Adam {
  public:
   explicit Adam(double lr, double beta1 = 0.9, double beta2 = 0.999,
                 double epsilon = 1e-8);
 
-  void step(Layer& layer) override;
-  void set_learning_rate(double lr) override { lr_ = lr; }
-  double learning_rate() const override { return lr_; }
-  void reset() override;
+  /// Apply one update step from the layer's accumulated gradients.
+  void step(Layer& layer);
+
+  void set_learning_rate(double lr) { lr_ = lr; }
+  double learning_rate() const { return lr_; }
+
+  /// Reset internal state (moments, step counter).
+  void reset();
 
   std::uint64_t steps_taken() const { return t_; }
 

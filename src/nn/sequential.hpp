@@ -26,8 +26,6 @@ class Sequential final : public Layer {
   std::vector<tensor::Tensor*> gradients() override;
   void zero_grad() override;
 
-  std::string name() const override { return "Sequential"; }
-
   std::size_t num_layers() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_[i]; }
 

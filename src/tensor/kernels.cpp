@@ -533,7 +533,7 @@ void simd_gemm_on_tile(std::string_view tile_name, GemmLayout layout,
 // tanh runs one loop for both kernel kinds (scalar code at -O2, see
 // CG_VEC_LOOP). libm's tanh costs ~30 ns an element, as much as the GEMMs
 // around it, so tanh's simd kind on AVX2+FMA is a vector rational
-// approximation; sigmoid stays libm (no training net uses it).
+// approximation.
 
 #if defined(CELLGAN_X86)
 
@@ -587,26 +587,6 @@ __attribute__((target("avx2,fma"))) void tanh_avx2(const float* x, float* y,
 
 #endif
 
-void ew_add(const float* a, const float* b, float* c, std::size_t n) {
-  CG_VEC_LOOP
-  for (std::size_t i = 0; i < n; ++i) c[i] = a[i] + b[i];
-}
-
-void ew_sub(const float* a, const float* b, float* c, std::size_t n) {
-  CG_VEC_LOOP
-  for (std::size_t i = 0; i < n; ++i) c[i] = a[i] - b[i];
-}
-
-void ew_mul(const float* a, const float* b, float* c, std::size_t n) {
-  CG_VEC_LOOP
-  for (std::size_t i = 0; i < n; ++i) c[i] = a[i] * b[i];
-}
-
-void ew_scale(const float* a, float s, float* c, std::size_t n) {
-  CG_VEC_LOOP
-  for (std::size_t i = 0; i < n; ++i) c[i] = a[i] * s;
-}
-
 void ew_axpy(float alpha, const float* x, float* y, std::size_t n) {
   CG_VEC_LOOP
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
@@ -636,38 +616,6 @@ void ew_tanh_backward(const float* dy, const float* y, float* dx, std::size_t n)
   for (std::size_t i = 0; i < n; ++i) {
     const float yi = y[i];
     dx[i] = dy[i] * (1.0f - yi * yi);
-  }
-}
-
-void ew_sigmoid_forward(const float* x, float* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const float v = x[i];
-    y[i] = v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
-                     : std::exp(v) / (1.0f + std::exp(v));
-  }
-}
-
-void ew_sigmoid_backward(const float* dy, const float* y, float* dx, std::size_t n) {
-  CG_VEC_LOOP
-  for (std::size_t i = 0; i < n; ++i) {
-    const float yi = y[i];
-    dx[i] = dy[i] * yi * (1.0f - yi);
-  }
-}
-
-void ew_leaky_relu_forward(const float* x, float slope, float* y, std::size_t n) {
-  CG_VEC_LOOP
-  for (std::size_t i = 0; i < n; ++i) {
-    const float v = x[i];
-    y[i] = v >= 0.0f ? v : slope * v;
-  }
-}
-
-void ew_leaky_relu_backward(const float* dy, const float* x, float slope, float* dx,
-                            std::size_t n) {
-  CG_VEC_LOOP
-  for (std::size_t i = 0; i < n; ++i) {
-    dx[i] = dy[i] * (x[i] >= 0.0f ? 1.0f : slope);
   }
 }
 

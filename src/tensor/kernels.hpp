@@ -96,10 +96,6 @@ void simd_gemm_on_tile(std::string_view tile, GemmLayout layout, const float* a,
 // inputs, so any split of [0, n) reproduces one full call bit for bit. All but
 // tanh are one loop, the same for every kernel kind.
 
-void ew_add(const float* a, const float* b, float* c, std::size_t n);
-void ew_sub(const float* a, const float* b, float* c, std::size_t n);
-void ew_mul(const float* a, const float* b, float* c, std::size_t n);
-void ew_scale(const float* a, float s, float* c, std::size_t n);
 /// y += alpha * x
 void ew_axpy(float alpha, const float* x, float* y, std::size_t n);
 /// rows [0, rows) of a (rows x cols) += bias (1 x cols)
@@ -109,11 +105,6 @@ void ew_add_row_bias(float* a, const float* bias, std::size_t rows, std::size_t 
 /// at most 3e-7 from the exact tanh; NaN stays NaN, +-inf gives +-1.
 void ew_tanh_forward(KernelKind kind, const float* x, float* y, std::size_t n);
 void ew_tanh_backward(const float* dy, const float* y, float* dx, std::size_t n);
-void ew_sigmoid_forward(const float* x, float* y, std::size_t n);
-void ew_sigmoid_backward(const float* dy, const float* y, float* dx, std::size_t n);
-void ew_leaky_relu_forward(const float* x, float slope, float* y, std::size_t n);
-void ew_leaky_relu_backward(const float* dy, const float* x, float slope, float* dx,
-                            std::size_t n);
 
 }  // namespace kernels
 

@@ -42,37 +42,6 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Tensor add(const Tensor& a, const Tensor& b) {
-  CG_EXPECT(a.same_shape(b));
-  Tensor c(a.rows(), a.cols());
-  count_flops(a.size());
-  kernels::ew_add(a.data().data(), b.data().data(), c.data().data(), a.size());
-  return c;
-}
-
-Tensor sub(const Tensor& a, const Tensor& b) {
-  CG_EXPECT(a.same_shape(b));
-  Tensor c(a.rows(), a.cols());
-  count_flops(a.size());
-  kernels::ew_sub(a.data().data(), b.data().data(), c.data().data(), a.size());
-  return c;
-}
-
-Tensor mul(const Tensor& a, const Tensor& b) {
-  CG_EXPECT(a.same_shape(b));
-  Tensor c(a.rows(), a.cols());
-  count_flops(a.size());
-  kernels::ew_mul(a.data().data(), b.data().data(), c.data().data(), a.size());
-  return c;
-}
-
-Tensor scale(const Tensor& a, float s) {
-  Tensor c(a.rows(), a.cols());
-  count_flops(a.size());
-  kernels::ew_scale(a.data().data(), s, c.data().data(), a.size());
-  return c;
-}
-
 void axpy(float alpha, const Tensor& x, Tensor& y) {
   CG_EXPECT(x.same_shape(y));
   count_flops(2ULL * x.size());
@@ -109,39 +78,6 @@ Tensor tanh_backward(const Tensor& dy, const Tensor& y) {
   count_flops(3ULL * y.size());
   kernels::ew_tanh_backward(dy.data().data(), y.data().data(), dx.data().data(),
                             y.size());
-  return dx;
-}
-
-Tensor sigmoid_forward(const Tensor& x) {
-  Tensor y(x.rows(), x.cols());
-  count_flops(8ULL * x.size());
-  kernels::ew_sigmoid_forward(x.data().data(), y.data().data(), x.size());
-  return y;
-}
-
-Tensor sigmoid_backward(const Tensor& dy, const Tensor& y) {
-  CG_EXPECT(dy.same_shape(y));
-  Tensor dx(y.rows(), y.cols());
-  count_flops(3ULL * y.size());
-  kernels::ew_sigmoid_backward(dy.data().data(), y.data().data(), dx.data().data(),
-                               y.size());
-  return dx;
-}
-
-Tensor leaky_relu_forward(const Tensor& x, float negative_slope) {
-  Tensor y(x.rows(), x.cols());
-  count_flops(x.size());
-  kernels::ew_leaky_relu_forward(x.data().data(), negative_slope, y.data().data(),
-                                 x.size());
-  return y;
-}
-
-Tensor leaky_relu_backward(const Tensor& dy, const Tensor& x, float negative_slope) {
-  CG_EXPECT(dy.same_shape(x));
-  Tensor dx(x.rows(), x.cols());
-  count_flops(x.size());
-  kernels::ew_leaky_relu_backward(dy.data().data(), x.data().data(), negative_slope,
-                                  dx.data().data(), x.size());
   return dx;
 }
 

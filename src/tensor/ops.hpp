@@ -30,10 +30,6 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
 // ---- Elementwise ------------------------------------------------------------
 
-Tensor add(const Tensor& a, const Tensor& b);
-Tensor sub(const Tensor& a, const Tensor& b);
-Tensor mul(const Tensor& a, const Tensor& b);
-Tensor scale(const Tensor& a, float s);
 /// y += alpha * x
 void axpy(float alpha, const Tensor& x, Tensor& y);
 /// Each row of `a` += bias (bias is 1 x cols).
@@ -46,11 +42,6 @@ Tensor col_sum(const Tensor& a);
 Tensor tanh_forward(const Tensor& x);
 /// dx = dy * (1 - y^2), where y = tanh(x) from the forward pass.
 Tensor tanh_backward(const Tensor& dy, const Tensor& y);
-Tensor sigmoid_forward(const Tensor& x);
-/// dx = dy * y * (1 - y).
-Tensor sigmoid_backward(const Tensor& dy, const Tensor& y);
-Tensor leaky_relu_forward(const Tensor& x, float negative_slope);
-Tensor leaky_relu_backward(const Tensor& dy, const Tensor& x, float negative_slope);
 
 // ---- Reductions -------------------------------------------------------------
 

@@ -16,8 +16,6 @@ Tensor Tensor::row(std::initializer_list<float> values) {
   return Tensor(1, values.size(), std::vector<float>(values));
 }
 
-Tensor Tensor::zeros(std::size_t rows, std::size_t cols) { return Tensor(rows, cols); }
-
 Tensor Tensor::full(std::size_t rows, std::size_t cols, float value) {
   Tensor t(rows, cols);
   t.fill(value);

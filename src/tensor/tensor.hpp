@@ -29,7 +29,6 @@ class Tensor {
   /// 1 x n row vector from an initializer list (test convenience).
   static Tensor row(std::initializer_list<float> values);
 
-  static Tensor zeros(std::size_t rows, std::size_t cols);
   static Tensor full(std::size_t rows, std::size_t cols, float value);
   /// N(0, stddev^2) entries.
   static Tensor randn(std::size_t rows, std::size_t cols, common::Rng& rng,

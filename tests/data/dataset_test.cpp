@@ -84,21 +84,5 @@ TEST(DatasetDeathTest, UpsampleRejected) {
   EXPECT_DEATH((void)downsampled(ds, 56), "precondition");
 }
 
-TEST(DatasetTest, SyntheticFallbackWhenDirMissing) {
-  auto [train, test] = load_mnist_or_synthetic("/definitely/not/here", 30, 10, 1);
-  EXPECT_EQ(train.size(), 30u);
-  EXPECT_EQ(test.size(), 10u);
-  EXPECT_EQ(train.images.cols(), kImageDim);
-}
-
-TEST(DatasetTest, SyntheticFallbackTrainTestDiffer) {
-  auto [train, test] = load_mnist_or_synthetic("", 20, 20, 1);
-  double diff = 0.0;
-  for (std::size_t i = 0; i < train.images.size(); ++i) {
-    diff += std::abs(train.images.data()[i] - test.images.data()[i]);
-  }
-  EXPECT_GT(diff, 1.0);
-}
-
 }  // namespace
 }  // namespace cellgan::data

@@ -119,17 +119,5 @@ TEST(SequentialTest, XavierInitBoundsRespectFanInOut) {
   for (const float b : linear->bias().data()) EXPECT_EQ(b, 0.0f);
 }
 
-TEST(SequentialTest, NormalInitSetsGaussianWeights) {
-  common::Rng rng(9);
-  Sequential net;
-  net.add(std::make_unique<Linear>(64, 64));
-  normal_init(net, rng, 0.05f);
-  auto* linear = dynamic_cast<Linear*>(&net.layer(0));
-  double sum_sq = 0.0;
-  for (const float w : linear->weight().data()) sum_sq += static_cast<double>(w) * w;
-  const double stddev = std::sqrt(sum_sq / linear->weight().size());
-  EXPECT_NEAR(stddev, 0.05, 0.01);
-}
-
 }  // namespace
 }  // namespace cellgan::nn

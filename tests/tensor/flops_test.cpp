@@ -49,10 +49,10 @@ TEST(FlopsTest, MatmulVariantsChargeSameWork) {
 
 TEST(FlopsTest, ElementwiseChargesPerElement) {
   common::Rng rng(3);
-  const Tensor a = Tensor::randn(4, 4, rng);
-  const Tensor b = Tensor::randn(4, 4, rng);
+  Tensor a = Tensor::randn(4, 4, rng);
+  const Tensor bias = Tensor::randn(1, 4, rng);
   exchange_thread_flops();
-  (void)add(a, b);
+  add_row_bias(a, bias);
   EXPECT_EQ(exchange_thread_flops(), 16u);
 }
 

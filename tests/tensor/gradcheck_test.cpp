@@ -2,7 +2,6 @@
 // the two loss functions — the invariants the whole training stack rests on.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <functional>
 
 #include "common/rng.hpp"
@@ -44,34 +43,6 @@ TEST(GradCheckTest, TanhBackward) {
   const Tensor analytic = tanh_backward(Tensor::full(3, 4, 1.0f), y);
   const Tensor numeric = numeric_gradient(
       [](const Tensor& t) { return static_cast<double>(sum(tanh_forward(t))); }, x);
-  expect_grad_near(analytic, numeric);
-}
-
-TEST(GradCheckTest, SigmoidBackward) {
-  common::Rng rng(2);
-  const Tensor x = Tensor::randn(3, 4, rng);
-  const Tensor y = sigmoid_forward(x);
-  const Tensor analytic = sigmoid_backward(Tensor::full(3, 4, 1.0f), y);
-  const Tensor numeric = numeric_gradient(
-      [](const Tensor& t) { return static_cast<double>(sum(sigmoid_forward(t))); },
-      x);
-  expect_grad_near(analytic, numeric);
-}
-
-TEST(GradCheckTest, LeakyReluBackward) {
-  common::Rng rng(3);
-  // Keep values away from the kink at zero for a clean finite difference.
-  Tensor x = Tensor::randn(3, 4, rng);
-  for (auto& v : x.data()) {
-    if (std::abs(v) < 0.05f) v = 0.2f;
-  }
-  const Tensor analytic =
-      leaky_relu_backward(Tensor::full(3, 4, 1.0f), x, 0.2f);
-  const Tensor numeric = numeric_gradient(
-      [](const Tensor& t) {
-        return static_cast<double>(sum(leaky_relu_forward(t, 0.2f)));
-      },
-      x);
   expect_grad_near(analytic, numeric);
 }
 

@@ -92,24 +92,9 @@ TEST(OpsTest, ElementwiseThreadedIsBitIdenticalToSerial) {
   Tensor a = Tensor::randn(200, 120, rng);
   Tensor b = Tensor::randn(200, 120, rng);
   const Tensor tanh_y = tanh_forward(a);
-  const Tensor sig_y = sigmoid_forward(a);
-  const std::vector<Tensor> serial = {
-      add(a, b), sub(a, b), mul(a, b), scale(a, 0.37f), tanh_y, sig_y,
-      leaky_relu_forward(a, 0.2f), tanh_backward(b, tanh_y),
-      sigmoid_backward(b, sig_y), leaky_relu_backward(b, a, 0.2f)};
+  const std::vector<Tensor> serial = {tanh_y, tanh_backward(b, tanh_y)};
   const auto ops = [&](std::size_t i) {
-    switch (i) {
-      case 0: return add(a, b);
-      case 1: return sub(a, b);
-      case 2: return mul(a, b);
-      case 3: return scale(a, 0.37f);
-      case 4: return tanh_forward(a);
-      case 5: return sigmoid_forward(a);
-      case 6: return leaky_relu_forward(a, 0.2f);
-      case 7: return tanh_backward(b, tanh_y);
-      case 8: return sigmoid_backward(b, sig_y);
-      default: return leaky_relu_backward(b, a, 0.2f);
-    }
+    return i == 0 ? tanh_forward(a) : tanh_backward(b, tanh_y);
   };
   for (std::size_t i = 0; i < serial.size(); ++i) {
     for (const Tensor& lane : on_lanes([&] { return ops(i); })) {
@@ -204,19 +189,6 @@ TEST(OpsDeathTest, MatmulShapeMismatchAborts) {
   EXPECT_DEATH((void)matmul(a, b), "precondition");
 }
 
-TEST(OpsTest, ElementwiseAddSubMul) {
-  Tensor a(1, 3, {1, 2, 3});
-  Tensor b(1, 3, {4, 5, 6});
-  expect_near(add(a, b), Tensor(1, 3, {5, 7, 9}));
-  expect_near(sub(a, b), Tensor(1, 3, {-3, -3, -3}));
-  expect_near(mul(a, b), Tensor(1, 3, {4, 10, 18}));
-}
-
-TEST(OpsTest, ScaleMultipliesAll) {
-  Tensor a(1, 3, {1, -2, 3});
-  expect_near(scale(a, -2.0f), Tensor(1, 3, {-2, 4, -6}));
-}
-
 TEST(OpsTest, AxpyAccumulates) {
   Tensor x(1, 3, {1, 2, 3});
   Tensor y(1, 3, {10, 20, 30});
@@ -242,23 +214,6 @@ TEST(OpsTest, TanhForwardMatchesStd) {
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_NEAR(y.data()[i], std::tanh(x.data()[i]), 1e-6f);
   }
-}
-
-TEST(OpsTest, SigmoidForwardStableAtExtremes) {
-  Tensor x(1, 4, {-100.0f, -1.0f, 1.0f, 100.0f});
-  Tensor y = sigmoid_forward(x);
-  EXPECT_NEAR(y.data()[0], 0.0f, 1e-6f);
-  EXPECT_NEAR(y.data()[3], 1.0f, 1e-6f);
-  EXPECT_NEAR(y.data()[1], 1.0f / (1.0f + std::exp(1.0f)), 1e-6f);
-  for (const float v : y.data()) {
-    EXPECT_TRUE(std::isfinite(v));
-  }
-}
-
-TEST(OpsTest, LeakyReluForward) {
-  Tensor x(1, 3, {-2.0f, 0.0f, 3.0f});
-  Tensor y = leaky_relu_forward(x, 0.1f);
-  expect_near(y, Tensor(1, 3, {-0.2f, 0.0f, 3.0f}));
 }
 
 TEST(OpsTest, SumAndMean) {
