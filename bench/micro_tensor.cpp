@@ -1,9 +1,8 @@
 // Tensor microkernel benchmark: scalar vs SIMD on the GEMMs training runs at
 // the paper's layer shapes, plus the elementwise loops and the Adam step it
 // runs (tanh under both kinds), emitting BENCH_tensor.json. Every op runs on
-// the calling thread
-// (tensor ops never fan out), so these are the per-lane numbers a training
-// cell sees.
+// the calling thread (tensor ops never fan out), so these are the per-lane
+// numbers a training cell sees.
 //
 // Self-contained (no Google Benchmark) so the sweep always builds and the
 // JSON carries exactly the fields CI asserts on: per-shape GFLOP/s for both
