@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <span>
 
 #include "common/rng.hpp"
+#include "nn/gan_models.hpp"
 #include "nn/linear.hpp"
 #include "nn/sequential.hpp"
 #include "tensor/ops.hpp"
+#include "testsupport/kind_guard.hpp"
 
 namespace cellgan::nn {
 namespace {
@@ -126,6 +131,74 @@ TEST(AdamTest, TrainsLinearRegression) {
   }
   EXPECT_NEAR(layer.weight().at(0, 0), 0.5f, 0.05f);
   EXPECT_NEAR(layer.weight().at(1, 0), -1.5f, 0.05f);
+}
+
+/// Parameters and moments after `steps` Adam steps on seeded uniform
+/// gradients, all under one kernel kind.
+struct AdamRun {
+  std::vector<float> params;
+  std::vector<std::vector<float>> m, v;
+};
+
+template <typename L>
+AdamRun run_adam(tensor::KernelKind kind, L layer, int steps) {
+  testsupport::KindGuard guard(kind);
+  common::Rng rng(5);
+  Adam adam(2e-4);
+  for (int s = 0; s < steps; ++s) {
+    for (tensor::Tensor* g : layer.gradients()) {
+      *g = tensor::Tensor::rand_uniform(g->rows(), g->cols(), rng, -1.0f, 1.0f);
+    }
+    adam.step(layer);
+  }
+  AdamRun run{{}, adam.first_moments(), adam.second_moments()};
+  for (tensor::Tensor* p : layer.parameters()) {
+    run.params.insert(run.params.end(), p->data().begin(), p->data().end());
+  }
+  return run;
+}
+
+/// Index of the first element whose bits differ; a.size() when none does.
+std::size_t first_bit_difference(std::span<const float> a, std::span<const float> b) {
+  EXPECT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(a[i]) != std::bit_cast<std::uint32_t>(b[i])) {
+      return i;
+    }
+  }
+  return a.size();
+}
+
+void expect_same_adam_bits(const AdamRun& scalar, const AdamRun& simd) {
+  EXPECT_EQ(scalar.params.size(), first_bit_difference(scalar.params, simd.params));
+  ASSERT_EQ(scalar.m.size(), simd.m.size());
+  ASSERT_EQ(scalar.v.size(), simd.v.size());
+  for (std::size_t i = 0; i < scalar.m.size(); ++i) {
+    EXPECT_EQ(scalar.m[i].size(), first_bit_difference(scalar.m[i], simd.m[i])) << i;
+    EXPECT_EQ(scalar.v[i].size(), first_bit_difference(scalar.v[i], simd.v[i])) << i;
+  }
+}
+
+TEST(AdamTest, OneStepIdenticalUnderBothKinds) {
+  // 13x7 weights and 7 biases: both tensors end in a partial vector.
+  common::Rng rng(3);
+  Linear layer(13, 7);
+  layer.weight() = tensor::Tensor::randn(13, 7, rng);
+  layer.bias() = tensor::Tensor::randn(1, 7, rng);
+  expect_same_adam_bits(run_adam(tensor::KernelKind::kScalar, layer, 1),
+                        run_adam(tensor::KernelKind::kSimd, layer, 1));
+}
+
+TEST(AdamTest, FiftyGeneratorStepsIdenticalUnderBothKinds) {
+  // The Table I generator, 283,920 parameters.
+  common::Rng rng(4);
+  Sequential generator = make_generator(GanArch::paper(), rng);
+  ASSERT_EQ(generator.parameter_count(), 283920u);
+  const std::vector<float> initial = generator.flatten_parameters();
+  const AdamRun scalar = run_adam(tensor::KernelKind::kScalar, std::move(generator), 50);
+  Sequential again = make_generator(GanArch::paper(), rng);
+  again.load_parameters(initial);
+  expect_same_adam_bits(scalar, run_adam(tensor::KernelKind::kSimd, std::move(again), 50));
 }
 
 }  // namespace

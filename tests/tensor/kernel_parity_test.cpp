@@ -22,7 +22,9 @@
 //    absolute bound of the double-precision tanh with libm's special values,
 //    and every output depends only on its own input (no effect of the call's
 //    start offset or length, the vector tail included). On AVX2+FMA its
-//    output bits are pinned by hash, like the GEMMs'.
+//    output bits are pinned by hash, like the GEMMs';
+//  * the other elementwise ops (axpy, add_row_bias, col_sum, tanh_backward)
+//    give the same bits under both kinds.
 //
 // Shapes sweep odd/prime/tail-heavy sizes so partial 6x16 and 6x32 tiles,
 // panel remainders and sub-vector widths all get exercised, and run under the
@@ -40,6 +42,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -623,6 +626,57 @@ TEST(KernelParity, SimdTanhBitsArePinned) {
     const Tensor x = Tensor::rand_uniform(pinned.rows, pinned.cols, rng, -8.0f, 8.0f);
     EXPECT_EQ(pinned.hash, fnv1a_64(tanh_forward(x)))
         << "tanh " << pinned.rows << "x" << pinned.cols;
+  }
+}
+
+/// Asserts that `actual` has the shape and the exact bits of `expected`.
+void expect_same_bits(const Tensor& expected, const Tensor& actual,
+                      const std::string& label) {
+  ASSERT_TRUE(expected.same_shape(actual)) << label;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(expected.data()[i]),
+              std::bit_cast<std::uint32_t>(actual.data()[i]))
+        << label << " element " << i;
+  }
+}
+
+/// axpy, add_row_bias, col_sum and tanh_backward, in that order, run under
+/// `kind` on seeded rows x cols operands.
+std::vector<Tensor> elementwise_outputs(KernelKind kind, std::size_t rows,
+                                        std::size_t cols) {
+  KindGuard guard(kind);
+  common::Rng rng(31 * rows + cols);
+  const Tensor x = Tensor::randn(rows, cols, rng);
+  Tensor y = Tensor::randn(rows, cols, rng);
+  const Tensor bias = Tensor::randn(1, cols, rng);
+  const Tensor dy = Tensor::randn(rows, cols, rng);
+  const Tensor tanh_y = Tensor::rand_uniform(rows, cols, rng, -1.0f, 1.0f);
+  axpy(-0.37f, x, y);
+  Tensor biased = x;
+  add_row_bias(biased, bias);
+  return {y, biased, col_sum(x), tanh_backward(dy, tanh_y)};
+}
+
+TEST(KernelParity, ElementwiseBitsMatchAcrossKinds) {
+  // The simd elementwise loops must reproduce the scalar oracle bit for bit.
+  // Widths 0..67 give every tail length of an 8-wide loop several times; at
+  // three rows an odd width also starts rows 1 and 2 off a vector boundary.
+  // 100x784 is the paper's generator output.
+  const char* const kNames[] = {"axpy", "add_row_bias", "col_sum", "tanh_backward"};
+  std::vector<std::pair<std::size_t, std::size_t>> shapes;
+  for (std::size_t n = 0; n <= 67; ++n) {
+    shapes.emplace_back(1, n);
+    shapes.emplace_back(3, n);
+  }
+  shapes.emplace_back(100, 784);
+  for (const auto& [rows, cols] : shapes) {
+    const std::vector<Tensor> scalar = elementwise_outputs(KernelKind::kScalar, rows, cols);
+    const std::vector<Tensor> simd = elementwise_outputs(KernelKind::kSimd, rows, cols);
+    for (std::size_t op = 0; op < scalar.size(); ++op) {
+      expect_same_bits(scalar[op], simd[op],
+                       std::string(kNames[op]) + " " + std::to_string(rows) + "x" +
+                           std::to_string(cols));
+    }
   }
 }
 
