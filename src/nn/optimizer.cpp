@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "tensor/flops.hpp"
+#include "tensor/kernels.hpp"
 
 namespace cellgan::nn {
 
@@ -20,10 +21,13 @@ void Adam::step(Layer& layer) {
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  const float step_size = static_cast<float>(lr_ / bc1);
-  const float b1 = static_cast<float>(beta1_), b2 = static_cast<float>(beta2_);
-  const float eps = static_cast<float>(epsilon_);
-  const float inv_sqrt_bc2 = static_cast<float>(1.0 / std::sqrt(bc2));
+  const tensor::kernels::AdamCoefficients coefficients{
+      .beta1 = static_cast<float>(beta1_),
+      .beta2 = static_cast<float>(beta2_),
+      .step_size = static_cast<float>(lr_ / bc1),
+      .inv_sqrt_bc2 = static_cast<float>(1.0 / std::sqrt(bc2)),
+      .epsilon = static_cast<float>(epsilon_)};
+  const tensor::KernelKind kind = tensor::active_kernel_kind();
 
   for (std::size_t i = 0; i < params.size(); ++i) {
     auto p = params[i]->data();
@@ -34,13 +38,8 @@ void Adam::step(Layer& layer) {
       v_[i].assign(p.size(), 0.0f);
     }
     tensor::count_flops(10ULL * p.size());
-    float* m = m_[i].data();
-    float* v = v_[i].data();
-    for (std::size_t j = 0; j < p.size(); ++j) {
-      m[j] = b1 * m[j] + (1.0f - b1) * g[j];
-      v[j] = b2 * v[j] + (1.0f - b2) * g[j] * g[j];
-      p[j] -= step_size * m[j] / (std::sqrt(v[j]) * inv_sqrt_bc2 + eps);
-    }
+    tensor::kernels::adam_update(kind, coefficients, p.data(), g.data(), m_[i].data(),
+                                 v_[i].data(), p.size());
   }
 }
 

@@ -16,13 +16,13 @@
 #include <arm_neon.h>
 #endif
 
-// Independence hint for the fallback tile and the elementwise loops: no
-// iteration reads another's output. Under GCC it is `ivdep`, which removes
+// Independence hint for the fallback tile and the scalar elementwise loops:
+// no iteration reads another's output. Under GCC it is `ivdep`, which removes
 // the vectorizer's runtime alias checks and nothing more; it does not make a
 // loop vectorize. At -O2, GCC 12's default very-cheap cost model vectorizes
 // only loops that need no scalar epilogue, so the portable tile (trip count
-// kNR) gets packed mulps/addps while the elementwise loops (trip count n)
-// compile to scalar movss/addss.
+// kNR) gets packed mulps/addps while the scalar elementwise loops (trip count
+// n) compile to scalar movss/addss; the simd kind has its own AVX2 loops.
 #if defined(__clang__)
 #define CG_VEC_LOOP _Pragma("clang loop vectorize(enable) interleave(enable)")
 #elif defined(__GNUC__)
@@ -529,11 +529,73 @@ void simd_gemm_on_tile(std::string_view tile_name, GemmLayout layout,
 }
 
 // --- elementwise family -----------------------------------------------------
-// Each output element is one expression over its own inputs. Every op but
-// tanh runs one loop for both kernel kinds (scalar code at -O2, see
-// CG_VEC_LOOP). libm's tanh costs ~30 ns an element, as much as the GEMMs
-// around it, so tanh's simd kind on AVX2+FMA is a vector rational
-// approximation.
+// Each output element is one expression over its own inputs. kScalar runs
+// plain loops (scalar code at -O2, see CG_VEC_LOOP); kSimd runs them 8 lanes
+// wide where the CPU has AVX2. Each lane evaluates the scalar expression tree
+// in the same order, sqrt and div round correctly in both, and the n % 8 tail
+// runs the scalar loop, so both kinds give the same bits. tanh is the
+// exception: libm's costs ~30 ns an element, as much as the GEMMs around it,
+// so its simd kind on AVX2+FMA is a vector rational approximation.
+//
+// GCC contracts a*b + c into one FMA wherever the target has FMA (the scalar
+// loops in a -march=native build, the AVX2 loops there too), and a fused
+// multiply-add rounds once where the scalar oracle rounds twice.
+// CG_NO_FP_CONTRACT pins both kinds' loops to the separate operations, and the
+// AVX2 loops target "avx2" without "fma".
+#if defined(__GNUC__) && !defined(__clang__)
+#define CG_NO_FP_CONTRACT __attribute__((optimize("fp-contract=off")))
+#else
+#define CG_NO_FP_CONTRACT
+#endif
+
+namespace {
+
+CG_NO_FP_CONTRACT void axpy_scalar(float alpha, const float* x, float* y,
+                                   std::size_t n) {
+  CG_VEC_LOOP
+  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+}
+
+CG_NO_FP_CONTRACT void add_row_bias_scalar(float* a, const float* bias,
+                                           std::size_t rows, std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* row = a + r * cols;
+    CG_VEC_LOOP
+    for (std::size_t c = 0; c < cols; ++c) row[c] += bias[c];
+  }
+}
+
+CG_NO_FP_CONTRACT void col_sum_scalar(const float* a, float* out,
+                                      std::size_t rows, std::size_t cols) {
+  std::fill(out, out + cols, 0.0f);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* row = a + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) out[c] += row[c];
+  }
+}
+
+CG_NO_FP_CONTRACT void tanh_backward_scalar(const float* dy, const float* y,
+                                            float* dx, std::size_t n) {
+  CG_VEC_LOOP
+  for (std::size_t i = 0; i < n; ++i) {
+    const float yi = y[i];
+    dx[i] = dy[i] * (1.0f - yi * yi);
+  }
+}
+
+CG_NO_FP_CONTRACT void adam_scalar(const AdamCoefficients& c, float* p,
+                                   const float* g, float* m, float* v,
+                                   std::size_t n) {
+  const float b1 = c.beta1, b2 = c.beta2, step_size = c.step_size;
+  const float inv_sqrt_bc2 = c.inv_sqrt_bc2, eps = c.epsilon;
+  for (std::size_t j = 0; j < n; ++j) {
+    m[j] = b1 * m[j] + (1.0f - b1) * g[j];
+    v[j] = b2 * v[j] + (1.0f - b2) * g[j] * g[j];
+    p[j] -= step_size * m[j] / (std::sqrt(v[j]) * inv_sqrt_bc2 + eps);
+  }
+}
+
+}  // namespace
 
 #if defined(CELLGAN_X86)
 
@@ -583,21 +645,123 @@ __attribute__((target("avx2,fma"))) void tanh_avx2(const float* x, float* y,
   std::memcpy(y + i, tail, (n - i) * sizeof(float));
 }
 
+__attribute__((target("avx2"))) CG_NO_FP_CONTRACT void axpy_avx2(
+    float alpha, const float* x, float* y, std::size_t n) {
+  const __m256 va = _mm256_set1_ps(alpha);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 ax = _mm256_mul_ps(va, _mm256_loadu_ps(x + i));
+    _mm256_storeu_ps(y + i, _mm256_add_ps(_mm256_loadu_ps(y + i), ax));
+  }
+  axpy_scalar(alpha, x + i, y + i, n - i);
+}
+
+__attribute__((target("avx2"))) CG_NO_FP_CONTRACT void add_row_bias_avx2(
+    float* a, const float* bias, std::size_t rows, std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* row = a + r * cols;
+    std::size_t c = 0;
+    for (; c + 8 <= cols; c += 8) {
+      _mm256_storeu_ps(row + c, _mm256_add_ps(_mm256_loadu_ps(row + c),
+                                              _mm256_loadu_ps(bias + c)));
+    }
+    add_row_bias_scalar(row + c, bias + c, 1, cols - c);
+  }
+}
+
+/// Vectorized across columns: out's vectors gather each row in turn, so
+/// every column adds its rows in the scalar loop's order.
+__attribute__((target("avx2"))) CG_NO_FP_CONTRACT void col_sum_avx2(
+    const float* a, float* out, std::size_t rows, std::size_t cols) {
+  std::fill(out, out + cols, 0.0f);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* row = a + r * cols;
+    std::size_t c = 0;
+    for (; c + 8 <= cols; c += 8) {
+      _mm256_storeu_ps(out + c, _mm256_add_ps(_mm256_loadu_ps(out + c),
+                                              _mm256_loadu_ps(row + c)));
+    }
+    for (; c < cols; ++c) out[c] += row[c];
+  }
+}
+
+__attribute__((target("avx2"))) CG_NO_FP_CONTRACT void tanh_backward_avx2(
+    const float* dy, const float* y, float* dx, std::size_t n) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 yi = _mm256_loadu_ps(y + i);
+    const __m256 slope = _mm256_sub_ps(one, _mm256_mul_ps(yi, yi));
+    _mm256_storeu_ps(dx + i, _mm256_mul_ps(_mm256_loadu_ps(dy + i), slope));
+  }
+  tanh_backward_scalar(dy + i, y + i, dx + i, n - i);
+}
+
+__attribute__((target("avx2"))) CG_NO_FP_CONTRACT void adam_avx2(
+    const AdamCoefficients& c, float* p, const float* g, float* m, float* v,
+    std::size_t n) {
+  const __m256 b1 = _mm256_set1_ps(c.beta1);
+  const __m256 b2 = _mm256_set1_ps(c.beta2);
+  const __m256 one_minus_b1 = _mm256_set1_ps(1.0f - c.beta1);
+  const __m256 one_minus_b2 = _mm256_set1_ps(1.0f - c.beta2);
+  const __m256 step_size = _mm256_set1_ps(c.step_size);
+  const __m256 inv_sqrt_bc2 = _mm256_set1_ps(c.inv_sqrt_bc2);
+  const __m256 eps = _mm256_set1_ps(c.epsilon);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 gi = _mm256_loadu_ps(g + i);
+    const __m256 mi = _mm256_add_ps(_mm256_mul_ps(b1, _mm256_loadu_ps(m + i)),
+                                    _mm256_mul_ps(one_minus_b1, gi));
+    const __m256 vi =
+        _mm256_add_ps(_mm256_mul_ps(b2, _mm256_loadu_ps(v + i)),
+                      _mm256_mul_ps(_mm256_mul_ps(one_minus_b2, gi), gi));
+    _mm256_storeu_ps(m + i, mi);
+    _mm256_storeu_ps(v + i, vi);
+    const __m256 denom =
+        _mm256_add_ps(_mm256_mul_ps(_mm256_sqrt_ps(vi), inv_sqrt_bc2), eps);
+    const __m256 update = _mm256_div_ps(_mm256_mul_ps(step_size, mi), denom);
+    _mm256_storeu_ps(p + i, _mm256_sub_ps(_mm256_loadu_ps(p + i), update));
+  }
+  adam_scalar(c, p + i, g + i, m + i, v + i, n - i);
+}
+
+bool cpu_has_avx2() { return __builtin_cpu_supports("avx2"); }
+
 }  // namespace
 
 #endif
 
-void ew_axpy(float alpha, const float* x, float* y, std::size_t n) {
-  CG_VEC_LOOP
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+void ew_axpy([[maybe_unused]] KernelKind kind, float alpha, const float* x,
+             float* y, std::size_t n) {
+#if defined(CELLGAN_X86)
+  if (kind == KernelKind::kSimd && cpu_has_avx2()) {
+    axpy_avx2(alpha, x, y, n);
+    return;
+  }
+#endif
+  axpy_scalar(alpha, x, y, n);
 }
 
-void ew_add_row_bias(float* a, const float* bias, std::size_t rows, std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    float* row = a + r * cols;
-    CG_VEC_LOOP
-    for (std::size_t c = 0; c < cols; ++c) row[c] += bias[c];
+void ew_add_row_bias([[maybe_unused]] KernelKind kind, float* a, const float* bias,
+                     std::size_t rows, std::size_t cols) {
+#if defined(CELLGAN_X86)
+  if (kind == KernelKind::kSimd && cpu_has_avx2()) {
+    add_row_bias_avx2(a, bias, rows, cols);
+    return;
   }
+#endif
+  add_row_bias_scalar(a, bias, rows, cols);
+}
+
+void ew_col_sum([[maybe_unused]] KernelKind kind, const float* a, float* out,
+                std::size_t rows, std::size_t cols) {
+#if defined(CELLGAN_X86)
+  if (kind == KernelKind::kSimd && cpu_has_avx2()) {
+    col_sum_avx2(a, out, rows, cols);
+    return;
+  }
+#endif
+  col_sum_scalar(a, out, rows, cols);
 }
 
 void ew_tanh_forward([[maybe_unused]] KernelKind kind, const float* x, float* y,
@@ -611,12 +775,26 @@ void ew_tanh_forward([[maybe_unused]] KernelKind kind, const float* x, float* y,
   for (std::size_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
 }
 
-void ew_tanh_backward(const float* dy, const float* y, float* dx, std::size_t n) {
-  CG_VEC_LOOP
-  for (std::size_t i = 0; i < n; ++i) {
-    const float yi = y[i];
-    dx[i] = dy[i] * (1.0f - yi * yi);
+void ew_tanh_backward([[maybe_unused]] KernelKind kind, const float* dy,
+                      const float* y, float* dx, std::size_t n) {
+#if defined(CELLGAN_X86)
+  if (kind == KernelKind::kSimd && cpu_has_avx2()) {
+    tanh_backward_avx2(dy, y, dx, n);
+    return;
   }
+#endif
+  tanh_backward_scalar(dy, y, dx, n);
+}
+
+void adam_update([[maybe_unused]] KernelKind kind, const AdamCoefficients& c,
+                 float* p, const float* g, float* m, float* v, std::size_t n) {
+#if defined(CELLGAN_X86)
+  if (kind == KernelKind::kSimd && cpu_has_avx2()) {
+    adam_avx2(c, p, g, m, v, n);
+    return;
+  }
+#endif
+  adam_scalar(c, p, g, m, v, n);
 }
 
 }  // namespace kernels

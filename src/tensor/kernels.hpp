@@ -2,7 +2,8 @@
 // (packed-panel SIMD) implementation behind one runtime switch.
 //
 // ops.cpp owns shape checks and flop accounting; this layer owns only the
-// inner loops. The kernel kind picks the GEMMs and tanh; two kinds exist:
+// inner loops. The kernel kind picks the code of every loop here, the GEMMs,
+// the elementwise family and the Adam update; two kinds exist:
 //
 //  * kScalar — the bit-exact reference. Plain loops in the exact
 //    accumulation order the repo has always used, and libm tanh, so runs
@@ -16,6 +17,10 @@
 //    accumulation order (FMA + vector-lane sums), and the kernel_parity
 //    suite bounds the drift. On AVX2+FMA, tanh is an 8-wide rational
 //    approximation within 3e-7 of the exact value (elsewhere it stays libm).
+//    On AVX2 the other elementwise loops and the Adam update run 8 lanes at
+//    once and give the scalar loops' bits: each lane evaluates the scalar
+//    expression tree in the same order, with no fused multiply-add, and the
+//    n % 8 tail runs the scalar expression.
 //
 // Selection: the process starts on kSimd; set_kernel_kind() switches it, and
 // Session::prepare applies RunSpec::tensor_kernel (`--tensor-kernel`) that
@@ -93,18 +98,41 @@ void simd_gemm_on_tile(std::string_view tile, GemmLayout layout, const float* a,
                        std::size_t n);
 
 // Elementwise family over [0, n). Each output element depends only on its own
-// inputs, so any split of [0, n) reproduces one full call bit for bit. All but
-// tanh are one loop, the same for every kernel kind.
+// inputs, so any split of [0, n) reproduces one full call bit for bit. Every
+// loop but tanh gives the same bits under both kinds.
 
 /// y += alpha * x
-void ew_axpy(float alpha, const float* x, float* y, std::size_t n);
+void ew_axpy(KernelKind kind, float alpha, const float* x, float* y, std::size_t n);
 /// rows [0, rows) of a (rows x cols) += bias (1 x cols)
-void ew_add_row_bias(float* a, const float* bias, std::size_t rows, std::size_t cols);
+void ew_add_row_bias(KernelKind kind, float* a, const float* bias, std::size_t rows,
+                     std::size_t cols);
+/// out (1 x cols) = the column sums of a (rows x cols), each column's rows
+/// added in order, starting from 0.
+void ew_col_sum(KernelKind kind, const float* a, float* out, std::size_t rows,
+                std::size_t cols);
 /// kScalar: libm tanh. kSimd on AVX2+FMA: the rational approximation
 /// x*P(x^2)/Q(x^2) on x clamped to +-7.9988 (x itself when |x| < 0.0004),
 /// at most 3e-7 from the exact tanh; NaN stays NaN, +-inf gives +-1.
 void ew_tanh_forward(KernelKind kind, const float* x, float* y, std::size_t n);
-void ew_tanh_backward(const float* dy, const float* y, float* dx, std::size_t n);
+/// dx = dy * (1 - y^2)
+void ew_tanh_backward(KernelKind kind, const float* dy, const float* y, float* dx,
+                      std::size_t n);
+
+/// The constants of one Adam step (nn::Adam::step derives them from the
+/// hyperparameters and the step count).
+struct AdamCoefficients {
+  float beta1, beta2;
+  float step_size;     ///< lr / (1 - beta1^t)
+  float inv_sqrt_bc2;  ///< 1 / sqrt(1 - beta2^t)
+  float epsilon;
+};
+
+/// One Adam update of n parameters, in place:
+///   m = beta1 * m + (1 - beta1) * g
+///   v = beta2 * v + (1 - beta2) * g * g
+///   p -= step_size * m / (sqrt(v) * inv_sqrt_bc2 + epsilon)
+void adam_update(KernelKind kind, const AdamCoefficients& c, float* p, const float* g,
+                 float* m, float* v, std::size_t n);
 
 }  // namespace kernels
 

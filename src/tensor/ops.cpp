@@ -45,22 +45,22 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
 void axpy(float alpha, const Tensor& x, Tensor& y) {
   CG_EXPECT(x.same_shape(y));
   count_flops(2ULL * x.size());
-  kernels::ew_axpy(alpha, x.data().data(), y.data().data(), x.size());
+  kernels::ew_axpy(active_kernel_kind(), alpha, x.data().data(), y.data().data(),
+                   x.size());
 }
 
 void add_row_bias(Tensor& a, const Tensor& bias) {
   CG_EXPECT(bias.rows() == 1 && bias.cols() == a.cols());
   count_flops(a.size());
-  kernels::ew_add_row_bias(a.data().data(), bias.data().data(), a.rows(), a.cols());
+  kernels::ew_add_row_bias(active_kernel_kind(), a.data().data(), bias.data().data(),
+                           a.rows(), a.cols());
 }
 
 Tensor col_sum(const Tensor& a) {
   Tensor out(1, a.cols());
   count_flops(a.size());
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    auto row = a.row_span(r);
-    for (std::size_t c = 0; c < a.cols(); ++c) out.data()[c] += row[c];
-  }
+  kernels::ew_col_sum(active_kernel_kind(), a.data().data(), out.data().data(),
+                      a.rows(), a.cols());
   return out;
 }
 
@@ -76,8 +76,8 @@ Tensor tanh_backward(const Tensor& dy, const Tensor& y) {
   CG_EXPECT(dy.same_shape(y));
   Tensor dx(y.rows(), y.cols());
   count_flops(3ULL * y.size());
-  kernels::ew_tanh_backward(dy.data().data(), y.data().data(), dx.data().data(),
-                            y.size());
+  kernels::ew_tanh_backward(active_kernel_kind(), dy.data().data(), y.data().data(),
+                            dx.data().data(), y.size());
   return dx;
 }
 

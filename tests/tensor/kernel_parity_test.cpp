@@ -24,7 +24,8 @@
 //    start offset or length, the vector tail included). On AVX2+FMA its
 //    output bits are pinned by hash, like the GEMMs';
 //  * the other elementwise ops (axpy, add_row_bias, col_sum, tanh_backward)
-//    give the same bits under both kinds.
+//    and the Adam update give the same bits under both kinds, from any
+//    start, the vector tail included.
 //
 // Shapes sweep odd/prime/tail-heavy sizes so partial 6x16 and 6x32 tiles,
 // panel remainders and sub-vector widths all get exercised, and run under the
@@ -676,6 +677,61 @@ TEST(KernelParity, ElementwiseBitsMatchAcrossKinds) {
       expect_same_bits(scalar[op], simd[op],
                        std::string(kNames[op]) + " " + std::to_string(rows) + "x" +
                            std::to_string(cols));
+    }
+  }
+}
+
+TEST(KernelParity, ElementwiseKernelsMatchAcrossKindsOffAVectorBoundary) {
+  // The ops start each kernel at a tensor's first float; here every loop the
+  // kind selects starts one float later, with one more float after its range.
+  // The kinds must agree bit for bit inside the range and leave both
+  // neighbours untouched.
+  constexpr std::size_t kRows = 3;
+  constexpr float kSentinel = 12345.0f;
+  const kernels::AdamCoefficients adam{.beta1 = 0.9f, .beta2 = 0.999f,
+                                       .step_size = 2e-3f, .inv_sqrt_bc2 = 22.4f,
+                                       .epsilon = 1e-8f};
+  for (std::size_t cols = 0; cols <= 67; ++cols) {
+    const std::size_t n = kRows * cols;
+    common::Rng rng(500 + cols);
+    const auto padded = [&](float lo, float hi) {
+      const Tensor t = Tensor::rand_uniform(1, n, rng, lo, hi);
+      std::vector<float> out(n + 2, kSentinel);
+      std::copy(t.data().begin(), t.data().end(), out.begin() + 1);
+      return out;
+    };
+    const std::vector<float> x = padded(-2.0f, 2.0f), y = padded(-2.0f, 2.0f);
+    const std::vector<float> tanh_y = padded(-1.0f, 1.0f);
+    const std::vector<float> m = padded(-0.1f, 0.1f), v = padded(0.0f, 0.01f);
+    const Tensor bias = Tensor::rand_uniform(1, cols + 1, rng, -1.0f, 1.0f);
+    std::vector<std::vector<float>> outputs[2];
+    for (const KernelKind kind : testsupport::kAllKernelKinds) {
+      std::vector<float> axpy_y = y, biased = x, sums(cols + 2, kSentinel);
+      std::vector<float> dx(n + 2, kSentinel), adam_p = x, adam_m = m, adam_v = v;
+      kernels::ew_axpy(kind, -0.37f, x.data() + 1, axpy_y.data() + 1, n);
+      kernels::ew_add_row_bias(kind, biased.data() + 1, bias.data().data() + 1, kRows,
+                               cols);
+      kernels::ew_col_sum(kind, x.data() + 1, sums.data() + 1, kRows, cols);
+      kernels::ew_tanh_backward(kind, y.data() + 1, tanh_y.data() + 1, dx.data() + 1, n);
+      kernels::adam_update(kind, adam, adam_p.data() + 1, y.data() + 1,
+                           adam_m.data() + 1, adam_v.data() + 1, n);
+      outputs[static_cast<std::size_t>(kind)] = {axpy_y, biased, sums, dx,
+                                                 adam_p, adam_m, adam_v};
+    }
+    const char* const kNames[] = {"axpy", "add_row_bias", "col_sum", "tanh_backward",
+                                  "adam p", "adam m", "adam v"};
+    for (std::size_t op = 0; op < outputs[0].size(); ++op) {
+      const std::vector<float>& scalar = outputs[0][op];
+      const std::vector<float>& simd = outputs[1][op];
+      const std::string label = std::string(kNames[op]) + " cols " + std::to_string(cols);
+      ASSERT_EQ(scalar.size(), simd.size()) << label;
+      for (std::size_t i = 0; i < scalar.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(scalar[i]),
+                  std::bit_cast<std::uint32_t>(simd[i]))
+            << label << " element " << i;
+      }
+      EXPECT_EQ(kSentinel, simd.front()) << label;
+      EXPECT_EQ(kSentinel, simd.back()) << label;
     }
   }
 }
