@@ -304,7 +304,7 @@ double CellTrainer::mixture_quality(const evolve::MixtureWeights& weights) {
       tensor::Tensor z = tensor::Tensor::randn(
           counts[member], config_.arch.latent_dim, rng_, 1.0f);
       if (classes > 0) z = append_one_hot(z, labels, classes);
-      const tensor::Tensor images = gen->forward(z);
+      const tensor::Tensor images = gen->forward(z, nn::Cache::kNone);
       for (std::size_t k = 0; k < counts[member]; ++k, ++row) {
         auto src = images.row_span(k);
         auto dst = out.row_span(row);
@@ -314,7 +314,8 @@ double CellTrainer::mixture_quality(const evolve::MixtureWeights& weights) {
     return out;
   }();
   const tensor::Tensor logits = discriminator_.forward(
-      classes == 0 ? samples : append_one_hot(samples, sample_labels, classes));
+      classes == 0 ? samples : append_one_hot(samples, sample_labels, classes),
+      nn::Cache::kNone);
   auto [loss, grad] = tensor::bce_with_logits(
       logits, tensor::Tensor::full(samples.rows(), 1, 1.0f));
   (void)grad;
@@ -488,7 +489,7 @@ tensor::Tensor CellTrainer::sample_from_mixture(std::size_t count) {
     tensor::Tensor z =
         tensor::Tensor::randn(counts[member], config_.arch.latent_dim, rng_, 1.0f);
     if (classes > 0) z = append_one_hot(z, labels, classes);
-    const tensor::Tensor images = gen->forward(z);
+    const tensor::Tensor images = gen->forward(z, nn::Cache::kNone);
     for (std::size_t k = 0; k < counts[member]; ++k, ++row) {
       auto src = images.row_span(k);
       auto dst = out.row_span(row);

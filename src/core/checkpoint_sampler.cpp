@@ -53,7 +53,7 @@ evolve::MixtureDraw CheckpointMixture::plan(std::size_t count, std::uint64_t see
 tensor::Tensor CheckpointMixture::forward(std::size_t g,
                                           const tensor::Tensor& latents) {
   CG_EXPECT(g < generators_.size());
-  return generators_[g].forward(latents);
+  return generators_[g].forward(latents, nn::Cache::kNone);
 }
 
 tensor::Tensor CheckpointMixture::sample(std::size_t count, std::uint64_t seed) {

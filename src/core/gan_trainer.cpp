@@ -97,18 +97,20 @@ double train_discriminator_step(nn::Sequential& discriminator,
     fake_labels = draw_labels(batch, classes, rng);
   }
   const tensor::Tensor fake = generator.forward(
-      generator_input(latent_batch(batch, latent_dim, rng), fake_labels, classes));
+      generator_input(latent_batch(batch, latent_dim, rng), fake_labels, classes),
+      nn::Cache::kNone);
 
   discriminator.zero_grad();
-  // Gradients accumulate across the real and fake backward passes.
+  // Gradients accumulate across the real and fake backward passes; no one
+  // reads the image gradients.
   const tensor::Tensor real_logits = discriminator.forward(
       discriminator_input(real_batch, options.real_labels, classes));
   auto [real_loss, d_real] = discriminator_real_loss_grad(loss_kind, real_logits);
-  discriminator.backward(d_real);
+  discriminator.backward(d_real, nn::Grads::kParams);
   const tensor::Tensor fake_logits =
       discriminator.forward(discriminator_input(fake, fake_labels, classes));
   auto [fake_loss, d_fake] = discriminator_fake_loss_grad(loss_kind, fake_logits);
-  discriminator.backward(d_fake);
+  discriminator.backward(d_fake, nn::Grads::kParams);
 
   d_optimizer.step(discriminator);
   if (options.weight_clip > 0.0) clip_parameters(discriminator, options.weight_clip);
@@ -120,7 +122,6 @@ double train_generator_step(nn::Sequential& generator, nn::Adam& g_optimizer,
                             std::size_t latent_dim, common::Rng& rng,
                             GanLossKind loss_kind, const GanStepOptions& options) {
   generator.zero_grad();
-  discriminator.zero_grad();  // D gradients are scratch here; never stepped
 
   const std::size_t classes = options.label_classes;
   std::vector<std::uint32_t> fake_labels;
@@ -130,12 +131,13 @@ double train_generator_step(nn::Sequential& generator, nn::Adam& g_optimizer,
   const tensor::Tensor logits =
       discriminator.forward(discriminator_input(fake, fake_labels, classes));
   auto [loss, dlogits] = generator_loss_grad(loss_kind, logits);
-  const tensor::Tensor dinput = discriminator.backward(dlogits);
-  generator.backward(classes == 0 ? dinput
-                                  : drop_label_columns(dinput, fake.cols()));
+  // D only carries the gradient back to G: its own parameter gradients stay
+  // untouched, and G's latent gradient is never computed.
+  const tensor::Tensor dinput = discriminator.backward(dlogits, nn::Grads::kInput);
+  generator.backward(classes == 0 ? dinput : drop_label_columns(dinput, fake.cols()),
+                     nn::Grads::kParams);
 
   g_optimizer.step(generator);
-  discriminator.zero_grad();  // drop the scratch gradients
   return loss;
 }
 
@@ -146,10 +148,11 @@ double evaluate_generator_loss(nn::Sequential& generator,
   const std::size_t classes = options.label_classes;
   std::vector<std::uint32_t> fake_labels;
   if (classes > 0) fake_labels = draw_labels(batch_size, classes, rng);
-  const tensor::Tensor fake = generator.forward(generator_input(
-      latent_batch(batch_size, latent_dim, rng), fake_labels, classes));
-  const tensor::Tensor logits =
-      discriminator.forward(discriminator_input(fake, fake_labels, classes));
+  const tensor::Tensor fake = generator.forward(
+      generator_input(latent_batch(batch_size, latent_dim, rng), fake_labels, classes),
+      nn::Cache::kNone);
+  const tensor::Tensor logits = discriminator.forward(
+      discriminator_input(fake, fake_labels, classes), nn::Cache::kNone);
   auto [loss, dlogits] =
       tensor::bce_with_logits(logits, tensor::Tensor::full(batch_size, 1, 1.0f));
   (void)dlogits;
@@ -169,14 +172,15 @@ double evaluate_discriminator_loss(nn::Sequential& discriminator,
     fake_labels = draw_labels(batch, classes, rng);
   }
   const tensor::Tensor fake = generator.forward(
-      generator_input(latent_batch(batch, latent_dim, rng), fake_labels, classes));
+      generator_input(latent_batch(batch, latent_dim, rng), fake_labels, classes),
+      nn::Cache::kNone);
   const tensor::Tensor real_logits = discriminator.forward(
-      discriminator_input(real_batch, options.real_labels, classes));
+      discriminator_input(real_batch, options.real_labels, classes), nn::Cache::kNone);
   auto [real_loss, d_real] =
       tensor::bce_with_logits(real_logits, tensor::Tensor::full(batch, 1, 1.0f));
   (void)d_real;
-  const tensor::Tensor fake_logits =
-      discriminator.forward(discriminator_input(fake, fake_labels, classes));
+  const tensor::Tensor fake_logits = discriminator.forward(
+      discriminator_input(fake, fake_labels, classes), nn::Cache::kNone);
   auto [fake_loss, d_fake] =
       tensor::bce_with_logits(fake_logits, tensor::Tensor::full(batch, 1, 0.0f));
   (void)d_fake;

@@ -141,7 +141,8 @@ tensor::Tensor sample_mixture(const MixtureWeights& weights,
   bool out_ready = false;
   for (std::size_t g = 0; g < generators.size(); ++g) {
     if (draw.rows_of[g].empty()) continue;
-    const tensor::Tensor images = generators[g]->forward(draw.latents[g]);
+    const tensor::Tensor images =
+        generators[g]->forward(draw.latents[g], nn::Cache::kNone);
     if (!out_ready) {
       out = tensor::Tensor(count, images.cols());
       out_ready = true;

@@ -53,17 +53,17 @@ double Classifier::accuracy(const data::Dataset& dataset) {
 }
 
 tensor::Tensor Classifier::predict_probs(const tensor::Tensor& images) {
-  return tensor::softmax(net_.forward(images));
+  return tensor::softmax(net_.forward(images, nn::Cache::kNone));
 }
 
 tensor::Tensor Classifier::features(const tensor::Tensor& images) {
   // Forward through Linear + Tanh only (layers 0 and 1).
-  tensor::Tensor x = net_.layer(0).forward(images);
-  return net_.layer(1).forward(x);
+  tensor::Tensor x = net_.layer(0).forward(images, nn::Cache::kNone);
+  return net_.layer(1).forward(x, nn::Cache::kNone);
 }
 
 std::vector<std::uint32_t> Classifier::predict_labels(const tensor::Tensor& images) {
-  return tensor::argmax_rows(net_.forward(images));
+  return tensor::argmax_rows(net_.forward(images, nn::Cache::kNone));
 }
 
 }  // namespace cellgan::metrics

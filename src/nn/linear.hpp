@@ -10,8 +10,10 @@ class Linear final : public Layer {
   /// Weights start zero; call an initializer (nn/init.hpp) before training.
   Linear(std::size_t in_features, std::size_t out_features);
 
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  using Layer::backward;
+  using Layer::forward;
+  tensor::Tensor forward(const tensor::Tensor& input, Cache cache) override;
+  tensor::Tensor backward(const tensor::Tensor& grad_output, Grads what) override;
 
   std::vector<tensor::Tensor*> parameters() override { return {&weight_, &bias_}; }
   std::vector<tensor::Tensor*> gradients() override { return {&grad_weight_, &grad_bias_}; }
@@ -29,6 +31,7 @@ class Linear final : public Layer {
   tensor::Tensor grad_weight_;  // in x out
   tensor::Tensor grad_bias_;    // 1 x out
   tensor::Tensor cached_input_; // batch x in
+  bool cached_ = false;         // cached_input_ is the last forward's input
 };
 
 }  // namespace cellgan::nn

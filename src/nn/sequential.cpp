@@ -10,15 +10,22 @@ Sequential& Sequential::add(LayerPtr layer) {
   return *this;
 }
 
-tensor::Tensor Sequential::forward(const tensor::Tensor& input) {
-  tensor::Tensor x = input;
-  for (auto& layer : layers_) x = layer->forward(x);
+tensor::Tensor Sequential::forward(const tensor::Tensor& input, Cache cache) {
+  if (layers_.empty()) return input;
+  tensor::Tensor x = layers_.front()->forward(input, cache);
+  for (std::size_t i = 1; i < layers_.size(); ++i) x = layers_[i]->forward(x, cache);
   return x;
 }
 
-tensor::Tensor Sequential::backward(const tensor::Tensor& grad_output) {
-  tensor::Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) g = (*it)->backward(g);
+tensor::Tensor Sequential::backward(const tensor::Tensor& grad_output, Grads what) {
+  if (layers_.empty()) return wants_input(what) ? grad_output : tensor::Tensor();
+  const bool params = wants_params(what);
+  tensor::Tensor g;
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    const bool input = wants_input(what) || (i > 0 && params);
+    const Grads layer_what = !input ? Grads::kParams : params ? Grads::kAll : Grads::kInput;
+    g = layers_[i]->backward(i + 1 == layers_.size() ? grad_output : g, layer_what);
+  }
   return g;
 }
 

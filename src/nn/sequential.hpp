@@ -19,8 +19,13 @@ class Sequential final : public Layer {
   /// Takes ownership. Returns *this for chaining.
   Sequential& add(LayerPtr layer);
 
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  using Layer::backward;
+  using Layer::forward;
+  tensor::Tensor forward(const tensor::Tensor& input, Cache cache) override;
+  /// Layer i computes its input gradient when the caller wants the input
+  /// gradient, or when i > 0 and parameter gradients are wanted (layer i - 1
+  /// needs it).
+  tensor::Tensor backward(const tensor::Tensor& grad_output, Grads what) override;
 
   std::vector<tensor::Tensor*> parameters() override;
   std::vector<tensor::Tensor*> gradients() override;

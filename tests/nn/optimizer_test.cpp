@@ -21,8 +21,8 @@ namespace {
 /// One-parameter "network" for closed-form optimizer checks.
 class ScalarLayer final : public Layer {
  public:
-  tensor::Tensor forward(const tensor::Tensor& input) override { return input; }
-  tensor::Tensor backward(const tensor::Tensor& grad) override { return grad; }
+  tensor::Tensor forward(const tensor::Tensor& input, Cache) override { return input; }
+  tensor::Tensor backward(const tensor::Tensor& grad, Grads) override { return grad; }
   std::vector<tensor::Tensor*> parameters() override { return {&param_}; }
   std::vector<tensor::Tensor*> gradients() override { return {&grad_}; }
   void zero_grad() override { grad_.fill(0.0f); }
