@@ -14,10 +14,16 @@ void Adam::step(Layer& layer) {
   auto params = layer.parameters();
   auto grads = layer.gradients();
   CG_EXPECT(params.size() == grads.size());
-  if (m_.size() != params.size()) {
-    m_.assign(params.size(), {});
-    v_.assign(params.size(), {});
+  if (m_.empty() && v_.empty() && !params.empty()) {
+    // A fresh optimizer, or one just reset(). Held moments, say restored
+    // from a checkpoint, must fit the layer: they are never replaced.
+    CG_EXPECT(t_ == 0);
+    for (const tensor::Tensor* p : params) {
+      m_.emplace_back(p->size(), 0.0f);
+      v_.emplace_back(p->size(), 0.0f);
+    }
   }
+  CG_EXPECT(m_.size() == params.size() && v_.size() == params.size());
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
@@ -33,10 +39,7 @@ void Adam::step(Layer& layer) {
     auto p = params[i]->data();
     auto g = grads[i]->data();
     CG_EXPECT(p.size() == g.size());
-    if (m_[i].size() != p.size()) {
-      m_[i].assign(p.size(), 0.0f);
-      v_[i].assign(p.size(), 0.0f);
-    }
+    CG_EXPECT(m_[i].size() == p.size() && v_[i].size() == p.size());
     tensor::count_flops(10ULL * p.size());
     tensor::kernels::adam_update(kind, coefficients, p.data(), g.data(), m_[i].data(),
                                  v_[i].data(), p.size());

@@ -21,7 +21,9 @@ class Adam {
   explicit Adam(double lr, double beta1 = 0.9, double beta2 = 0.999,
                 double epsilon = 1e-8);
 
-  /// Apply one update step from the layer's accumulated gradients.
+  /// Apply one update step from the layer's accumulated gradients. The first
+  /// step of a fresh or reset() optimizer starts the moments at zero; any
+  /// other step requires held moments that fit the layer.
   void step(Layer& layer);
 
   void set_learning_rate(double lr) { lr_ = lr; }
@@ -34,7 +36,8 @@ class Adam {
 
   /// Moment-state access for checkpointing: resuming a run mid-training must
   /// restore m/v/t exactly or the next update's bias correction (and thus
-  /// every parameter after it) diverges from the uninterrupted run.
+  /// every parameter after it) diverges from the uninterrupted run. The next
+  /// step() aborts unless they fit its layer.
   const std::vector<std::vector<float>>& first_moments() const { return m_; }
   const std::vector<std::vector<float>>& second_moments() const { return v_; }
   void restore_moments(std::uint64_t steps, std::vector<std::vector<float>> m,

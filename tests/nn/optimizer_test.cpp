@@ -77,6 +77,23 @@ TEST(AdamTest, ResetClearsMomentsAndStepCount) {
   EXPECT_NEAR(layer.param_.at(0, 0), before - 0.1f, 1e-4f);
 }
 
+TEST(AdamDeathTest, RestoredMomentsOfAnotherShapeAbort) {
+  // Moments restored from a checkpoint must fit the layer. Moments of another
+  // shape used to be replaced by zeros without a word, while the restored
+  // step count stayed.
+  ScalarLayer layer;
+  layer.grad_.at(0, 0) = 1.0f;
+  Adam longer(0.1);
+  longer.restore_moments(7, {{0.5f, 0.5f}}, {{0.25f, 0.25f}});
+  EXPECT_DEATH(longer.step(layer), "precondition");
+  Adam more(0.1);
+  more.restore_moments(7, {{0.5f}, {0.5f}}, {{0.25f}, {0.25f}});
+  EXPECT_DEATH(more.step(layer), "precondition");
+  Adam none(0.1);
+  none.restore_moments(7, {}, {});
+  EXPECT_DEATH(none.step(layer), "precondition");
+}
+
 TEST(AdamTest, LearningRateChangeKeepsMoments) {
   // Mutating lr mid-training (Lipizzaner's hyperparameter mutation) must not
   // reset Adam state: the second step with halved lr should be ~half the
