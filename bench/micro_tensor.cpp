@@ -1,14 +1,19 @@
 // Tensor microkernel benchmark: scalar vs SIMD on the GEMMs training runs at
 // the paper's layer shapes, plus the elementwise loops and the Adam step it
-// runs (tanh under both kinds), emitting BENCH_tensor.json. Every op runs on
-// the calling thread (tensor ops never fan out), so these are the per-lane
-// numbers a training cell sees.
+// runs, each under both kernel kinds, emitting BENCH_tensor.json. Every op
+// runs on the calling thread (tensor ops never fan out), so these are the
+// per-lane numbers a training cell sees.
+//
+// Every row is measured in kRounds interleaved rounds (round r measures each
+// row once before round r + 1 starts), so a change of the shared host's speed
+// lands on all rows alike; a row reports the median and the interquartile
+// range of its rounds.
 //
 // Self-contained (no Google Benchmark) so the sweep always builds and the
 // JSON carries exactly the fields CI asserts on: per-shape GFLOP/s for both
-// kernel kinds, the simd/scalar speedup, and the best single-thread GEMM
-// speedup (`ci/check.sh --bench` reads it; the README table is generated
-// from the same file).
+// kernel kinds, the simd/scalar speedup of the medians, and the best
+// single-thread GEMM speedup (`ci/check.sh --bench` reads it; the README
+// table is generated from the same file).
 //
 //   micro_tensor [--min-time SECONDS] [--json PATH]
 #include <algorithm>
@@ -49,6 +54,25 @@ double time_per_iteration(double min_seconds, const Body& body) {
   return elapsed / static_cast<double>(iterations);
 }
 
+constexpr std::size_t kRounds = 7;
+
+/// Median and quartiles of one row's rounds (linear interpolation between
+/// order statistics).
+struct Spread {
+  double median = 0.0, q1 = 0.0, q3 = 0.0;
+};
+
+Spread spread_of(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const auto quantile = [&](double p) {
+    const double pos = p * static_cast<double>(samples.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (pos - static_cast<double>(lo)) * (samples[hi] - samples[lo]);
+  };
+  return {quantile(0.5), quantile(0.25), quantile(0.75)};
+}
+
 enum class GemmOp { kNn, kTn, kNt };
 
 const char* to_string(GemmOp op) {
@@ -64,56 +88,58 @@ struct GemmShape {
   std::size_t m, k, n;
 };
 
-struct GemmResult {
+/// One GEMM shape: the rounds of both kinds, in GFLOP/s.
+struct GemmRow {
   GemmOp op;
   GemmShape shape;
-  double scalar_gflops = 0.0;
-  double simd_gflops = 0.0;
-  double speedup() const {
-    return scalar_gflops > 0.0 ? simd_gflops / scalar_gflops : 0.0;
-  }
+  tensor::Tensor a, b;
+  std::vector<double> scalar_gflops, simd_gflops;
 };
 
-double run_gemm_gflops(GemmOp op, const GemmShape& shape,
-                       tensor::KernelKind kind, double min_seconds) {
+GemmRow make_gemm_row(GemmOp op, const GemmShape& shape) {
   common::Rng rng(1);
   // Operand storage per op: TN takes A as (k x m), NT takes B as (n x k).
   const std::size_t a_rows = op == GemmOp::kTn ? shape.k : shape.m;
   const std::size_t a_cols = op == GemmOp::kTn ? shape.m : shape.k;
   const std::size_t b_rows = op == GemmOp::kNt ? shape.n : shape.k;
   const std::size_t b_cols = op == GemmOp::kNt ? shape.k : shape.n;
-  const tensor::Tensor a = tensor::Tensor::randn(a_rows, a_cols, rng);
-  const tensor::Tensor b = tensor::Tensor::randn(b_rows, b_cols, rng);
+  tensor::Tensor a = tensor::Tensor::randn(a_rows, a_cols, rng);
+  tensor::Tensor b = tensor::Tensor::randn(b_rows, b_cols, rng);
+  return {op, shape, std::move(a), std::move(b), {}, {}};
+}
+
+double run_gemm_gflops(const GemmRow& row, tensor::KernelKind kind,
+                       double min_seconds) {
   tensor::set_kernel_kind(kind);
   volatile float sink = 0.0f;
   const double seconds = time_per_iteration(min_seconds, [&] {
-    tensor::Tensor c = op == GemmOp::kNn   ? tensor::matmul(a, b)
-                       : op == GemmOp::kTn ? tensor::matmul_tn(a, b)
-                                           : tensor::matmul_nt(a, b);
+    tensor::Tensor c = row.op == GemmOp::kNn   ? tensor::matmul(row.a, row.b)
+                       : row.op == GemmOp::kTn ? tensor::matmul_tn(row.a, row.b)
+                                               : tensor::matmul_nt(row.a, row.b);
     sink = sink + c.at(0, 0);
   });
-  const double flops =
-      2.0 * static_cast<double>(shape.m) * static_cast<double>(shape.k) *
-      static_cast<double>(shape.n);
+  const GemmShape& s = row.shape;
+  const double flops = 2.0 * static_cast<double>(s.m) * static_cast<double>(s.k) *
+                       static_cast<double>(s.n);
   return flops / seconds * 1e-9;
 }
 
-struct ElementwiseResult {
-  std::string op;
+/// One elementwise loop under one kind: `body` handles `elements` elements
+/// per call and returns one of its outputs.
+struct ElementwiseRow {
+  const char* op;
   tensor::KernelKind kind;
   std::size_t elements;
-  double gelems = 0.0;  ///< 1e9 elements per second
+  std::function<float()> body;
+  std::vector<double> gelems;  ///< 1e9 elements per second, per round
 };
 
-/// `body` handles `elements` elements per call and returns one of its outputs.
-double run_elementwise_gelems(tensor::KernelKind kind, std::size_t elements,
-                              const std::function<float()>& body,
-                              double min_seconds) {
-  tensor::set_kernel_kind(kind);
+double run_elementwise_gelems(const ElementwiseRow& row, double min_seconds) {
+  tensor::set_kernel_kind(row.kind);
   volatile float sink = 0.0f;
   const double seconds =
-      time_per_iteration(min_seconds, [&] { sink = sink + body(); });
-  return static_cast<double>(elements) / seconds * 1e-9;
+      time_per_iteration(min_seconds, [&] { sink = sink + row.body(); });
+  return static_cast<double>(row.elements) / seconds * 1e-9;
 }
 
 std::string format_double(double v) {
@@ -122,13 +148,19 @@ std::string format_double(double v) {
   return buf;
 }
 
+/// `"name": median, "name_iqr": [q1, q3]`
+std::string json_spread(const char* name, const Spread& s) {
+  return std::string("\"") + name + "\": " + format_double(s.median) + ", \"" + name +
+         "_iqr\": [" + format_double(s.q1) + ", " + format_double(s.q3) + "]";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   common::CliParser cli(
       "Tensor microkernel sweep: scalar vs SIMD GFLOP/s on the GEMMs of the "
       "paper's layers; writes BENCH_tensor.json");
-  cli.add_flag("min-time", "0.2", "seconds of wall time per measurement");
+  cli.add_flag("min-time", "0.05", "seconds of wall time per row and round");
   cli.add_flag("json", "BENCH_tensor.json", "output JSON path (empty = skip)");
   if (!cli.parse(argc, argv)) return 1;
   const double min_seconds = cli.get_double("min-time");
@@ -142,90 +174,102 @@ int main(int argc, char** argv) {
   constexpr std::size_t kBatch = 100;
   const std::pair<std::size_t, std::size_t> layers[] = {
       {64, 256}, {256, 256}, {256, 784}, {784, 256}, {256, 1}};
-  std::vector<std::pair<GemmOp, GemmShape>> gemms;
+  std::vector<GemmRow> gemm_rows;
   for (const auto& [in, out] : layers) {
-    gemms.push_back({GemmOp::kNn, {kBatch, in, out}});
-    gemms.push_back({GemmOp::kTn, {in, kBatch, out}});
-    gemms.push_back({GemmOp::kNt, {kBatch, out, in}});
-  }
-
-  std::printf("tensor kernels: simd path = %s\n",
-              tensor::simd_instruction_set());
-  std::printf("%-10s %15s %14s %14s %8s\n", "op", "shape", "scalar GF/s",
-              "simd GF/s", "speedup");
-
-  std::vector<GemmResult> gemm_results;
-  double best_single_thread_speedup = 0.0;
-  for (const auto& [op, shape] : gemms) {
-    GemmResult r{op, shape, 0.0, 0.0};
-    r.scalar_gflops =
-        run_gemm_gflops(op, shape, tensor::KernelKind::kScalar, min_seconds);
-    r.simd_gflops = run_gemm_gflops(op, shape, tensor::KernelKind::kSimd, min_seconds);
-    best_single_thread_speedup = std::max(best_single_thread_speedup, r.speedup());
-    std::printf("%-10s %5zux%4zux%4zu %14.2f %14.2f %7.2fx\n", to_string(op),
-                shape.m, shape.k, shape.n, r.scalar_gflops, r.simd_gflops,
-                r.speedup());
-    gemm_results.push_back(r);
+    gemm_rows.push_back(make_gemm_row(GemmOp::kNn, {kBatch, in, out}));
+    gemm_rows.push_back(make_gemm_row(GemmOp::kTn, {in, kBatch, out}));
+    gemm_rows.push_back(make_gemm_row(GemmOp::kNt, {kBatch, out, in}));
   }
 
   // The elementwise work of a training step at 100x784, the generator's
-  // output: tanh_forward is the one loop whose code depends on the kind; the
-  // others run one loop for both, measured under simd. adam_step is one
-  // nn::Adam::step over the Table I generator's 283,920 parameters, the work
-  // of the ledger's nn.adam_ms.
-  std::vector<ElementwiseResult> ew_results;
-  {
-    common::Rng rng(2);
-    const tensor::Tensor x = tensor::Tensor::randn(100, 784, rng);
-    const tensor::Tensor dy = tensor::Tensor::randn(100, 784, rng);
-    const tensor::Tensor bias = tensor::Tensor::randn(1, 784, rng);
-    const tensor::Tensor y = tensor::tanh_forward(x);
-    tensor::Tensor acc = tensor::Tensor::randn(100, 784, rng);
-    nn::Sequential gen = nn::make_generator(nn::GanArch::paper(), rng);
-    for (tensor::Tensor* g : gen.gradients()) {
-      *g = tensor::Tensor::randn(g->rows(), g->cols(), rng);
-    }
-    nn::Adam adam(2e-4);  // Table I
-    using tensor::KernelKind;
-    const struct {
-      const char* op;
-      KernelKind kind;
-      std::size_t elements;
-      std::function<float()> body;
-    } rows[] = {
-        {"axpy", KernelKind::kSimd, x.size(),
-         [&] {
-           tensor::axpy(0.37f, x, acc);
-           return acc.at(0, 0);
-         }},
-        {"add_row_bias", KernelKind::kSimd, x.size(),
-         [&] {
-           tensor::add_row_bias(acc, bias);
-           return acc.at(0, 0);
-         }},
-        {"col_sum", KernelKind::kSimd, x.size(),
-         [&] { return tensor::col_sum(x).at(0, 0); }},
-        {"tanh_forward", KernelKind::kScalar, x.size(),
-         [&] { return tensor::tanh_forward(x).at(0, 0); }},
-        {"tanh_forward", KernelKind::kSimd, x.size(),
-         [&] { return tensor::tanh_forward(x).at(0, 0); }},
-        {"tanh_backward", KernelKind::kSimd, x.size(),
-         [&] { return tensor::tanh_backward(dy, y).at(0, 0); }},
-        {"adam_step", KernelKind::kSimd, gen.parameter_count(),
-         [&] {
-           adam.step(gen);
-           return gen.parameters()[0]->at(0, 0);
-         }}};
-    for (const auto& [op, kind, elements, body] : rows) {
-      ElementwiseResult r{op, kind, elements,
-                          run_elementwise_gelems(kind, elements, body, min_seconds)};
-      std::printf("%-19s %-6s %7zu elems %12.2f Gelem/s\n", op,
-                  tensor::to_string(kind), r.elements, r.gelems);
-      ew_results.push_back(r);
+  // output, under both kinds: every loop here follows the kind. adam_step is
+  // one nn::Adam::step over the Table I generator's 283,920 parameters, the
+  // work of the ledger's nn.adam_ms.
+  common::Rng rng(2);
+  const tensor::Tensor x = tensor::Tensor::randn(100, 784, rng);
+  const tensor::Tensor dy = tensor::Tensor::randn(100, 784, rng);
+  const tensor::Tensor bias = tensor::Tensor::randn(1, 784, rng);
+  const tensor::Tensor y = tensor::tanh_forward(x);
+  tensor::Tensor acc = tensor::Tensor::randn(100, 784, rng);
+  nn::Sequential gen = nn::make_generator(nn::GanArch::paper(), rng);
+  for (tensor::Tensor* g : gen.gradients()) {
+    *g = tensor::Tensor::randn(g->rows(), g->cols(), rng);
+  }
+  nn::Adam adam(2e-4);  // Table I
+  const std::pair<const char*, std::function<float()>> loops[] = {
+      {"axpy",
+       [&] {
+         tensor::axpy(0.37f, x, acc);
+         return acc.at(0, 0);
+       }},
+      {"add_row_bias",
+       [&] {
+         tensor::add_row_bias(acc, bias);
+         return acc.at(0, 0);
+       }},
+      {"col_sum", [&] { return tensor::col_sum(x).at(0, 0); }},
+      {"tanh_forward", [&] { return tensor::tanh_forward(x).at(0, 0); }},
+      {"tanh_backward", [&] { return tensor::tanh_backward(dy, y).at(0, 0); }},
+      {"adam_step",
+       [&] {
+         adam.step(gen);
+         return gen.parameters()[0]->at(0, 0);
+       }}};
+  std::vector<ElementwiseRow> ew_rows;
+  for (const auto& [op, body] : loops) {
+    const std::size_t elements =
+        std::string(op) == "adam_step" ? gen.parameter_count() : x.size();
+    for (const tensor::KernelKind kind : {tensor::KernelKind::kScalar, tensor::KernelKind::kSimd}) {
+      ew_rows.push_back({op, kind, elements, body, {}});
     }
   }
 
-  std::printf("best single-thread GEMM speedup (simd/scalar): %.2fx\n",
+  std::printf("tensor kernels: simd path = %s; median [IQR] of %zu rounds\n",
+              tensor::simd_instruction_set(), kRounds);
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (GemmRow& row : gemm_rows) {
+      row.scalar_gflops.push_back(
+          run_gemm_gflops(row, tensor::KernelKind::kScalar, min_seconds));
+      row.simd_gflops.push_back(run_gemm_gflops(row, tensor::KernelKind::kSimd, min_seconds));
+    }
+    for (ElementwiseRow& row : ew_rows) {
+      row.gelems.push_back(run_elementwise_gelems(row, min_seconds));
+    }
+  }
+
+  std::printf("%-10s %13s %22s %22s %8s\n", "op", "shape", "scalar GF/s",
+              "simd GF/s", "speedup");
+  double best_single_thread_speedup = 0.0;
+  std::ostringstream gemm_json;
+  for (std::size_t i = 0; i < gemm_rows.size(); ++i) {
+    const GemmRow& r = gemm_rows[i];
+    const Spread scalar = spread_of(r.scalar_gflops);
+    const Spread simd = spread_of(r.simd_gflops);
+    const double speedup = scalar.median > 0.0 ? simd.median / scalar.median : 0.0;
+    best_single_thread_speedup = std::max(best_single_thread_speedup, speedup);
+    std::printf("%-10s %4zux%4zux%4zu %6.2f [%6.2f-%6.2f] %6.2f [%6.2f-%6.2f] %7.2fx\n",
+                to_string(r.op), r.shape.m, r.shape.k, r.shape.n, scalar.median, scalar.q1,
+                scalar.q3, simd.median, simd.q1, simd.q3, speedup);
+    gemm_json << "    {\"op\": \"" << to_string(r.op) << "\", \"m\": " << r.shape.m
+              << ", \"k\": " << r.shape.k << ", \"n\": " << r.shape.n << ", "
+              << json_spread("scalar_gflops", scalar) << ", "
+              << json_spread("simd_gflops", simd)
+              << ", \"speedup\": " << format_double(speedup) << "}"
+              << (i + 1 < gemm_rows.size() ? "," : "") << "\n";
+  }
+  std::ostringstream ew_json;
+  for (std::size_t i = 0; i < ew_rows.size(); ++i) {
+    const ElementwiseRow& r = ew_rows[i];
+    const Spread gelems = spread_of(r.gelems);
+    std::printf("%-19s %-6s %7zu elems %8.3f [%.3f-%.3f] Gelem/s\n", r.op,
+                tensor::to_string(r.kind), r.elements, gelems.median, gelems.q1, gelems.q3);
+    ew_json << "    {\"op\": \"" << r.op << "\", \"kind\": \""
+            << tensor::to_string(r.kind) << "\", \"elements\": " << r.elements << ", "
+            << json_spread("gelems_per_s", gelems) << "}"
+            << (i + 1 < ew_rows.size() ? "," : "") << "\n";
+  }
+
+  std::printf("best single-thread GEMM speedup (simd/scalar medians): %.2fx\n",
               best_single_thread_speedup);
 
   if (!json_path.empty()) {
@@ -233,27 +277,11 @@ int main(int argc, char** argv) {
     out << "{\n  \"simd_instruction_set\": \""
         << tensor::simd_instruction_set() << "\",\n";
     out << "  \"min_time_seconds\": " << format_double(min_seconds) << ",\n";
+    out << "  \"rounds\": " << kRounds << ",\n";
     out << "  \"best_single_thread_gemm_speedup\": "
         << format_double(best_single_thread_speedup) << ",\n";
-    out << "  \"gemm\": [\n";
-    for (std::size_t i = 0; i < gemm_results.size(); ++i) {
-      const GemmResult& r = gemm_results[i];
-      out << "    {\"op\": \"" << to_string(r.op) << "\", \"m\": " << r.shape.m
-          << ", \"k\": " << r.shape.k << ", \"n\": " << r.shape.n
-          << ", \"scalar_gflops\": " << format_double(r.scalar_gflops)
-          << ", \"simd_gflops\": " << format_double(r.simd_gflops)
-          << ", \"speedup\": " << format_double(r.speedup()) << "}"
-          << (i + 1 < gemm_results.size() ? "," : "") << "\n";
-    }
-    out << "  ],\n  \"elementwise\": [\n";
-    for (std::size_t i = 0; i < ew_results.size(); ++i) {
-      const ElementwiseResult& r = ew_results[i];
-      out << "    {\"op\": \"" << r.op << "\", \"kind\": \""
-          << tensor::to_string(r.kind) << "\", \"elements\": " << r.elements
-          << ", \"gelems_per_s\": " << format_double(r.gelems) << "}"
-          << (i + 1 < ew_results.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
+    out << "  \"gemm\": [\n" << gemm_json.str() << "  ],\n";
+    out << "  \"elementwise\": [\n" << ew_json.str() << "  ]\n}\n";
     std::ofstream file(json_path);
     if (!file) {
       std::fprintf(stderr, "micro_tensor: cannot write %s\n",

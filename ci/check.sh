@@ -4,18 +4,20 @@
 # environment variable selects a tensor kernel, data plane or exchange
 # policy, so one pass covers them: the parity suites pin each choice
 # explicitly (kernel kinds, both data planes, all three exchange policies).
+# The suites that loop over both kernel kinds run the AVX2 elementwise and
+# Adam loops under simd and the scalar oracle loops under scalar.
 # Usage:
 #   ci/check.sh [--bench] [build-dir]
 #
 # --bench additionally runs the perf bed at reduced scale (table3_scaling as
 # a smoke) and records the numbers (the Table II metric sweep
 # BENCH_metrics.json, the scalar-vs-SIMD tensor kernel sweep
-# BENCH_tensor.json, the exchange-policy sweep BENCH_exchange.json, the
-# legacy-vs-store data-plane sweep BENCH_datastore.json, the serving-plane
-# latency/QPS sweep BENCH_serving.json with its telemetry stream
-# SMOKE_serving.jsonl, and a smoke-run telemetry stream
-# SMOKE_telemetry.jsonl in the build dir), so perf and quality PRs can show
-# deltas.
+# BENCH_tensor.json with the median and IQR of interleaved rounds, the
+# exchange-policy sweep BENCH_exchange.json, the legacy-vs-store data-plane
+# sweep BENCH_datastore.json, the serving-plane latency/QPS sweep
+# BENCH_serving.json with its telemetry stream SMOKE_serving.jsonl, and a
+# smoke-run telemetry stream SMOKE_telemetry.jsonl in the build dir), so perf
+# and quality PRs can show deltas.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -104,7 +106,7 @@ if [ "$RUN_BENCH" -eq 1 ]; then
     exit 1
   }
   echo "=== bench: micro_tensor (scalar vs SIMD) -> BENCH_tensor.json ==="
-  ./bench/micro_tensor --min-time 0.05 --json "$BUILD/BENCH_tensor.json"
+  ./bench/micro_tensor --min-time 0.01 --json "$BUILD/BENCH_tensor.json"
   grep -q '"best_single_thread_gemm_speedup"' "$BUILD/BENCH_tensor.json" || {
     echo "error: BENCH_tensor.json missing the kernel speedup summary" >&2
     exit 1
