@@ -19,13 +19,13 @@ tensor::Tensor Sequential::forward(const tensor::Tensor& input, Cache cache) {
 
 tensor::Tensor Sequential::backward(const tensor::Tensor& grad_output, Grads what) {
   if (layers_.empty()) return wants_input(what) ? grad_output : tensor::Tensor();
-  const bool params = wants_params(what);
-  tensor::Tensor g;
-  for (std::size_t i = layers_.size(); i-- > 0;) {
-    const bool input = wants_input(what) || (i > 0 && params);
-    const Grads layer_what = !input ? Grads::kParams : params ? Grads::kAll : Grads::kInput;
-    g = layers_[i]->backward(i + 1 == layers_.size() ? grad_output : g, layer_what);
-  }
+  const auto layer_what = [what](std::size_t i) {
+    if (!wants_params(what)) return Grads::kInput;
+    return wants_input(what) || i > 0 ? Grads::kAll : Grads::kParams;
+  };
+  std::size_t i = layers_.size() - 1;
+  tensor::Tensor g = layers_[i]->backward(grad_output, layer_what(i));
+  while (i-- > 0) g = layers_[i]->backward(g, layer_what(i));
   return g;
 }
 
