@@ -196,33 +196,30 @@ int main(int argc, char** argv) {
     *g = tensor::Tensor::randn(g->rows(), g->cols(), rng);
   }
   nn::Adam adam(2e-4);  // Table I
-  const std::pair<const char*, std::function<float()>> loops[] = {
-      {"axpy",
-       [&] {
-         tensor::axpy(0.37f, x, acc);
-         return acc.at(0, 0);
-       }},
-      {"add_row_bias",
-       [&] {
-         tensor::add_row_bias(acc, bias);
-         return acc.at(0, 0);
-       }},
-      {"col_sum", [&] { return tensor::col_sum(x).at(0, 0); }},
-      {"tanh_forward", [&] { return tensor::tanh_forward(x).at(0, 0); }},
-      {"tanh_backward", [&] { return tensor::tanh_backward(dy, y).at(0, 0); }},
-      {"adam_step",
-       [&] {
-         adam.step(gen);
-         return gen.parameters()[0]->at(0, 0);
-       }}};
   std::vector<ElementwiseRow> ew_rows;
-  for (const auto& [op, body] : loops) {
-    const std::size_t elements =
-        std::string(op) == "adam_step" ? gen.parameter_count() : x.size();
-    for (const tensor::KernelKind kind : {tensor::KernelKind::kScalar, tensor::KernelKind::kSimd}) {
+  const auto add_loop = [&](const char* op, std::size_t elements,
+                            std::function<float()> body) {
+    for (const tensor::KernelKind kind :
+         {tensor::KernelKind::kScalar, tensor::KernelKind::kSimd}) {
       ew_rows.push_back({op, kind, elements, body, {}});
     }
-  }
+  };
+  add_loop("axpy", x.size(), [&] {
+    tensor::axpy(0.37f, x, acc);
+    return acc.at(0, 0);
+  });
+  add_loop("add_row_bias", x.size(), [&] {
+    tensor::add_row_bias(acc, bias);
+    return acc.at(0, 0);
+  });
+  add_loop("col_sum", x.size(), [&] { return tensor::col_sum(x).at(0, 0); });
+  add_loop("tanh_forward", x.size(), [&] { return tensor::tanh_forward(x).at(0, 0); });
+  add_loop("tanh_backward", x.size(),
+           [&] { return tensor::tanh_backward(dy, y).at(0, 0); });
+  add_loop("adam_step", gen.parameter_count(), [&] {
+    adam.step(gen);
+    return gen.parameters()[0]->at(0, 0);
+  });
 
   std::printf("tensor kernels: simd path = %s; median [IQR] of %zu rounds\n",
               tensor::simd_instruction_set(), kRounds);
