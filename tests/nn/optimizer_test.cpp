@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "nn/gan_models.hpp"
