@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "testsupport/temp_dir.hpp"
@@ -191,8 +192,52 @@ TEST(RunSpecTest, DataPlaneFlagAndTextRoundTrip) {
   EXPECT_EQ(*reparsed, *store);
 }
 
+/// One bad value, offered both as a flag and as a spec-file key.
+struct BadValue {
+  const char* flag;
+  const char* section;  ///< "" for a top-level key
+  const char* key;
+  const char* value;
+};
+
+/// `{"key": value}`, nested in the row's section unless that is the top level.
+std::string spec_text(const BadValue& row) {
+  const std::string entry = std::string("{\"") + row.key + "\": " + row.value + "}";
+  if (*row.section == '\0') return entry;
+  return std::string("{\"") + row.section + "\": " + entry + "}";
+}
+
 TEST(RunSpecTest, BadValuesAreRejected) {
   RunSpec defaults;
+  // Flags and spec files check the same bounds and parse numbers the same
+  // way: every row fails through both, and the spec error names the key.
+  const BadValue rows[] = {
+      {"batch-size", "config", "batch_size", "0"},
+      {"grid", "config", "grid_rows", "0"},
+      {"dieting", "config", "data_dieting_fraction", "0"},
+      {"dieting", "config", "data_dieting_fraction", "1.5"},
+      {"weight-clip", "config", "weight_clip", "0"},
+      {"weight-clip", "config", "weight_clip", "-0.5"},
+      {"eval-samples", "observers", "eval_samples", "1"},
+      {"exchange-every", "config", "exchange_every", "0"},
+      {"threads", "", "threads", "0"},
+      // Malformed numbers: no prefix is read, nothing saturates or wraps.
+      {"iterations", "config", "iterations", "5x"},
+      {"seed", "config", "seed", "abc"},
+      {"grid", "config", "grid_rows", "2.7"},
+      {"weight-clip", "config", "weight_clip", "0.5abc"},
+      {"threads", "", "threads", "99999999999999999999"},
+      {"conditional", "config", "conditional", "maybe"},
+  };
+  for (const BadValue& row : rows) {
+    const std::string flag = std::string("--") + row.flag;
+    SCOPED_TRACE(flag + " " + row.value);
+    EXPECT_FALSE(parse_args({flag.c_str(), row.value}, defaults).has_value());
+    std::string error;
+    EXPECT_FALSE(RunSpec::from_text(spec_text(row), &error).has_value());
+    EXPECT_NE(error.find(row.key), std::string::npos) << error;
+  }
+
   EXPECT_FALSE(parse_args({"--backend", "gpu"}, defaults).has_value());
   EXPECT_FALSE(parse_args({"--data-plane", "turbo"}, defaults).has_value());
   EXPECT_FALSE(parse_args({"--loss", "hinge"}, defaults).has_value());
@@ -386,6 +431,12 @@ TEST(RunSpecTest, FromTextRejectsMalformedInput) {
       RunSpec::from_text("{\"config\": {\"iterations\": -2}}", &error).has_value());
   EXPECT_FALSE(
       RunSpec::from_text("{\"config\": {\"bogus\": 3}}", &error).has_value());
+  // Spec-only settings whose zero aborts the run or trains to NaN.
+  for (const char* key : {"tournament_size", "grid_cols", "fitness_eval_samples"}) {
+    const std::string text = std::string("{\"config\": {\"") + key + "\": 0}}";
+    EXPECT_FALSE(RunSpec::from_text(text, &error).has_value()) << key;
+    EXPECT_NE(error.find(key), std::string::npos) << error;
+  }
 }
 
 TEST(RunSpecTest, SaveAndLoadFile) {
