@@ -34,7 +34,9 @@ int main() {
   row("output neurons", static_cast<double>(config.arch.image_dim), 784);
   std::printf("  -- coevolutionary settings --\n");
   row("iterations", config.iterations, 200);
-  row("population size per cell", config.population_per_cell, 1);
+  // Every cell trains one center pair; the other members of its
+  // subpopulation are its neighbors' gathered centers. Fixed, not a setting.
+  row("population size per cell", 1, 1);
   row("tournament size", config.tournament_size, 2);
   row("mixture mutation scale", config.mixture_mutation_scale, 0.01);
   std::printf("  -- hyperparameter mutation --\n");

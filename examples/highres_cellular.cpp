@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
               outcome.best_cell,
               outcome.g_fitnesses[static_cast<std::size_t>(outcome.best_cell)]);
 
-  const tensor::Tensor samples = session.sample_best(outcome, 9);
+  const tensor::Tensor samples = session.sample_best(outcome, 9, spec->config.seed);
   std::printf("sample (ASCII, %zux%zu):\n%s", side, side,
               data::ascii_art_sized(samples.row_span(0), side).c_str());
   if (data::write_pgm_grid_sized(cli.get("out"), samples.data(), 9, 3, side)) {

@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
       outcome.g_fitnesses[static_cast<std::size_t>(outcome.best_cell)];
   std::printf("%s: wall %.2fs, best cell %d\n", core::to_string(outcome.backend),
               outcome.wall_s, outcome.best_cell);
-  const tensor::Tensor samples = session.sample_best(outcome, 64);
+  const tensor::Tensor samples = session.sample_best(outcome, 64, spec->config.seed);
   if (!cli.get("checkpoint").empty() && session.trainer() != nullptr) {
     if (core::save_checkpoint(cli.get("checkpoint"), session.checkpoint())) {
       std::printf("checkpoint written to %s\n", cli.get("checkpoint").c_str());

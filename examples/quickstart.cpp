@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   }
 
   // --- sample from the best cell's neighborhood mixture ---------------------
-  const tensor::Tensor samples = session.sample_best(outcome, 4);
+  const tensor::Tensor samples = session.sample_best(outcome, 4, spec->config.seed);
   if (spec->config.arch.image_dim == data::kImageDim) {
     std::printf("\nmixture sample from best cell (28x28 ASCII):\n%s\n",
                 data::ascii_art(samples.row_span(0)).c_str());

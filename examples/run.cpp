@@ -33,15 +33,16 @@ int main(int argc, char** argv) {
   core::RunSpec::add_flags(cli, defaults);
   cli.add_flag("dump-spec", "", "write the resolved RunSpec JSON to this file");
   cli.add_flag("dry-run", "false", "resolve and print the spec, skip training");
-  cli.add_flag("list-backends", "false",
-               "print the registered backend names and exit");
+  cli.add_flag("list-backends", "false", "print the backend names and exit");
   cli.add_flag("list-exchanges", "false",
                "print the registered exchange policy names and exit");
   if (!cli.parse(argc, argv)) return 1;
 
   if (cli.get_bool("list-backends")) {
-    for (const auto& name : core::BackendRegistry::instance().names()) {
-      std::printf("%s\n", name.c_str());
+    for (const core::Backend backend :
+         {core::Backend::kSequential, core::Backend::kThreads,
+          core::Backend::kDistributed, core::Backend::kDistributedTcp}) {
+      std::printf("%s\n", core::to_string(backend));
     }
     return 0;
   }

@@ -20,7 +20,9 @@ constexpr std::uint32_t kMagic = 0xCE11'6A17;  // "cell gan"
 //     conditional training).
 // v5: data_plane and exchange_policy are always concrete (the environment-
 //     resolved `auto` value 0 is gone).
-constexpr std::uint32_t kVersion = 5;
+// v6: TrainingConfig lost population_per_cell, which no trainer read (every
+//     cell trains one center), so the config bytes are 4 shorter.
+constexpr std::uint32_t kVersion = 6;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {

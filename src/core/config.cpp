@@ -40,7 +40,6 @@ std::vector<std::uint8_t> TrainingConfig::serialize() const {
   w.write<std::uint64_t>(arch.hidden_layers);
   w.write<std::uint64_t>(arch.image_dim);
   w.write(iterations);
-  w.write(population_per_cell);
   w.write(tournament_size);
   w.write(grid_rows);
   w.write(grid_cols);
@@ -75,7 +74,6 @@ TrainingConfig TrainingConfig::deserialize(std::span<const std::uint8_t> bytes) 
   c.arch.hidden_layers = r.read<std::uint64_t>();
   c.arch.image_dim = r.read<std::uint64_t>();
   c.iterations = r.read<std::uint32_t>();
-  c.population_per_cell = r.read<std::uint32_t>();
   c.tournament_size = r.read<std::uint32_t>();
   c.grid_rows = r.read<std::uint32_t>();
   c.grid_cols = r.read<std::uint32_t>();

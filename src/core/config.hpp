@@ -49,7 +49,6 @@ struct TrainingConfig {
 
   // -- Coevolutionary settings (Table I) -------------------------------------
   std::uint32_t iterations = 200;
-  std::uint32_t population_per_cell = 1;
   std::uint32_t tournament_size = 2;
   std::uint32_t grid_rows = 2;
   std::uint32_t grid_cols = 2;

@@ -166,7 +166,7 @@ struct DataStoreRecord {
 
 /// What a run is, announced once before the first epoch.
 struct RunInfo {
-  std::string backend;  ///< registered backend name
+  std::string backend;  ///< backend name (core::to_string(Backend))
   TrainingConfig config;
 };
 

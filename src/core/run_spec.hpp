@@ -12,7 +12,9 @@
 // A RunSpec is buildable from command-line flags (add_flags/from_cli over
 // common::CliParser) and round-trips through a JSON text form
 // (to_text/from_text), so any run can be saved next to its results and
-// replayed exactly (`cellgan_run --spec run.json`).
+// replayed exactly (`cellgan_run --spec run.json`). Both forms go through one
+// table of settings in run_spec.cpp, so a flag and its spec-file key accept
+// and reject the same values, with an error that names the flag or key.
 #pragma once
 
 #include <cstdint>
@@ -47,11 +49,6 @@ inline constexpr Backend kAllBackends[] = {Backend::kSequential, Backend::kThrea
 const char* to_string(Backend backend);
 std::optional<Backend> backend_from_string(std::string_view name);
 
-/// ", "-joined names currently registered in the BackendRegistry — the
-/// vocabulary `--backend` / RunSpec parsing validates against (and prints in
-/// its errors), so an unregistered name fails at parse time, not mid-run.
-std::string registered_backend_names();
-
 /// Which CostProfile calibrates the virtual clocks (empty model = pure
 /// wall-clock runs; table3/table4 reproduce the paper's two — mutually
 /// inconsistent — calibration targets, see core/cost_model.hpp).
@@ -63,14 +60,10 @@ std::optional<CostProfileKind> cost_profile_from_string(std::string_view name);
 std::optional<LossMode> loss_mode_from_string(std::string_view name);
 std::optional<ExchangeMode> exchange_mode_from_string(std::string_view name);
 
-/// ", "-joined names of the registered exchange policies (evolve/exchange.hpp)
-/// — printed by `--exchange` diagnostics and `cellgan_run --list-exchanges`.
-std::string registered_exchange_policy_names();
-
 /// Check the exchange policy/transport combination: ltfb and gap need
 /// non-neighbor genomes, which the async-neighbors transport never carries.
-/// On failure fills `error` with a named diagnostic. Called by from_cli and
-/// Session::prepare (specs can arrive via from_text without a CLI in front).
+/// On failure fills `error` with a named diagnostic. Called by from_cli,
+/// from_text and Session::prepare (a spec built in code passes neither).
 bool validate_exchange(const TrainingConfig& config, std::string* error);
 
 /// Where the training data comes from. Text grammar (the `--dataset` flag):
@@ -144,8 +137,8 @@ struct RunSpec {
 
   /// Build a spec from parsed flags: start from `defaults` (or from the file
   /// named by an explicit --spec), then apply exactly the flags the user
-  /// passed. Returns nullopt (after printing a diagnostic) on a malformed
-  /// value. Must be given the same `defaults` as add_flags.
+  /// passed. Returns nullopt (after printing a diagnostic) on a malformed or
+  /// out-of-range value. Must be given the same `defaults` as add_flags.
   static std::optional<RunSpec> from_cli(const common::CliParser& cli,
                                          const RunSpec& defaults);
 
@@ -156,6 +149,7 @@ struct RunSpec {
                                           const RunSpec& defaults);
 
   /// JSON text form; round-trips exactly (doubles printed with %.17g).
+  /// from_text checks the same bounds as the flags; its error names the key.
   std::string to_text() const;
   static std::optional<RunSpec> from_text(const std::string& text,
                                           std::string* error = nullptr);

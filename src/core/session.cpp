@@ -14,10 +14,7 @@
 #include "core/workload.hpp"
 #include "datastore/errors.hpp"
 #include "datastore/stats.hpp"
-#include "evolve/grid.hpp"
-#include "evolve/mixture.hpp"
 #include "minimpi/bootstrap.hpp"
-#include "nn/gan_models.hpp"
 #include "tensor/kernels.hpp"
 
 namespace cellgan::core {
@@ -109,46 +106,7 @@ bool write_result_json(const std::string& path, const RunSpec& spec,
   return ok;
 }
 
-// --- built-in backends ------------------------------------------------------
-
 namespace {
-
-/// ParallelTrainer behind the facade: kSequential is its one-lane
-/// SingleCore case, kThreads runs `spec.threads` MultiThread lanes. The
-/// referenced dataset and cost model live in the owning Session and outlive
-/// the backend.
-class InProcessBackend final : public SessionBackend {
- public:
-  InProcessBackend(Backend kind, const BackendContext& context)
-      : kind_(kind),
-        trainer_(context.spec.config, context.train_set,
-                 kind == Backend::kSequential ? 1 : context.spec.threads,
-                 context.cost_model,
-                 kind == Backend::kSequential ? ExecMode::SingleCore
-                                              : ExecMode::MultiThread) {
-    trainer_.set_observers(context.observers);
-  }
-
-  RunResult run() override {
-    TrainOutcome outcome = trainer_.run();
-    RunResult result;
-    result.backend = kind_;
-    result.wall_s = outcome.wall_s;
-    result.virtual_s = outcome.virtual_s;
-    result.train_flops = outcome.train_flops;
-    result.profiler = std::move(outcome.profiler);
-    result.g_fitnesses = std::move(outcome.g_fitnesses);
-    result.d_fitnesses = std::move(outcome.d_fitnesses);
-    result.best_cell = outcome.best_cell;
-    return result;
-  }
-
-  ParallelTrainer* trainer() override { return &trainer_; }
-
- private:
-  Backend kind_;
-  ParallelTrainer trainer_;
-};
 
 /// One DistributedOutcome -> RunResult mapping for both distributed
 /// backends, keeping their JSON artifacts field-for-field comparable (the
@@ -173,132 +131,7 @@ RunResult distributed_run_result(Backend kind, DistributedOutcome outcome) {
   return result;
 }
 
-/// run_distributed behind the facade.
-class DistributedBackend final : public SessionBackend {
- public:
-  explicit DistributedBackend(const BackendContext& context)
-      : spec_(context.spec), train_set_(context.train_set),
-        cost_model_(context.cost_model), master_options_(context.master_options) {
-    master_options_.observers = context.observers;
-  }
-
-  RunResult run() override {
-    return distributed_run_result(
-        Backend::kDistributed,
-        run_distributed(spec_.config, train_set_, cost_model_, master_options_));
-  }
-
- private:
-  const RunSpec& spec_;
-  const data::Dataset& train_set_;
-  CostModel cost_model_;  // by value: the Session may be reconfigured
-  Master::Options master_options_;
-};
-
-/// run_distributed_tcp behind the facade: this process hosts one rank of a
-/// multi-process world described by the CELLGAN_* environment (exported by
-/// cellgan_launch).
-class TcpDistributedBackend final : public SessionBackend {
- public:
-  TcpDistributedBackend(const BackendContext& context, TcpWorld world)
-      : spec_(context.spec), train_set_(context.train_set),
-        cost_model_(context.cost_model), master_options_(context.master_options),
-        world_(std::move(world)) {
-    // Only rank 0 hosts a Master (and thus publishes); harmless elsewhere.
-    master_options_.observers = context.observers;
-    // Over real processes a dead slave otherwise hangs the master forever
-    // (its clean socket close is indistinguishable from early completion):
-    // arm the liveness-gated timeout by default so the worst case is a named
-    // TimeoutError. Heartbeat replies keep an honest long run alive past the
-    // deadline; callers can still pin their own via Session::set_master_options.
-    if (master_options_.slave_timeout_s <= 0.0) {
-      master_options_.slave_timeout_s = 600.0;
-    }
-  }
-
-  RunResult run() override {
-    // Recovery and chaos knobs ride the same environment channel as the
-    // world description: cellgan_launch exports CELLGAN_RECOVER_DIR (and the
-    // kill hook into the doomed rank only); hand-started ranks can export
-    // them too. Disabled when the variables are absent.
-    return distributed_run_result(
-        Backend::kDistributedTcp,
-        run_distributed_tcp(world_, spec_.config, train_set_, cost_model_,
-                            master_options_, recovery_options_from_env()));
-  }
-
- private:
-  const RunSpec& spec_;
-  const data::Dataset& train_set_;
-  CostModel cost_model_;  // by value: the Session may be reconfigured
-  Master::Options master_options_;
-  TcpWorld world_;
-};
-
 }  // namespace
-
-// --- BackendRegistry --------------------------------------------------------
-
-BackendRegistry::BackendRegistry() {
-  // Built-ins are registered here (not via static initializers, which a
-  // static-library link may drop) so the registry is always complete.
-  for (const Backend kind : {Backend::kSequential, Backend::kThreads}) {
-    register_backend(to_string(kind),
-                     [kind](const BackendContext& context) -> std::unique_ptr<SessionBackend> {
-                       return std::make_unique<InProcessBackend>(kind, context);
-                     });
-  }
-  register_backend(to_string(Backend::kDistributed),
-                   [](const BackendContext& context) -> std::unique_ptr<SessionBackend> {
-                     return std::make_unique<DistributedBackend>(context);
-                   });
-  register_backend(to_string(Backend::kDistributedTcp),
-                   [](const BackendContext& context) -> std::unique_ptr<SessionBackend> {
-                     std::string env_error;
-                     auto world = tcp_world_from_env(&env_error);
-                     if (!world) {
-                       if (context.error != nullptr) {
-                         *context.error =
-                             "distributed-tcp: " + env_error +
-                             " (start this rank through cellgan_launch, or export " +
-                             std::string(minimpi::kEnvRank) + "/" +
-                             minimpi::kEnvWorld + "/" + minimpi::kEnvEndpoint + ")";
-                       }
-                       return nullptr;
-                     }
-                     return std::make_unique<TcpDistributedBackend>(context,
-                                                                    std::move(*world));
-                   });
-}
-
-BackendRegistry& BackendRegistry::instance() {
-  static BackendRegistry registry;
-  return registry;
-}
-
-void BackendRegistry::register_backend(const std::string& name,
-                                       BackendFactory factory) {
-  CG_EXPECT(factory != nullptr);
-  factories_[name] = std::move(factory);
-}
-
-bool BackendRegistry::has(const std::string& name) const {
-  return factories_.contains(name);
-}
-
-std::unique_ptr<SessionBackend> BackendRegistry::create(
-    const std::string& name, const BackendContext& context) const {
-  const auto it = factories_.find(name);
-  if (it == factories_.end()) return nullptr;
-  return it->second(context);
-}
-
-std::vector<std::string> BackendRegistry::names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) names.push_back(name);
-  return names;
-}
 
 // --- Session ----------------------------------------------------------------
 
@@ -326,8 +159,8 @@ bool Session::prepare() {
   if (prepared_) return true;
   if (!error_.empty()) return false;
 
-  // Specs can arrive via from_text/load with no CLI validation in front, so
-  // the exchange policy/transport combination is re-checked here.
+  // A spec built in code passes neither from_cli nor from_text, so the
+  // exchange policy/transport combination is re-checked here.
   if (!validate_exchange(spec_.config, &error_)) return false;
 
   // Pin the tensor microkernel kind before anything computes (the cost-model
@@ -422,33 +255,8 @@ bool Session::prepare() {
     cost_model_ = CostModel::calibrated(profile, probe);
   }
 
-  // 3. Check the backend is resolvable; it is constructed lazily on run(),
-  // so dataset-only callers never pay for an unused trainer grid.
-  if (!BackendRegistry::instance().has(to_string(spec_.backend))) {
-    error_ = "no backend registered under '" + std::string(to_string(spec_.backend)) +
-             "' (have:";
-    for (const auto& name : BackendRegistry::instance().names()) {
-      error_ += " " + name;
-    }
-    error_ += ")";
-    return false;
-  }
   prepared_ = true;
   return true;
-}
-
-SessionBackend* Session::ensure_backend() {
-  if (!prepare()) return nullptr;
-  if (backend_ == nullptr) {
-    const BackendContext context{spec_, train_set(), cost_model_, master_options_,
-                                 &error_, &observers_};
-    backend_ = BackendRegistry::instance().create(to_string(spec_.backend), context);
-    if (backend_ == nullptr && error_.empty()) {
-      error_ = "backend '" + std::string(to_string(spec_.backend)) +
-               "' failed to initialize";
-    }
-  }
-  return backend_.get();
 }
 
 bool Session::hosts_observer_stream(const RunSpec& spec) {
@@ -496,14 +304,55 @@ RunResult Session::run() {
     CG_EXPECT(prepared_);  // contract: call prepare() first to handle failures
   }
   attach_builtin_observers();
-  SessionBackend* backend = ensure_backend();
-  if (backend == nullptr) {
-    // prepare() succeeded but the factory could not build its vehicle (e.g.
-    // distributed-tcp without a CELLGAN_* world): a named, catchable error.
-    throw std::runtime_error(error_);
+  Master::Options options = master_options_;
+  options.observers = &observers_;  // only rank 0 hosts a Master and publishes
+  std::optional<TcpWorld> world;
+  if (spec_.backend == Backend::kDistributedTcp) {
+    // This process hosts one rank of a multi-process world described by the
+    // CELLGAN_* environment (exported by cellgan_launch).
+    std::string env_error;
+    world = tcp_world_from_env(&env_error);
+    if (!world) {
+      error_ = "distributed-tcp: " + env_error +
+               " (start this rank through cellgan_launch, or export " +
+               minimpi::kEnvRank + "/" + minimpi::kEnvWorld + "/" +
+               minimpi::kEnvEndpoint + ")";
+      throw std::runtime_error(error_);
+    }
+    // Over real processes a dead slave otherwise hangs the master forever
+    // (its clean socket close is indistinguishable from early completion):
+    // arm the liveness-gated timeout by default so the worst case is a named
+    // TimeoutError. Heartbeat replies keep an honest long run alive past the
+    // deadline; callers can still pin their own via set_master_options.
+    if (options.slave_timeout_s <= 0.0) options.slave_timeout_s = 600.0;
   }
+  ParallelTrainer* live = trainer();
   observers_.run_started(RunInfo{to_string(spec_.backend), spec_.config});
-  RunResult result = backend->run();
+  RunResult result;
+  if (live != nullptr) {
+    TrainOutcome outcome = live->run();
+    result.backend = spec_.backend;
+    result.wall_s = outcome.wall_s;
+    result.virtual_s = outcome.virtual_s;
+    result.train_flops = outcome.train_flops;
+    result.profiler = std::move(outcome.profiler);
+    result.g_fitnesses = std::move(outcome.g_fitnesses);
+    result.d_fitnesses = std::move(outcome.d_fitnesses);
+    result.best_cell = outcome.best_cell;
+  } else if (world) {
+    // Recovery and chaos knobs ride the same environment channel as the
+    // world description: cellgan_launch exports CELLGAN_RECOVER_DIR (and the
+    // kill hook into the doomed rank only); hand-started ranks can export
+    // them too. Disabled when the variables are absent.
+    result = distributed_run_result(
+        Backend::kDistributedTcp,
+        run_distributed_tcp(*world, spec_.config, train_set(), cost_model_, options,
+                            recovery_options_from_env()));
+  } else {
+    result = distributed_run_result(
+        Backend::kDistributed,
+        run_distributed(spec_.config, train_set(), cost_model_, options));
+  }
   // Publish the data plane's state when the run read through the store;
   // legacy-plane runs skip the event entirely.
   if (spec_.config.data_plane == datastore::DataPlane::kStore) {
@@ -556,8 +405,15 @@ const CostModel& Session::cost_model() const {
 }
 
 ParallelTrainer* Session::trainer() {
-  SessionBackend* backend = ensure_backend();
-  return backend == nullptr ? nullptr : backend->trainer();
+  const bool sequential = spec_.backend == Backend::kSequential;
+  if (trainer_ == nullptr && (sequential || spec_.backend == Backend::kThreads) &&
+      prepare()) {
+    trainer_ = std::make_unique<ParallelTrainer>(
+        spec_.config, train_set(), sequential ? 1 : spec_.threads, cost_model_,
+        sequential ? ExecMode::SingleCore : ExecMode::MultiThread);
+    trainer_->set_observers(&observers_);
+  }
+  return trainer_.get();
 }
 
 Checkpoint Session::checkpoint() {
@@ -571,38 +427,6 @@ bool Session::restore(const Checkpoint& snapshot) {
   if (live == nullptr) return false;
   live->restore(snapshot);
   return true;
-}
-
-tensor::Tensor Session::sample_best(const RunResult& result, std::size_t count) {
-  CG_EXPECT(prepared_);
-  if (!result.distributed()) {
-    ParallelTrainer* live = trainer();
-    CG_EXPECT(live != nullptr);
-    return live->cell(result.best_cell).sample_from_mixture(count);
-  }
-  // Reassemble the best cell's neighborhood mixture from the master's
-  // collected center genomes (Section II.B: the returned generative model).
-  const auto& config = spec_.config;
-  evolve::Grid grid(static_cast<int>(config.grid_rows), static_cast<int>(config.grid_cols));
-  const auto members = grid.neighborhood_of(result.best_cell);
-  common::Rng rng(config.seed ^ 0xabcdULL);
-  std::vector<nn::Sequential> generators;
-  generators.reserve(members.size());
-  for (const int member : members) {
-    generators.push_back(
-        nn::make_generator(config.arch, rng, config.conditional_classes()));
-    generators.back().load_parameters(
-        result.cell_results[static_cast<std::size_t>(member)].center.generator_params);
-  }
-  std::vector<nn::Sequential*> generator_ptrs;
-  generator_ptrs.reserve(generators.size());
-  for (auto& generator : generators) generator_ptrs.push_back(&generator);
-  evolve::MixtureWeights weights(members.size());
-  const auto& evolved =
-      result.cell_results[static_cast<std::size_t>(result.best_cell)].mixture_weights;
-  if (evolved.size() == members.size()) weights.set_weights(evolved);
-  return evolve::sample_mixture(weights, generator_ptrs, config.arch.latent_dim, count,
-                                rng, config.conditional_classes());
 }
 
 Checkpoint Session::result_checkpoint(const RunResult& result) {

@@ -2,13 +2,10 @@
 //
 // A Session takes a RunSpec, resolves its dataset (synthetic stand-in or
 // real MNIST IDX files, downsampled to the configured architecture),
-// calibrates the virtual-time cost model when the spec asks for one,
-// constructs the right backend through the BackendRegistry, runs it, and
-// returns one unified RunResult that subsumes both TrainOutcome (the
-// in-process trainers) and DistributedOutcome (the master/slave system).
-// Examples, benchmarks and CI all go through this seam, so a new execution
-// vehicle (e.g. a sockets-backed minimpi) plugs in by registering a backend
-// instead of migrating every call site.
+// calibrates the virtual-time cost model when the spec asks for one, runs
+// the spec's backend, and returns one unified RunResult that subsumes both
+// TrainOutcome (the in-process trainers) and DistributedOutcome (the
+// master/slave system). Examples, benchmarks and CI all go through this seam.
 //
 // The facade is a pure wrapper: Backend::kSequential is bit-identical to a
 // one-lane SingleCore ParallelTrainer, kThreads to a `threads`-lane one, and
@@ -16,8 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -71,60 +66,6 @@ std::string to_json(const RunSpec& spec, const RunResult& result);
 bool write_result_json(const std::string& path, const RunSpec& spec,
                        const RunResult& result);
 
-/// One execution vehicle behind the Session facade.
-class SessionBackend {
- public:
-  virtual ~SessionBackend() = default;
-
-  virtual RunResult run() = 0;
-
-  /// The live in-process trainer (sampling, checkpoint/restore); nullptr for
-  /// backends that run outside this process' address space.
-  virtual ParallelTrainer* trainer() { return nullptr; }
-};
-
-/// Everything a backend factory may need to build its vehicle.
-struct BackendContext {
-  const RunSpec& spec;
-  const data::Dataset& train_set;
-  const CostModel& cost_model;
-  const Master::Options& master_options;
-  /// When set, a factory that cannot build its vehicle (e.g. distributed-tcp
-  /// without the CELLGAN_* environment) writes the reason here and returns
-  /// nullptr; the Session surfaces it through error().
-  std::string* error = nullptr;
-  /// The Session's event bus; backends publish the TrainObserver stream here
-  /// (may be null / empty — observation is pay-for-use).
-  EventBus* observers = nullptr;
-};
-
-using BackendFactory = std::function<std::unique_ptr<SessionBackend>(const BackendContext&)>;
-
-/// Name -> factory map the Session resolves backends through. The four
-/// built-ins ("sequential", "threads", "distributed", "distributed-tcp")
-/// self-register; an alternative implementation (a shared-memory transport,
-/// a GPU vehicle) registers under its own name — or re-registers a built-in
-/// name to swap the implementation behind every existing call site.
-class BackendRegistry {
- public:
-  static BackendRegistry& instance();
-
-  /// Register (or replace) the factory for `name`.
-  void register_backend(const std::string& name, BackendFactory factory);
-
-  bool has(const std::string& name) const;
-
-  /// nullptr when no factory is registered under `name`.
-  std::unique_ptr<SessionBackend> create(const std::string& name,
-                                         const BackendContext& context) const;
-
-  std::vector<std::string> names() const;
-
- private:
-  BackendRegistry();
-  std::map<std::string, BackendFactory> factories_;
-};
-
 class Session {
  public:
   explicit Session(RunSpec spec);
@@ -135,12 +76,11 @@ class Session {
 
   const RunSpec& spec() const { return spec_; }
 
-  /// Resolve the dataset and cost model and check the spec's backend is
-  /// registered. Returns false — with a descriptive error() — when the
-  /// dataset cannot be loaded (e.g. missing IDX files) or no backend is
-  /// registered for the spec. Idempotent; run() calls it implicitly. The
-  /// backend itself is constructed lazily on run(), so callers that only
-  /// need the resolved dataset pay nothing for the trainer grid.
+  /// Resolve the dataset and cost model. Returns false — with a descriptive
+  /// error() — when the dataset cannot be loaded (e.g. missing IDX files).
+  /// Idempotent; run() calls it implicitly. The trainer grid is built
+  /// lazily by trainer() or run(), so callers that only need the resolved
+  /// dataset pay nothing for it.
   bool prepare();
   const std::string& error() const { return error_; }
 
@@ -169,9 +109,8 @@ class Session {
 
   /// Execute the run. CG_EXPECTs that prepare() succeeded (call it first to
   /// handle failures gracefully); throws std::runtime_error carrying error()
-  /// when the prepared backend cannot be constructed (e.g. distributed-tcp
-  /// without a CELLGAN_* world in the environment). Writes spec.result_json
-  /// when set.
+  /// when distributed-tcp finds no CELLGAN_* world in the environment.
+  /// Writes spec.result_json when set.
   RunResult run();
 
   /// Resolved datasets; valid after a successful prepare().
@@ -183,7 +122,9 @@ class Session {
   /// set_cost_model.
   const CostModel& cost_model() const;
 
-  /// The live in-process trainer; nullptr for the distributed backend.
+  /// The live in-process trainer, built on the first call: one SingleCore
+  /// lane for sequential, `spec.threads` MultiThread lanes for threads.
+  /// nullptr for the distributed backends, or when prepare() fails.
   ParallelTrainer* trainer();
 
   /// Checkpoint/restore, forwarded to the in-process trainer (returns
@@ -192,17 +133,13 @@ class Session {
   bool restore(const Checkpoint& snapshot);
 
   /// Sample `count` images from the best cell's neighborhood mixture — the
-  /// generative model the paper's system returns. Works on every backend:
-  /// in-process it samples the live best cell, distributed it reconstructs
-  /// the mixture from the master's collected genomes.
-  tensor::Tensor sample_best(const RunResult& result, std::size_t count);
-
-  /// Seed-addressed variant: snapshot the trained grid into a Checkpoint and
-  /// sample through core::CheckpointMixture on a fresh Rng(seed) stream —
-  /// the exact function a serving process (`cellgan_serve`) evaluates when
-  /// it restores the same checkpoint, so serve responses are verifiable
-  /// bit-for-bit against this call (per tensor-kernel kind). Works on every
-  /// backend that yields cell results or a live trainer.
+  /// generative model the paper's system returns. Snapshots the trained grid
+  /// into a Checkpoint and samples through core::CheckpointMixture on a
+  /// fresh Rng(seed) stream — the exact function a serving process
+  /// (`cellgan_serve`) evaluates when it restores the same checkpoint, so
+  /// serve responses are verifiable bit-for-bit against this call (per
+  /// tensor-kernel kind). Works on every backend that yields cell results or
+  /// a live trainer, and leaves the live trainer's RNG streams untouched.
   tensor::Tensor sample_best(const RunResult& result, std::size_t count,
                              std::uint64_t seed);
 
@@ -212,8 +149,6 @@ class Session {
   Checkpoint result_checkpoint(const RunResult& result);
 
  private:
-  /// Construct the backend if prepare() succeeds; nullptr on failure.
-  SessionBackend* ensure_backend();
   /// Attach the spec-requested built-in observers (idempotent). Throws when
   /// the telemetry path cannot be opened.
   void attach_builtin_observers();
@@ -237,7 +172,7 @@ class Session {
   const data::Dataset* external_train_ = nullptr;
   const data::Dataset* external_test_ = nullptr;
   CostModel cost_model_;
-  std::unique_ptr<SessionBackend> backend_;
+  std::unique_ptr<ParallelTrainer> trainer_;
 };
 
 }  // namespace cellgan::core

@@ -38,17 +38,17 @@ TEST(RunSpecTest, BackendNamesRoundTrip) {
 }
 
 TEST(RunSpecTest, UnknownBackendRejectedAtParseTimeWithRegistry) {
-  // The parse-time gate: an unregistered backend name fails in from_text —
-  // not later inside Session::run — and the diagnostic lists what IS
-  // registered so the caller can fix the spec without reading code.
+  // The parse-time gate: an unknown backend name fails in from_text — not
+  // later inside Session::run — and the diagnostic lists every backend so
+  // the caller can fix the spec without reading code.
   std::string error;
   EXPECT_FALSE(RunSpec::from_text("{\"backend\": \"warp\"}", &error).has_value());
   EXPECT_NE(error.find("unknown backend 'warp'"), std::string::npos) << error;
-  EXPECT_NE(error.find("registered:"), std::string::npos) << error;
+  EXPECT_NE(error.find("(want "), std::string::npos) << error;
   for (const char* name : {"sequential", "threads", "distributed", "distributed-tcp"}) {
     EXPECT_NE(error.find(name), std::string::npos) << "missing " << name;
   }
-  // Every registered built-in parses, including the multi-process backend.
+  // Every backend parses, including the multi-process one.
   const auto spec = RunSpec::from_text("{\"backend\": \"distributed-tcp\"}", &error);
   ASSERT_TRUE(spec.has_value()) << error;
   EXPECT_EQ(spec->backend, Backend::kDistributedTcp);
@@ -437,6 +437,70 @@ TEST(RunSpecTest, FromTextRejectsMalformedInput) {
     EXPECT_FALSE(RunSpec::from_text(text, &error).has_value()) << key;
     EXPECT_NE(error.find(key), std::string::npos) << error;
   }
+}
+
+TEST(RunSpecTest, EarlierSpecFilesStillLoad) {
+  // A spec file in the earlier layout: another key order and `conditional`
+  // as a count. It loads into an equal spec; the deleted
+  // population_per_cell key is a named error.
+  const std::string earlier = R"({
+  "backend": "sequential",
+  "threads": 2,
+  "dataset": "synthetic:600@7",
+  "cost_profile": "none",
+  "tensor_kernel": "simd",
+  "observers": {
+    "eval_every": 0,
+    "eval_samples": 256,
+    "telemetry": "",
+    "checkpoint_every": 0,
+    "checkpoint_path": ""
+  },
+  "result_json": "",
+  "config": {
+    "latent_dim": 8,
+    "hidden_dim": 16,
+    "hidden_layers": 2,
+    "image_dim": 64,
+    "iterations": 8,
+    "tournament_size": 2,
+    "grid_rows": 2,
+    "grid_cols": 2,
+    "mixture_mutation_scale": 0.01,
+    "initial_learning_rate": 0.00020000000000000001,
+    "lr_mutation_sigma": 0.0001,
+    "lr_mutation_probability": 0.5,
+    "batch_size": 16,
+    "discriminator_skip_steps": 1,
+    "batches_per_iteration": 1,
+    "fitness_eval_samples": 16,
+    "loss_mode": "heuristic",
+    "exchange_mode": "allgather",
+    "exchange_policy": "cellular",
+    "exchange_every": 1,
+    "conditional": 0,
+    "weight_clip": 0.01,
+    "data_dieting_fraction": 1,
+    "genome_record_every": 0,
+    "genome_record_every_b": 0,
+    "data_plane": "legacy",
+    "seed": 42
+  }
+})";
+  RunSpec expected;
+  expected.config = TrainingConfig::tiny();
+  expected.config.iterations = 8;
+  std::string error;
+  const auto loaded = RunSpec::from_text(earlier, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(*loaded, expected);
+
+  std::string with_population = earlier;
+  with_population.insert(with_population.find("\"tournament_size\""),
+                         "\"population_per_cell\": 1,\n    ");
+  EXPECT_FALSE(RunSpec::from_text(with_population, &error).has_value());
+  EXPECT_NE(error.find("unknown config key 'population_per_cell'"), std::string::npos)
+      << error;
 }
 
 TEST(RunSpecTest, SaveAndLoadFile) {
