@@ -68,8 +68,8 @@ AblationResult run_topology(const core::TrainingConfig& config,
   }
 
   double bytes_total = 0.0;
-  std::vector<std::vector<std::vector<std::uint8_t>>> inboxes(
-      grid.size(), std::vector<std::vector<std::uint8_t>>(grid.size()));
+  std::vector<std::vector<evolve::SharedGenome>> inboxes(
+      grid.size(), std::vector<evolve::SharedGenome>(grid.size()));
   for (std::uint32_t iter = 0; iter < config.iterations; ++iter) {
     // Two-phase epoch over the staged store: step + publish everyone, cross
     // the epoch barrier, then collect next epoch's inboxes.
@@ -80,8 +80,8 @@ AblationResult run_topology(const core::TrainingConfig& config,
     store.flip();
     for (int cell = 0; cell < grid.size(); ++cell) {
       inboxes[cell] = comms[cell]->collect();
-      for (const auto& payload : inboxes[cell]) {
-        bytes_total += static_cast<double>(payload.size());
+      for (const auto& genome : inboxes[cell]) {
+        if (genome != nullptr) bytes_total += static_cast<double>(genome->byte_size());
       }
     }
   }

@@ -36,8 +36,8 @@ double train_with_topology(const core::TrainingConfig& config,
     comms.push_back(
         std::make_unique<core::LocalCommManager>(store, grid, cell, context));
   }
-  std::vector<std::vector<std::vector<std::uint8_t>>> inboxes(
-      grid.size(), std::vector<std::vector<std::uint8_t>>(grid.size()));
+  std::vector<std::vector<evolve::SharedGenome>> inboxes(
+      grid.size(), std::vector<evolve::SharedGenome>(grid.size()));
   for (std::uint32_t iter = 0; iter < config.iterations; ++iter) {
     if (rewire != nullptr && iter == rewire_at) {
       rewire(grid);

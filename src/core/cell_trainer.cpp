@@ -6,6 +6,7 @@
 #include "common/serialize.hpp"
 #include "core/gan_trainer.hpp"
 #include "evolve/evolution.hpp"
+#include "nn/init.hpp"
 #include "tensor/flops.hpp"
 #include "tensor/ops.hpp"
 
@@ -45,16 +46,20 @@ CellTrainer::CellTrainer(const TrainingConfig& config, const evolve::Grid& grid,
           nn::make_discriminator(config.arch, rng_, config.conditional_classes())),
       g_optimizer_(config.initial_learning_rate),
       d_optimizer_(config.initial_learning_rate),
-      scratch_generator_(
-          nn::make_generator(config.arch, rng_, config.conditional_classes())),
-      scratch_discriminator_(
-          nn::make_discriminator(config.arch, rng_, config.conditional_classes())),
+      neighbor_generator_(
+          nn::borrowing_generator(config.arch, config.conditional_classes())),
+      neighbor_discriminator_(
+          nn::borrowing_discriminator(config.arch, config.conditional_classes())),
       subpop_(grid.neighbors_of(cell_id).size()),
       subpop_ids_(grid.neighbors_of(cell_id)),
       mixture_(grid.subpopulation_size(cell_id)),
       policy_(evolve::make_exchange_policy(config.exchange_policy, config.seed,
                                            config.exchange_every)) {
   CG_EXPECT(dataset.images.cols() == config_.arch.image_dim);
+  // Cells once initialized a spare generator and discriminator from their
+  // stream here; skipping those draws keeps every trajectory's bits.
+  nn::skip_xavier_uniform_init(neighbor_generator_, rng_);
+  nn::skip_xavier_uniform_init(neighbor_discriminator_, rng_);
   feed_->reshuffle(rng_);
   evaluate_center_fitness();
 }
@@ -76,7 +81,7 @@ void CellTrainer::sync_topology() {
   mixture_ = evolve::MixtureWeights(neighbors.size() + 1);
 }
 
-void CellTrainer::step(const std::vector<std::vector<std::uint8_t>>& gathered) {
+void CellTrainer::step(std::span<const evolve::SharedGenome> gathered) {
   // Each routine harvests its flops in a scoped section on whichever thread
   // runs this step — a scheduler may execute cells on arbitrary pool workers,
   // and the scope keeps per-cell counts exact while restoring (and
@@ -121,8 +126,7 @@ void CellTrainer::step(const std::vector<std::vector<std::uint8_t>>& gathered) {
   ++iteration_;
 }
 
-void CellTrainer::update_genomes(
-    const std::vector<std::vector<std::uint8_t>>& gathered) {
+void CellTrainer::update_genomes(std::span<const evolve::SharedGenome> gathered) {
   sync_topology();
   last_exchange_ = policy_->apply(*this, gathered, iteration_);
   last_update_bytes_ = last_exchange_.bytes_in;
@@ -133,10 +137,10 @@ std::vector<int> CellTrainer::exchange_sources(std::uint32_t epoch) const {
 }
 
 const evolve::CellGenome* CellTrainer::subpop_genome(std::size_t slot) const {
-  return subpop_[slot].genome ? &*subpop_[slot].genome : nullptr;
+  return subpop_[slot].genome.get();
 }
 
-void CellTrainer::install_subpop(std::size_t slot, evolve::CellGenome genome) {
+void CellTrainer::install_subpop(std::size_t slot, evolve::SharedGenome genome) {
   subpop_[slot].genome = std::move(genome);
 }
 
@@ -179,7 +183,7 @@ void CellTrainer::train() {
     if (!slot.genome) continue;
     d_table.push_back(slot.genome->d_fitness);
     g_table.push_back(slot.genome->g_fitness);
-    members.push_back(&*slot.genome);
+    members.push_back(slot.genome.get());
   }
 
   for (std::uint32_t b = 0; b < config_.batches_per_iteration; ++b) {
@@ -200,8 +204,8 @@ void CellTrainer::train() {
         evolve::tournament_select(d_table, config_.tournament_size, rng_);
     nn::Sequential* opponent_d = &discriminator_;
     if (members[d_pick] != nullptr) {
-      scratch_discriminator_.load_parameters(members[d_pick]->discriminator_params);
-      opponent_d = &scratch_discriminator_;
+      neighbor_discriminator_.bind(members[d_pick]->discriminator_params);
+      opponent_d = &neighbor_discriminator_;
     }
     train_generator_step(generator_, g_optimizer_, *opponent_d, config_.batch_size,
                          config_.arch.latent_dim, rng_, current_loss_, options);
@@ -214,8 +218,8 @@ void CellTrainer::train() {
           evolve::tournament_select(g_table, config_.tournament_size, rng_);
       nn::Sequential* opponent_g = &generator_;
       if (members[g_pick] != nullptr) {
-        scratch_generator_.load_parameters(members[g_pick]->generator_params);
-        opponent_g = &scratch_generator_;
+        neighbor_generator_.bind(members[g_pick]->generator_params);
+        opponent_g = &neighbor_generator_;
       }
       train_discriminator_step(discriminator_, d_optimizer_, *opponent_g, real,
                                config_.arch.latent_dim, rng_, current_loss_,
@@ -270,60 +274,31 @@ void CellTrainer::mutate() {
 
 double CellTrainer::mixture_quality(const evolve::MixtureWeights& weights) {
   // Lower is better: generator-side BCE of mixture samples against the
-  // center discriminator on a small probe batch.
+  // center discriminator on a small probe batch. Member 0 is the center; a
+  // neighbor not yet received falls back to it. Rows stay grouped by member,
+  // which fixes the loss's summation order.
   const std::size_t probe = std::max<std::size_t>(8, config_.fitness_eval_samples / 4);
   const std::size_t classes = config_.conditional_classes();
-  std::vector<std::uint32_t> sample_labels;  // row-aligned, conditional only
-  const tensor::Tensor samples = [&] {
-    // Temporarily sample with the candidate weights via the shared machinery.
-    std::vector<std::size_t> counts(weights.size(), 0);
-    for (std::size_t i = 0; i < probe; ++i) ++counts[weights.sample_index(rng_)];
-    tensor::Tensor out(probe, config_.arch.image_dim);
-    std::size_t row = 0;
-    for (std::size_t member = 0; member < counts.size(); ++member) {
-      if (counts[member] == 0) continue;
-      nn::Sequential* gen = &generator_;
-      if (member > 0) {
-        const std::size_t slot = member - 1;
-        if (slot >= subpop_.size() || !subpop_[slot].genome) {
-          gen = &generator_;  // neighbor not yet received: fall back to center
-        } else {
-          scratch_generator_.load_parameters(subpop_[slot].genome->generator_params);
-          gen = &scratch_generator_;
-        }
-      }
-      // Conditional: labels first, then latents — the fixed rng order the
-      // training steps use.
-      std::vector<std::uint32_t> labels(counts[member]);
-      if (classes > 0) {
-        for (auto& label : labels) {
-          label = static_cast<std::uint32_t>(rng_.uniform_int(classes));
-        }
-        sample_labels.insert(sample_labels.end(), labels.begin(), labels.end());
-      }
-      tensor::Tensor z = tensor::Tensor::randn(
-          counts[member], config_.arch.latent_dim, rng_, 1.0f);
-      if (classes > 0) z = append_one_hot(z, labels, classes);
-      const tensor::Tensor images = gen->forward(z, nn::Cache::kNone);
-      for (std::size_t k = 0; k < counts[member]; ++k, ++row) {
-        auto src = images.row_span(k);
-        auto dst = out.row_span(row);
-        std::copy(src.begin(), src.end(), dst.begin());
-      }
-    }
-    return out;
-  }();
+  std::vector<evolve::MixtureMember> members{{&generator_, {}}};
+  for (const auto& slot : subpop_) {
+    members.push_back(slot.genome ? evolve::MixtureMember{&neighbor_generator_,
+                                                          slot.genome->generator_params}
+                                  : evolve::MixtureMember{&generator_, {}});
+  }
+  const evolve::MixtureSample sample =
+      evolve::sample_mixture(weights, members, config_.arch.latent_dim, probe, rng_,
+                             classes, evolve::MixtureRows::kByMember);
   const tensor::Tensor logits = discriminator_.forward(
-      classes == 0 ? samples : append_one_hot(samples, sample_labels, classes),
+      classes == 0 ? sample.images : append_one_hot(sample.images, sample.labels, classes),
       nn::Cache::kNone);
   auto [loss, grad] = tensor::bce_with_logits(
-      logits, tensor::Tensor::full(samples.rows(), 1, 1.0f));
+      logits, tensor::Tensor::full(sample.images.rows(), 1, 1.0f));
   (void)grad;
   return loss;
 }
 
-std::vector<std::uint8_t> CellTrainer::export_genome() {
-  return center_genome().serialize();
+evolve::SharedGenome CellTrainer::export_genome() {
+  return std::make_shared<const evolve::CellGenome>(center_genome());
 }
 
 void CellTrainer::restore(const evolve::CellGenome& genome,
@@ -408,7 +383,8 @@ void CellTrainer::restore_training_state(std::span<const std::uint8_t> bytes) {
   CG_EXPECT(slots == subpop_.size());  // same config + grid topology
   for (auto& slot : subpop_) {
     if (r.read<std::uint8_t>() != 0) {
-      slot.genome = evolve::CellGenome::deserialize(r.read_vector<std::uint8_t>());
+      slot.genome = std::make_shared<const evolve::CellGenome>(
+          evolve::CellGenome::deserialize(r.read_vector<std::uint8_t>()));
     } else {
       slot.genome.reset();
     }
@@ -461,42 +437,6 @@ CellEpochRecord CellTrainer::epoch_record(std::uint32_t epoch, double virtual_s)
     record.mixture_weights = mixture_.weights();
   }
   return record;
-}
-
-tensor::Tensor CellTrainer::sample_from_mixture(std::size_t count) {
-  CG_EXPECT(count > 0);
-  std::vector<std::size_t> counts(mixture_.size(), 0);
-  for (std::size_t i = 0; i < count; ++i) ++counts[mixture_.sample_index(rng_)];
-  tensor::Tensor out(count, config_.arch.image_dim);
-  std::size_t row = 0;
-  for (std::size_t member = 0; member < counts.size(); ++member) {
-    if (counts[member] == 0) continue;
-    nn::Sequential* gen = &generator_;
-    if (member > 0) {
-      const std::size_t slot = member - 1;
-      if (slot < subpop_.size() && subpop_[slot].genome) {
-        scratch_generator_.load_parameters(subpop_[slot].genome->generator_params);
-        gen = &scratch_generator_;
-      }
-    }
-    const std::size_t classes = config_.conditional_classes();
-    std::vector<std::uint32_t> labels(counts[member]);
-    if (classes > 0) {
-      for (auto& label : labels) {
-        label = static_cast<std::uint32_t>(rng_.uniform_int(classes));
-      }
-    }
-    tensor::Tensor z =
-        tensor::Tensor::randn(counts[member], config_.arch.latent_dim, rng_, 1.0f);
-    if (classes > 0) z = append_one_hot(z, labels, classes);
-    const tensor::Tensor images = gen->forward(z, nn::Cache::kNone);
-    for (std::size_t k = 0; k < counts[member]; ++k, ++row) {
-      auto src = images.row_span(k);
-      auto dst = out.row_span(row);
-      std::copy(src.begin(), src.end(), dst.begin());
-    }
-  }
-  return out;
 }
 
 }  // namespace cellgan::core

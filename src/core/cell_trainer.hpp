@@ -2,8 +2,10 @@
 //
 // Each cell owns a center generator/discriminator pair with persistent Adam
 // optimizers, plus the sub-population of neighbor genomes gathered through
-// the comm-manager. An epoch (step) runs the paper's four profiled routines
-// in order:
+// the comm-manager. Neighbor genomes are shared, never copied: tournament
+// opponents and mixture members run on their weights in place, through one
+// borrowing generator and one borrowing discriminator (nn::Sequential::bind).
+// An epoch (step) runs the paper's four profiled routines in order:
 //
 //   update_genomes — apply the configured exchange policy (evolve/exchange):
 //                    cellular installs gathered neighbor genomes and adopts a
@@ -25,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/comm_manager.hpp"
@@ -50,12 +53,12 @@ class CellTrainer : private evolve::ExchangeHost {
               const data::Dataset& dataset, common::Rng rng,
               const ExecContext& context);
 
-  /// One coevolutionary epoch. `gathered[cell]` holds that cell's serialized
-  /// genome (empty entries are skipped; iteration 0 passes all-empty).
-  void step(const std::vector<std::vector<std::uint8_t>>& gathered);
+  /// One coevolutionary epoch. `gathered[cell]` holds that cell's genome
+  /// (null entries are skipped; iteration 0 passes all-null).
+  void step(std::span<const evolve::SharedGenome> gathered);
 
-  /// Serialize the center genome for the neighbor exchange.
-  std::vector<std::uint8_t> export_genome();
+  /// Capture the center genome once for the neighbor exchange.
+  evolve::SharedGenome export_genome();
 
   int cell_id() const { return cell_; }
   std::uint32_t iteration() const { return iteration_; }
@@ -104,10 +107,6 @@ class CellTrainer : private evolve::ExchangeHost {
   std::vector<std::uint8_t> serialize_training_state();
   void restore_training_state(std::span<const std::uint8_t> bytes);
 
-  /// Sample `count` images from this cell's neighborhood mixture (center +
-  /// installed neighbor generators, weighted by the evolved mixture).
-  tensor::Tensor sample_from_mixture(std::size_t count);
-
   /// Work counters for cost-model calibration probes.
   double last_train_flops() const { return last_train_flops_; }
   double last_update_bytes() const { return last_update_bytes_; }
@@ -117,14 +116,14 @@ class CellTrainer : private evolve::ExchangeHost {
 
  private:
   struct SubpopSlot {
-    std::optional<evolve::CellGenome> genome;  ///< empty until first exchange
+    evolve::SharedGenome genome;  ///< null until first exchange
   };
 
   // ExchangeHost — the surface the pluggable exchange policy manipulates.
   int cell() const override { return cell_; }
   std::size_t subpop_slots() const override { return subpop_.size(); }
   const evolve::CellGenome* subpop_genome(std::size_t slot) const override;
-  void install_subpop(std::size_t slot, evolve::CellGenome genome) override;
+  void install_subpop(std::size_t slot, evolve::SharedGenome genome) override;
   void adopt_generator(const evolve::CellGenome& genome) override;
   void adopt_discriminator(const evolve::CellGenome& genome) override;
 
@@ -134,7 +133,7 @@ class CellTrainer : private evolve::ExchangeHost {
   /// mixture resets to uniform when membership changes.
   void sync_topology();
 
-  void update_genomes(const std::vector<std::vector<std::uint8_t>>& gathered);
+  void update_genomes(std::span<const evolve::SharedGenome> gathered);
   void train();
   void mutate();
   void evaluate_center_fitness();
@@ -158,9 +157,10 @@ class CellTrainer : private evolve::ExchangeHost {
   nn::Adam g_optimizer_;
   nn::Adam d_optimizer_;
 
-  // One scratch pair, re-loaded per use, keeps memory O(1) in neighbors.
-  nn::Sequential scratch_generator_;
-  nn::Sequential scratch_discriminator_;
+  /// Borrowing networks (no weights of their own), bound to a neighbor
+  /// genome's parameters for each tournament opponent and mixture member.
+  nn::Sequential neighbor_generator_;
+  nn::Sequential neighbor_discriminator_;
 
   std::vector<SubpopSlot> subpop_;  ///< slot i <-> subpop_ids_[i]
   std::vector<int> subpop_ids_;     ///< neighbor cell ids, mirrors the grid

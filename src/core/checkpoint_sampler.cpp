@@ -20,6 +20,7 @@ int CheckpointMixture::best_cell_of(const Checkpoint& snapshot) {
 CheckpointMixture::CheckpointMixture(const Checkpoint& snapshot, int cell)
     : config_(snapshot.config),
       cell_(cell < 0 ? best_cell_of(snapshot) : cell),
+      generator_(nn::borrowing_generator(config_.arch, config_.conditional_classes())),
       weights_(1) {
   CG_EXPECT(snapshot.centers.size() == config_.grid_cells());
   CG_EXPECT(cell_ >= 0 && static_cast<std::uint32_t>(cell_) < config_.grid_cells());
@@ -28,15 +29,9 @@ CheckpointMixture::CheckpointMixture(const Checkpoint& snapshot, int cell)
                           static_cast<int>(config_.grid_cols));
   members_ = grid.neighborhood_of(cell_);
 
-  // Construction draws are throwaway (load_parameters overwrites them); the
-  // sampling streams are the per-call Rng(seed) in plan()/sample().
-  common::Rng init_rng(config_.seed ^ 0x5e7f11dULL);
-  generators_.reserve(members_.size());
+  params_.reserve(members_.size());
   for (const int member : members_) {
-    generators_.push_back(
-        nn::make_generator(config_.arch, init_rng, config_.conditional_classes()));
-    generators_.back().load_parameters(
-        snapshot.centers[static_cast<std::size_t>(member)].generator_params);
+    params_.push_back(snapshot.centers[static_cast<std::size_t>(member)].generator_params);
   }
 
   weights_ = evolve::MixtureWeights(members_.size());
@@ -46,24 +41,25 @@ CheckpointMixture::CheckpointMixture(const Checkpoint& snapshot, int cell)
 
 evolve::MixtureDraw CheckpointMixture::plan(std::size_t count, std::uint64_t seed) const {
   common::Rng rng(seed);
-  return evolve::plan_mixture_draw(weights_, generators_.size(), config_.arch.latent_dim,
+  return evolve::plan_mixture_draw(weights_, params_.size(), config_.arch.latent_dim,
                                    count, rng, config_.conditional_classes());
 }
 
 tensor::Tensor CheckpointMixture::forward(std::size_t g,
                                           const tensor::Tensor& latents) {
-  CG_EXPECT(g < generators_.size());
-  return generators_[g].forward(latents, nn::Cache::kNone);
+  CG_EXPECT(g < params_.size());
+  generator_.bind(params_[g]);
+  return generator_.forward(latents, nn::Cache::kNone);
 }
 
 tensor::Tensor CheckpointMixture::sample(std::size_t count, std::uint64_t seed) {
-  const evolve::MixtureDraw draw = plan(count, seed);
-  tensor::Tensor out(count, config_.arch.image_dim);
-  for (std::size_t g = 0; g < generators_.size(); ++g) {
-    if (draw.rows_of[g].empty()) continue;
-    evolve::scatter_mixture_rows(draw, g, forward(g, draw.latents[g]), out);
-  }
-  return out;
+  std::vector<evolve::MixtureMember> members;
+  members.reserve(params_.size());
+  for (const auto& params : params_) members.push_back({&generator_, params});
+  common::Rng rng(seed);
+  return evolve::sample_mixture(weights_, members, config_.arch.latent_dim, count, rng,
+                                config_.conditional_classes())
+      .images;
 }
 
 }  // namespace cellgan::core

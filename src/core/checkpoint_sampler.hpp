@@ -42,13 +42,13 @@ class CheckpointMixture {
   const std::vector<int>& members() const { return members_; }
   const evolve::MixtureWeights& weights() const { return weights_; }
   const TrainingConfig& config() const { return config_; }
-  std::size_t generators() const { return generators_.size(); }
+  std::size_t generators() const { return params_.size(); }
   std::size_t latent_dim() const { return config_.arch.latent_dim; }
   std::size_t image_dim() const { return config_.arch.image_dim; }
 
   /// Draw `count` samples on a fresh Rng(seed) stream. Deterministic in
   /// (checkpoint, cell, count, seed) for a fixed tensor-kernel kind. NOT
-  /// thread-safe (forward passes reuse layer activation buffers) — callers
+  /// thread-safe (every member runs on one borrowing network) — callers
   /// serialize, e.g. on the serve batcher's single worker thread.
   tensor::Tensor sample(std::size_t count, std::uint64_t seed);
 
@@ -64,7 +64,9 @@ class CheckpointMixture {
   TrainingConfig config_;
   int cell_ = 0;
   std::vector<int> members_;
-  std::vector<nn::Sequential> generators_;  ///< one per member, center first
+  /// Each member's generator parameters, center first.
+  std::vector<std::vector<float>> params_;
+  nn::Sequential generator_;  ///< borrowing; bound to a member per forward
   evolve::MixtureWeights weights_;
 };
 

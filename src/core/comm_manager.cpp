@@ -9,7 +9,7 @@ std::uint64_t GenomeStore::epoch() const {
   return epoch_;
 }
 
-void GenomeStore::publish(int cell, std::vector<std::uint8_t> bytes) {
+void GenomeStore::publish(int cell, evolve::SharedGenome genome) {
   std::lock_guard<std::mutex> lock(mutex_);
   CG_EXPECT(cell >= 0 && cell < static_cast<int>(slots_.size()));
   Slot& slot = slots_[cell];
@@ -27,12 +27,12 @@ void GenomeStore::publish(int cell, std::vector<std::uint8_t> bytes) {
   } else {
     target = slot[0].epoch <= slot[1].epoch ? &slot[0] : &slot[1];
   }
-  target->bytes = std::move(bytes);
+  target->genome = std::move(genome);
   target->epoch = epoch_;
   target->valid = true;
 }
 
-std::vector<std::uint8_t> GenomeStore::latest(int cell) const {
+evolve::SharedGenome GenomeStore::latest(int cell) const {
   std::lock_guard<std::mutex> lock(mutex_);
   CG_EXPECT(cell >= 0 && cell < static_cast<int>(slots_.size()));
   const Slot& slot = slots_[cell];
@@ -41,7 +41,7 @@ std::vector<std::uint8_t> GenomeStore::latest(int cell) const {
     if (!entry.valid || entry.epoch >= epoch_) continue;
     if (best == nullptr || entry.epoch > best->epoch) best = &entry;
   }
-  return best == nullptr ? std::vector<std::uint8_t>{} : best->bytes;
+  return best == nullptr ? nullptr : best->genome;
 }
 
 void GenomeStore::flip() {
@@ -55,23 +55,25 @@ LocalCommManager::LocalCommManager(GenomeStore& store, const evolve::Grid& grid,
   CG_EXPECT(static_cast<int>(store.size()) == grid.size());
 }
 
-std::vector<std::vector<std::uint8_t>> LocalCommManager::exchange(
-    std::span<const std::uint8_t> genome_bytes) {
-  publish(genome_bytes);
-  return collect();
+std::vector<evolve::SharedGenome> LocalCommManager::exchange(
+    const evolve::SharedGenome& genome, std::span<const int> sources) {
+  publish(genome);
+  return collect(sources);
 }
 
-std::vector<std::vector<std::uint8_t>> LocalCommManager::collect() {
+std::vector<evolve::SharedGenome> LocalCommManager::collect() {
   return collect(grid_.neighbors_of(cell_));
 }
 
-std::vector<std::vector<std::uint8_t>> LocalCommManager::collect(
+std::vector<evolve::SharedGenome> LocalCommManager::collect(
     std::span<const int> sources) {
-  std::vector<std::vector<std::uint8_t>> out(store_.size());
+  std::vector<evolve::SharedGenome> out(store_.size());
   double copied_bytes = 0.0;
   for (const int neighbor : sources) {
-    out[neighbor] = store_.latest(neighbor);  // copy, like a real transport
-    copied_bytes += static_cast<double>(out[neighbor].size());
+    out[neighbor] = store_.latest(neighbor);
+    if (out[neighbor] != nullptr) {
+      copied_bytes += static_cast<double>(out[neighbor]->byte_size());
+    }
   }
   if (context_.virtual_time()) {
     const double cost =
@@ -81,15 +83,22 @@ std::vector<std::vector<std::uint8_t>> LocalCommManager::collect(
   return out;
 }
 
-void LocalCommManager::publish(std::span<const std::uint8_t> genome_bytes) {
-  store_.publish(cell_, {genome_bytes.begin(), genome_bytes.end()});
+void LocalCommManager::publish(evolve::SharedGenome genome) {
+  store_.publish(cell_, std::move(genome));
 }
 
 MpiCommManager::MpiCommManager(minimpi::Comm& local_comm) : local_comm_(local_comm) {}
 
-std::vector<std::vector<std::uint8_t>> MpiCommManager::exchange(
-    std::span<const std::uint8_t> genome_bytes) {
-  return local_comm_.allgather(genome_bytes);
+std::vector<evolve::SharedGenome> MpiCommManager::exchange(
+    const evolve::SharedGenome& genome, std::span<const int> sources) {
+  const auto payloads = local_comm_.allgather(genome->serialize());
+  std::vector<evolve::SharedGenome> out(payloads.size());
+  for (const int source : sources) {
+    if (payloads[source].empty()) continue;
+    out[source] = std::make_shared<const evolve::CellGenome>(
+        evolve::CellGenome::deserialize(payloads[source]));
+  }
+  return out;
 }
 
 namespace {
@@ -104,20 +113,27 @@ AsyncMpiCommManager::AsyncMpiCommManager(minimpi::Comm& local_comm, const evolve
   CG_EXPECT(grid_.size() == local_comm_.size());
 }
 
-std::vector<std::vector<std::uint8_t>> AsyncMpiCommManager::exchange(
-    std::span<const std::uint8_t> genome_bytes) {
+std::vector<evolve::SharedGenome> AsyncMpiCommManager::exchange(
+    const evolve::SharedGenome& genome, std::span<const int> /*sources*/) {
   const int me = cell_id();
   // Publish to the cells whose sub-populations include this one (with the
   // default symmetric neighborhoods these are exactly our own neighbors).
+  const std::vector<std::uint8_t> bytes = genome->serialize();
   for (const int target : grid_.influenced_by(me)) {
-    local_comm_.send(target, kTagAsyncGenome, genome_bytes);
+    local_comm_.send(target, kTagAsyncGenome, bytes);
   }
-  // Drain everything that has (causally) arrived, newest-per-source wins.
+  // Drain everything that has (causally) arrived, newest-per-source wins;
+  // only the winners are decoded.
+  std::vector<std::vector<std::uint8_t>> arrived(latest_.size());
   while (auto m = local_comm_.try_recv_arrived(minimpi::kAnySource, kTagAsyncGenome)) {
-    latest_[m->source] = std::move(m->payload);
+    arrived[m->source] = std::move(m->payload);
   }
-  // Hand back copies so the caller's install step owns its bytes.
-  std::vector<std::vector<std::uint8_t>> out(latest_.size());
+  for (std::size_t source = 0; source < arrived.size(); ++source) {
+    if (arrived[source].empty()) continue;
+    latest_[source] = std::make_shared<const evolve::CellGenome>(
+        evolve::CellGenome::deserialize(arrived[source]));
+  }
+  std::vector<evolve::SharedGenome> out(latest_.size());
   for (const int neighbor : grid_.neighbors_of(me)) {
     out[neighbor] = latest_[neighbor];
   }

@@ -5,12 +5,16 @@
 // it, and trainers only see this interface, so the message transport is
 // swappable (the paper's motivation for decoupling).
 //
-// Two implementations:
+// Every implementation hands out genomes as SharedGenome pointers, indexed by
+// cell id:
 //  * MpiCommManager  — allgather over the LOCAL communicator (active slaves),
-//    exactly the paper's distributed exchange path.
+//    exactly the paper's distributed exchange path; each payload the cell
+//    reads is decoded once, on receipt.
+//  * AsyncMpiCommManager — point-to-point sends to the neighbors, newest
+//    arrival per source wins.
 //  * LocalCommManager — in-process store for the single-core baseline; hands
-//    each cell only its neighbors' genomes and charges the calibrated
-//    in-process copy cost.
+//    each cell only its sources' genomes, by pointer, and charges the
+//    calibrated in-process copy cost on their byte_size().
 #pragma once
 
 #include <array>
@@ -21,6 +25,7 @@
 
 #include "common/aligned.hpp"
 #include "core/exec_context.hpp"
+#include "evolve/genome.hpp"
 #include "evolve/grid.hpp"
 #include "minimpi/comm.hpp"
 
@@ -33,13 +38,13 @@ class CommManager {
   /// Grid cell this manager serves.
   virtual int cell_id() const = 0;
 
-  /// Publish this cell's serialized center genome and collect the latest
-  /// genomes of other cells. Returns payloads indexed by cell id; entries
-  /// this transport does not deliver (e.g. non-neighbors in the local
-  /// implementation) are empty. Blocking in the MPI implementation
-  /// (collective over LOCAL).
-  virtual std::vector<std::vector<std::uint8_t>> exchange(
-      std::span<const std::uint8_t> genome_bytes) = 0;
+  /// Publish this cell's center genome and collect the latest genomes of
+  /// other cells, indexed by cell id. `sources` names the cells the caller
+  /// will read (the exchange policy's list); entries this transport does not
+  /// deliver are null. Blocking in the MPI implementation (collective over
+  /// LOCAL).
+  virtual std::vector<evolve::SharedGenome> exchange(
+      const evolve::SharedGenome& genome, std::span<const int> sources) = 0;
 };
 
 /// Shared in-process genome store for LocalCommManager instances.
@@ -62,13 +67,13 @@ class GenomeStore {
   /// reads see strictly older epochs.
   std::uint64_t epoch() const;
 
-  /// Stage `bytes` as `cell`'s genome for the next epoch. Re-publishing
+  /// Stage `genome` as `cell`'s genome for the next epoch. Re-publishing
   /// within one epoch overwrites the staged value.
-  void publish(int cell, std::vector<std::uint8_t> bytes);
+  void publish(int cell, evolve::SharedGenome genome);
 
-  /// Newest genome of `cell` published before the current epoch (empty if
-  /// none yet). Returns a copy so the caller owns its bytes outside the lock.
-  std::vector<std::uint8_t> latest(int cell) const;
+  /// Newest genome of `cell` published before the current epoch (null if
+  /// none yet). The lock covers only the pointer copy.
+  evolve::SharedGenome latest(int cell) const;
 
   /// Epoch barrier: everything published during the finished epoch becomes
   /// visible to subsequent latest() calls.
@@ -80,7 +85,7 @@ class GenomeStore {
   /// take the newest entry from a previous epoch — so a publish never
   /// clobbers the version the current epoch is still reading.
   struct Entry {
-    std::vector<std::uint8_t> bytes;
+    evolve::SharedGenome genome;
     std::uint64_t epoch = 0;
     bool valid = false;
   };
@@ -96,7 +101,7 @@ class GenomeStore {
   std::vector<Slot> slots_;
 };
 
-/// Single-process transport: reads neighbor genomes straight from the store.
+/// Single-process transport: hands out the store's genome pointers.
 /// collect()/publish() split the exchange so the trainer loop can gather the
 /// epoch's inbox before stepping and stage the result afterwards; exchange()
 /// keeps the one-call CommManager interface (publish, then collect).
@@ -106,21 +111,22 @@ class LocalCommManager final : public CommManager {
                    const ExecContext& context);
 
   int cell_id() const override { return cell_; }
-  std::vector<std::vector<std::uint8_t>> exchange(
-      std::span<const std::uint8_t> genome_bytes) override;
+  std::vector<evolve::SharedGenome> exchange(const evolve::SharedGenome& genome,
+                                             std::span<const int> sources) override;
 
   /// Read the neighbors' visible (previous-epoch) genomes, charging the
   /// calibrated in-process copy cost to the cell's context.
-  std::vector<std::vector<std::uint8_t>> collect();
+  std::vector<evolve::SharedGenome> collect();
 
-  /// Same, but copy exactly `sources` (the exchange policy's per-epoch list,
+  /// Same, but read exactly `sources` (the exchange policy's per-epoch list,
   /// e.g. neighbors plus an LTFB tournament partner). With the cellular
   /// policy the list equals the grid neighbors, so bytes and charged cost are
-  /// identical to collect().
-  std::vector<std::vector<std::uint8_t>> collect(std::span<const int> sources);
+  /// identical to collect(). The cost model still charges a copy of each
+  /// genome's byte_size(), the exchange a transport would make.
+  std::vector<evolve::SharedGenome> collect(std::span<const int> sources);
 
-  /// Stage this cell's serialized genome for the next epoch.
-  void publish(std::span<const std::uint8_t> genome_bytes);
+  /// Stage this cell's genome for the next epoch.
+  void publish(evolve::SharedGenome genome);
 
  private:
   GenomeStore& store_;
@@ -137,8 +143,8 @@ class MpiCommManager final : public CommManager {
   explicit MpiCommManager(minimpi::Comm& local_comm);
 
   int cell_id() const override { return local_comm_.rank(); }
-  std::vector<std::vector<std::uint8_t>> exchange(
-      std::span<const std::uint8_t> genome_bytes) override;
+  std::vector<evolve::SharedGenome> exchange(const evolve::SharedGenome& genome,
+                                             std::span<const int> sources) override;
 
  private:
   minimpi::Comm& local_comm_;
@@ -156,14 +162,18 @@ class AsyncMpiCommManager final : public CommManager {
   AsyncMpiCommManager(minimpi::Comm& local_comm, const evolve::Grid& grid);
 
   int cell_id() const override { return local_comm_.rank(); }
-  std::vector<std::vector<std::uint8_t>> exchange(
-      std::span<const std::uint8_t> genome_bytes) override;
+  /// Hands out the neighbors' newest genomes; `sources` is not consulted
+  /// (this transport runs only the cellular policy, whose sources are the
+  /// neighbors).
+  std::vector<evolve::SharedGenome> exchange(const evolve::SharedGenome& genome,
+                                             std::span<const int> sources) override;
 
  private:
   minimpi::Comm& local_comm_;
   const evolve::Grid& grid_;
-  /// Latest genome seen from each cell (empty until first arrival).
-  std::vector<std::vector<std::uint8_t>> latest_;
+  /// Latest genome seen from each cell (null until first arrival), decoded
+  /// once when it arrives.
+  std::vector<evolve::SharedGenome> latest_;
 };
 
 }  // namespace cellgan::core

@@ -171,15 +171,6 @@ double DistributedOutcome::slave_routine_virtual_min(const std::string& routine)
   return average_slave_routine_virtual_min(ranks, routine);
 }
 
-double DistributedOutcome::slave_routine_wall_s(const std::string& routine) const {
-  if (ranks.size() <= 1) return 0.0;
-  double total = 0.0;
-  for (std::size_t r = 1; r < ranks.size(); ++r) {
-    total += ranks[r].profiler.cost(routine).wall_s;
-  }
-  return total / static_cast<double>(ranks.size() - 1);
-}
-
 DistributedOutcome run_distributed(const TrainingConfig& config,
                                    const data::Dataset& dataset,
                                    const CostModel& cost_model) {

@@ -36,7 +36,6 @@ struct DistributedOutcome {
   /// Average of a routine's simulated minutes across slaves (the per-slave
   /// view the paper's Table IV distributed column reports).
   double slave_routine_virtual_min(const std::string& routine) const;
-  double slave_routine_wall_s(const std::string& routine) const;
 };
 
 /// Run the full master/slave training. `dataset` is shared read-only by all

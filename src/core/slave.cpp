@@ -11,6 +11,32 @@
 
 namespace cellgan::core {
 
+namespace {
+
+// A rank checkpoint keeps the inbox as bytes, one entry per cell (empty where
+// the exchange delivered nothing the cell reads).
+std::vector<std::vector<std::uint8_t>> encode_inbox(
+    const std::vector<evolve::SharedGenome>& inbox) {
+  std::vector<std::vector<std::uint8_t>> bytes(inbox.size());
+  for (std::size_t cell = 0; cell < inbox.size(); ++cell) {
+    if (inbox[cell] != nullptr) bytes[cell] = inbox[cell]->serialize();
+  }
+  return bytes;
+}
+
+std::vector<evolve::SharedGenome> decode_inbox(
+    const std::vector<std::vector<std::uint8_t>>& bytes) {
+  std::vector<evolve::SharedGenome> inbox(bytes.size());
+  for (std::size_t cell = 0; cell < bytes.size(); ++cell) {
+    if (bytes[cell].empty()) continue;
+    inbox[cell] = std::make_shared<const evolve::CellGenome>(
+        evolve::CellGenome::deserialize(bytes[cell]));
+  }
+  return inbox;
+}
+
+}  // namespace
+
 Slave::Slave(minimpi::Comm& world, minimpi::Comm& local, minimpi::Comm& global,
              const data::Dataset& dataset, const CostModel& cost_model)
     : Slave(world, local, global, dataset, cost_model, Options{}) {}
@@ -93,10 +119,10 @@ protocol::SlaveResult Slave::run() {
           config.exchange_mode == ExchangeMode::kAsyncNeighbors
               ? static_cast<CommManager&>(async_manager)
               : static_cast<CommManager&>(allgather_manager);
-      std::vector<std::vector<std::uint8_t>> gathered(grid.size());
+      std::vector<evolve::SharedGenome> gathered(grid.size());
       if (options_.restore != nullptr) {
         cell.restore_training_state(options_.restore->trainer_state);
-        gathered = options_.restore->gathered;
+        gathered = decode_inbox(options_.restore->gathered);
       }
       for (std::uint32_t iter = options_.resume_epoch; iter < config.iterations;
            ++iter) {
@@ -112,7 +138,8 @@ protocol::SlaveResult Slave::run() {
           // measured and simulated cost come from the actual messages.
           common::WallTimer gather_wall;
           const double vt_before = world_.clock().now();
-          gathered = comm_manager.exchange(cell.export_genome());
+          gathered = comm_manager.exchange(cell.export_genome(),
+                                           cell.exchange_sources(cell.iteration()));
           world_.profiler().add(common::routine::kGather, gather_wall.elapsed_s(),
                                 world_.clock().now() - vt_before);
         }
@@ -123,7 +150,7 @@ protocol::SlaveResult Slave::run() {
           RankCheckpoint snapshot;
           snapshot.epoch = iter + 1;
           snapshot.trainer_state = cell.serialize_training_state();
-          snapshot.gathered = gathered;
+          snapshot.gathered = encode_inbox(gathered);
           snapshot.clock_s = world_.clock().now();
           snapshot.jitter_rng = world_.jitter_rng().state();
           save_rank_checkpoint(options_.state_dir, world_.rank(), snapshot);

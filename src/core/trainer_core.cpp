@@ -145,9 +145,9 @@ WorkloadProbe TrainerCore::measure_workload(const TrainingConfig& config,
   common::Rng rng(config.seed ^ 0x9e0be5ULL);
   CellTrainer probe_cell(config, grid, 0, dataset, rng, context);
 
-  std::vector<std::vector<std::uint8_t>> inbox(grid.size());
+  std::vector<evolve::SharedGenome> inbox(grid.size());
   probe_cell.step(inbox);
-  const std::vector<std::uint8_t> genome = probe_cell.export_genome();
+  const evolve::SharedGenome genome = probe_cell.export_genome();
   // Pretend every neighbor sent a genome of the same shape.
   for (const int neighbor : grid.neighbors_of(0)) inbox[neighbor] = genome;
   probe_cell.step(inbox);
@@ -156,7 +156,7 @@ WorkloadProbe TrainerCore::measure_workload(const TrainingConfig& config,
   probe.train_flops = probe_cell.last_train_flops();
   probe.update_bytes = std::max(1.0, probe_cell.last_update_bytes());
   probe.mutate_calls = 1.0;
-  probe.genome_bytes = static_cast<double>(genome.size());
+  probe.genome_bytes = static_cast<double>(genome->byte_size());
   return probe;
 }
 

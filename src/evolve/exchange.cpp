@@ -56,27 +56,25 @@ namespace {
 /// under ltfb/gap. Returns the installed byte count (the gather payload the
 /// cost model charges for).
 double install_neighbor_genomes(ExchangeHost& host,
-                                std::span<const std::vector<std::uint8_t>> gathered) {
+                                std::span<const SharedGenome> gathered) {
   double bytes_in = 0.0;
   const auto& neighbors = host.grid().neighbors_of(host.cell());
   CG_EXPECT(neighbors.size() == host.subpop_slots());
   for (std::size_t slot = 0; slot < neighbors.size(); ++slot) {
     const int neighbor = neighbors[slot];
     if (neighbor >= static_cast<int>(gathered.size())) continue;
-    const auto& bytes = gathered[neighbor];
-    if (bytes.empty()) continue;
-    host.install_subpop(slot, CellGenome::deserialize(bytes));
-    bytes_in += static_cast<double>(bytes.size());
+    const SharedGenome& genome = gathered[neighbor];
+    if (genome == nullptr) continue;
+    bytes_in += static_cast<double>(genome->byte_size());
+    host.install_subpop(slot, genome);
   }
   return bytes_in;
 }
 
-/// Deserialize cell `source`'s gathered genome, nullopt when absent.
-std::optional<CellGenome> gathered_genome(
-    std::span<const std::vector<std::uint8_t>> gathered, int source) {
-  if (source < 0 || source >= static_cast<int>(gathered.size())) return std::nullopt;
-  if (gathered[source].empty()) return std::nullopt;
-  return CellGenome::deserialize(gathered[source]);
+/// Cell `source`'s gathered genome, null when absent.
+const CellGenome* gathered_genome(std::span<const SharedGenome> gathered, int source) {
+  if (source < 0 || source >= static_cast<int>(gathered.size())) return nullptr;
+  return gathered[source].get();
 }
 
 bool is_neighbor_of(const Grid& grid, int cell, int other) {
@@ -99,7 +97,7 @@ class CellularPolicy final : public ExchangePolicy {
   }
 
   ExchangeOutcome apply(ExchangeHost& host,
-                        std::span<const std::vector<std::uint8_t>> gathered,
+                        std::span<const SharedGenome> gathered,
                         std::uint32_t) override {
     ExchangeOutcome outcome;
     outcome.g_fitness_before = host.g_fitness();
@@ -169,7 +167,7 @@ class LtfbPolicy final : public ExchangePolicy {
   }
 
   ExchangeOutcome apply(ExchangeHost& host,
-                        std::span<const std::vector<std::uint8_t>> gathered,
+                        std::span<const SharedGenome> gathered,
                         std::uint32_t epoch) override {
     ExchangeOutcome outcome;
     outcome.g_fitness_before = host.g_fitness();
@@ -185,10 +183,10 @@ class LtfbPolicy final : public ExchangePolicy {
     const int cell = host.cell();
     const int partner = ltfb_pairing(seed_, grid.size(), round_of(epoch))[cell];
     outcome.partner = partner;
-    const auto rival = gathered_genome(gathered, partner);
-    if (rival.has_value()) {
+    const CellGenome* rival = gathered_genome(gathered, partner);
+    if (rival != nullptr) {
       if (!is_neighbor_of(grid, cell, partner)) {
-        outcome.bytes_in += static_cast<double>(gathered[partner].size());
+        outcome.bytes_in += static_cast<double>(rival->byte_size());
       }
       // Both partners evaluate the same symmetric predicate, so exactly one
       // side adopts: strictly lower generator loss wins, ties go to the
@@ -251,7 +249,7 @@ class GapPolicy final : public ExchangePolicy {
   }
 
   ExchangeOutcome apply(ExchangeHost& host,
-                        std::span<const std::vector<std::uint8_t>> gathered,
+                        std::span<const SharedGenome> gathered,
                         std::uint32_t epoch) override {
     ExchangeOutcome outcome;
     outcome.g_fitness_before = host.g_fitness();
@@ -262,10 +260,10 @@ class GapPolicy final : public ExchangePolicy {
     const int donor = donor_of(grid, cell, epoch);
     if (donor >= 0) {
       outcome.partner = donor;
-      const auto genome = gathered_genome(gathered, donor);
-      if (genome.has_value()) {
+      const CellGenome* genome = gathered_genome(gathered, donor);
+      if (genome != nullptr) {
         if (!is_neighbor_of(grid, cell, donor)) {
-          outcome.bytes_in += static_cast<double>(gathered[donor].size());
+          outcome.bytes_in += static_cast<double>(genome->byte_size());
         }
         host.adopt_discriminator(*genome);
         outcome.d_adopted = true;

@@ -74,7 +74,7 @@ struct ExchangeOutcome {
   double d_fitness_before = 0.0;
   double d_fitness_after = 0.0;
   std::uint64_t wins = 0;          ///< cumulative tournament wins (ltfb)
-  double bytes_in = 0.0;           ///< serialized genome bytes installed
+  double bytes_in = 0.0;           ///< genome bytes received (byte_size())
   bool exchanged() const { return g_adopted || d_adopted; }
 };
 
@@ -95,7 +95,7 @@ class ExchangeHost {
   /// Neighbor subpopulation slots (slot i holds grid.neighbors_of(cell)[i]).
   virtual std::size_t subpop_slots() const = 0;
   virtual const CellGenome* subpop_genome(std::size_t slot) const = 0;
-  virtual void install_subpop(std::size_t slot, CellGenome genome) = 0;
+  virtual void install_subpop(std::size_t slot, SharedGenome genome) = 0;
 
   /// Adopt one side of `genome` into the center: parameters, learning rate
   /// and fitness bookkeeping.
@@ -118,10 +118,10 @@ class ExchangePolicy {
                                    std::uint32_t epoch) const = 0;
 
   /// Apply the policy for `epoch`. `gathered[cell]` holds that cell's
-  /// serialized genome (missing/empty entries are skipped; epoch 0 passes
-  /// all-empty). Returns what happened, for telemetry and cost charging.
+  /// genome (missing/null entries are skipped; epoch 0 passes all-null).
+  /// Returns what happened, for telemetry and cost charging.
   virtual ExchangeOutcome apply(ExchangeHost& host,
-                                std::span<const std::vector<std::uint8_t>> gathered,
+                                std::span<const SharedGenome> gathered,
                                 std::uint32_t epoch) = 0;
 
   /// Policy-private state (LTFB win counters) for rank checkpoints; the

@@ -1,13 +1,19 @@
 // Cell genome: the unit of exchange between grid cells.
 //
 // A cell's "center" is one generator + one discriminator; neighbors exchange
-// serialized copies of their centers after every training epoch (Section
-// II.B). The genome carries the flattened parameters of both networks, the
-// mutated hyperparameters (learning rates) and the locally-evaluated fitness
-// values that the receiving cell's selection step uses.
+// copies of their centers after every training epoch (Section II.B). The
+// genome carries the flattened parameters of both networks, the mutated
+// hyperparameters (learning rates) and the locally-evaluated fitness values
+// that the receiving cell's selection step uses.
+//
+// Within a process a genome is captured once and shared read-only
+// (SharedGenome) by every cell that receives it: neighbors run its weights
+// where they lie (nn::Sequential::bind). Bytes are made only where a genome
+// leaves the process: messages, checkpoints and observer records.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -34,5 +40,9 @@ struct CellGenome {
   static CellGenome capture(nn::Sequential& generator, nn::Sequential& discriminator);
   void install(nn::Sequential& generator, nn::Sequential& discriminator) const;
 };
+
+/// One captured genome, shared read-only by every cell that received it.
+using SharedGenome = std::shared_ptr<const CellGenome>;
+
 
 }  // namespace cellgan::evolve

@@ -84,6 +84,7 @@ MixtureDraw plan_mixture_draw(const MixtureWeights& weights,
   draw.count = count;
   draw.rows_of.resize(generators);
   draw.latents.resize(generators);
+  if (label_classes > 0) draw.labels_of.resize(generators);
   for (std::size_t i = 0; i < count; ++i) {
     draw.rows_of[weights.sample_index(rng)].push_back(i);
   }
@@ -92,10 +93,12 @@ MixtureDraw plan_mixture_draw(const MixtureWeights& weights,
     const std::size_t rows = draw.rows_of[g].size();
     // Conditional draws: uniform class labels BEFORE the latent block (the
     // fixed rng order every conditional sampler shares), appended one-hot.
-    std::vector<std::size_t> labels;
+    std::vector<std::uint32_t> labels;
     if (label_classes > 0) {
       labels.resize(rows);
-      for (auto& label : labels) label = rng.uniform_int(label_classes);
+      for (auto& label : labels) {
+        label = static_cast<std::uint32_t>(rng.uniform_int(label_classes));
+      }
     }
     tensor::Tensor z = tensor::Tensor::randn(rows, latent_dim, rng, 1.0f);
     if (label_classes > 0) {
@@ -109,45 +112,38 @@ MixtureDraw plan_mixture_draw(const MixtureWeights& weights,
         dst[latent_dim + labels[k]] = 1.0f;
       }
       z = std::move(conditioned);
+      draw.labels_of[g] = std::move(labels);
     }
     draw.latents[g] = std::move(z);
   }
   return draw;
 }
 
-void scatter_mixture_rows(const MixtureDraw& draw, std::size_t generator,
-                          const tensor::Tensor& images, tensor::Tensor& out) {
-  CG_EXPECT(generator < draw.rows_of.size());
-  const auto& rows = draw.rows_of[generator];
-  CG_EXPECT(images.rows() == rows.size());
-  CG_EXPECT(out.rows() == draw.count && out.cols() == images.cols());
-  for (std::size_t k = 0; k < rows.size(); ++k) {
-    auto src = images.row_span(k);
-    auto dst = out.row_span(rows[k]);
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-}
-
-tensor::Tensor sample_mixture(const MixtureWeights& weights,
-                              std::vector<nn::Sequential*> generators,
-                              std::size_t latent_dim, std::size_t count,
-                              common::Rng& rng, std::size_t label_classes) {
-  CG_EXPECT(weights.size() == generators.size());
-  CG_EXPECT(!generators.empty() && count > 0);
-
-  const MixtureDraw draw = plan_mixture_draw(weights, generators.size(),
-                                             latent_dim, count, rng, label_classes);
-  tensor::Tensor out;
-  bool out_ready = false;
-  for (std::size_t g = 0; g < generators.size(); ++g) {
-    if (draw.rows_of[g].empty()) continue;
+MixtureSample sample_mixture(const MixtureWeights& weights,
+                             std::span<const MixtureMember> members,
+                             std::size_t latent_dim, std::size_t count,
+                             common::Rng& rng, std::size_t label_classes,
+                             MixtureRows rows) {
+  const MixtureDraw draw = plan_mixture_draw(weights, members.size(), latent_dim,
+                                             count, rng, label_classes);
+  MixtureSample out;
+  if (label_classes > 0) out.labels.resize(count);
+  std::size_t next = 0;  // MixtureRows::kByMember: the member's first row
+  for (std::size_t g = 0; g < members.size(); ++g) {
+    const auto& drawn = draw.rows_of[g];
+    if (drawn.empty()) continue;
+    const MixtureMember& member = members[g];
+    if (!member.params.empty()) member.network->bind(member.params);
     const tensor::Tensor images =
-        generators[g]->forward(draw.latents[g], nn::Cache::kNone);
-    if (!out_ready) {
-      out = tensor::Tensor(count, images.cols());
-      out_ready = true;
+        member.network->forward(draw.latents[g], nn::Cache::kNone);
+    if (out.images.empty()) out.images = tensor::Tensor(count, images.cols());
+    for (std::size_t k = 0; k < drawn.size(); ++k) {
+      const std::size_t row = rows == MixtureRows::kDrawn ? drawn[k] : next + k;
+      const auto src = images.row_span(k);
+      std::copy(src.begin(), src.end(), out.images.row_span(row).begin());
+      if (label_classes > 0) out.labels[row] = draw.labels_of[g][k];
     }
-    scatter_mixture_rows(draw, g, images, out);
+    next += drawn.size();
   }
   return out;
 }

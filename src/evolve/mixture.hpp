@@ -7,6 +7,8 @@
 // mixture's quality.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -60,6 +62,8 @@ struct MixtureDraw {
   std::size_t count = 0;
   std::vector<std::vector<std::size_t>> rows_of;  ///< per generator: output rows
   std::vector<tensor::Tensor> latents;            ///< per generator (empty if unused)
+  /// Per generator, the class label of each row; conditional draws only.
+  std::vector<std::vector<std::uint32_t>> labels_of;
 };
 
 /// Consume `rng` exactly as sample_mixture does (count generator-index draws,
@@ -73,18 +77,35 @@ MixtureDraw plan_mixture_draw(const MixtureWeights& weights,
                               std::size_t count, common::Rng& rng,
                               std::size_t label_classes = 0);
 
-/// Scatter one generator's forward output back into the draw's output rows.
-/// `out` must be count x image_dim.
-void scatter_mixture_rows(const MixtureDraw& draw, std::size_t generator,
-                          const tensor::Tensor& images, tensor::Tensor& out);
+/// One mixture member's generator. `network` runs it; when `params` is not
+/// empty, `network` is a borrowing network (nn::Sequential::bind) that the
+/// sampler binds to these flat generator parameters first, so every member
+/// held as parameters can share one network and no weight is copied.
+struct MixtureMember {
+  nn::Sequential* network = nullptr;
+  std::span<const float> params;
+};
+
+/// Where the rows of a mixture sample land.
+enum class MixtureRows {
+  kDrawn,     ///< row i is the i-th draw
+  kByMember,  ///< grouped by member in member order, each group in draw order
+};
+
+struct MixtureSample {
+  tensor::Tensor images;               ///< count x image_dim
+  std::vector<std::uint32_t> labels;   ///< row-aligned; conditional draws only
+};
 
 /// Draw `count` samples from the weighted ensemble: each row comes from the
-/// generator selected by the mixture distribution, fed with a fresh latent
+/// member selected by the mixture distribution, fed with a fresh latent
 /// vector z ~ N(0,1)^latent_dim (plus a uniform one-hot class label when
-/// label_classes > 0 — class-conditional generators).
-tensor::Tensor sample_mixture(const MixtureWeights& weights,
-                              std::vector<nn::Sequential*> generators,
-                              std::size_t latent_dim, std::size_t count,
-                              common::Rng& rng, std::size_t label_classes = 0);
+/// label_classes > 0 — class-conditional generators). Each member that
+/// draws rows runs one forward.
+MixtureSample sample_mixture(const MixtureWeights& weights,
+                             std::span<const MixtureMember> members,
+                             std::size_t latent_dim, std::size_t count,
+                             common::Rng& rng, std::size_t label_classes = 0,
+                             MixtureRows rows = MixtureRows::kDrawn);
 
 }  // namespace cellgan::evolve

@@ -9,6 +9,7 @@
 #include "metrics/inception_score.hpp"
 #include "metrics/mode_coverage.hpp"
 #include "nn/gan_models.hpp"
+#include "nn/init.hpp"
 
 namespace cellgan::metrics {
 
@@ -32,16 +33,6 @@ Classifier make_trained_classifier(const data::Dataset& real,
   return classifier;
 }
 
-/// Rebuild one cell's generator from its serialized center genome.
-nn::Sequential generator_from_record(const core::TrainingConfig& config,
-                                     const core::CellEpochRecord& record,
-                                     common::Rng& rng) {
-  const evolve::CellGenome genome = evolve::CellGenome::deserialize(record.genome);
-  nn::Sequential generator =
-      nn::make_generator(config.arch, rng, config.conditional_classes());
-  generator.load_parameters(genome.generator_params);
-  return generator;
-}
 
 }  // namespace
 
@@ -69,35 +60,46 @@ void EvaluatorObserver::on_epoch_completed(const core::EpochRecord& record) {
   snapshot.epoch = record.epoch;
   snapshot.best_cell = record.best_cell();
 
+  // Every generator runs on its decoded genome's parameters in place. The
+  // evaluation stream still skips the draws of the generator that each cell
+  // and each mixture member once had initialized from it, so the metrics
+  // keep their bits.
+  nn::Sequential generator =
+      nn::borrowing_generator(config_.arch, config_.conditional_classes());
+  std::vector<evolve::CellGenome> genomes;
+  genomes.reserve(record.cells.size());
+  for (const auto& cell : record.cells) {
+    genomes.push_back(evolve::CellGenome::deserialize(cell.genome));
+  }
+
   // Per-generator inception scores (Table II's quality column, per cell).
   snapshot.cell_is.reserve(record.cells.size());
-  for (const auto& cell : record.cells) {
-    nn::Sequential generator = generator_from_record(config_, cell, rng);
+  for (const auto& genome : genomes) {
+    nn::skip_xavier_uniform_init(generator, rng);
     const evolve::MixtureWeights single(1);
+    const evolve::MixtureMember member{&generator, genome.generator_params};
     const tensor::Tensor images =
-        evolve::sample_mixture(single, {&generator}, config_.arch.latent_dim,
-                               options_.samples, rng, config_.conditional_classes());
+        evolve::sample_mixture(single, {&member, 1}, config_.arch.latent_dim,
+                               options_.samples, rng, config_.conditional_classes())
+            .images;
     snapshot.cell_is.push_back(inception_score(classifier_, images));
   }
 
   // The returned generative model: the best cell's neighborhood mixture.
-  const auto members = grid_.neighborhood_of(snapshot.best_cell);
-  std::vector<nn::Sequential> generators;
-  generators.reserve(members.size());
-  for (const int member : members) {
-    generators.push_back(generator_from_record(
-        config_, record.cells[static_cast<std::size_t>(member)], rng));
+  std::vector<evolve::MixtureMember> members;
+  for (const int cell : grid_.neighborhood_of(snapshot.best_cell)) {
+    nn::skip_xavier_uniform_init(generator, rng);
+    members.push_back(
+        {&generator, genomes[static_cast<std::size_t>(cell)].generator_params});
   }
-  std::vector<nn::Sequential*> generator_ptrs;
-  generator_ptrs.reserve(generators.size());
-  for (auto& generator : generators) generator_ptrs.push_back(&generator);
   evolve::MixtureWeights weights(members.size());
   const auto& evolved =
       record.cells[static_cast<std::size_t>(snapshot.best_cell)].mixture_weights;
   if (evolved.size() == members.size()) weights.set_weights(evolved);
-  const tensor::Tensor mixture_images = evolve::sample_mixture(
-      weights, generator_ptrs, config_.arch.latent_dim, options_.samples, rng,
-      config_.conditional_classes());
+  const tensor::Tensor mixture_images =
+      evolve::sample_mixture(weights, members, config_.arch.latent_dim, options_.samples,
+                             rng, config_.conditional_classes())
+          .images;
 
   snapshot.mixture_is = inception_score(classifier_, mixture_images);
   snapshot.fid = fid_score(classifier_, real_.images, mixture_images);

@@ -42,4 +42,9 @@ Sequential make_generator(const GanArch& arch, common::Rng& rng,
 Sequential make_discriminator(const GanArch& arch, common::Rng& rng,
                               std::size_t label_dims = 0);
 
+/// The same two topologies with Params::kBorrowed layers: no parameter
+/// storage, no draws; bind() each to a genome's flat parameters of that side.
+Sequential borrowing_generator(const GanArch& arch, std::size_t label_dims = 0);
+Sequential borrowing_discriminator(const GanArch& arch, std::size_t label_dims = 0);
+
 }  // namespace cellgan::nn

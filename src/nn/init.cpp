@@ -20,4 +20,13 @@ void xavier_uniform_init(Sequential& net, common::Rng& rng) {
   }
 }
 
+void skip_xavier_uniform_init(Sequential& net, common::Rng& rng) {
+  for (std::size_t i = 0; i < net.num_layers(); ++i) {
+    const auto* linear = dynamic_cast<const Linear*>(&net.layer(i));
+    if (linear == nullptr) continue;
+    const std::size_t weights = linear->in_features() * linear->out_features();
+    for (std::size_t w = 0; w < weights; ++w) (void)rng.uniform();
+  }
+}
+
 }  // namespace cellgan::nn

@@ -10,4 +10,9 @@ namespace cellgan::nn {
 /// a = sqrt(6 / (fan_in + fan_out)); biases zero.
 void xavier_uniform_init(Sequential& net, common::Rng& rng);
 
+/// Advance `rng` past the draws xavier_uniform_init takes on a network of
+/// `net`'s shape, one per weight, without touching any parameter (`net` may
+/// be borrowing).
+void skip_xavier_uniform_init(Sequential& net, common::Rng& rng);
+
 }  // namespace cellgan::nn

@@ -6,6 +6,12 @@
 // are exposed as tensor pointers so Adam and the genome codec
 // (flatten/unflatten) can walk them uniformly.
 //
+// A network can also run on parameters it does not own: a layer built with
+// Params::kBorrowed has no weight or gradient storage and reads the flat span
+// that bind() points it at (the layout flatten_parameters writes, which is a
+// genome's). It runs forwards and input-only backwards; asking it for its
+// parameters, or for parameter gradients, is a contract violation.
+//
 // A step computes only what it consumes:
 //  * backward computes what it is asked for: parameter gradients, the input
 //    gradient, or both. Each part has the bits a full pass gives it, and a
@@ -16,6 +22,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -34,6 +41,9 @@ inline bool wants_input(Grads what) { return what != Grads::kParams; }
 
 /// Whether a forward keeps what the following backward needs.
 enum class Cache { kKeep, kNone };
+
+/// Whether a layer owns its parameters or reads a span bound to it.
+enum class Params { kOwned, kBorrowed };
 
 class Layer {
  public:
@@ -62,6 +72,12 @@ class Layer {
 
   /// Set all gradients to zero.
   virtual void zero_grad() {}
+
+  /// Read this layer's parameters from the front of `flat` (in parameters()
+  /// order) from now on; returns how many floats they take. Only a
+  /// Params::kBorrowed layer binds; a parameter-free layer takes none. The
+  /// span must outlive every later pass.
+  virtual std::size_t bind(std::span<const float> /*flat*/) { return 0; }
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

@@ -76,4 +76,11 @@ void Sequential::load_parameters(std::span<const float> flat) {
   CG_EXPECT(offset == flat.size());
 }
 
+std::size_t Sequential::bind(std::span<const float> flat) {
+  std::size_t offset = 0;
+  for (auto& layer : layers_) offset += layer->bind(flat.subspan(offset));
+  CG_EXPECT(offset == flat.size());
+  return offset;
+}
+
 }  // namespace cellgan::nn

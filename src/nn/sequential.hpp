@@ -4,6 +4,8 @@
 // "genome" is the flat float vector of all parameters in layer order.
 // flatten_parameters / load_parameters are the exact codec the comm-manager
 // uses to serialize a center individual into a neighbor-exchange message.
+// A network of Params::kBorrowed layers instead runs on such a flat vector
+// where it lies: bind() points it at one, say a neighbor genome's.
 #pragma once
 
 #include <vector>
@@ -42,6 +44,10 @@ class Sequential final : public Layer {
 
   /// Inverse of flatten_parameters; size must match parameter_count().
   void load_parameters(std::span<const float> flat);
+
+  /// Bind every layer, in order, to its part of `flat` (flatten_parameters
+  /// layout); the layers must take all of it. Each Linear must be borrowed.
+  std::size_t bind(std::span<const float> flat) override;
 
  private:
   std::vector<LayerPtr> layers_;

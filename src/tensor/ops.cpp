@@ -14,11 +14,16 @@ namespace cellgan::tensor {
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   CG_EXPECT(a.cols() == b.rows());
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
+  return matmul(a, b.data(), b.cols());
+}
+
+Tensor matmul(const Tensor& a, std::span<const float> b, std::size_t n) {
+  const std::size_t m = a.rows(), k = a.cols();
+  CG_EXPECT(b.size() == k * n);
   Tensor c(m, n);
   count_flops(2ULL * m * k * n);
-  kernels::gemm(active_kernel_kind(), a.data().data(), b.data().data(),
-                c.data().data(), 0, m, k, n);
+  kernels::gemm(active_kernel_kind(), a.data().data(), b.data(), c.data().data(), 0, m,
+                k, n);
   return c;
 }
 
@@ -34,11 +39,16 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   CG_EXPECT(a.cols() == b.cols());
-  const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
+  return matmul_nt(a, b.data(), b.rows());
+}
+
+Tensor matmul_nt(const Tensor& a, std::span<const float> b, std::size_t n) {
+  const std::size_t m = a.rows(), k = a.cols();
+  CG_EXPECT(b.size() == n * k);
   Tensor c(m, n);
   count_flops(2ULL * m * k * n);
-  kernels::gemm_nt(active_kernel_kind(), a.data().data(), b.data().data(),
-                   c.data().data(), 0, m, k, n);
+  kernels::gemm_nt(active_kernel_kind(), a.data().data(), b.data(), c.data().data(), 0,
+                   m, k, n);
   return c;
 }
 
@@ -50,10 +60,15 @@ void axpy(float alpha, const Tensor& x, Tensor& y) {
 }
 
 void add_row_bias(Tensor& a, const Tensor& bias) {
-  CG_EXPECT(bias.rows() == 1 && bias.cols() == a.cols());
+  CG_EXPECT(bias.rows() == 1);
+  add_row_bias(a, bias.data());
+}
+
+void add_row_bias(Tensor& a, std::span<const float> bias) {
+  CG_EXPECT(bias.size() == a.cols());
   count_flops(a.size());
-  kernels::ew_add_row_bias(active_kernel_kind(), a.data().data(), bias.data().data(),
-                           a.rows(), a.cols());
+  kernels::ew_add_row_bias(active_kernel_kind(), a.data().data(), bias.data(), a.rows(),
+                           a.cols());
 }
 
 Tensor col_sum(const Tensor& a) {

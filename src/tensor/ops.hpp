@@ -13,6 +13,7 @@
 // bits) may differ between kinds.
 #pragma once
 
+#include <span>
 #include <utility>
 
 #include "tensor/tensor.hpp"
@@ -23,10 +24,15 @@ namespace cellgan::tensor {
 
 /// C = A(mxk) * B(kxn)
 Tensor matmul(const Tensor& a, const Tensor& b);
+/// The same, with B the k*n floats of `b` in row-major order (a borrowed
+/// weight matrix).
+Tensor matmul(const Tensor& a, std::span<const float> b, std::size_t n);
 /// C = A^T(m<-k) * B : a is (k x m), b is (k x n), result (m x n).
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
 /// C = A(m x k) * B^T : b is (n x k), result (m x n).
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
+/// The same, with B the n*k floats of `b` in row-major order.
+Tensor matmul_nt(const Tensor& a, std::span<const float> b, std::size_t n);
 
 // ---- Elementwise ------------------------------------------------------------
 
@@ -34,6 +40,8 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);
 void axpy(float alpha, const Tensor& x, Tensor& y);
 /// Each row of `a` += bias (bias is 1 x cols).
 void add_row_bias(Tensor& a, const Tensor& bias);
+/// The same, with the bias as a span of a.cols() floats.
+void add_row_bias(Tensor& a, std::span<const float> bias);
 /// 1 x cols vector of column sums (bias gradient).
 Tensor col_sum(const Tensor& a);
 

@@ -30,7 +30,7 @@ struct CellFixture : public ::testing::Test {
 TEST_F(CellFixture, StepWithEmptyInboxWorks) {
   evolve::Grid grid(3, 3);
   CellTrainer cell = make_cell(grid, 0);
-  std::vector<std::vector<std::uint8_t>> empty(grid.size());
+  std::vector<evolve::SharedGenome> empty(grid.size());
   cell.step(empty);
   EXPECT_EQ(cell.iteration(), 1u);
   EXPECT_TRUE(std::isfinite(cell.g_fitness()));
@@ -42,9 +42,9 @@ TEST_F(CellFixture, StepWithEmptyInboxWorks) {
 TEST_F(CellFixture, ExportedGenomeCarriesState) {
   evolve::Grid grid(3, 3);
   CellTrainer cell = make_cell(grid, 4);
-  std::vector<std::vector<std::uint8_t>> empty(grid.size());
+  std::vector<evolve::SharedGenome> empty(grid.size());
   cell.step(empty);
-  const evolve::CellGenome genome = evolve::CellGenome::deserialize(cell.export_genome());
+  const evolve::CellGenome genome = *cell.export_genome();
   EXPECT_EQ(genome.origin_cell, 4u);
   EXPECT_EQ(genome.iteration, 1u);
   EXPECT_EQ(genome.generator_params.size(),
@@ -57,14 +57,14 @@ TEST_F(CellFixture, NeighborGenomesAreInstalled) {
   evolve::Grid grid(3, 3);
   CellTrainer cell0 = make_cell(grid, 0);
   CellTrainer cell1 = make_cell(grid, 1);
-  std::vector<std::vector<std::uint8_t>> inbox(grid.size());
+  std::vector<evolve::SharedGenome> inbox(grid.size());
   cell1.step(inbox);
   // Deliver cell 1's genome to cell 0 (1 is 0's east neighbor on 3x3).
   inbox[1] = cell1.export_genome();
   cell0.step(inbox);
   EXPECT_GT(cell0.last_update_bytes(), 0.0);
   EXPECT_DOUBLE_EQ(cell0.last_update_bytes(),
-                   static_cast<double>(inbox[1].size()));
+                   static_cast<double>(inbox[1]->serialize().size()));
 }
 
 TEST_F(CellFixture, SelectionAdoptsStrictlyBetterNeighborCenter) {
@@ -72,18 +72,18 @@ TEST_F(CellFixture, SelectionAdoptsStrictlyBetterNeighborCenter) {
   config.exchange_policy = evolve::ExchangePolicyKind::kCellular;
   evolve::Grid grid(3, 3);
   CellTrainer cell = make_cell(grid, 0);
-  std::vector<std::vector<std::uint8_t>> inbox(grid.size());
+  std::vector<evolve::SharedGenome> inbox(grid.size());
   cell.step(inbox);
 
   // Craft a neighbor genome that claims (and plausibly has) far better
   // fitness; selection must adopt its learning rate bookkeeping.
-  evolve::CellGenome fake = evolve::CellGenome::deserialize(cell.export_genome());
+  evolve::CellGenome fake = *cell.export_genome();
   fake.origin_cell = 1;
   fake.g_fitness = cell.g_fitness() - 10.0;  // strictly better
   fake.d_fitness = cell.d_fitness() - 10.0;
   fake.g_learning_rate = 0.0123;
   fake.d_learning_rate = 0.0456;
-  inbox[1] = fake.serialize();
+  inbox[1] = std::make_shared<const evolve::CellGenome>(fake);
   cell.step(inbox);
   // The adopted learning rates survive until mutation possibly nudges them
   // by ~1e-4; compare with loose tolerance.
@@ -95,13 +95,13 @@ TEST_F(CellFixture, WorseNeighborIsNotAdopted) {
   config.exchange_policy = evolve::ExchangePolicyKind::kCellular;
   evolve::Grid grid(3, 3);
   CellTrainer cell = make_cell(grid, 0);
-  std::vector<std::vector<std::uint8_t>> inbox(grid.size());
+  std::vector<evolve::SharedGenome> inbox(grid.size());
   cell.step(inbox);
-  evolve::CellGenome fake = evolve::CellGenome::deserialize(cell.export_genome());
+  evolve::CellGenome fake = *cell.export_genome();
   fake.g_fitness = cell.g_fitness() + 100.0;  // much worse
   fake.d_fitness = cell.d_fitness() + 100.0;
   fake.g_learning_rate = 0.0999;
-  inbox[1] = fake.serialize();
+  inbox[1] = std::make_shared<const evolve::CellGenome>(fake);
   cell.step(inbox);
   EXPECT_NE(cell.g_learning_rate(), 0.0999);
 }
@@ -109,7 +109,7 @@ TEST_F(CellFixture, WorseNeighborIsNotAdopted) {
 TEST_F(CellFixture, FitnessStaysFiniteOverManySteps) {
   evolve::Grid grid(3, 3);
   CellTrainer cell = make_cell(grid, 0);
-  std::vector<std::vector<std::uint8_t>> inbox(grid.size());
+  std::vector<evolve::SharedGenome> inbox(grid.size());
   for (int i = 0; i < 10; ++i) {
     cell.step(inbox);
     ASSERT_TRUE(std::isfinite(cell.g_fitness())) << "iteration " << i;
@@ -134,9 +134,17 @@ TEST_F(CellFixture, MixtureSizeTracksNeighborhood) {
 TEST_F(CellFixture, SampleFromMixtureShape) {
   evolve::Grid grid(3, 3);
   CellTrainer cell = make_cell(grid, 0);
-  std::vector<std::vector<std::uint8_t>> inbox(grid.size());
+  std::vector<evolve::SharedGenome> inbox(grid.size());
   cell.step(inbox);
-  const tensor::Tensor samples = cell.sample_from_mixture(9);
+  // No neighbor genome has arrived, so every member draws from the center.
+  const evolve::CellGenome center = cell.center_genome();
+  nn::Sequential generator = nn::borrowing_generator(config.arch);
+  const std::vector<evolve::MixtureMember> members(
+      cell.mixture().size(), {&generator, center.generator_params});
+  common::Rng rng(3);
+  const tensor::Tensor samples =
+      evolve::sample_mixture(cell.mixture(), members, config.arch.latent_dim, 9, rng)
+          .images;
   EXPECT_EQ(samples.rows(), 9u);
   EXPECT_EQ(samples.cols(), config.arch.image_dim);
   for (const float v : samples.data()) {
@@ -148,7 +156,7 @@ TEST_F(CellFixture, SampleFromMixtureShape) {
 TEST_F(CellFixture, DynamicTopologyShrinkAndGrow) {
   evolve::Grid grid(3, 3);
   CellTrainer cell = make_cell(grid, 0);
-  std::vector<std::vector<std::uint8_t>> inbox(grid.size());
+  std::vector<evolve::SharedGenome> inbox(grid.size());
   cell.step(inbox);
   // Shrink to a single neighbor.
   grid.set_neighbors(0, {4});
@@ -165,24 +173,24 @@ TEST_F(CellFixture, DeterministicGivenSeedAndInbox) {
   evolve::Grid grid(3, 3);
   CellTrainer a = make_cell(grid, 0);
   CellTrainer b = make_cell(grid, 0);
-  std::vector<std::vector<std::uint8_t>> inbox(grid.size());
+  std::vector<evolve::SharedGenome> inbox(grid.size());
   for (int i = 0; i < 3; ++i) {
     a.step(inbox);
     b.step(inbox);
   }
   EXPECT_DOUBLE_EQ(a.g_fitness(), b.g_fitness());
   EXPECT_DOUBLE_EQ(a.d_fitness(), b.d_fitness());
-  EXPECT_EQ(a.export_genome(), b.export_genome());
+  EXPECT_EQ(a.export_genome()->serialize(), b.export_genome()->serialize());
 }
 
 TEST_F(CellFixture, DifferentCellsDiverge) {
   evolve::Grid grid(3, 3);
   CellTrainer a = make_cell(grid, 0);
   CellTrainer b = make_cell(grid, 1);
-  std::vector<std::vector<std::uint8_t>> inbox(grid.size());
+  std::vector<evolve::SharedGenome> inbox(grid.size());
   a.step(inbox);
   b.step(inbox);
-  EXPECT_NE(a.export_genome(), b.export_genome());
+  EXPECT_NE(a.export_genome()->serialize(), b.export_genome()->serialize());
 }
 
 TEST_F(CellFixture, ProfilerReceivesAllFourRoutines) {
@@ -194,7 +202,7 @@ TEST_F(CellFixture, ProfilerReceivesAllFourRoutines) {
   evolve::Grid grid(3, 3);
   common::Rng master(config.seed);
   CellTrainer cell(config, grid, 0, dataset, master.fork(0), profiled);
-  std::vector<std::vector<std::uint8_t>> inbox(grid.size());
+  std::vector<evolve::SharedGenome> inbox(grid.size());
   cell.step(inbox);
   EXPECT_TRUE(profiler.has(common::routine::kTrain));
   EXPECT_TRUE(profiler.has(common::routine::kUpdateGenomes));

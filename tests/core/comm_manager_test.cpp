@@ -2,50 +2,77 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "minimpi/runtime.hpp"
 
 namespace cellgan::core {
 namespace {
 
+// A genome whose generator weights spell `tag`, so a test can tell which
+// publication it was handed.
+evolve::SharedGenome genome(const std::vector<std::uint8_t>& tag) {
+  auto out = std::make_shared<evolve::CellGenome>();
+  for (const std::uint8_t value : tag) out->generator_params.push_back(value);
+  return out;
+}
+
+// The tag that genome() gave `g`; empty for a missing genome.
+std::vector<std::uint8_t> tag(const evolve::SharedGenome& g) {
+  std::vector<std::uint8_t> out;
+  if (g == nullptr) return out;
+  for (const float value : g->generator_params) {
+    out.push_back(static_cast<std::uint8_t>(value));
+  }
+  return out;
+}
+
+// Every cell of a `cells`-cell grid, for exchanges that read them all.
+std::vector<int> all_cells(int cells) {
+  std::vector<int> out(static_cast<std::size_t>(cells));
+  for (int cell = 0; cell < cells; ++cell) out[static_cast<std::size_t>(cell)] = cell;
+  return out;
+}
+
 TEST(GenomeStoreTest, PublishIsStagedUntilFlip) {
   GenomeStore store(3);
-  EXPECT_TRUE(store.latest(0).empty());
-  store.publish(1, {1, 2, 3});
+  EXPECT_TRUE(tag(store.latest(0)).empty());
+  store.publish(1, genome({1, 2, 3}));
   // Staged for the next epoch: invisible until the epoch barrier.
-  EXPECT_TRUE(store.latest(1).empty());
+  EXPECT_TRUE(tag(store.latest(1)).empty());
   store.flip();
-  EXPECT_EQ(store.latest(1), (std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_EQ(tag(store.latest(1)), (std::vector<std::uint8_t>{1, 2, 3}));
 }
 
 TEST(GenomeStoreTest, RepublishWithinEpochOverwritesStagedValue) {
   GenomeStore store(2);
-  store.publish(1, {1, 2, 3});
-  store.publish(1, {4});
+  store.publish(1, genome({1, 2, 3}));
+  store.publish(1, genome({4}));
   store.flip();
-  EXPECT_EQ(store.latest(1), (std::vector<std::uint8_t>{4}));
+  EXPECT_EQ(tag(store.latest(1)), (std::vector<std::uint8_t>{4}));
 }
 
 TEST(GenomeStoreTest, ReadersKeepPreviousEpochWhilePublishing) {
   // The double buffer: a publish must never clobber the version the current
   // epoch still reads.
   GenomeStore store(1);
-  store.publish(0, {1});
+  store.publish(0, genome({1}));
   store.flip();
-  store.publish(0, {2});
-  EXPECT_EQ(store.latest(0), (std::vector<std::uint8_t>{1}));
+  store.publish(0, genome({2}));
+  EXPECT_EQ(tag(store.latest(0)), (std::vector<std::uint8_t>{1}));
   store.flip();
-  EXPECT_EQ(store.latest(0), (std::vector<std::uint8_t>{2}));
+  EXPECT_EQ(tag(store.latest(0)), (std::vector<std::uint8_t>{2}));
 }
 
 TEST(GenomeStoreTest, NewestAvailableSurvivesSkippedEpochs) {
   // A cell that stops publishing stays visible at its newest version — the
   // cellular "newest available neighbor genome" rule.
   GenomeStore store(1);
-  store.publish(0, {7});
+  store.publish(0, genome({7}));
   store.flip();
   store.flip();
   store.flip();
-  EXPECT_EQ(store.latest(0), (std::vector<std::uint8_t>{7}));
+  EXPECT_EQ(tag(store.latest(0)), (std::vector<std::uint8_t>{7}));
 }
 
 TEST(GenomeStoreTest, EpochCounterAdvancesOnFlip) {
@@ -58,7 +85,7 @@ TEST(GenomeStoreTest, EpochCounterAdvancesOnFlip) {
 
 TEST(GenomeStoreDeathTest, OutOfRangeAborts) {
   GenomeStore store(2);
-  EXPECT_DEATH(store.publish(2, {}), "precondition");
+  EXPECT_DEATH(store.publish(2, genome({})), "precondition");
   EXPECT_DEATH((void)store.latest(-1), "precondition");
 }
 
@@ -68,18 +95,18 @@ TEST(LocalCommManagerTest, ReturnsNeighborsOnly) {
   ExecContext context;
   // Pre-publish everyone's genome and cross the epoch barrier.
   for (int cell = 0; cell < grid.size(); ++cell) {
-    store.publish(cell, {static_cast<std::uint8_t>(cell)});
+    store.publish(cell, genome({static_cast<std::uint8_t>(cell)}));
   }
   store.flip();
   LocalCommManager comm(store, grid, 4, context);
-  const auto gathered = comm.exchange({});
+  const auto gathered = comm.exchange(genome({}), grid.neighbors_of(4));
   ASSERT_EQ(gathered.size(), 9u);
   for (int cell = 0; cell < grid.size(); ++cell) {
     if (grid.is_neighbor(4, cell)) {
-      ASSERT_EQ(gathered[cell].size(), 1u) << "cell " << cell;
-      EXPECT_EQ(gathered[cell][0], static_cast<std::uint8_t>(cell));
+      ASSERT_EQ(tag(gathered[cell]).size(), 1u) << "cell " << cell;
+      EXPECT_EQ(tag(gathered[cell])[0], static_cast<std::uint8_t>(cell));
     } else {
-      EXPECT_TRUE(gathered[cell].empty()) << "cell " << cell;
+      EXPECT_TRUE(tag(gathered[cell]).empty()) << "cell " << cell;
     }
   }
 }
@@ -89,8 +116,8 @@ TEST(LocalCommManagerTest, ExchangePublishesOwnGenomeForNextEpoch) {
   GenomeStore store(grid.size());
   ExecContext context;
   LocalCommManager comm(store, grid, 0, context);
-  const std::vector<std::uint8_t> mine{7, 7};
-  (void)comm.exchange(mine);
+  const evolve::SharedGenome mine = genome({7, 7});
+  (void)comm.exchange(mine, grid.neighbors_of(0));
   store.flip();
   EXPECT_EQ(store.latest(0), mine);
 }
@@ -101,18 +128,18 @@ TEST(LocalCommManagerTest, CollectSeesPreviousEpochOnly) {
   ExecContext context;
   LocalCommManager a(store, grid, 0, context);
   LocalCommManager b(store, grid, 1, context);
-  a.publish(std::vector<std::uint8_t>{1});
+  a.publish(genome({1}));
   // Same epoch: b must not see a's publish yet, whatever the cell order.
-  EXPECT_TRUE(b.collect()[0].empty());
+  EXPECT_TRUE(tag(b.collect()[0]).empty());
   store.flip();
-  EXPECT_EQ(b.collect()[0], (std::vector<std::uint8_t>{1}));
+  EXPECT_EQ(tag(b.collect()[0]), (std::vector<std::uint8_t>{1}));
 }
 
 TEST(LocalCommManagerTest, ChargesGatherWhenCostModelEnabled) {
   evolve::Grid grid(3, 3);
   GenomeStore store(grid.size());
   for (int cell = 0; cell < grid.size(); ++cell) {
-    store.publish(cell, std::vector<std::uint8_t>(100, 1));
+    store.publish(cell, genome(std::vector<std::uint8_t>(100, 1)));
   }
   store.flip();
   WorkloadProbe probe;
@@ -131,7 +158,7 @@ TEST(LocalCommManagerTest, ChargesGatherWhenCostModelEnabled) {
   context.profiler = &profiler;
 
   LocalCommManager comm(store, grid, 0, context);
-  (void)comm.exchange(std::vector<std::uint8_t>(100, 2));
+  (void)comm.exchange(genome(std::vector<std::uint8_t>(100, 2)), grid.neighbors_of(0));
   EXPECT_GT(clock.now(), 0.0);
   EXPECT_GT(profiler.cost(common::routine::kGather).virtual_s, 0.0);
 }
@@ -141,12 +168,12 @@ TEST(MpiCommManagerTest, ExchangeMatchesAllgatherSemantics) {
   runtime.run([](minimpi::Comm& world) {
     MpiCommManager comm(world);
     EXPECT_EQ(comm.cell_id(), world.rank());
-    const std::vector<std::uint8_t> mine{static_cast<std::uint8_t>(world.rank())};
-    const auto gathered = comm.exchange(mine);
+    const auto mine = genome({static_cast<std::uint8_t>(world.rank())});
+    const auto gathered = comm.exchange(mine, all_cells(4));
     ASSERT_EQ(gathered.size(), 4u);
     for (int cell = 0; cell < 4; ++cell) {
-      ASSERT_EQ(gathered[cell].size(), 1u);
-      EXPECT_EQ(gathered[cell][0], static_cast<std::uint8_t>(cell));
+      ASSERT_EQ(tag(gathered[cell]).size(), 1u);
+      EXPECT_EQ(tag(gathered[cell])[0], static_cast<std::uint8_t>(cell));
     }
   });
 }
@@ -156,11 +183,10 @@ TEST(MpiCommManagerTest, RepeatedExchangesSeeLatestGenomes) {
   runtime.run([](minimpi::Comm& world) {
     MpiCommManager comm(world);
     for (std::uint8_t round = 0; round < 5; ++round) {
-      const std::vector<std::uint8_t> mine{
-          static_cast<std::uint8_t>(world.rank() * 10 + round)};
-      const auto gathered = comm.exchange(mine);
+      const auto mine = genome({static_cast<std::uint8_t>(world.rank() * 10 + round)});
+      const auto gathered = comm.exchange(mine, all_cells(3));
       for (int cell = 0; cell < 3; ++cell) {
-        ASSERT_EQ(gathered[cell][0],
+        ASSERT_EQ(tag(gathered[cell])[0],
                   static_cast<std::uint8_t>(cell * 10 + round));
       }
     }
@@ -174,19 +200,19 @@ TEST(AsyncMpiCommManagerTest, PublishedGenomesAreVisibleNextRound) {
     AsyncMpiCommManager comm(world, grid);
     // Round 0: everyone publishes (sends enqueue synchronously); the first
     // read may legitimately see nothing — it must not block either way.
-    const std::vector<std::uint8_t> mine{static_cast<std::uint8_t>(world.rank())};
-    (void)comm.exchange(mine);
+    const auto mine = genome({static_cast<std::uint8_t>(world.rank())});
+    (void)comm.exchange(mine, {});
     // Once every rank has demonstrably published...
     world.barrier();
     // ...the next exchange must deliver every neighbor's genome, and only
     // neighbors' (non-neighbor slots stay empty).
-    const auto gathered = comm.exchange(mine);
+    const auto gathered = comm.exchange(mine, {});
     for (int cell = 0; cell < 4; ++cell) {
       if (grid.is_neighbor(world.rank(), cell)) {
-        ASSERT_FALSE(gathered[cell].empty()) << "neighbor " << cell;
-        EXPECT_EQ(gathered[cell][0], static_cast<std::uint8_t>(cell));
+        ASSERT_FALSE(tag(gathered[cell]).empty()) << "neighbor " << cell;
+        EXPECT_EQ(tag(gathered[cell])[0], static_cast<std::uint8_t>(cell));
       } else {
-        EXPECT_TRUE(gathered[cell].empty()) << "cell " << cell;
+        EXPECT_TRUE(tag(gathered[cell]).empty()) << "cell " << cell;
       }
     }
   });
@@ -200,15 +226,15 @@ TEST(AsyncMpiCommManagerTest, NewestGenomeWins) {
     if (world.rank() == 0) {
       // Publish three generations before rank 1 reads anything.
       for (std::uint8_t version = 1; version <= 3; ++version) {
-        (void)comm.exchange(std::vector<std::uint8_t>{version});
+        (void)comm.exchange(genome({version}), {});
       }
       world.send_value<int>(1, 7, 1);  // signal: publications done
       (void)world.recv(1, 8);
     } else {
       (void)world.recv(0, 7);
-      const auto gathered = comm.exchange(std::vector<std::uint8_t>{9});
-      ASSERT_FALSE(gathered[0].empty());
-      EXPECT_EQ(gathered[0][0], 3);  // newest, older ones discarded
+      const auto gathered = comm.exchange(genome({9}), {});
+      ASSERT_FALSE(tag(gathered[0]).empty());
+      EXPECT_EQ(tag(gathered[0])[0], 3);  // newest, older ones discarded
       world.send_value<int>(0, 8, 1);
     }
   });
@@ -226,18 +252,18 @@ TEST(AsyncMpiCommManagerTest, VirtualTimeRespectsCausality) {
   runtime.run([&grid](minimpi::Comm& world) {
     AsyncMpiCommManager comm(world, grid);
     if (world.rank() == 0) {
-      (void)comm.exchange(std::vector<std::uint8_t>{42});
+      (void)comm.exchange(genome({42}), {});
       world.send_oob(1, 7, {});  // real-time signal, no virtual effect
       (void)world.recv(1, 8);
     } else {
       (void)world.recv(0, 7);
-      auto gathered = comm.exchange(std::vector<std::uint8_t>{1});
-      EXPECT_TRUE(gathered[0].empty()) << "message from the future was seen";
+      auto gathered = comm.exchange(genome({1}), {});
+      EXPECT_TRUE(tag(gathered[0]).empty()) << "message from the future was seen";
       // Advance past the arrival stamp: now it must be delivered.
       world.clock().advance(200.0);
-      gathered = comm.exchange(std::vector<std::uint8_t>{2});
-      ASSERT_FALSE(gathered[0].empty());
-      EXPECT_EQ(gathered[0][0], 42);
+      gathered = comm.exchange(genome({2}), {});
+      ASSERT_FALSE(tag(gathered[0]).empty());
+      EXPECT_EQ(tag(gathered[0])[0], 42);
       world.send_oob(0, 8, {});
     }
   });

@@ -33,7 +33,7 @@ struct Fixture : public ::testing::Test {
 TEST_F(Fixture, DietingCellTrainsNormally) {
   config.data_dieting_fraction = 0.25;
   CellTrainer cell = make_cell();
-  std::vector<std::vector<std::uint8_t>> inbox(grid.size());
+  std::vector<evolve::SharedGenome> inbox(grid.size());
   for (int i = 0; i < 4; ++i) cell.step(inbox);
   EXPECT_TRUE(std::isfinite(cell.g_fitness()));
   EXPECT_EQ(cell.iteration(), 4u);
@@ -43,10 +43,10 @@ TEST_F(Fixture, DietingIsDeterministicPerCell) {
   config.data_dieting_fraction = 0.5;
   CellTrainer a = make_cell(0);
   CellTrainer b = make_cell(0);
-  std::vector<std::vector<std::uint8_t>> inbox(grid.size());
+  std::vector<evolve::SharedGenome> inbox(grid.size());
   a.step(inbox);
   b.step(inbox);
-  EXPECT_EQ(a.export_genome(), b.export_genome());
+  EXPECT_EQ(a.export_genome()->serialize(), b.export_genome()->serialize());
 }
 
 TEST_F(Fixture, DifferentCellsGetDifferentDiets) {
@@ -56,16 +56,16 @@ TEST_F(Fixture, DifferentCellsGetDifferentDiets) {
   config.data_dieting_fraction = 0.3;
   CellTrainer a = make_cell(0);
   CellTrainer b = make_cell(1);
-  std::vector<std::vector<std::uint8_t>> inbox(grid.size());
+  std::vector<evolve::SharedGenome> inbox(grid.size());
   a.step(inbox);
   b.step(inbox);
-  EXPECT_NE(a.export_genome(), b.export_genome());
+  EXPECT_NE(a.export_genome()->serialize(), b.export_genome()->serialize());
 }
 
 TEST_F(Fixture, TinyFractionClampsToBatchSize) {
   config.data_dieting_fraction = 1e-6;  // would be < one batch
   CellTrainer cell = make_cell();
-  std::vector<std::vector<std::uint8_t>> inbox(grid.size());
+  std::vector<evolve::SharedGenome> inbox(grid.size());
   cell.step(inbox);  // must not abort in the data loader
   EXPECT_TRUE(std::isfinite(cell.g_fitness()));
 }
@@ -82,7 +82,7 @@ TEST_F(Fixture, FixedLossModesStayFixed) {
         std::pair{LossMode::kLeastSquares, GanLossKind::kLeastSquares}}) {
     config.loss_mode = mode;
     CellTrainer cell = make_cell();
-    std::vector<std::vector<std::uint8_t>> inbox(grid.size());
+    std::vector<evolve::SharedGenome> inbox(grid.size());
     for (int i = 0; i < 3; ++i) {
       cell.step(inbox);
       EXPECT_EQ(cell.current_loss(), kind) << to_string(mode);
@@ -93,7 +93,7 @@ TEST_F(Fixture, FixedLossModesStayFixed) {
 TEST_F(Fixture, MustangsModeDrawsMultipleObjectives) {
   config.loss_mode = LossMode::kMustangs;
   CellTrainer cell = make_cell();
-  std::vector<std::vector<std::uint8_t>> inbox(grid.size());
+  std::vector<evolve::SharedGenome> inbox(grid.size());
   std::set<GanLossKind> seen;
   for (int i = 0; i < 24; ++i) {
     cell.step(inbox);
@@ -107,7 +107,7 @@ TEST_F(Fixture, MustangsTrainingStaysFinite) {
   config.loss_mode = LossMode::kMustangs;
   config.batches_per_iteration = 2;
   CellTrainer cell = make_cell();
-  std::vector<std::vector<std::uint8_t>> inbox(grid.size());
+  std::vector<evolve::SharedGenome> inbox(grid.size());
   for (int i = 0; i < 8; ++i) {
     cell.step(inbox);
     ASSERT_TRUE(std::isfinite(cell.g_fitness())) << "iteration " << i;

@@ -4,6 +4,7 @@
 // under arbitrary interleavings (run under the asan preset on every push).
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -14,11 +15,13 @@
 namespace cellgan::core {
 namespace {
 
-// Payload for `cell` at `version`: fixed length, every byte identical, so a
-// reader can detect torn or mixed-version values.
-std::vector<std::uint8_t> payload(int cell, std::uint32_t version) {
-  const auto fill = static_cast<std::uint8_t>((cell * 31 + version * 7) & 0xff);
-  return std::vector<std::uint8_t>(64, fill);
+// Genome for `cell` at `version`: 64 generator weights, every one identical,
+// so a reader can detect torn or mixed-version values.
+evolve::SharedGenome payload(int cell, std::uint32_t version) {
+  auto genome = std::make_shared<evolve::CellGenome>();
+  genome->generator_params.assign(
+      64, static_cast<float>((cell * 31 + version * 7) & 0xff));
+  return genome;
 }
 
 TEST(GenomeStoreConcurrencyTest, PublishAndLatestFromManyThreads) {
@@ -34,14 +37,14 @@ TEST(GenomeStoreConcurrencyTest, PublishAndLatestFromManyThreads) {
     for (std::uint32_t round = 0; round < kRounds; ++round) {
       store.publish(cell, payload(cell, round));
       for (int other = 0; other < kCells; ++other) {
-        const std::vector<std::uint8_t> seen = store.latest(other);
-        if (seen.empty()) continue;
-        if (seen.size() != 64) {
+        const evolve::SharedGenome seen = store.latest(other);
+        if (seen == nullptr) continue;
+        if (seen->generator_params.size() != 64) {
           failed = true;
           return;
         }
-        for (const std::uint8_t byte : seen) {
-          if (byte != seen[0]) {  // mixed versions => torn read
+        for (const float value : seen->generator_params) {
+          if (value != seen->generator_params[0]) {  // mixed versions => torn read
             failed = true;
             return;
           }
@@ -76,7 +79,7 @@ TEST(GenomeStoreConcurrencyTest, EpochStagingHoldsUnderContention) {
   GenomeStore store(1);
   store.publish(0, payload(0, 0));
   store.flip();
-  const std::vector<std::uint8_t> visible = store.latest(0);
+  const evolve::SharedGenome visible = store.latest(0);
 
   std::vector<std::thread> writers;
   std::atomic<bool> leaked{false};

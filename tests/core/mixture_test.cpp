@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "nn/gan_models.hpp"
@@ -117,8 +118,9 @@ TEST(SampleMixtureTest, ProducesRequestedCount) {
   nn::Sequential g1 = nn::make_generator(arch, rng);
   nn::Sequential g2 = nn::make_generator(arch, rng);
   evolve::MixtureWeights w(2);
+  const std::vector<evolve::MixtureMember> members{{&g1, {}}, {&g2, {}}};
   const tensor::Tensor samples =
-      evolve::sample_mixture(w, {&g1, &g2}, arch.latent_dim, 17, rng);
+      evolve::sample_mixture(w, members, arch.latent_dim, 17, rng).images;
   EXPECT_EQ(samples.rows(), 17u);
   EXPECT_EQ(samples.cols(), arch.image_dim);
   for (const float v : samples.data()) {
@@ -136,8 +138,9 @@ TEST(SampleMixtureTest, DegenerateWeightUsesOnlyThatGenerator) {
   w.set_weights({1.0, 0.0});
   // Same RNG state twice: mixture output must equal g1's direct output.
   common::Rng rng_a(99), rng_b(99);
+  const std::vector<evolve::MixtureMember> members{{&g1, {}}, {&g2, {}}};
   const tensor::Tensor via_mixture =
-      evolve::sample_mixture(w, {&g1, &g2}, arch.latent_dim, 5, rng_a);
+      evolve::sample_mixture(w, members, arch.latent_dim, 5, rng_a).images;
   // Reproduce: sample_index consumes one uniform per sample.
   for (int i = 0; i < 5; ++i) (void)rng_b.uniform();
   const tensor::Tensor z = tensor::Tensor::randn(5, arch.latent_dim, rng_b);
@@ -148,4 +151,36 @@ TEST(SampleMixtureTest, DegenerateWeightUsesOnlyThatGenerator) {
 }
 
 }  // namespace
+TEST(SampleMixtureTest, ByMemberRowsAreTheDrawnRowsGroupedWithTheirLabels) {
+  common::Rng rng(9);
+  const nn::GanArch arch = nn::GanArch::tiny();
+  constexpr std::size_t kClasses = 10;
+  nn::Sequential g1 = nn::make_generator(arch, rng, kClasses);
+  const std::vector<float> g2_params =
+      nn::make_generator(arch, rng, kClasses).flatten_parameters();
+  nn::Sequential borrowed = nn::borrowing_generator(arch, kClasses);
+  const std::vector<evolve::MixtureMember> members{{&g1, {}}, {&borrowed, g2_params}};
+  const evolve::MixtureWeights w(2);
+  common::Rng plan_rng(5), drawn_rng(5), grouped_rng(5);
+  const evolve::MixtureDraw plan =
+      evolve::plan_mixture_draw(w, 2, arch.latent_dim, 11, plan_rng, kClasses);
+  const evolve::MixtureSample drawn = evolve::sample_mixture(
+      w, members, arch.latent_dim, 11, drawn_rng, kClasses, evolve::MixtureRows::kDrawn);
+  const evolve::MixtureSample grouped =
+      evolve::sample_mixture(w, members, arch.latent_dim, 11, grouped_rng, kClasses,
+                             evolve::MixtureRows::kByMember);
+  ASSERT_EQ(grouped.labels.size(), 11u);
+  std::size_t row = 0;
+  for (std::size_t g = 0; g < 2; ++g) {
+    for (const std::size_t drawn_row : plan.rows_of[g]) {
+      const auto a = drawn.images.row_span(drawn_row);
+      const auto b = grouped.images.row_span(row);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << "row " << row;
+      EXPECT_EQ(drawn.labels[drawn_row], grouped.labels[row]) << "row " << row;
+      ++row;
+    }
+  }
+  EXPECT_EQ(row, 11u);
+}
+
 }  // namespace cellgan::core

@@ -8,7 +8,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <optional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -35,9 +35,9 @@ class FakeHost final : public ExchangeHost {
   double d_fitness() const override { return d_fitness_; }
   std::size_t subpop_slots() const override { return subpop_.size(); }
   const CellGenome* subpop_genome(std::size_t slot) const override {
-    return subpop_[slot].has_value() ? &*subpop_[slot] : nullptr;
+    return subpop_[slot].get();
   }
-  void install_subpop(std::size_t slot, CellGenome genome) override {
+  void install_subpop(std::size_t slot, SharedGenome genome) override {
     subpop_[slot] = std::move(genome);
   }
   void adopt_generator(const CellGenome& genome) override {
@@ -57,7 +57,7 @@ class FakeHost final : public ExchangeHost {
   int cell_;
   double g_fitness_;
   double d_fitness_;
-  std::vector<std::optional<CellGenome>> subpop_;
+  std::vector<SharedGenome> subpop_;
 };
 
 CellGenome make_genome(int origin, double g_fitness, double d_fitness) {
@@ -73,12 +73,11 @@ CellGenome make_genome(int origin, double g_fitness, double d_fitness) {
 }
 
 /// gathered[] sized for `grid` with the given (cell, genome) entries filled.
-std::vector<std::vector<std::uint8_t>> gather(
-    const Grid& grid, const std::vector<std::pair<int, CellGenome>>& entries) {
-  std::vector<std::vector<std::uint8_t>> gathered(
-      static_cast<std::size_t>(grid.size()));
+std::vector<SharedGenome> gather(const Grid& grid,
+                                 const std::vector<std::pair<int, CellGenome>>& entries) {
+  std::vector<SharedGenome> gathered(static_cast<std::size_t>(grid.size()));
   for (const auto& [cell, genome] : entries) {
-    gathered[static_cast<std::size_t>(cell)] = genome.serialize();
+    gathered[static_cast<std::size_t>(cell)] = std::make_shared<const CellGenome>(genome);
   }
   return gathered;
 }

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "core/checkpoint_sampler.hpp"
 #include "core/workload.hpp"
 #include "data/pgm.hpp"
 #include "metrics/fid.hpp"
@@ -28,7 +29,7 @@ TEST(EndToEndTest, TrainSampleEvaluate) {
 
   // Sample from the winning mixture.
   const tensor::Tensor samples =
-      trainer.cell(outcome.best_cell).sample_from_mixture(100);
+      CheckpointMixture(trainer.checkpoint(), outcome.best_cell).sample(100, config.seed);
   ASSERT_EQ(samples.rows(), 100u);
   ASSERT_EQ(samples.cols(), config.arch.image_dim);
 
@@ -102,7 +103,7 @@ TEST(EndToEndTest, SampleSheetIsWritable) {
   const auto dataset = make_matched_dataset(config, 40, 24);
   auto trainer = testsupport::sequential_trainer(config, dataset);
   (void)trainer.run();
-  const tensor::Tensor samples = trainer.cell(0).sample_from_mixture(4);
+  const tensor::Tensor samples = CheckpointMixture(trainer.checkpoint(), 0).sample(4, 1);
   const testsupport::TempDir tmp{"cellgan_e2e"};
   EXPECT_TRUE(data::write_pgm_grid(tmp.file("e2e_samples.pgm").string(), samples.data(), 4, 2));
 }

@@ -4,7 +4,10 @@
 //    `what` selects, and touches nothing else;
 //  * forward(input, Cache::kNone) returns the bits of a caching forward;
 //  * a backward after a cache-less forward dies, even when an older caching
-//    forward left a cache of the same shape behind.
+//    forward left a cache of the same shape behind;
+//  * a network of borrowed layers bound to another's flat parameters gives
+//    its forwards and input gradients bit for bit, and refuses to compute or
+//    expose parameter gradients.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -17,8 +20,10 @@
 
 #include "common/rng.hpp"
 #include "nn/activations.hpp"
+#include "nn/gan_models.hpp"
 #include "nn/init.hpp"
 #include "nn/linear.hpp"
+#include "nn/optimizer.hpp"
 #include "nn/sequential.hpp"
 #include "testsupport/kind_guard.hpp"
 
@@ -139,6 +144,80 @@ TEST(LayerPassesDeathTest, BackwardAfterCachelessForwardDies) {
       }
     }
   }
+}
+
+TEST(BoundNetwork, RunsAnOwnedNetworksParametersBitForBit) {
+  for (const tensor::KernelKind kind : testsupport::kAllKernelKinds) {
+    KindGuard guard(kind);
+    const std::string label = tensor::to_string(kind);
+    common::Rng rng(10);
+    const GanArch arch = GanArch::tiny();
+    Sequential owned = make_discriminator(arch, rng, /*label_dims=*/3);
+    const std::vector<float> flat = owned.flatten_parameters();
+    Sequential bound = borrowing_discriminator(arch, 3);
+    bound.bind(flat);
+    const Tensor x = Tensor::randn(kBatch, arch.image_dim + 3, rng);
+    const Tensor dy = Tensor::randn(kBatch, 1, rng);
+
+    EXPECT_EQ(bits(owned.forward(x, Cache::kNone).data()),
+              bits(bound.forward(x, Cache::kNone).data()))
+        << label;
+    EXPECT_EQ(bits(owned.forward(x).data()), bits(bound.forward(x).data())) << label;
+    EXPECT_EQ(bits(owned.backward(dy, Grads::kInput).data()),
+              bits(bound.backward(dy, Grads::kInput).data()))
+        << label;
+  }
+}
+
+TEST(BoundNetwork, RebindingSwitchesParameters) {
+  common::Rng rng(11);
+  const GanArch arch = GanArch::tiny();
+  Sequential first = make_generator(arch, rng);
+  Sequential second = make_generator(arch, rng);
+  const std::vector<float> first_flat = first.flatten_parameters();
+  const std::vector<float> second_flat = second.flatten_parameters();
+  Sequential bound = borrowing_generator(arch);
+  const Tensor z = Tensor::randn(kBatch, arch.latent_dim, rng);
+  bound.bind(first_flat);
+  EXPECT_EQ(bits(first.forward(z, Cache::kNone).data()),
+            bits(bound.forward(z, Cache::kNone).data()));
+  bound.bind(second_flat);
+  EXPECT_EQ(bits(second.forward(z, Cache::kNone).data()),
+            bits(bound.forward(z, Cache::kNone).data()));
+}
+
+TEST(BoundNetworkDeathTest, ParameterWorkOnABoundNetworkDies) {
+  common::Rng rng(12);
+  const GanArch arch = GanArch::tiny();
+  Sequential owned = make_generator(arch, rng);
+  const std::vector<float> flat = owned.flatten_parameters();
+  Sequential bound = borrowing_generator(arch);
+  bound.bind(flat);
+  const Tensor z = Tensor::randn(kBatch, arch.latent_dim, rng);
+  const Tensor dy = Tensor::randn(kBatch, arch.image_dim, rng);
+  for (const Grads what : {Grads::kAll, Grads::kParams}) {
+    (void)bound.forward(z);
+    EXPECT_DEATH((void)bound.backward(dy, what), "precondition");
+  }
+  Adam adam(1e-3);
+  EXPECT_DEATH(adam.step(bound), "precondition");
+  EXPECT_DEATH((void)bound.parameters(), "precondition");
+}
+
+TEST(BoundNetworkDeathTest, BindingNeedsBorrowedLayersAndTheWholeSpan) {
+  common::Rng rng(13);
+  const GanArch arch = GanArch::tiny();
+  Sequential owned = make_generator(arch, rng);
+  const std::vector<float> flat = owned.flatten_parameters();
+  EXPECT_DEATH((void)owned.bind(flat), "precondition");
+  Sequential bound = borrowing_generator(arch);
+  const std::span<const float> all(flat);
+  EXPECT_DEATH((void)bound.bind(all.first(flat.size() - 1)), "precondition");
+  const std::vector<float> longer(flat.size() + 1, 0.0f);
+  EXPECT_DEATH((void)bound.bind(longer), "precondition");
+  Sequential unbound = borrowing_generator(arch);
+  EXPECT_DEATH((void)unbound.forward(Tensor::randn(kBatch, arch.latent_dim, rng)),
+               "precondition");
 }
 
 }  // namespace
