@@ -131,6 +131,12 @@ RunResult distributed_run_result(Backend kind, DistributedOutcome outcome) {
   return result;
 }
 
+/// Side of the square images an IDX-fed architecture of `config` reads.
+std::size_t idx_side(const TrainingConfig& config) {
+  return static_cast<std::size_t>(
+      std::lround(std::sqrt(static_cast<double>(config.arch.image_dim))));
+}
+
 }  // namespace
 
 // --- Session ----------------------------------------------------------------
@@ -190,16 +196,14 @@ bool Session::prepare() {
     claim_slot(spec_.observers.eval_every);
   }
 
-  // 1. Resolve the dataset (unless the caller supplied resolved ones).
+  // 1. Resolve the training set (unless the caller supplied resolved ones).
+  // The test split waits for its first reader (test_set()).
   const auto& config = spec_.config;
   if (external_train_ != nullptr) {
     // nothing to do
   } else if (spec_.dataset.kind == DatasetSpec::Kind::kSynthetic) {
     train_set_ = make_matched_dataset(config, spec_.dataset.samples,
                                       spec_.dataset.seed);
-    test_set_ = make_matched_dataset(
-        config, std::max<std::size_t>(1, spec_.dataset.samples / 6),
-        spec_.dataset.seed + 1);
   } else {
     if (config.arch.image_dim > data::kImageDim) {
       error_ = "IDX MNIST provides " + std::to_string(data::kImageDim) +
@@ -208,20 +212,19 @@ bool Session::prepare() {
                "; use a synthetic dataset for larger resolutions";
       return false;
     }
-    auto loaded = data::load_mnist_idx(spec_.dataset.idx_dir, &error_);
+    if (!data::mnist_idx_present(spec_.dataset.idx_dir, &error_)) return false;
+    auto loaded =
+        data::load_mnist_split(spec_.dataset.idx_dir, data::MnistSplit::kTrain, &error_);
     if (!loaded) return false;
-    train_set_ = std::move(loaded->first);
-    test_set_ = std::move(loaded->second);
+    train_set_ = std::move(*loaded);
     if (config.arch.image_dim != data::kImageDim) {
-      const auto side = static_cast<std::size_t>(std::lround(
-          std::sqrt(static_cast<double>(config.arch.image_dim))));
+      const std::size_t side = idx_side(config);
       if (side * side != config.arch.image_dim) {
         error_ = "architecture image_dim " + std::to_string(config.arch.image_dim) +
                  " is not square; cannot downsample IDX images to it";
         return false;
       }
       train_set_ = data::downsampled(train_set_, side);
-      test_set_ = data::downsampled(test_set_, side);
     } else {
       // Full-resolution IDX training data: bind the mmap-backed store so
       // store-plane feeds stage from the mapped bytes instead of a second
@@ -236,6 +239,14 @@ bool Session::prepare() {
       }
     }
   }
+  const data::Dataset& train =
+      external_train_ != nullptr ? *external_train_ : train_set_;
+  if (train.size() < config.batch_size) {
+    error_ = "the training set has " + std::to_string(train.size()) +
+             " samples, fewer than one batch (batch_size " +
+             std::to_string(config.batch_size) + ")";
+    return false;
+  }
 
   // 2. Resolve the cost model: explicit override, else the spec's profile
   // calibrated against this exact configuration (targets normalized to the
@@ -245,8 +256,6 @@ bool Session::prepare() {
   } else if (spec_.cost_profile == CostProfileKind::kNone) {
     cost_model_ = CostModel{};
   } else {
-    const data::Dataset& train =
-        external_train_ != nullptr ? *external_train_ : train_set_;
     const WorkloadProbe probe = TrainerCore::measure_workload(config, train);
     CostProfile profile = spec_.cost_profile == CostProfileKind::kTable3
                               ? CostProfile::table3()
@@ -394,9 +403,23 @@ const data::Dataset& Session::train_set() const {
   return external_train_ != nullptr ? *external_train_ : train_set_;
 }
 
-const data::Dataset& Session::test_set() const {
+const data::Dataset& Session::test_set() {
   CG_EXPECT(prepared_);
-  return external_test_ != nullptr ? *external_test_ : test_set_;
+  if (external_test_ != nullptr) return *external_test_;
+  if (test_set_.has_value()) return *test_set_;
+  const auto& config = spec_.config;
+  if (spec_.dataset.kind == DatasetSpec::Kind::kSynthetic) {
+    test_set_ = make_matched_dataset(
+        config, std::max<std::size_t>(1, spec_.dataset.samples / 6), spec_.dataset.seed + 1);
+    return *test_set_;
+  }
+  std::string error;
+  auto loaded = data::load_mnist_split(spec_.dataset.idx_dir, data::MnistSplit::kTest, &error);
+  if (!loaded) throw std::runtime_error(error);
+  test_set_ = config.arch.image_dim == data::kImageDim
+                  ? std::move(*loaded)
+                  : data::downsampled(*loaded, idx_side(config));
+  return *test_set_;
 }
 
 const CostModel& Session::cost_model() const {

@@ -113,9 +113,12 @@ class Session {
   /// Writes spec.result_json when set.
   RunResult run();
 
-  /// Resolved datasets; valid after a successful prepare().
+  /// Resolved datasets; valid after a successful prepare(). The test split
+  /// is made or loaded (and downsampled) on the first test_set() call, since
+  /// only evaluators read it; an unreadable test pair throws
+  /// std::runtime_error there (prepare() already checked that it exists).
   const data::Dataset& train_set() const;
-  const data::Dataset& test_set() const;
+  const data::Dataset& test_set();
 
   /// The resolved cost model; valid after a successful prepare(). Lets a
   /// benchmark calibrate once and share the model across sessions via
@@ -164,7 +167,7 @@ class Session {
   bool prepared_ = false;
   std::string error_;
   data::Dataset train_set_;
-  data::Dataset test_set_;
+  std::optional<data::Dataset> test_set_;  ///< resolved by test_set()
   /// mmap-backed SampleStore bound to train_set_ when the spec resolved full-
   /// resolution IDX files: keeps the binding (and the mapping) alive so store-
   /// plane feeds stage straight from the kernel page cache.

@@ -72,8 +72,7 @@ bool file_exists(const std::string& path) { return std::ifstream(path).good(); }
 
 }  // namespace
 
-std::optional<std::pair<Dataset, Dataset>> load_mnist_idx(const std::string& dir,
-                                                          std::string* error) {
+bool mnist_idx_present(const std::string& dir, std::string* error) {
   const char* names[] = {"train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                          "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"};
   std::string missing;
@@ -83,32 +82,40 @@ std::optional<std::pair<Dataset, Dataset>> load_mnist_idx(const std::string& dir
       missing += name;
     }
   }
-  if (!missing.empty()) {
-    if (error != nullptr) {
-      *error = "MNIST IDX files missing under '" + dir + "': " + missing;
-    }
-    return std::nullopt;
+  if (missing.empty()) return true;
+  if (error != nullptr) {
+    *error = "MNIST IDX files missing under '" + dir + "': " + missing;
   }
-  Dataset train, test;
-  if (!load_idx_pair(dir + "/train-images-idx3-ubyte",
-                     dir + "/train-labels-idx1-ubyte", train)) {
-    if (error != nullptr) {
-      *error = "MNIST IDX train pair under '" + dir +
-               "' is unreadable or has an unexpected shape (want " +
-               std::to_string(kImageSide) + "x" + std::to_string(kImageSide) +
-               " images with matching label count)";
-    }
-    return std::nullopt;
+  return false;
+}
+
+std::optional<Dataset> load_mnist_split(const std::string& dir, MnistSplit split,
+                                        std::string* error) {
+  const bool train = split == MnistSplit::kTrain;
+  const std::string prefix = dir + (train ? "/train" : "/t10k");
+  Dataset out;
+  if (load_idx_pair(prefix + "-images-idx3-ubyte", prefix + "-labels-idx1-ubyte", out)) {
+    return out;
   }
-  if (!load_idx_pair(dir + "/t10k-images-idx3-ubyte",
-                     dir + "/t10k-labels-idx1-ubyte", test)) {
-    if (error != nullptr) {
-      *error = "MNIST IDX test pair under '" + dir +
-               "' is unreadable or has an unexpected shape";
-    }
-    return std::nullopt;
+  if (error != nullptr) {
+    *error = train ? "MNIST IDX train pair under '" + dir +
+                         "' is unreadable or has an unexpected shape (want " +
+                         std::to_string(kImageSide) + "x" + std::to_string(kImageSide) +
+                         " images with matching label count)"
+                   : "MNIST IDX test pair under '" + dir +
+                         "' is unreadable or has an unexpected shape";
   }
-  return std::make_pair(std::move(train), std::move(test));
+  return std::nullopt;
+}
+
+std::optional<std::pair<Dataset, Dataset>> load_mnist_idx(const std::string& dir,
+                                                          std::string* error) {
+  if (!mnist_idx_present(dir, error)) return std::nullopt;
+  auto train = load_mnist_split(dir, MnistSplit::kTrain, error);
+  if (!train) return std::nullopt;
+  auto test = load_mnist_split(dir, MnistSplit::kTest, error);
+  if (!test) return std::nullopt;
+  return std::make_pair(std::move(*train), std::move(*test));
 }
 
 Dataset downsampled(const Dataset& dataset, std::size_t new_side) {

@@ -44,6 +44,18 @@ struct Dataset {
 std::optional<std::pair<Dataset, Dataset>> load_mnist_idx(const std::string& dir,
                                                           std::string* error = nullptr);
 
+/// True when all four MNIST IDX files exist under `dir`; otherwise false
+/// with `error` naming the missing ones.
+bool mnist_idx_present(const std::string& dir, std::string* error = nullptr);
+
+enum class MnistSplit { kTrain, kTest };
+
+/// Load one split's image/label pair from `dir` (the half of load_mnist_idx
+/// a caller needs now); nullopt with `error` set when it is unreadable or
+/// misshapen.
+std::optional<Dataset> load_mnist_split(const std::string& dir, MnistSplit split,
+                                        std::string* error = nullptr);
+
 /// Area-average the square images of a dataset down to new_side x new_side
 /// (used to feed reduced architectures in tests and wall-clock benchmarks).
 Dataset downsampled(const Dataset& dataset, std::size_t new_side);

@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/parallel_trainer.hpp"
 #include "core/workload.hpp"
@@ -224,6 +228,64 @@ TEST(SessionTest, MissingIdxFilesGiveClearError) {
   EXPECT_NE(session.error().find(dir.path().string()), std::string::npos);
   // prepare() stays failed (no half-initialized state).
   EXPECT_FALSE(session.prepare());
+}
+
+/// Write one 28x28 IDX image/label pair into `dir`: `images` uniform-gray
+/// images and `labels` labels (a count mismatch makes the pair malformed).
+void write_idx_pair(const testsupport::TempDir& dir, const std::string& prefix,
+                    std::uint32_t images, std::size_t labels) {
+  data::IdxImages pixels;
+  pixels.count = images;
+  pixels.rows = pixels.cols = 28;
+  pixels.pixels.assign(images * 28 * 28, 128);
+  ASSERT_TRUE(
+      data::write_idx_images(dir.file(prefix + "-images-idx3-ubyte").string(), pixels));
+  ASSERT_TRUE(data::write_idx_labels(dir.file(prefix + "-labels-idx1-ubyte").string(),
+                                     std::vector<std::uint8_t>(labels, 3)));
+}
+
+TEST(SessionTest, TestSplitLoadsOnFirstUse) {
+  testsupport::TempDir dir("session_idx_lazy");
+  write_idx_pair(dir, "train", 32, 32);
+  write_idx_pair(dir, "t10k", 8, 7);  // one label short: unreadable
+  RunSpec spec = small_spec(Backend::kSequential, 2, 1);
+  spec.dataset.kind = DatasetSpec::Kind::kIdx;
+  spec.dataset.idx_dir = dir.path().string();
+  Session session(spec);
+  ASSERT_TRUE(session.prepare()) << session.error();
+  EXPECT_EQ(session.train_set().size(), 32u);
+  try {
+    (void)session.test_set();
+    ADD_FAILURE() << "a malformed test pair loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("test pair"), std::string::npos) << e.what();
+  }
+
+  // A missing test file is still a prepare-time error.
+  std::filesystem::remove(dir.file("t10k-labels-idx1-ubyte"));
+  Session missing(spec);
+  EXPECT_FALSE(missing.prepare());
+  EXPECT_NE(missing.error().find("t10k-labels-idx1-ubyte"), std::string::npos)
+      << missing.error();
+}
+
+TEST(SessionTest, TrainingSetSmallerThanOneBatchIsNamed) {
+  RunSpec spec = small_spec(Backend::kSequential, 2, 1);
+  spec.dataset.samples = spec.config.batch_size / 2;
+  Session synthetic(spec);
+  EXPECT_FALSE(synthetic.prepare());
+  EXPECT_NE(synthetic.error().find("fewer than one batch"), std::string::npos)
+      << synthetic.error();
+
+  // A short IDX training file reads the same way.
+  testsupport::TempDir dir("session_idx_short");
+  write_idx_pair(dir, "train", 4, 4);
+  write_idx_pair(dir, "t10k", 4, 4);
+  spec.dataset.kind = DatasetSpec::Kind::kIdx;
+  spec.dataset.idx_dir = dir.path().string();
+  Session idx(spec);
+  EXPECT_FALSE(idx.prepare());
+  EXPECT_NE(idx.error().find("fewer than one batch"), std::string::npos) << idx.error();
 }
 
 TEST(SessionTest, IdxRefusesUpscaling) {
