@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "testsupport/temp_dir.hpp"
@@ -437,6 +438,34 @@ TEST(RunSpecTest, FromTextRejectsMalformedInput) {
     EXPECT_FALSE(RunSpec::from_text(text, &error).has_value()) << key;
     EXPECT_NE(error.find(key), std::string::npos) << error;
   }
+}
+
+TEST(RunSpecTest, SpecOnlyValuesOutsideTheirBoundsAreRejected) {
+  // Each of these aborted a run or trained without complaint before its row
+  // had a bound.
+  const std::pair<const char*, const char*> rows[] = {
+      {"initial_learning_rate", "-1"},  {"initial_learning_rate", "0"},
+      {"image_dim", "10"},              {"image_dim", "0"},
+      {"image_dim", "9"},               {"lr_mutation_probability", "7"},
+      {"lr_mutation_probability", "-0.5"}, {"latent_dim", "0"},
+      {"hidden_dim", "0"},              {"hidden_layers", "0"},
+  };
+  for (const auto& [key, value] : rows) {
+    SCOPED_TRACE(std::string(key) + " " + value);
+    const std::string text = std::string("{\"config\": {\"") + key + "\": " + value + "}}";
+    std::string error;
+    EXPECT_FALSE(RunSpec::from_text(text, &error).has_value());
+    EXPECT_NE(error.find(key), std::string::npos) << error;
+  }
+  // The bounds admit the values every shipped configuration uses.
+  const std::string text =
+      R"({"config": {"image_dim": 64, "initial_learning_rate": 0.0002,)"
+      R"( "lr_mutation_probability": 1, "hidden_layers": 1}})";
+  std::string error;
+  const auto spec = RunSpec::from_text(text, &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  EXPECT_EQ(spec->config.arch.image_dim, 64u);
+  EXPECT_EQ(spec->config.arch.hidden_layers, 1u);
 }
 
 TEST(RunSpecTest, EarlierSpecFilesStillLoad) {
