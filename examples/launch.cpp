@@ -32,6 +32,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -55,10 +56,20 @@ struct LaunchFaults {
 
 /// Child body: become one rank of the world and run it through the Session
 /// facade, exactly as a hand-started `cellgan_run --backend distributed-tcp`
-/// would. Returns the process exit code.
+/// would. `rendezvous_fd` is the launcher's listener on `endpoint` (-1 when
+/// the user named the endpoint): rank 0 listens on it, the others close it.
+/// Returns the process exit code.
 int run_rank(core::RunSpec spec, int rank, int world_size,
-             const std::string& endpoint, const std::string& results_prefix,
-             const LaunchFaults& faults, bool doomed) {
+             const std::string& endpoint, int rendezvous_fd,
+             const std::string& results_prefix, const LaunchFaults& faults,
+             bool doomed) {
+  if (rendezvous_fd >= 0) {
+    if (rank == 0) {
+      minimpi::adopt_rendezvous_listener(rendezvous_fd);
+    } else {
+      ::close(rendezvous_fd);
+    }
+  }
   ::setenv(minimpi::kEnvRank, std::to_string(rank).c_str(), 1);
   ::setenv(minimpi::kEnvWorld, std::to_string(world_size).c_str(), 1);
   ::setenv(minimpi::kEnvEndpoint, endpoint.c_str(), 1);
@@ -163,8 +174,8 @@ int main(int argc, char** argv) {
   cli.add_flag("grid-rows", "0", "grid rows (0 = keep --grid / spec value)");
   cli.add_flag("grid-cols", "0", "grid cols (0 = keep --grid / spec value)");
   cli.add_flag("world", "0", "expected world size (0 = grid cells + 1)");
-  cli.add_flag("endpoint", "", "rank 0 rendezvous host:port (default: pick a"
-               " free loopback port)");
+  cli.add_flag("endpoint", "", "rank 0 rendezvous host:port (default: a free"
+               " loopback port this launcher holds until rank 0 listens)");
   cli.add_flag("rank-results", "cellgan_launch",
                "per-rank RunResult JSON prefix (<prefix>.rank<R>.json)");
   cli.add_flag("verify-parity", "false",
@@ -177,38 +188,58 @@ int main(int argc, char** argv) {
                " launch)");
   cli.add_flag("max-restarts", "3",
                "generation restarts / respawns before the launch fails");
-  cli.add_flag("kill-rank", "-1",
+  cli.add_flag("kill-rank", "",
                "chaos: this slave rank raises SIGKILL on itself (needs"
-               " --kill-at-epoch)");
-  cli.add_flag("kill-at-epoch", "-1",
+               " --kill-at-epoch; unset = off)");
+  cli.add_flag("kill-at-epoch", "",
                "chaos: the epoch after which --kill-rank dies (checkpoint"
-               " already written)");
+               " already written; unset = off)");
   if (!cli.parse(argc, argv)) return 1;
   auto spec = core::RunSpec::from_cli(cli, defaults);
   if (!spec) return 1;
-  if (cli.get_int("grid-rows") > 0) {
-    spec->config.grid_rows = static_cast<std::uint32_t>(cli.get_int("grid-rows"));
+
+  // The launcher's own counts go through the settings table's parser, so a
+  // malformed value is a named error rather than a prefix read.
+  const auto count = [&cli](const char* flag, std::uint64_t min, std::uint64_t max,
+                            std::uint64_t& out) {
+    const std::string problem =
+        core::parse_count(cli.get(flag), std::string("--") + flag, min, max, out);
+    if (!problem.empty()) std::fprintf(stderr, "%s\n", problem.c_str());
+    return problem.empty();
+  };
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+  std::uint64_t grid_rows = 0, grid_cols = 0, world = 0, max_restarts = 0;
+  std::uint64_t timeout_s = 0, kill_rank = 0, kill_at_epoch = 0;
+  if (!count("grid-rows", 0, std::numeric_limits<std::uint32_t>::max(), grid_rows) ||
+      !count("grid-cols", 0, std::numeric_limits<std::uint32_t>::max(), grid_cols) ||
+      !count("world", 0, kIntMax, world) ||
+      !count("max-restarts", 0, kIntMax, max_restarts) ||
+      !count("launch-timeout", 1, kIntMax, timeout_s) ||
+      (cli.was_set("kill-rank") && !count("kill-rank", 0, kIntMax, kill_rank)) ||
+      (cli.was_set("kill-at-epoch") &&
+       !count("kill-at-epoch", 0, std::numeric_limits<std::uint32_t>::max(),
+              kill_at_epoch))) {
+    return 1;
   }
-  if (cli.get_int("grid-cols") > 0) {
-    spec->config.grid_cols = static_cast<std::uint32_t>(cli.get_int("grid-cols"));
-  }
+  if (grid_rows > 0) spec->config.grid_rows = static_cast<std::uint32_t>(grid_rows);
+  if (grid_cols > 0) spec->config.grid_cols = static_cast<std::uint32_t>(grid_cols);
 
   const int world_size = static_cast<int>(spec->config.grid_cells()) + 1;
-  if (cli.get_int("world") != 0 && cli.get_int("world") != world_size) {
-    std::fprintf(stderr, "--world %lld does not match the grid (%u cells + 1"
-                 " master = %d ranks)\n", static_cast<long long>(cli.get_int("world")),
+  if (world != 0 && world != static_cast<std::uint64_t>(world_size)) {
+    std::fprintf(stderr, "--world %llu does not match the grid (%u cells + 1"
+                 " master = %d ranks)\n", static_cast<unsigned long long>(world),
                  spec->config.grid_cells(), world_size);
     return 1;
   }
-  std::string endpoint = cli.get("endpoint");
-  if (endpoint.empty()) endpoint = minimpi::pick_local_endpoint();
   const std::string results_prefix = cli.get("rank-results");
 
   LaunchFaults faults;
   faults.recover_dir = cli.get("recover-dir");
-  faults.max_restarts = static_cast<int>(cli.get_int("max-restarts"));
-  faults.kill_rank = static_cast<int>(cli.get_int("kill-rank"));
-  faults.kill_at_epoch = cli.get_int("kill-at-epoch");
+  faults.max_restarts = static_cast<int>(max_restarts);
+  if (cli.was_set("kill-rank")) faults.kill_rank = static_cast<int>(kill_rank);
+  if (cli.was_set("kill-at-epoch")) {
+    faults.kill_at_epoch = static_cast<long long>(kill_at_epoch);
+  }
   if ((faults.kill_rank >= 0) != (faults.kill_at_epoch >= 0)) {
     std::fprintf(stderr,
                  "--kill-rank and --kill-at-epoch must be used together\n");
@@ -239,6 +270,21 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Without --endpoint, bind a loopback port here and hold it until every
+  // rank has exited: rank 0, and a respawned rank 0, listen on this very
+  // socket, so no other process can take the port in between.
+  std::string endpoint = cli.get("endpoint");
+  int rendezvous_fd = -1;
+  if (endpoint.empty()) {
+    std::string error;
+    rendezvous_fd = minimpi::listen_on(minimpi::Endpoint{"127.0.0.1", 0}, &error);
+    if (rendezvous_fd < 0) {
+      std::fprintf(stderr, "rendezvous: %s\n", error.c_str());
+      return 1;
+    }
+    endpoint = minimpi::local_endpoint_of(rendezvous_fd).to_string();
+  }
+
   std::printf("launching %d ranks (%ux%u grid + master), rendezvous %s\n",
               world_size, spec->config.grid_rows, spec->config.grid_cols,
               endpoint.c_str());
@@ -258,8 +304,8 @@ int main(int argc, char** argv) {
     }
     if (pid == 0) {
       const bool doomed = faults.chaos() && rank == faults.kill_rank;
-      ::_exit(run_rank(*spec, rank, world_size, endpoint, results_prefix,
-                       faults, doomed));
+      ::_exit(run_rank(*spec, rank, world_size, endpoint, rendezvous_fd,
+                       results_prefix, faults, doomed));
     }
     children.push_back(pid);
   }
@@ -268,7 +314,6 @@ int main(int argc, char** argv) {
   // hanging it. With recovery enabled, a rank that dies by signal is
   // respawned (without the chaos environment) so it can rejoin the
   // surviving ranks at the rendezvous and roll back with them.
-  const double timeout_s = static_cast<double>(cli.get_int("launch-timeout"));
   const auto start = std::chrono::steady_clock::now();
   std::vector<bool> done(children.size(), false);
   int failures = 0;
@@ -293,7 +338,8 @@ int main(int argc, char** argv) {
           const pid_t replacement = ::fork();
           if (replacement == 0) {
             ::_exit(run_rank(*spec, static_cast<int>(i), world_size, endpoint,
-                             results_prefix, faults, /*doomed=*/false));
+                             rendezvous_fd, results_prefix, faults,
+                             /*doomed=*/false));
           }
           if (replacement > 0) {
             children[i] = replacement;
@@ -314,9 +360,9 @@ int main(int argc, char** argv) {
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
-    if (elapsed > timeout_s) {
-      std::fprintf(stderr, "launch timed out after %.0fs; killing %zu ranks\n",
-                   timeout_s, remaining);
+    if (elapsed > static_cast<double>(timeout_s)) {
+      std::fprintf(stderr, "launch timed out after %llus; killing %zu ranks\n",
+                   static_cast<unsigned long long>(timeout_s), remaining);
       for (std::size_t i = 0; i < children.size(); ++i) {
         if (!done[i]) ::kill(children[i], SIGKILL);
       }

@@ -85,24 +85,34 @@ bool validate_exchange(const TrainingConfig& config, std::string* error) {
 // Each returns "" on success, or a diagnostic naming `name`: the flag or the
 // spec-file key the text came from.
 
-namespace {
-
-/// A count: digits only (strtoull would read a prefix and wrap a sign), small
-/// enough for the field's type, and at least `min`.
-template <typename T>
+/// A count: digits only (strtoull would read a prefix and wrap a sign), at
+/// most `max`, and at least `min`.
 std::string parse_count(const std::string& text, const std::string& name,
-                        std::uint64_t min, T& out) {
+                        std::uint64_t min, std::uint64_t max, std::uint64_t& out) {
   const bool digits =
       !text.empty() && text.find_first_not_of("0123456789") == std::string::npos;
   errno = 0;
   const std::uint64_t value = digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
-  if (!digits || errno == ERANGE || value > std::numeric_limits<T>::max()) {
-    return name + " wants a whole number up to " +
-           std::to_string(std::numeric_limits<T>::max()) + ", got '" + text + "'";
+  if (!digits || errno == ERANGE || value > max) {
+    return name + " wants a whole number up to " + std::to_string(max) + ", got '" +
+           text + "'";
   }
   if (value < min) return name + " must be >= " + std::to_string(min);
-  out = static_cast<T>(value);
+  out = value;
   return {};
+}
+
+namespace {
+
+/// A count small enough for the field's type.
+template <typename T>
+std::string parse_count(const std::string& text, const std::string& name,
+                        std::uint64_t min, T& out) {
+  std::uint64_t value = 0;
+  std::string problem =
+      core::parse_count(text, name, min, std::numeric_limits<T>::max(), value);
+  if (problem.empty()) out = static_cast<T>(value);
+  return problem;
 }
 
 /// A real: the whole token, and finite.

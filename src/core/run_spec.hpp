@@ -66,6 +66,12 @@ std::optional<ExchangeMode> exchange_mode_from_string(std::string_view name);
 /// from_text and Session::prepare (a spec built in code passes neither).
 bool validate_exchange(const TrainingConfig& config, std::string* error);
 
+/// The settings table's count parser, for programs with flags of their own
+/// (cellgan_launch): `text` must be digits only, at least `min` and at most
+/// `max`. Returns "" and sets `out`, or a diagnostic naming `name`.
+std::string parse_count(const std::string& text, const std::string& name,
+                        std::uint64_t min, std::uint64_t max, std::uint64_t& out);
+
 /// Where the training data comes from. Text grammar (the `--dataset` flag):
 ///   synthetic              procedural stand-in, keeping the program's
 ///                          default sample count/seed

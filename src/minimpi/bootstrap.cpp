@@ -1,12 +1,14 @@
 #include "minimpi/bootstrap.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -315,13 +317,21 @@ bool read_exact(int fd, void* data, std::size_t n, std::size_t* got) {
   return received == n;
 }
 
-std::string pick_local_endpoint() {
-  std::string error;
-  const int fd = listen_on(Endpoint{"127.0.0.1", 0}, &error);
-  CG_EXPECT(fd >= 0);
-  const Endpoint endpoint = local_endpoint_of(fd);
-  ::close(fd);
-  return endpoint.to_string();
+namespace {
+std::atomic<int> g_adopted_listener{-1};
+}  // namespace
+
+void adopt_rendezvous_listener(int listen_fd) {
+  CG_EXPECT(listen_fd >= 0);
+  g_adopted_listener.store(listen_fd);
+}
+
+int adopted_listener_for(const Endpoint& endpoint) {
+  const int fd = g_adopted_listener.load();
+  if (fd < 0) return -1;
+  const Endpoint bound = local_endpoint_of(fd);
+  if (bound.port != endpoint.port || bound.host != endpoint.host) return -1;
+  return ::fcntl(fd, F_DUPFD_CLOEXEC, 0);
 }
 
 // ---- mesh bootstrap ---------------------------------------------------------

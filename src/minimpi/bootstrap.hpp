@@ -66,11 +66,16 @@ bool write_all(int fd, const void* data, std::size_t n);
 /// via `got` when provided).
 bool read_exact(int fd, void* data, std::size_t n, std::size_t* got = nullptr);
 
-/// Reserve-and-release an ephemeral loopback port for a process that must
-/// announce an endpoint before binding it (the launcher). The tiny window
-/// between release and the child's bind is unavoidable without fd passing;
-/// acceptable for a local launcher.
-std::string pick_local_endpoint();
+/// Hand this process a socket that already listens on its world's
+/// rendezvous endpoint. cellgan_launch binds it before forking the ranks and
+/// holds it until they exit, so no other process can take the port before
+/// rank 0 (or a respawned rank 0) listens. The socket stays open for the life
+/// of the process.
+void adopt_rendezvous_listener(int listen_fd);
+
+/// A new descriptor of the adopted listener when it listens on `endpoint`;
+/// -1 when there is none or it listens elsewhere.
+int adopted_listener_for(const Endpoint& endpoint);
 
 // ---- mesh bootstrap ---------------------------------------------------------
 

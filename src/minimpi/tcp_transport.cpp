@@ -38,12 +38,14 @@ TcpTransport::TcpTransport(TcpTransportOptions options) : options_(options) {
   std::string error;
   const auto rendezvous = Endpoint::parse(options_.rendezvous, &error);
   if (!rendezvous) throw BootstrapError("bootstrap: " + error);
-  // Rank 0 listens on the rendezvous endpoint itself; peers bind an
-  // ephemeral wildcard listener (they may live on a different machine than
-  // rank 0) whose dialable address the registration step advertises.
+  // Rank 0 listens on the rendezvous endpoint itself, on the socket the
+  // launcher holds there when it handed one over; peers bind an ephemeral
+  // wildcard listener (they may live on a different machine than rank 0)
+  // whose dialable address the registration step advertises.
   const Endpoint bind_to =
       options_.rank == 0 ? *rendezvous : Endpoint{"0.0.0.0", 0};
-  listen_fd_ = listen_on(bind_to, &error);
+  if (options_.rank == 0) listen_fd_ = adopted_listener_for(*rendezvous);
+  if (listen_fd_ < 0) listen_fd_ = listen_on(bind_to, &error);
   if (listen_fd_ < 0) throw BootstrapError("bootstrap: " + error);
   listen_endpoint_ = local_endpoint_of(listen_fd_);
   peers_.resize(static_cast<std::size_t>(options_.world_size));

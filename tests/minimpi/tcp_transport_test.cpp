@@ -7,6 +7,7 @@
 #include "minimpi/tcp_transport.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <future>
 #include <thread>
@@ -300,6 +301,43 @@ TEST(TcpTransportTest, WorldSizeMismatchIsRejectedAtBootstrap) {
     EXPECT_NE(std::string(e.what()).find("world size"), std::string::npos);
   }
   rank0.join();
+}
+
+TEST(TcpTransportTest, HeldRendezvousPortIsRankZerosAlone) {
+  // The launcher's order of events: bind the rendezvous port, hand the
+  // socket to rank 0, and only later does rank 0 listen. In between, no
+  // other socket can bind the port, and rank 0 listens on the held socket
+  // rather than binding the port again.
+  std::string error;
+  const int held = listen_on(Endpoint{"127.0.0.1", 0}, &error);
+  ASSERT_GE(held, 0) << error;
+  const Endpoint endpoint = local_endpoint_of(held);
+  adopt_rendezvous_listener(held);
+  EXPECT_LT(listen_on(endpoint, &error), 0) << "another socket took the held port";
+
+  constexpr int kWorld = 2;
+  std::vector<std::thread> threads;
+  for (int rank = 0; rank < kWorld; ++rank) {
+    threads.emplace_back([&, rank] {
+      TcpTransportOptions options;
+      options.world_size = kWorld;
+      options.rank = rank;
+      options.timeout_s = 30.0;
+      options.rendezvous = endpoint.to_string();
+      auto transport = std::make_unique<TcpTransport>(options);
+      if (rank == 0) {
+        EXPECT_EQ(transport->rendezvous_endpoint(), endpoint.to_string());
+      }
+      Runtime runtime(kWorld, rank, std::move(transport));
+      runtime.run([](Comm& world) { EXPECT_EQ(world.allreduce_sum(1.0), 2.0); });
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  // The held socket outlives the world, ready for a respawned rank 0.
+  EXPECT_LT(listen_on(endpoint, &error), 0);
+  const int again = adopted_listener_for(endpoint);
+  EXPECT_GE(again, 0);
+  if (again >= 0) ::close(again);
 }
 
 }  // namespace
