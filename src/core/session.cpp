@@ -6,6 +6,9 @@
 #include <numeric>
 #include <stdexcept>
 #include <utility>
+#if __has_include(<malloc.h>)
+#include <malloc.h>
+#endif
 
 #include "common/expect.hpp"
 #include "common/log.hpp"
@@ -131,6 +134,22 @@ RunResult distributed_run_result(Backend kind, DistributedOutcome outcome) {
   return result;
 }
 
+/// glibc raises its mmap threshold to the largest mmapped block a process
+/// frees (at most 32 MB) and returns a heap's free top to the kernel once it
+/// exceeds twice that. A training step allocates and frees tensors of 0.1 to
+/// 1 MB, so unless something large was freed the threshold stays near 1 MB,
+/// and every step gives the lanes' heap memory back and faults it in again.
+/// Pin the thresholds where the dynamic rule ends after a large free.
+void keep_step_memory_in_the_heap() {
+#if defined(M_MMAP_THRESHOLD) && defined(M_TRIM_THRESHOLD)
+  static const bool pinned = [] {
+    return mallopt(M_MMAP_THRESHOLD, 32 << 20) == 1 &&
+           mallopt(M_TRIM_THRESHOLD, 64 << 20) == 1;
+  }();
+  (void)pinned;
+#endif
+}
+
 /// Side of the square images an IDX-fed architecture of `config` reads.
 std::size_t idx_side(const TrainingConfig& config) {
   return static_cast<std::size_t>(
@@ -168,6 +187,7 @@ bool Session::prepare() {
   // A spec built in code passes neither from_cli nor from_text, so the
   // exchange policy/transport combination is re-checked here.
   if (!validate_exchange(spec_.config, &error_)) return false;
+  keep_step_memory_in_the_heap();
 
   // Pin the tensor microkernel kind before anything computes (the cost-model
   // calibration probe below runs real kernels). The selection is
