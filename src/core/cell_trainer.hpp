@@ -73,7 +73,7 @@ class CellTrainer : private evolve::ExchangeHost {
   const evolve::Grid& grid() const override { return grid_; }
 
   /// Cells whose genomes this cell's exchange policy needs for `epoch`
-  /// (installation order). Drives the local comm-manager's copy list; network
+  /// (installation order). Drives the local comm-manager's read list; network
   /// transports may deliver a superset.
   std::vector<int> exchange_sources(std::uint32_t epoch) const;
   /// What the most recent update_genomes did (policy application outcome) —

@@ -67,8 +67,8 @@ class GenomeStore {
   /// reads see strictly older epochs.
   std::uint64_t epoch() const;
 
-  /// Stage `genome` as `cell`'s genome for the next epoch. Re-publishing
-  /// within one epoch overwrites the staged value.
+  /// Stage `genome` (not null) as `cell`'s genome for the next epoch.
+  /// Re-publishing within one epoch overwrites the staged value.
   void publish(int cell, evolve::SharedGenome genome);
 
   /// Newest genome of `cell` published before the current epoch (null if
@@ -85,9 +85,8 @@ class GenomeStore {
   /// take the newest entry from a previous epoch — so a publish never
   /// clobbers the version the current epoch is still reading.
   struct Entry {
-    evolve::SharedGenome genome;
+    evolve::SharedGenome genome;  ///< null until the first publish
     std::uint64_t epoch = 0;
-    bool valid = false;
   };
   /// Cache-line aligned so adjacent cells' slots never share a line: every
   /// worker thread of the parallel trainer re-stamps its own cell's entry

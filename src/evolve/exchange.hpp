@@ -110,10 +110,10 @@ class ExchangePolicy {
   virtual ExchangePolicyKind kind() const = 0;
 
   /// Cells whose genomes this policy needs delivered to `cell` for `epoch`,
-  /// in installation order. Transports may deliver a superset (allgather
-  /// does); the local store copies exactly this list, so for the cellular
-  /// policy the gather bytes — and the charged gather cost — are identical
-  /// to the pre-seam neighbor loop.
+  /// in installation order. The local store hands out exactly this list and
+  /// the allgather decodes exactly it, so for the cellular policy the gather
+  /// bytes — and the charged gather cost — are identical to the pre-seam
+  /// neighbor loop.
   virtual std::vector<int> sources(const Grid& grid, int cell,
                                    std::uint32_t epoch) const = 0;
 

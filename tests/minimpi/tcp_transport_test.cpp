@@ -329,7 +329,10 @@ TEST(TcpTransportTest, HeldRendezvousPortIsRankZerosAlone) {
         EXPECT_EQ(transport->rendezvous_endpoint(), endpoint.to_string());
       }
       Runtime runtime(kWorld, rank, std::move(transport));
-      runtime.run([](Comm& world) { EXPECT_EQ(world.allreduce_sum(1.0), 2.0); });
+      runtime.run([](Comm& world) {
+        EXPECT_EQ(world.size(), 2);
+        world.barrier();
+      });
     });
   }
   for (auto& thread : threads) thread.join();
