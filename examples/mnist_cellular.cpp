@@ -18,6 +18,7 @@
 // metric numbers differ from older runs); IDX images are area-averaged down.
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "core/session.hpp"
@@ -83,8 +84,13 @@ int main(int argc, char** argv) {
     metrics::EvaluatorOptions eval_options;
     eval_options.eval_every = spec->observers.eval_every;
     eval_options.samples = spec->observers.eval_samples;
-    evaluator = std::make_unique<metrics::EvaluatorObserver>(
-        session.spec().config, session.test_set(), eval_options);
+    try {
+      evaluator = std::make_unique<metrics::EvaluatorObserver>(
+          session.spec().config, session.test_set(), eval_options);
+    } catch (const std::runtime_error& e) {  // an unreadable IDX test pair
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
     session.observers().subscribe(evaluator.get());
   }
 

@@ -84,21 +84,21 @@ int main(int argc, char** argv) {
   // (Non-rank-0 TCP ranks never receive the stream, so they skip the
   // evaluator — and its classifier-training cost — entirely.)
   std::unique_ptr<metrics::EvaluatorObserver> evaluator;
-  if (spec->observers.eval_every > 0 && core::Session::hosts_observer_stream(*spec)) {
-    metrics::EvaluatorOptions options;
-    options.eval_every = spec->observers.eval_every;
-    options.samples = spec->observers.eval_samples;
-    evaluator = std::make_unique<metrics::EvaluatorObserver>(
-        session.spec().config, session.test_set(), options);
-    session.observers().subscribe(evaluator.get());
-  }
-
   core::RunResult result;
   try {
+    if (spec->observers.eval_every > 0 && core::Session::hosts_observer_stream(*spec)) {
+      metrics::EvaluatorOptions options;
+      options.eval_every = spec->observers.eval_every;
+      options.samples = spec->observers.eval_samples;
+      evaluator = std::make_unique<metrics::EvaluatorObserver>(
+          session.spec().config, session.test_set(), options);
+      session.observers().subscribe(evaluator.get());
+    }
     result = session.run();
   } catch (const std::exception& e) {
-    // Named runtime errors (e.g. minimpi Bootstrap/Timeout/TransportError
-    // from the distributed-tcp backend) become a diagnostic, not a terminate.
+    // Named runtime errors (an unreadable IDX test pair, minimpi
+    // Bootstrap/Timeout/TransportError from the distributed-tcp backend)
+    // become a diagnostic, not a terminate.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }

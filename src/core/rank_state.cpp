@@ -52,7 +52,9 @@ std::vector<std::uint8_t> RankCheckpoint::serialize() const {
   w.write(epoch);
   w.write_vector(trainer_state);
   w.write<std::uint64_t>(gathered.size());
-  for (const auto& entry : gathered) w.write_vector(entry);
+  for (const auto& genome : gathered) {
+    w.write_vector(genome ? genome->serialize() : std::vector<std::uint8_t>{});
+  }
   w.write(clock_s);
   for (const std::uint64_t word : jitter_rng.s) w.write(word);
   w.write(jitter_rng.cached_normal);
@@ -71,7 +73,10 @@ RankCheckpoint RankCheckpoint::deserialize(std::span<const std::uint8_t> bytes) 
   const auto entries = r.read<std::uint64_t>();
   out.gathered.reserve(entries);
   for (std::uint64_t i = 0; i < entries; ++i) {
-    out.gathered.push_back(r.read_vector<std::uint8_t>());
+    const auto bytes = r.read_vector<std::uint8_t>();
+    out.gathered.push_back(bytes.empty() ? nullptr
+                                         : std::make_shared<const evolve::CellGenome>(
+                                               evolve::CellGenome::deserialize(bytes)));
   }
   out.clock_s = r.read<double>();
   for (auto& word : out.jitter_rng.s) word = r.read<std::uint64_t>();

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "evolve/genome.hpp"
 
 namespace cellgan::core {
 
@@ -31,7 +32,7 @@ namespace cellgan::core {
 struct RankCheckpoint {
   std::uint32_t epoch = 0;  ///< completed training iterations (absolute)
   std::vector<std::uint8_t> trainer_state;  ///< CellTrainer full state
-  std::vector<std::vector<std::uint8_t>> gathered;  ///< last exchange's inbox
+  std::vector<evolve::SharedGenome> gathered;  ///< last exchange's inbox
   double clock_s = 0.0;              ///< rank virtual clock at the snapshot
   common::Rng::State jitter_rng;     ///< rank jitter-stream position
 

@@ -216,20 +216,29 @@ struct Setting {
 // Row builders. `field` is a generic lambda returning a reference to the
 // setting's member, so one accessor serves both printing and parsing.
 
-template <typename Field>
-Setting count(Place place, Field field, std::uint64_t min = 0) {
-  return {std::move(place), false,
-          [field](const RunSpec& spec) { return std::to_string(field(spec)); },
-          [field, min](RunSpec& spec, const std::string& text, const std::string& name) {
-            return parse_count(text, name, min, field(spec));
-          }};
-}
-
-/// A bound on a real: the test and the rule the diagnostic states.
+/// A bound beyond a count's minimum or on a real: the test and the rule the
+/// diagnostic states.
 struct Bound {
   bool (*holds)(double) = nullptr;
   const char* rule = "";
 };
+
+template <typename Field>
+Setting count(Place place, Field field, std::uint64_t min = 0, Bound bound = {}) {
+  return {std::move(place), false,
+          [field](const RunSpec& spec) { return std::to_string(field(spec)); },
+          [field, min, bound](RunSpec& spec, const std::string& text,
+                              const std::string& name) {
+            auto value = field(spec);
+            std::string problem = parse_count(text, name, min, value);
+            if (problem.empty() && bound.holds != nullptr &&
+                !bound.holds(static_cast<double>(value))) {
+              problem = name + " " + bound.rule + ", got " + text;
+            }
+            if (problem.empty()) field(spec) = value;
+            return problem;
+          }};
+}
 
 template <typename Field>
 Setting real(Place place, Field field, Bound bound = {}) {
@@ -368,21 +377,13 @@ const std::vector<Setting>& settings() {
             [](auto& s) -> auto& { return s.config.arch.hidden_layers; }, 1),
       // Square images: the data planes build side x side pictures, and the
       // synthetic digits need a side of at least 4.
-      Setting{{"config", "image_dim", nullptr, ""},
-              false,
-              [](const RunSpec& spec) { return std::to_string(spec.config.arch.image_dim); },
-              [](RunSpec& spec, const std::string& text, const std::string& name) {
-                std::size_t value = 0;
-                std::string problem = parse_count(text, name, 0, value);
-                const auto side = static_cast<std::size_t>(
-                    std::lround(std::sqrt(static_cast<double>(value))));
-                if (problem.empty() && (side < 4 || side * side != value)) {
-                  problem = name + " must be the square of a side >= 4 (16, 25, 36, ...), got " +
-                            text;
-                }
-                if (problem.empty()) spec.config.arch.image_dim = value;
-                return problem;
-              }},
+      count({"config", "image_dim", nullptr, ""},
+            [](auto& s) -> auto& { return s.config.arch.image_dim; }, 16,
+            {[](double v) {
+               const double side = std::round(std::sqrt(v));
+               return side * side == v;
+             },
+             "must be a square"}),
       count({"config", "iterations", "iterations", "training epochs"},
             [](auto& s) -> auto& { return s.config.iterations; }),
       count({"config", "tournament_size", nullptr, ""},

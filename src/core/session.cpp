@@ -134,12 +134,10 @@ RunResult distributed_run_result(Backend kind, DistributedOutcome outcome) {
   return result;
 }
 
-/// glibc raises its mmap threshold to the largest mmapped block a process
-/// frees (at most 32 MB) and returns a heap's free top to the kernel once it
-/// exceeds twice that. A training step allocates and frees tensors of 0.1 to
-/// 1 MB, so unless something large was freed the threshold stays near 1 MB,
-/// and every step gives the lanes' heap memory back and faults it in again.
-/// Pin the thresholds where the dynamic rule ends after a large free.
+/// A training step allocates and frees tensors of 0.1 to 1 MB. glibc's
+/// dynamic thresholds stay near that size unless the process frees a larger
+/// block, and then every step gives heap memory back to the kernel and faults
+/// it in again. Pin them where the dynamic rule ends after a 32 MB free.
 void keep_step_memory_in_the_heap() {
 #if defined(M_MMAP_THRESHOLD) && defined(M_TRIM_THRESHOLD)
   static const bool pinned = [] {

@@ -11,32 +11,6 @@
 
 namespace cellgan::core {
 
-namespace {
-
-// A rank checkpoint keeps the inbox as bytes, one entry per cell (empty where
-// the exchange delivered nothing the cell reads).
-std::vector<std::vector<std::uint8_t>> encode_inbox(
-    const std::vector<evolve::SharedGenome>& inbox) {
-  std::vector<std::vector<std::uint8_t>> bytes(inbox.size());
-  for (std::size_t cell = 0; cell < inbox.size(); ++cell) {
-    if (inbox[cell] != nullptr) bytes[cell] = inbox[cell]->serialize();
-  }
-  return bytes;
-}
-
-std::vector<evolve::SharedGenome> decode_inbox(
-    const std::vector<std::vector<std::uint8_t>>& bytes) {
-  std::vector<evolve::SharedGenome> inbox(bytes.size());
-  for (std::size_t cell = 0; cell < bytes.size(); ++cell) {
-    if (bytes[cell].empty()) continue;
-    inbox[cell] = std::make_shared<const evolve::CellGenome>(
-        evolve::CellGenome::deserialize(bytes[cell]));
-  }
-  return inbox;
-}
-
-}  // namespace
-
 Slave::Slave(minimpi::Comm& world, minimpi::Comm& local, minimpi::Comm& global,
              const data::Dataset& dataset, const CostModel& cost_model)
     : Slave(world, local, global, dataset, cost_model, Options{}) {}
@@ -122,7 +96,7 @@ protocol::SlaveResult Slave::run() {
       std::vector<evolve::SharedGenome> gathered(grid.size());
       if (options_.restore != nullptr) {
         cell.restore_training_state(options_.restore->trainer_state);
-        gathered = decode_inbox(options_.restore->gathered);
+        gathered = options_.restore->gathered;
       }
       for (std::uint32_t iter = options_.resume_epoch; iter < config.iterations;
            ++iter) {
@@ -150,7 +124,7 @@ protocol::SlaveResult Slave::run() {
           RankCheckpoint snapshot;
           snapshot.epoch = iter + 1;
           snapshot.trainer_state = cell.serialize_training_state();
-          snapshot.gathered = encode_inbox(gathered);
+          snapshot.gathered = gathered;
           snapshot.clock_s = world_.clock().now();
           snapshot.jitter_rng = world_.jitter_rng().state();
           save_rank_checkpoint(options_.state_dir, world_.rank(), snapshot);
