@@ -13,39 +13,20 @@ void GenomeStore::publish(int cell, evolve::SharedGenome genome) {
   std::lock_guard<std::mutex> lock(mutex_);
   CG_EXPECT(cell >= 0 && cell < static_cast<int>(slots_.size()));
   CG_EXPECT(genome != nullptr);
-  Slot& slot = slots_[cell];
-  // Re-stamp this epoch's staged entry if there is one; otherwise overwrite
-  // the invalid or older entry, never the newest still-readable version.
-  Entry* target = &slot[0];
-  if (slot[0].genome && slot[0].epoch == epoch_) {
-    target = &slot[0];
-  } else if (slot[1].genome && slot[1].epoch == epoch_) {
-    target = &slot[1];
-  } else if (!slot[0].genome) {
-    target = &slot[0];
-  } else if (!slot[1].genome) {
-    target = &slot[1];
-  } else {
-    target = slot[0].epoch <= slot[1].epoch ? &slot[0] : &slot[1];
-  }
-  target->genome = std::move(genome);
-  target->epoch = epoch_;
+  slots_[cell].staged = std::move(genome);
 }
 
 evolve::SharedGenome GenomeStore::latest(int cell) const {
   std::lock_guard<std::mutex> lock(mutex_);
   CG_EXPECT(cell >= 0 && cell < static_cast<int>(slots_.size()));
-  const Slot& slot = slots_[cell];
-  const Entry* best = nullptr;
-  for (const Entry& entry : slot) {
-    if (!entry.genome || entry.epoch >= epoch_) continue;
-    if (best == nullptr || entry.epoch > best->epoch) best = &entry;
-  }
-  return best == nullptr ? nullptr : best->genome;
+  return slots_[cell].visible;
 }
 
 void GenomeStore::flip() {
   std::lock_guard<std::mutex> lock(mutex_);
+  for (Slot& slot : slots_) {
+    if (slot.staged != nullptr) slot.visible = std::move(slot.staged);
+  }
   ++epoch_;
 }
 

@@ -17,7 +17,6 @@
 //    calibrated in-process copy cost on their byte_size().
 #pragma once
 
-#include <array>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -80,20 +79,14 @@ class GenomeStore {
   void flip();
 
  private:
-  /// The two most recent published versions of one cell's genome: writers
-  /// overwrite the older entry (or re-stamp the current epoch's), readers
-  /// take the newest entry from a previous epoch — so a publish never
-  /// clobbers the version the current epoch is still reading.
-  struct Entry {
-    evolve::SharedGenome genome;  ///< null until the first publish
-    std::uint64_t epoch = 0;
+  /// One cell's genomes. Cache-line aligned so adjacent cells' slots never
+  /// share a line: every worker thread of the parallel trainer writes its own
+  /// cell's slot each epoch, and without the padding those writes would
+  /// ping-pong lines between lanes even though the cells are independent.
+  struct alignas(common::kCacheLineBytes) Slot {
+    evolve::SharedGenome visible;  ///< newest published before this epoch
+    evolve::SharedGenome staged;   ///< published during this epoch
   };
-  /// Cache-line aligned so adjacent cells' slots never share a line: every
-  /// worker thread of the parallel trainer re-stamps its own cell's entry
-  /// headers (epoch/valid words) each epoch, and without the padding those
-  /// word-granularity writes would ping-pong lines between lanes even though
-  /// the cells are logically independent.
-  struct alignas(common::kCacheLineBytes) Slot : std::array<Entry, 2> {};
 
   mutable std::mutex mutex_;
   std::uint64_t epoch_ = 0;
