@@ -12,6 +12,7 @@
 // the epoch-staged genome store). --distributed additionally replays the run
 // on the master/slave backend.
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/parallel_trainer.hpp"
 #include "core/session.hpp"
@@ -70,7 +71,12 @@ int main(int argc, char** argv) {
     dist_spec.backend = core::Backend::kDistributed;
     dist_spec.result_json.clear();  // --result-json describes the main run
     core::Session dist_session(dist_spec);
-    dist_session.set_datasets(session.train_set(), session.test_set());
+    try {
+      dist_session.set_datasets(session.train_set(), session.test_set());
+    } catch (const std::runtime_error& e) {  // an unreadable IDX test pair
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
     const core::RunResult dist = dist_session.run();
     std::printf("\ndistributed run: %.2fs wall, %zu slaves + master\n",
                 dist.wall_s, dist.cell_results.size());
