@@ -1,12 +1,18 @@
-// The data-plane acceptance gate: --data-plane store must be bit-identical
-// to the legacy loader on every backend — same seeds, same fitness
-// trajectories, same genomes — including across the TCP deployment (the
-// plane rides the config broadcast) and the mmap-backed IDX ingest path.
+// IDX parity: a Session that resolves `idx:DIR` must train exactly like a
+// Session handed the same quartet as floats (data::load_mnist_idx, then
+// set_datasets) — same fitnesses, same best cell — on every in-process
+// backend, at full resolution and downsampled to the tiny architecture,
+// plain, conditional and dieting. The TCP case runs real ranks over loopback,
+// and the telemetry case checks the data_store record an IDX run publishes.
+// In the test names, "store" is the run that reads the IDX files and
+// "legacy" the run over a float copy of them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <future>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -29,31 +35,86 @@ TrainingConfig parity_config() {
   return config;
 }
 
-RunResult run_once(Backend backend, datastore::DataPlane plane,
-                   const data::Dataset& train, const data::Dataset& test) {
+/// Write an MNIST-shaped IDX quartet (synthetic digits as bytes) into `dir`.
+void write_quartet(const testsupport::TempDir& dir, std::size_t train_n,
+                   std::size_t test_n) {
+  const auto write_split = [&](const char* prefix, std::size_t n, std::uint64_t seed) {
+    const data::Dataset set = data::make_synthetic_mnist(n, seed);
+    data::IdxImages images;
+    images.count = static_cast<std::uint32_t>(n);
+    images.rows = data::kImageSide;
+    images.cols = data::kImageSide;
+    images.pixels.resize(n * data::kImageDim);
+    const auto floats = set.images.data();
+    for (std::size_t i = 0; i < floats.size(); ++i) {
+      const float v = (floats[i] + 1.0f) * 127.5f;
+      images.pixels[i] = static_cast<std::uint8_t>(std::max(0.0f, std::min(255.0f, v)));
+    }
+    const std::string stem = dir.file(prefix).string();
+    ASSERT_TRUE(data::write_idx_images(stem + "-images-idx3-ubyte", images));
+    std::vector<std::uint8_t> labels(n);
+    for (std::size_t i = 0; i < n; ++i) labels[i] = static_cast<std::uint8_t>(set.labels[i]);
+    ASSERT_TRUE(data::write_idx_labels(stem + "-labels-idx1-ubyte", labels));
+  };
+  write_split("train", train_n, 3);
+  write_split("t10k", test_n, 4);
+}
+
+RunSpec idx_spec(Backend backend, const TrainingConfig& config,
+                 const testsupport::TempDir& dir) {
   RunSpec spec;
   spec.backend = backend;
   spec.threads = 2;
-  spec.config = parity_config();
-  spec.config.data_plane = plane;
-  Session session(spec);
-  session.set_datasets(train, test);
-  EXPECT_TRUE(session.prepare()) << session.error();
-  return session.run();
+  spec.config = config;
+  spec.dataset.kind = DatasetSpec::Kind::kIdx;
+  spec.dataset.idx_dir = dir.path().string();
+  return spec;
 }
 
 TEST(DataPlaneParityTest, StoreMatchesLegacyOnEveryInProcessBackend) {
-  const TrainingConfig config = parity_config();
-  const auto train = make_matched_dataset(config, 64, 21);
-  const auto test = make_matched_dataset(config, 16, 22);
-  for (const Backend backend : kAllBackends) {
-    const RunResult legacy =
-        run_once(backend, datastore::DataPlane::kLegacy, train, test);
-    const RunResult store =
-        run_once(backend, datastore::DataPlane::kStore, train, test);
-    EXPECT_EQ(legacy.g_fitnesses, store.g_fitnesses) << to_string(backend);
-    EXPECT_EQ(legacy.d_fitnesses, store.d_fitnesses) << to_string(backend);
-    EXPECT_EQ(legacy.best_cell, store.best_cell) << to_string(backend);
+  testsupport::TempDir dir("cellgan_idx_parity");
+  write_quartet(dir, 64, 8);
+  const auto loaded = data::load_mnist_idx(dir.path().string());
+  ASSERT_TRUE(loaded.has_value());
+
+  struct Variant {
+    const char* name;
+    bool conditional;
+    double dieting;
+  };
+  const Variant variants[] = {
+      {"plain", false, 1.0}, {"conditional", true, 1.0}, {"dieting 0.5", false, 0.5}};
+  for (const std::size_t image_dim : {data::kImageDim, std::size_t{64}}) {
+    // The float side downsamples the loaded quartet itself, as the ledger does.
+    const std::size_t side = image_dim == data::kImageDim ? data::kImageSide : 8;
+    const data::Dataset train = data::downsampled(loaded->first, side);
+    const data::Dataset test = data::downsampled(loaded->second, side);
+    for (const Variant& variant : variants) {
+      TrainingConfig config = parity_config();
+      config.arch.image_dim = image_dim;
+      config.conditional = variant.conditional ? 1 : 0;
+      config.data_dieting_fraction = variant.dieting;
+      for (const Backend backend : kAllBackends) {
+        const std::string label = std::string(to_string(backend)) + ", " +
+                                  variant.name + ", image_dim " +
+                                  std::to_string(image_dim);
+        Session idx(idx_spec(backend, config, dir));
+        ASSERT_TRUE(idx.prepare()) << idx.error();
+        const RunResult store = idx.run();
+
+        RunSpec float_spec = idx_spec(backend, config, dir);
+        float_spec.dataset = DatasetSpec{};
+        Session floats(float_spec);
+        floats.set_datasets(train, test);
+        ASSERT_TRUE(floats.prepare()) << floats.error();
+        const RunResult legacy = floats.run();
+
+        ASSERT_EQ(store.g_fitnesses.size(), config.grid_cells()) << label;
+        EXPECT_EQ(store.g_fitnesses, legacy.g_fitnesses) << label;
+        EXPECT_EQ(store.d_fitnesses, legacy.d_fitnesses) << label;
+        EXPECT_EQ(store.best_cell, legacy.best_cell) << label;
+      }
+    }
   }
 }
 
@@ -107,66 +168,39 @@ TEST(DataPlaneParityTest, StorePlaneRidesTheTcpConfigBroadcast) {
 }
 
 TEST(DataPlaneParityTest, MmapIdxSessionMatchesLegacyAndPublishesTelemetry) {
-  // Full-resolution IDX dataset on disk -> the Session binds the mmap-backed
-  // store. The store-plane run must match the legacy run bit for bit AND
-  // emit a data_store telemetry event reporting the live mapping.
-  testsupport::TempDir tmp{"cellgan_plane"};
-  const std::size_t train_n = 64, test_n = 8;
-  const auto write_split = [&](const char* images_name, const char* labels_name,
-                               std::size_t n, std::uint64_t seed) {
-    const data::Dataset set = data::make_synthetic_mnist(n, seed);
-    data::IdxImages images;
-    images.count = static_cast<std::uint32_t>(n);
-    images.rows = data::kImageSide;
-    images.cols = data::kImageSide;
-    images.pixels.resize(n * data::kImageDim);
-    const auto floats = set.images.data();
-    for (std::size_t i = 0; i < floats.size(); ++i) {
-      const float v = (floats[i] + 1.0f) * 127.5f;
-      images.pixels[i] =
-          static_cast<std::uint8_t>(std::max(0.0f, std::min(255.0f, v)));
-    }
-    ASSERT_TRUE(data::write_idx_images(tmp.file(images_name).string(), images));
-    std::vector<std::uint8_t> labels(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      labels[i] = static_cast<std::uint8_t>(set.labels[i]);
-    }
-    ASSERT_TRUE(data::write_idx_labels(tmp.file(labels_name).string(), labels));
-  };
-  write_split("train-images-idx3-ubyte", "train-labels-idx1-ubyte", train_n, 3);
-  write_split("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte", test_n, 4);
+  // A full-resolution IDX run matches the float run and publishes a
+  // data_store record that reports the mapped training images: the whole
+  // file, header included.
+  testsupport::TempDir dir("cellgan_idx_telemetry");
+  write_quartet(dir, 64, 8);
+  TrainingConfig config = parity_config();
+  config.arch.image_dim = data::kImageDim;
+  config.iterations = 2;
+  config.data_plane = datastore::DataPlane::kStore;
+  RunSpec spec = idx_spec(Backend::kSequential, config, dir);
+  spec.observers.telemetry = dir.file("telemetry.jsonl").string();
+  Session session(spec);
+  ASSERT_TRUE(session.prepare()) << session.error();
+  const RunResult store = session.run();
 
-  const auto run_plane = [&](datastore::DataPlane plane,
-                             const std::string& telemetry) {
-    RunSpec spec;
-    spec.backend = Backend::kSequential;
-    spec.config = parity_config();
-    spec.config.arch.image_dim = data::kImageDim;  // full-res: mmap bind path
-    spec.config.iterations = 2;
-    spec.config.data_plane = plane;
-    spec.dataset.kind = DatasetSpec::Kind::kIdx;
-    spec.dataset.idx_dir = tmp.path().string();
-    spec.observers.telemetry = telemetry;
-    Session session(spec);
-    EXPECT_TRUE(session.prepare()) << session.error();
-    return session.run();
-  };
+  const auto loaded = data::load_mnist_idx(dir.path().string());
+  ASSERT_TRUE(loaded.has_value());
+  RunSpec float_spec = idx_spec(Backend::kSequential, config, dir);
+  float_spec.dataset = DatasetSpec{};
+  Session floats(float_spec);
+  floats.set_datasets(loaded->first, loaded->second);
+  const RunResult legacy = floats.run();
+  EXPECT_EQ(store.g_fitnesses, legacy.g_fitnesses);
+  EXPECT_EQ(store.d_fitnesses, legacy.d_fitnesses);
 
-  const RunResult legacy =
-      run_plane(datastore::DataPlane::kLegacy, std::string());
-  const std::string telemetry_path = tmp.file("telemetry.jsonl").string();
-  const RunResult store = run_plane(datastore::DataPlane::kStore, telemetry_path);
-  EXPECT_EQ(legacy.g_fitnesses, store.g_fitnesses);
-  EXPECT_EQ(legacy.d_fitnesses, store.d_fitnesses);
-
-  std::ifstream telemetry(telemetry_path);
+  std::ifstream telemetry(spec.observers.telemetry);
   ASSERT_TRUE(telemetry.good());
   std::stringstream buffer;
   buffer << telemetry.rdbuf();
-  const std::string stream = buffer.str();
-  EXPECT_NE(stream.find("\"event\":\"data_store\""), std::string::npos);
-  EXPECT_NE(stream.find("\"bytes_mapped\":"), std::string::npos)
-      << "store plane over IDX data should report the live mapping";
+  const std::string expected =
+      "\"event\":\"data_store\",\"bytes_mapped\":" +
+      std::to_string(std::filesystem::file_size(dir.file("train-images-idx3-ubyte")));
+  EXPECT_NE(buffer.str().find(expected), std::string::npos) << buffer.str();
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // every backend's bits the same way passes them. This suite pins, by FNV-1a
 // of the raw doubles, the final per-cell generator and discriminator
 // fitnesses and mixture weights of short tiny-arch 3x3 runs under each
-// exchange policy and the conditional Wasserstein pathway, and requires the
+// exchange policy, the conditional Wasserstein pathway and data dieting
+// (each cell trains on its own half of the rows), and requires the
 // same hashes from the sequential trainer, the threads trainer at 1 and 4
 // lanes and the in-process master/slave world. Every run uses the scalar
 // kernels, the bit-exact reference loops.
@@ -63,9 +64,13 @@ std::vector<Golden> goldens() {
   TrainingConfig conditional = grid_config(evolve::ExchangePolicyKind::kCellular, 1, 4);
   conditional.conditional = true;
   conditional.loss_mode = LossMode::kWasserstein;
+  TrainingConfig dieting = grid_config(evolve::ExchangePolicyKind::kCellular, 1, 4);
+  dieting.data_dieting_fraction = 0.5;
   return {
       {"cellular", grid_config(evolve::ExchangePolicyKind::kCellular, 1, 4),
        {0xe7d1c7b3c7e9af68ull, 0x52837845de811165ull, 0xbe2a4ffc1f568f92ull}},
+      {"cellular-dieting", dieting,
+       {0x604be445931e93e7ull, 0x764ac719ce56cc24ull, 0xc18de58f1dacc20bull}},
       {"ltfb", grid_config(evolve::ExchangePolicyKind::kLtfb, 2, 5),
        {0xd217adfb58ae03dbull, 0x957e68488c83963bull, 0xca8b0ca0934234cbull}},
       {"gap", grid_config(evolve::ExchangePolicyKind::kGap, 1, 4),
