@@ -5,6 +5,7 @@
 // generator fitness.
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/session.hpp"
 
@@ -32,7 +33,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", data_session.error().c_str());
     return 1;
   }
-  const std::size_t dataset_size = data_session.train_set().size();
+  const std::size_t dataset_size = data_session.train_set().samples();
+  const data::Dataset* test = nullptr;
+  try {
+    test = &data_session.test_set();
+  } catch (const std::runtime_error& e) {  // an unreadable IDX test pair
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 
   std::printf("ablation: data dieting on a %ux%u grid, %u iterations, %zu"
               " samples\n",
@@ -44,7 +52,7 @@ int main(int argc, char** argv) {
     core::RunSpec run_spec = *spec;
     run_spec.config.data_dieting_fraction = fraction;
     core::Session session(run_spec);
-    session.set_datasets(data_session.train_set(), data_session.test_set());
+    session.set_datasets(data_session.train_set(), *test);
     const core::RunResult outcome = session.run();
     const double best = *std::min_element(outcome.g_fitnesses.begin(),
                                           outcome.g_fitnesses.end());

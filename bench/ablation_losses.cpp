@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/session.hpp"
 
@@ -22,7 +23,7 @@ struct LossResult {
 };
 
 LossResult run_mode(core::RunSpec spec, core::LossMode mode,
-                    const data::Dataset& train, const data::Dataset& test) {
+                    const datastore::SampleStore& train, const data::Dataset& test) {
   spec.config.loss_mode = mode;
   core::Session session(spec);
   session.set_datasets(train, test);
@@ -62,6 +63,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", data_session.error().c_str());
     return 1;
   }
+  const data::Dataset* test = nullptr;
+  try {
+    test = &data_session.test_set();
+  } catch (const std::runtime_error& e) {  // an unreadable IDX test pair
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 
   std::printf("ablation: adversarial objective on a %ux%u grid, %u iterations\n",
               spec->config.grid_rows, spec->config.grid_cols,
@@ -71,8 +79,7 @@ int main(int argc, char** argv) {
   for (const core::LossMode mode :
        {core::LossMode::kHeuristic, core::LossMode::kMinimax,
         core::LossMode::kLeastSquares, core::LossMode::kMustangs}) {
-    const LossResult r = run_mode(*spec, mode, data_session.train_set(),
-                                  data_session.test_set());
+    const LossResult r = run_mode(*spec, mode, data_session.train_set(), *test);
     std::printf("  %-16s | %12.4f %12.4f %12.4f\n", core::to_string(mode), r.best,
                 r.mean, r.spread);
   }

@@ -49,7 +49,7 @@ struct AblationResult {
 };
 
 AblationResult run_topology(const core::TrainingConfig& config,
-                            const data::Dataset& dataset,
+                            const datastore::SampleStore& dataset,
                             const std::string& topology) {
   evolve::Grid grid(static_cast<int>(config.grid_rows),
                     static_cast<int>(config.grid_cols));
@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", session.error().c_str());
     return 1;
   }
-  const data::Dataset& dataset = session.train_set();
+  const datastore::SampleStore& dataset = session.train_set();
 
   std::printf("ablation: neighborhood topology on a %ux%u grid, %u iterations\n",
               config.grid_rows, config.grid_cols, config.iterations);

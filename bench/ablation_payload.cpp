@@ -6,6 +6,7 @@
 // the per-iteration virtual gather cost on a 3x3 grid — confirming the
 // linear payload/time relation the NetModel charges.
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/session.hpp"
 
@@ -40,6 +41,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", reference_session.error().c_str());
     return 1;
   }
+  const data::Dataset* test = nullptr;
+  try {
+    test = &reference_session.test_set();
+  } catch (const std::runtime_error& e) {  // an unreadable IDX test pair
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   const core::WorkloadProbe reference_probe = core::TrainerCore::measure_workload(
       spec->config, reference_session.train_set());
   core::CostProfile profile = core::CostProfile::table3();
@@ -61,8 +69,7 @@ int main(int argc, char** argv) {
     session.set_cost_model(cost);
     // The dataset depends only on the image dimension, which the sweep holds
     // fixed — share the reference session's copy.
-    session.set_datasets(reference_session.train_set(),
-                         reference_session.test_set());
+    session.set_datasets(reference_session.train_set(), *test);
     if (!session.prepare()) {
       std::fprintf(stderr, "error: %s\n", session.error().c_str());
       return 1;

@@ -9,6 +9,7 @@
 //                     never waits, so noise averages instead of compounding.
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <vector>
 
 #include "core/session.hpp"
@@ -18,7 +19,7 @@ namespace {
 using namespace cellgan;
 
 double run_with_sigma(core::RunSpec spec, const core::WorkloadProbe& probe,
-                      const data::Dataset& train, const data::Dataset& test,
+                      const datastore::SampleStore& train, const data::Dataset& test,
                       double sigma, core::ExchangeMode mode) {
   spec.config.exchange_mode = mode;
   core::CostProfile profile = core::CostProfile::table3();
@@ -54,16 +55,22 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", probe_session.error().c_str());
     return 1;
   }
-  const data::Dataset& train = probe_session.train_set();
-  const data::Dataset& test = probe_session.test_set();
+  const datastore::SampleStore& train = probe_session.train_set();
+  const data::Dataset* test = nullptr;
+  try {
+    test = &probe_session.test_set();
+  } catch (const std::runtime_error& e) {  // an unreadable IDX test pair
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   const core::WorkloadProbe probe = core::TrainerCore::measure_workload(config, train);
 
   std::printf("ablation: exchange mode under straggler noise (%ux%u grid,"
               " %u iterations)\n",
               config.grid_rows, config.grid_cols, config.iterations);
-  const double sync_base = run_with_sigma(*spec, probe, train, test, 0.0,
+  const double sync_base = run_with_sigma(*spec, probe, train, *test, 0.0,
                                           core::ExchangeMode::kAllgather);
-  const double async_base = run_with_sigma(*spec, probe, train, test, 0.0,
+  const double async_base = run_with_sigma(*spec, probe, train, *test, 0.0,
                                            core::ExchangeMode::kAsyncNeighbors);
   std::printf("  %-8s | %16s %10s | %16s %10s\n", "sigma", "allgather(min)",
               "slowdown", "async(min)", "slowdown");
@@ -71,9 +78,9 @@ int main(int argc, char** argv) {
               async_base, "1.000x");
   for (const double sigma : {0.02, 0.05, 0.1, 0.2, 0.4}) {
     const double sync_makespan = run_with_sigma(
-        *spec, probe, train, test, sigma, core::ExchangeMode::kAllgather);
+        *spec, probe, train, *test, sigma, core::ExchangeMode::kAllgather);
     const double async_makespan = run_with_sigma(
-        *spec, probe, train, test, sigma, core::ExchangeMode::kAsyncNeighbors);
+        *spec, probe, train, *test, sigma, core::ExchangeMode::kAsyncNeighbors);
     std::printf("  %-8.2f | %16.2f %9.3fx | %16.2f %9.3fx\n", sigma, sync_makespan,
                 sync_makespan / sync_base, async_makespan,
                 async_makespan / async_base);

@@ -17,6 +17,7 @@
 // archive metric numbers (ci/check.sh --bench -> BENCH_metrics.json).
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -52,8 +53,14 @@ GridMetrics run_grid(const core::RunSpec& base, int side) {
   metrics::EvaluatorOptions options;
   options.eval_every = spec.observers.eval_every;
   options.samples = spec.observers.eval_samples;
-  metrics::EvaluatorObserver evaluator(session.spec().config, session.test_set(),
-                                       options);
+  const data::Dataset* test = nullptr;
+  try {
+    test = &session.test_set();
+  } catch (const std::runtime_error& e) {  // an unreadable IDX test pair
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(1);
+  }
+  metrics::EvaluatorObserver evaluator(session.spec().config, *test, options);
   session.observers().subscribe(&evaluator);
   const core::RunResult result = session.run();
 

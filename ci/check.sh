@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: configure, build, run the whole test bed once, then confirm
 # the tier-1 label resolved to the full bed without re-executing it. No
-# environment variable selects a tensor kernel, data plane or exchange
-# policy, so one pass covers them: the parity suites pin each choice
-# explicitly (kernel kinds, both data planes, all three exchange policies).
+# environment variable selects a tensor kernel or exchange policy, so one
+# pass covers them: the parity suites pin each choice explicitly (kernel
+# kinds, all three exchange policies).
 # The suites that loop over both kernel kinds run the AVX2 elementwise and
 # Adam loops under simd and the scalar oracle loops under scalar.
 # Usage:
@@ -13,8 +13,7 @@
 # a smoke) and records the numbers (the Table II metric sweep
 # BENCH_metrics.json, the scalar-vs-SIMD tensor kernel sweep
 # BENCH_tensor.json with the median and IQR of interleaved rounds, the
-# exchange-policy sweep BENCH_exchange.json, the legacy-vs-store data-plane
-# sweep BENCH_datastore.json, the serving-plane latency/QPS sweep
+# exchange-policy sweep BENCH_exchange.json, the serving-plane latency/QPS sweep
 # BENCH_serving.json with its telemetry stream SMOKE_serving.jsonl, and a
 # smoke-run telemetry stream SMOKE_telemetry.jsonl in the build dir), so perf
 # and quality PRs can show deltas.
@@ -109,13 +108,6 @@ if [ "$RUN_BENCH" -eq 1 ]; then
   ./bench/micro_tensor --min-time 0.01 --json "$BUILD/BENCH_tensor.json"
   grep -q '"best_single_thread_gemm_speedup"' "$BUILD/BENCH_tensor.json" || {
     echo "error: BENCH_tensor.json missing the kernel speedup summary" >&2
-    exit 1
-  }
-  echo "=== bench: data_plane (legacy vs store sweep) -> BENCH_datastore.json ==="
-  ./bench/data_plane --samples 1000 --iterations 3 --lanes 1,2,4 \
-    --feed-epochs 10 --json "$BUILD/BENCH_datastore.json"
-  grep -q '"parity": true' "$BUILD/BENCH_datastore.json" || {
-    echo "error: store plane is not bit-identical to the legacy loader" >&2
     exit 1
   }
   echo "=== bench: serve_load (QPS sweep, in-process server) -> BENCH_serving.json ==="

@@ -22,7 +22,7 @@ using namespace cellgan;
 /// Train `config.iterations` epochs over `grid`, applying `rewire` (if any)
 /// at the given iteration. Returns the best final generator loss.
 double train_with_topology(const core::TrainingConfig& config,
-                           const data::Dataset& dataset, evolve::Grid& grid,
+                           const datastore::SampleStore& dataset, evolve::Grid& grid,
                            std::uint32_t rewire_at,
                            void (*rewire)(evolve::Grid&)) {
   common::Rng master_rng(config.seed);
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", session.error().c_str());
     return 1;
   }
-  const data::Dataset& dataset = session.train_set();
+  const datastore::SampleStore& dataset = session.train_set();
 
   const int rows = static_cast<int>(config.grid_rows);
   const int cols = static_cast<int>(config.grid_cols);

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", session.error().c_str());
     return 1;
   }
-  const data::Dataset& dataset = session.train_set();
+  const datastore::SampleStore& dataset = session.train_set();
   const auto outcome = session.run();
   std::printf("  completed: best cell %d, heartbeat cycles %llu\n",
               outcome.best_cell,

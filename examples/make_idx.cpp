@@ -1,7 +1,7 @@
 // make_idx: emit an MNIST-shaped IDX file quartet (train + t10k images and
-// labels) so every IDX consumer — `cellgan_run --dataset idx:DIR`, the
-// mmap-backed SampleStore, the data-plane bench — can run in environments
-// where the real MNIST download is unavailable. Pixels come from the
+// labels) so every IDX consumer — `cellgan_run --dataset idx:DIR`, which
+// trains from the mapped training files, and the ledger — can run in
+// environments where the real MNIST download is unavailable. Pixels come from the
 // synthetic MNIST stand-in generator, quantized to bytes exactly the way
 // data::load_idx_pair de-quantizes them, so a round trip through these files
 // is bit-identical to an in-memory synthetic dataset.

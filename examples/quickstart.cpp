@@ -45,8 +45,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("dataset: %zu samples, %zu pixels each\n",
-              session.train_set().size(),
-              static_cast<std::size_t>(session.train_set().images.cols()));
+              session.train_set().samples(), session.train_set().sample_dim());
 
   // --- cellular training through the facade --------------------------------
   const core::RunResult outcome = session.run();

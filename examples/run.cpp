@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   std::printf("backend %s: %ux%u grid, %u iterations, %zu training samples\n",
               core::to_string(spec->backend), spec->config.grid_rows,
               spec->config.grid_cols, spec->config.iterations,
-              session.train_set().size());
+              session.train_set().samples());
 
   // Metric evaluation rides the observer bus: IS / FID / mode coverage over
   // the held-out set every --eval-every epochs, on whichever backend runs.

@@ -14,33 +14,30 @@ namespace cellgan::core {
 
 namespace {
 
-/// Data dieting: draw this cell's private training subsample, or nullopt to
-/// train on the shared full dataset.
-std::optional<data::Dataset> make_diet(const TrainingConfig& config,
-                                       const data::Dataset& dataset,
-                                       common::Rng& rng) {
-  if (config.data_dieting_fraction >= 1.0) return std::nullopt;
+/// Data dieting: draw the rows of this cell's private training subsample, or
+/// none to train on every row of the shared store.
+std::vector<std::uint32_t> make_diet(const TrainingConfig& config, std::size_t samples,
+                                     common::Rng& rng) {
+  if (config.data_dieting_fraction >= 1.0) return {};
   CG_EXPECT(config.data_dieting_fraction > 0.0);
   const auto count = std::max<std::size_t>(
       config.batch_size,
       static_cast<std::size_t>(config.data_dieting_fraction *
-                               static_cast<double>(dataset.size())));
-  return dataset.subsample(std::min(count, dataset.size()), rng);
+                               static_cast<double>(samples)));
+  return data::subsample_rows(samples, std::min(count, samples), rng);
 }
 
 }  // namespace
 
 CellTrainer::CellTrainer(const TrainingConfig& config, const evolve::Grid& grid, int cell_id,
-                         const data::Dataset& dataset, common::Rng rng,
+                         const datastore::SampleStore& dataset, common::Rng rng,
                          const ExecContext& context)
     : config_(config),
       grid_(grid),
       cell_(cell_id),
       context_(context),
       rng_(rng),
-      diet_(make_diet(config_, dataset, rng_)),
-      feed_(datastore::make_feed(config.data_plane, diet_ ? *diet_ : dataset,
-                                 config.batch_size)),
+      feed_(dataset, config.batch_size, make_diet(config_, dataset.samples(), rng_)),
       generator_(nn::make_generator(config.arch, rng_, config.conditional_classes())),
       discriminator_(
           nn::make_discriminator(config.arch, rng_, config.conditional_classes())),
@@ -55,12 +52,12 @@ CellTrainer::CellTrainer(const TrainingConfig& config, const evolve::Grid& grid,
       mixture_(grid.subpopulation_size(cell_id)),
       policy_(evolve::make_exchange_policy(config.exchange_policy, config.seed,
                                            config.exchange_every)) {
-  CG_EXPECT(dataset.images.cols() == config_.arch.image_dim);
+  CG_EXPECT(dataset.sample_dim() == config_.arch.image_dim);
   // Cells once initialized a spare generator and discriminator from their
   // stream here; skipping those draws keeps every trajectory's bits.
   nn::skip_xavier_uniform_init(neighbor_generator_, rng_);
   nn::skip_xavier_uniform_init(neighbor_discriminator_, rng_);
-  feed_->reshuffle(rng_);
+  feed_.reshuffle(rng_);
   evaluate_center_fitness();
 }
 
@@ -187,15 +184,15 @@ void CellTrainer::train() {
   }
 
   for (std::uint32_t b = 0; b < config_.batches_per_iteration; ++b) {
-    if (next_batch_ >= feed_->batches_per_epoch()) {
-      feed_->reshuffle(rng_);
+    if (next_batch_ >= feed_.batches_per_epoch()) {
+      feed_.reshuffle(rng_);
       next_batch_ = 0;
     }
     const std::size_t batch_index = next_batch_++;
-    const tensor::Tensor real = feed_->batch(batch_index);
+    const tensor::Tensor real = feed_.batch(batch_index);
     std::vector<std::uint32_t> real_labels;
     if (options.label_classes > 0) {
-      real_labels = feed_->batch_labels(batch_index);
+      real_labels = feed_.batch_labels(batch_index);
       options.real_labels = real_labels;
     }
 
@@ -231,11 +228,11 @@ void CellTrainer::train() {
 }
 
 void CellTrainer::evaluate_center_fitness() {
-  if (next_batch_ >= feed_->batches_per_epoch()) {
-    feed_->reshuffle(rng_);
+  if (next_batch_ >= feed_.batches_per_epoch()) {
+    feed_.reshuffle(rng_);
     next_batch_ = 0;
   }
-  const tensor::Tensor real = feed_->batch(next_batch_);
+  const tensor::Tensor real = feed_.batch(next_batch_);
   const std::size_t eval_n =
       std::min<std::size_t>(config_.fitness_eval_samples, real.rows());
   const tensor::Tensor eval_real = real.slice_rows(0, eval_n);
@@ -243,7 +240,7 @@ void CellTrainer::evaluate_center_fitness() {
   options.label_classes = config_.conditional_classes();
   std::vector<std::uint32_t> real_labels;
   if (options.label_classes > 0) {
-    real_labels = feed_->batch_labels(next_batch_);
+    real_labels = feed_.batch_labels(next_batch_);
     real_labels.resize(eval_n);
     options.real_labels = real_labels;
   }
@@ -334,7 +331,7 @@ std::vector<std::uint8_t> CellTrainer::serialize_training_state() {
   for (const std::uint64_t word : rng.s) w.write(word);
   w.write(rng.cached_normal);
   w.write<std::uint8_t>(rng.has_cached_normal ? 1 : 0);
-  w.write_vector(feed_->order());
+  w.write_vector(feed_.order());
   w.write<std::uint64_t>(next_batch_);
   w.write<std::uint64_t>(subpop_.size());
   for (const auto& slot : subpop_) {
@@ -377,7 +374,7 @@ void CellTrainer::restore_training_state(std::span<const std::uint8_t> bytes) {
   rng.cached_normal = r.read<double>();
   rng.has_cached_normal = r.read<std::uint8_t>() != 0;
   rng_.restore_state(rng);
-  feed_->restore_order(r.read_vector<std::uint32_t>());
+  feed_.restore_order(r.read_vector<std::uint32_t>());
   next_batch_ = static_cast<std::size_t>(r.read<std::uint64_t>());
   const auto slots = r.read<std::uint64_t>();
   CG_EXPECT(slots == subpop_.size());  // same config + grid topology

@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -35,8 +34,8 @@
 #include "core/exec_context.hpp"
 #include "core/gan_losses.hpp"
 #include "core/observer.hpp"
-#include "data/dataset.hpp"
 #include "datastore/batch_feed.hpp"
+#include "datastore/sample_store.hpp"
 #include "evolve/exchange.hpp"
 #include "evolve/genome.hpp"
 #include "evolve/mixture.hpp"
@@ -47,10 +46,11 @@ namespace cellgan::core {
 
 class CellTrainer : private evolve::ExchangeHost {
  public:
-  /// `dataset` must outlive the trainer. `rng` seeds this cell's private
-  /// stream (fork per cell for schedule-independent reproducibility).
+  /// The cell reads its batches from `dataset` (its feed keeps a copy of the
+  /// handle). `rng` seeds this cell's private stream (fork per cell for
+  /// schedule-independent reproducibility).
   CellTrainer(const TrainingConfig& config, const evolve::Grid& grid, int cell_id,
-              const data::Dataset& dataset, common::Rng rng,
+              const datastore::SampleStore& dataset, common::Rng rng,
               const ExecContext& context);
 
   /// One coevolutionary epoch. `gathered[cell]` holds that cell's genome
@@ -145,11 +145,9 @@ class CellTrainer : private evolve::ExchangeHost {
   ExecContext context_;  // pointers inside must outlive the trainer
   common::Rng rng_;
 
-  /// Owned subsample when data dieting is on (must precede feed_).
-  std::optional<data::Dataset> diet_;
-  /// Batch source — legacy DataLoader or store-backed StoreFeed, selected by
-  /// config_.data_plane. Both planes are bit-identical (parity suites).
-  std::unique_ptr<datastore::BatchFeed> feed_;
+  /// Batch source: every row of the shared store, or this cell's dieting
+  /// rows (drawn from rng_ at construction, so it must follow rng_).
+  datastore::StoreFeed feed_;
   std::size_t next_batch_ = 0;
 
   nn::Sequential generator_;

@@ -70,8 +70,9 @@ struct TrainingConfig {
   ExchangeMode exchange_mode = ExchangeMode::kAllgather;
   /// Data dieting [Toutouh et al., 2020, ref. 20 of the paper]: each cell
   /// trains on an independent random subsample of this fraction of the
-  /// training set (1.0 = full data, Lipizzaner's default). Cuts per-cell
-  /// memory and adds data-level diversity across the grid.
+  /// training set (1.0 = full data, Lipizzaner's default), kept as a list of
+  /// row indices into the shared store. Adds data-level diversity across the
+  /// grid.
   double data_dieting_fraction = 1.0;
   /// Genome-payload cadences of the observer records: on epochs matching
   /// either cadence (see genome_record_epoch), each cell's per-epoch record
@@ -87,9 +88,10 @@ struct TrainingConfig {
   /// a TrainObserver is subscribed at rank 0, telling slaves to forward
   /// per-epoch records at all. Keeps unobserved runs free of record traffic.
   std::uint32_t forward_records = 0;
-  /// Which data plane serves training batches: the legacy per-trainer
-  /// DataLoader or the shared SampleStore. Bit-identical trajectories either
-  /// way; broadcast so distributed slaves agree.
+  /// Inert: every run reads its batches through datastore::StoreFeed. The
+  /// field keeps its 4-byte slot in the serialized config (checkpoints, the
+  /// TCP broadcast) while the ledger still names it
+  /// (bench/ledger/ledger.cpp:800); it goes once ROADMAP item 1 stops that.
   datastore::DataPlane data_plane = datastore::DataPlane::kLegacy;
   std::uint64_t seed = 42;
   /// How genomes/discriminators migrate between cells each epoch (cellular

@@ -105,7 +105,7 @@ std::uint32_t negotiate_rollback(minimpi::Comm& world,
 /// world is thread-per-rank or one process per rank, which is what makes the
 /// TCP deployment bit-compatible with the in-process simulation.
 void distributed_rank_main(minimpi::Comm& world, const TrainingConfig& config,
-                           const data::Dataset& dataset,
+                           const datastore::SampleStore& dataset,
                            const CostModel& cost_model,
                            const Master::Options& master_options,
                            const RecoveryOptions& recovery,
@@ -172,13 +172,13 @@ double DistributedOutcome::slave_routine_virtual_min(const std::string& routine)
 }
 
 DistributedOutcome run_distributed(const TrainingConfig& config,
-                                   const data::Dataset& dataset,
+                                   const datastore::SampleStore& dataset,
                                    const CostModel& cost_model) {
   return run_distributed(config, dataset, cost_model, Master::Options{});
 }
 
 DistributedOutcome run_distributed(const TrainingConfig& config,
-                                   const data::Dataset& dataset,
+                                   const datastore::SampleStore& dataset,
                                    const CostModel& cost_model,
                                    Master::Options master_options) {
   const int world_size = static_cast<int>(config.grid_cells()) + 1;
@@ -236,7 +236,7 @@ namespace {
 /// when the caller asked for port 0.
 DistributedOutcome run_distributed_tcp_generation(
     const TcpWorld& world_config, std::string* rendezvous, bool announce,
-    const TrainingConfig& config, const data::Dataset& dataset,
+    const TrainingConfig& config, const datastore::SampleStore& dataset,
     const CostModel& cost_model, const Master::Options& master_options,
     const RecoveryOptions& recovery) {
   minimpi::TcpTransportOptions transport_options;
@@ -280,7 +280,7 @@ DistributedOutcome run_distributed_tcp_generation(
 
 DistributedOutcome run_distributed_tcp(const TcpWorld& world_config,
                                        const TrainingConfig& config,
-                                       const data::Dataset& dataset,
+                                       const datastore::SampleStore& dataset,
                                        const CostModel& cost_model,
                                        Master::Options master_options,
                                        RecoveryOptions recovery) {

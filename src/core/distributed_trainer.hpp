@@ -14,7 +14,7 @@
 #include "core/cost_model.hpp"
 #include "core/master.hpp"
 #include "core/trainer_core.hpp"  // TrainOutcome
-#include "data/dataset.hpp"
+#include "datastore/sample_store.hpp"
 #include "minimpi/runtime.hpp"
 
 namespace cellgan::core {
@@ -38,13 +38,14 @@ struct DistributedOutcome {
   double slave_routine_virtual_min(const std::string& routine) const;
 };
 
-/// Run the full master/slave training. `dataset` is shared read-only by all
-/// rank threads (each node in the paper loads its own copy; see DESIGN.md).
+/// Run the full master/slave training. Every rank thread reads `dataset`
+/// through its own copy of the store handle, so all of them share one
+/// backing (each node in the paper loads its own copy).
 DistributedOutcome run_distributed(const TrainingConfig& config,
-                                   const data::Dataset& dataset,
+                                   const datastore::SampleStore& dataset,
                                    const CostModel& cost_model = {});
 DistributedOutcome run_distributed(const TrainingConfig& config,
-                                   const data::Dataset& dataset,
+                                   const datastore::SampleStore& dataset,
                                    const CostModel& cost_model,
                                    Master::Options master_options);
 
@@ -102,13 +103,14 @@ RecoveryOptions recovery_options_from_env();
 /// Run this process' rank of the master/slave training over real sockets.
 /// Exactly the same per-rank code as run_distributed — same seeds, same
 /// virtual-time accounting — so per-rank outcomes are bit-identical to the
-/// in-process simulation. The returned outcome carries this rank's results:
+/// in-process simulation. Each rank process maps its own training file, and
+/// the page cache holds one copy for all of them. The returned outcome carries this rank's results:
 /// on rank 0 the full MasterOutcome and makespan, on slaves their own rank
 /// entry only. Throws minimpi::BootstrapError / TimeoutError /
 /// TransportError when the world cannot be formed or a peer dies.
 DistributedOutcome run_distributed_tcp(const TcpWorld& world,
                                        const TrainingConfig& config,
-                                       const data::Dataset& dataset,
+                                       const datastore::SampleStore& dataset,
                                        const CostModel& cost_model = {},
                                        Master::Options master_options = {},
                                        RecoveryOptions recovery = {});

@@ -157,9 +157,9 @@ struct ServeBatchRecord {
   double forward_us = 0.0;
 };
 
-/// Data-plane state of one run, published by the Session after the backend
-/// finishes (only when the run used the store plane): the bytes of sample
-/// files kept mmapped, from datastore::stats().
+/// The mapped training file of one run, published by the Session after the
+/// backend finishes, for every run that trained from a mapped IDX file: the
+/// bytes of that Session's mapping (SampleStore::bytes_mapped).
 struct DataStoreRecord {
   std::uint64_t bytes_mapped = 0;
 };

@@ -5,7 +5,8 @@
 namespace cellgan::core {
 
 ParallelTrainer::ParallelTrainer(const TrainingConfig& config,
-                                 const data::Dataset& dataset, std::size_t threads,
+                                 const datastore::SampleStore& dataset,
+                                 std::size_t threads,
                                  const CostModel& cost_model, ExecMode mode)
     : core_(config, dataset, cost_model), pool_(std::max<std::size_t>(1, threads)) {
   const auto n = static_cast<std::size_t>(core_.grid().size());

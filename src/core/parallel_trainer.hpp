@@ -41,10 +41,10 @@ namespace cellgan::core {
 
 class ParallelTrainer final {
  public:
-  /// `dataset` must outlive the trainer. `threads` is the number of worker
-  /// lanes (clamped to [1, cells]). `mode` selects the cost model's view:
-  /// the sequential backend passes SingleCore with one lane.
-  ParallelTrainer(const TrainingConfig& config, const data::Dataset& dataset,
+  /// Every lane reads `dataset`, one shared store. `threads` is the number of
+  /// worker lanes (clamped to [1, cells]). `mode` selects the cost model's
+  /// view: the sequential backend passes SingleCore with one lane.
+  ParallelTrainer(const TrainingConfig& config, const datastore::SampleStore& dataset,
                   std::size_t threads, const CostModel& cost_model = {},
                   ExecMode mode = ExecMode::MultiThread);
 
@@ -73,7 +73,7 @@ class ParallelTrainer final {
   std::size_t lanes() const { return lanes_.size(); }
 
   static WorkloadProbe measure_workload(const TrainingConfig& config,
-                                        const data::Dataset& dataset) {
+                                        const datastore::SampleStore& dataset) {
     return TrainerCore::measure_workload(config, dataset);
   }
 

@@ -375,8 +375,8 @@ const std::vector<Setting>& settings() {
             [](auto& s) -> auto& { return s.config.arch.hidden_dim; }, 1),
       count({"config", "hidden_layers", nullptr, ""},
             [](auto& s) -> auto& { return s.config.arch.hidden_layers; }, 1),
-      // Square images: the data planes build side x side pictures, and the
-      // synthetic digits need a side of at least 4.
+      // Square images: IDX downsampling and the synthetic digits build
+      // side x side pictures, and the digits need a side of at least 4.
       count({"config", "image_dim", nullptr, ""},
             [](auto& s) -> auto& { return s.config.arch.image_dim; }, 16,
             {[](double v) {
@@ -449,11 +449,6 @@ const std::vector<Setting>& settings() {
             [](auto& s) -> auto& { return s.config.genome_record_every; }),
       count({"config", "genome_record_every_b", nullptr, ""},
             [](auto& s) -> auto& { return s.config.genome_record_every_b; }),
-      one_of({"config", "data_plane", "data-plane",
-              "batch source, bit-identical either way (legacy: per-trainer"
-              " DataLoader; store: shared SampleStore)"},
-             [](auto& s) -> auto& { return s.config.data_plane; }, "legacy | store",
-             datastore::data_plane_from_string),
       count({"config", "seed", "seed", "global training seed"},
             [](auto& s) -> auto& { return s.config.seed; }),
   };

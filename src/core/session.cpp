@@ -16,7 +16,6 @@
 #include "core/parallel_trainer.hpp"
 #include "core/workload.hpp"
 #include "datastore/errors.hpp"
-#include "datastore/stats.hpp"
 #include "minimpi/bootstrap.hpp"
 #include "tensor/kernels.hpp"
 
@@ -154,6 +153,20 @@ std::size_t idx_side(const TrainingConfig& config) {
       std::lround(std::sqrt(static_cast<double>(config.arch.image_dim))));
 }
 
+/// The mapped training split as floats of `side` x `side`, built row by row:
+/// no full-size float copy of the split exists at any point.
+data::Dataset downsampled_rows(const datastore::SampleStore& mapped, std::size_t side) {
+  data::Dataset out;
+  out.images = tensor::Tensor(mapped.samples(), side * side);
+  out.labels.assign(mapped.labels().begin(), mapped.labels().end());
+  std::vector<float> row(mapped.sample_dim());
+  for (std::size_t i = 0; i < mapped.samples(); ++i) {
+    mapped.stage_row(i, row.data());
+    data::downsample_image(row, data::kImageSide, out.images.row_span(i), side);
+  }
+  return out;
+}
+
 }  // namespace
 
 // --- Session ----------------------------------------------------------------
@@ -172,9 +185,9 @@ void Session::set_master_options(Master::Options options) {
   master_options_ = options;
 }
 
-void Session::set_datasets(const data::Dataset& train, const data::Dataset& test) {
+void Session::set_datasets(datastore::SampleStore train, const data::Dataset& test) {
   CG_EXPECT(!prepared_);
-  external_train_ = &train;
+  train_set_ = std::move(train);
   external_test_ = &test;
 }
 
@@ -217,11 +230,12 @@ bool Session::prepare() {
   // 1. Resolve the training set (unless the caller supplied resolved ones).
   // The test split waits for its first reader (test_set()).
   const auto& config = spec_.config;
-  if (external_train_ != nullptr) {
+  if (train_set_.has_value()) {
     // nothing to do
   } else if (spec_.dataset.kind == DatasetSpec::Kind::kSynthetic) {
-    train_set_ = make_matched_dataset(config, spec_.dataset.samples,
-                                      spec_.dataset.seed);
+    train_floats_ = make_matched_dataset(config, spec_.dataset.samples,
+                                         spec_.dataset.seed);
+    train_set_.emplace(train_floats_);
   } else {
     if (config.arch.image_dim > data::kImageDim) {
       error_ = "IDX MNIST provides " + std::to_string(data::kImageDim) +
@@ -230,37 +244,31 @@ bool Session::prepare() {
                "; use a synthetic dataset for larger resolutions";
       return false;
     }
+    const std::size_t side = idx_side(config);
+    if (side * side != config.arch.image_dim) {
+      error_ = "architecture image_dim " + std::to_string(config.arch.image_dim) +
+               " is not square; cannot downsample IDX images to it";
+      return false;
+    }
     if (!data::mnist_idx_present(spec_.dataset.idx_dir, &error_)) return false;
-    auto loaded =
-        data::load_mnist_split(spec_.dataset.idx_dir, data::MnistSplit::kTrain, &error_);
-    if (!loaded) return false;
-    train_set_ = std::move(*loaded);
-    if (config.arch.image_dim != data::kImageDim) {
-      const std::size_t side = idx_side(config);
-      if (side * side != config.arch.image_dim) {
-        error_ = "architecture image_dim " + std::to_string(config.arch.image_dim) +
-                 " is not square; cannot downsample IDX images to it";
-        return false;
+    try {
+      auto mapped = datastore::SampleStore::map_idx(
+          spec_.dataset.idx_dir + "/train-images-idx3-ubyte",
+          spec_.dataset.idx_dir + "/train-labels-idx1-ubyte");
+      if (side == data::kImageSide) {
+        train_set_ = std::move(mapped);
+      } else {
+        // The mapping goes when `mapped` does; the run keeps the small floats.
+        train_floats_ = downsampled_rows(mapped, side);
+        train_set_.emplace(train_floats_);
       }
-      train_set_ = data::downsampled(train_set_, side);
-    } else {
-      // Full-resolution IDX training data: bind the mmap-backed store so
-      // store-plane feeds stage from the mapped bytes instead of a second
-      // float copy. Best-effort — on failure feeds fall back to the
-      // float-backed store over train_set_.
-      try {
-        idx_store_ = datastore::SampleStore::bind_idx(
-            train_set_, spec_.dataset.idx_dir + "/train-images-idx3-ubyte");
-      } catch (const datastore::DataStoreError& e) {
-        common::log_warn() << "could not mmap-bind IDX training images: "
-                           << e.what();
-      }
+    } catch (const datastore::DataStoreError& e) {
+      error_ = e.what();
+      return false;
     }
   }
-  const data::Dataset& train =
-      external_train_ != nullptr ? *external_train_ : train_set_;
-  if (train.size() < config.batch_size) {
-    error_ = "the training set has " + std::to_string(train.size()) +
+  if (train_set_->samples() < config.batch_size) {
+    error_ = "the training set has " + std::to_string(train_set_->samples()) +
              " samples, fewer than one batch (batch_size " +
              std::to_string(config.batch_size) + ")";
     return false;
@@ -274,7 +282,7 @@ bool Session::prepare() {
   } else if (spec_.cost_profile == CostProfileKind::kNone) {
     cost_model_ = CostModel{};
   } else {
-    const WorkloadProbe probe = TrainerCore::measure_workload(config, train);
+    const WorkloadProbe probe = TrainerCore::measure_workload(config, *train_set_);
     CostProfile profile = spec_.cost_profile == CostProfileKind::kTable3
                               ? CostProfile::table3()
                               : CostProfile::table4();
@@ -380,10 +388,9 @@ RunResult Session::run() {
         Backend::kDistributed,
         run_distributed(spec_.config, train_set(), cost_model_, options));
   }
-  // Publish the data plane's state when the run read through the store;
-  // legacy-plane runs skip the event entirely.
-  if (spec_.config.data_plane == datastore::DataPlane::kStore) {
-    observers_.data_store(DataStoreRecord{datastore::stats().snapshot().bytes_mapped});
+  // A run that trained from a mapped file reports the mapping.
+  if (train_set_->mmap_backed()) {
+    observers_.data_store(DataStoreRecord{train_set_->bytes_mapped()});
   }
   // Harvest the final metric snapshot from whichever evaluator subscribed.
   for (TrainObserver* observer : observers_.observers()) {
@@ -416,9 +423,9 @@ RunResult Session::run() {
   return result;
 }
 
-const data::Dataset& Session::train_set() const {
+const datastore::SampleStore& Session::train_set() const {
   CG_EXPECT(prepared_);
-  return external_train_ != nullptr ? *external_train_ : train_set_;
+  return *train_set_;
 }
 
 const data::Dataset& Session::test_set() {

@@ -1,7 +1,8 @@
 // core::Session — one runtime facade over the three execution backends.
 //
-// A Session takes a RunSpec, resolves its dataset (synthetic stand-in or
-// real MNIST IDX files, downsampled to the configured architecture),
+// A Session takes a RunSpec, resolves its training set (synthetic stand-in,
+// or real MNIST IDX files: mapped in place at full resolution, downsampled
+// row by row to a smaller architecture),
 // calibrates the virtual-time cost model when the spec asks for one, runs
 // the spec's backend, and returns one unified RunResult that subsumes both
 // TrainOutcome (the in-process trainers) and DistributedOutcome (the
@@ -88,10 +89,11 @@ class Session {
   /// Call before prepare().
   void set_cost_model(CostModel model);
   /// Use already-resolved datasets instead of resolving spec.dataset — sweep
-  /// benchmarks share one resolved dataset across many sessions instead of
-  /// reloading/regenerating it per point. Both must outlive the session.
-  /// Call before prepare().
-  void set_datasets(const data::Dataset& train, const data::Dataset& test);
+  /// benchmarks share one resolved training store (and its mapping) across
+  /// many sessions instead of reloading/regenerating it per point. Floats the
+  /// store borrows, and `test`, must outlive the session. Call before
+  /// prepare().
+  void set_datasets(datastore::SampleStore train, const data::Dataset& test);
   /// Master options for the distributed backend (heartbeat tuning).
   void set_master_options(Master::Options options);
 
@@ -113,11 +115,13 @@ class Session {
   /// Writes spec.result_json when set.
   RunResult run();
 
-  /// Resolved datasets; valid after a successful prepare(). The test split
-  /// is made or loaded (and downsampled) on the first test_set() call, since
-  /// only evaluators read it; an unreadable test pair throws
-  /// std::runtime_error there (prepare() already checked that it exists).
-  const data::Dataset& train_set() const;
+  /// Resolved datasets; valid after a successful prepare(). The training set
+  /// is a store: a full-resolution IDX run's is the mapped file, every other
+  /// run's borrows floats. The test split is made or loaded (and downsampled)
+  /// on the first test_set() call, since only evaluators read it; an
+  /// unreadable test pair throws std::runtime_error there (prepare() already
+  /// checked that it exists).
+  const datastore::SampleStore& train_set() const;
   const data::Dataset& test_set();
 
   /// The resolved cost model; valid after a successful prepare(). Lets a
@@ -166,13 +170,11 @@ class Session {
 
   bool prepared_ = false;
   std::string error_;
-  data::Dataset train_set_;
+  /// Floats train_set_ borrows when this session made them (a synthetic set,
+  /// or IDX images downsampled for a smaller architecture).
+  data::Dataset train_floats_;
+  std::optional<datastore::SampleStore> train_set_;  ///< set by prepare()
   std::optional<data::Dataset> test_set_;  ///< resolved by test_set()
-  /// mmap-backed SampleStore bound to train_set_ when the spec resolved full-
-  /// resolution IDX files: keeps the binding (and the mapping) alive so store-
-  /// plane feeds stage straight from the kernel page cache.
-  std::shared_ptr<datastore::SampleStore> idx_store_;
-  const data::Dataset* external_train_ = nullptr;
   const data::Dataset* external_test_ = nullptr;
   CostModel cost_model_;
   std::unique_ptr<ParallelTrainer> trainer_;

@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <thread>
+#include <utility>
 
 #include "common/log.hpp"
 #include "core/comm_manager.hpp"
@@ -12,16 +13,16 @@
 namespace cellgan::core {
 
 Slave::Slave(minimpi::Comm& world, minimpi::Comm& local, minimpi::Comm& global,
-             const data::Dataset& dataset, const CostModel& cost_model)
-    : Slave(world, local, global, dataset, cost_model, Options{}) {}
+             datastore::SampleStore dataset, const CostModel& cost_model)
+    : Slave(world, local, global, std::move(dataset), cost_model, Options{}) {}
 
 Slave::Slave(minimpi::Comm& world, minimpi::Comm& local, minimpi::Comm& global,
-             const data::Dataset& dataset, const CostModel& cost_model,
+             datastore::SampleStore dataset, const CostModel& cost_model,
              Options options)
     : world_(world),
       local_(local),
       global_(global),
-      dataset_(dataset),
+      dataset_(std::move(dataset)),
       cost_model_(cost_model),
       options_(std::move(options)) {
   CG_EXPECT(world_.rank() >= 1);

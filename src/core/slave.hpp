@@ -18,7 +18,7 @@
 #include "core/cost_model.hpp"
 #include "core/protocol.hpp"
 #include "core/rank_state.hpp"
-#include "data/dataset.hpp"
+#include "datastore/sample_store.hpp"
 #include "minimpi/comm.hpp"
 
 namespace cellgan::core {
@@ -48,9 +48,9 @@ class Slave {
   };
 
   Slave(minimpi::Comm& world, minimpi::Comm& local, minimpi::Comm& global,
-        const data::Dataset& dataset, const CostModel& cost_model);
+        datastore::SampleStore dataset, const CostModel& cost_model);
   Slave(minimpi::Comm& world, minimpi::Comm& local, minimpi::Comm& global,
-        const data::Dataset& dataset, const CostModel& cost_model,
+        datastore::SampleStore dataset, const CostModel& cost_model,
         Options options);
 
   /// Full life cycle; returns this slave's final result (also sent to the
@@ -65,7 +65,7 @@ class Slave {
   minimpi::Comm& world_;
   minimpi::Comm& local_;
   minimpi::Comm& global_;
-  const data::Dataset& dataset_;
+  datastore::SampleStore dataset_;
   CostModel cost_model_;  // by value: callers may pass temporaries
   Options options_;
   std::atomic<protocol::SlaveState> state_{protocol::SlaveState::kInactive};

@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "common/timer.hpp"
 #include "evolve/exchange.hpp"
 
 namespace cellgan::core {
 
-TrainerCore::TrainerCore(const TrainingConfig& config, const data::Dataset& dataset,
+TrainerCore::TrainerCore(const TrainingConfig& config, datastore::SampleStore dataset,
                          const CostModel& cost_model)
     : config_(config),
-      dataset_(dataset),
+      dataset_(std::move(dataset)),
       cost_model_(cost_model),
       grid_(static_cast<int>(config.grid_rows), static_cast<int>(config.grid_cols)),
       store_(static_cast<std::size_t>(grid_.size())) {}
@@ -136,7 +137,7 @@ void TrainerCore::restore(const Checkpoint& snapshot) {
 }
 
 WorkloadProbe TrainerCore::measure_workload(const TrainingConfig& config,
-                                            const data::Dataset& dataset) {
+                                            const datastore::SampleStore& dataset) {
   // Run two iterations of a throwaway cell wired to itself: the second
   // iteration installs a full set of neighbor genomes, giving representative
   // update bytes and train flops.

@@ -20,7 +20,7 @@
 #include "core/config.hpp"
 #include "core/cost_model.hpp"
 #include "core/observer.hpp"
-#include "data/dataset.hpp"
+#include "datastore/sample_store.hpp"
 #include "evolve/grid.hpp"
 
 namespace cellgan::core {
@@ -39,8 +39,8 @@ struct TrainOutcome {
 /// Schedule-independent machinery shared by the in-process trainers.
 class TrainerCore {
  public:
-  /// `dataset` must outlive the core.
-  TrainerCore(const TrainingConfig& config, const data::Dataset& dataset,
+  /// Every cell reads its batches from `dataset`, one shared store.
+  TrainerCore(const TrainingConfig& config, datastore::SampleStore dataset,
               const CostModel& cost_model);
 
   /// Construct one CellTrainer + LocalCommManager per grid cell, seeding each
@@ -93,7 +93,7 @@ class TrainerCore {
   /// Calibration probe: per-cell-per-iteration work of this configuration
   /// (runs one throwaway iteration on a scratch cell).
   static WorkloadProbe measure_workload(const TrainingConfig& config,
-                                        const data::Dataset& dataset);
+                                        const datastore::SampleStore& dataset);
 
   const TrainingConfig& config() const { return config_; }
   const CostModel& cost_model() const { return cost_model_; }
@@ -105,7 +105,7 @@ class TrainerCore {
 
  private:
   TrainingConfig config_;
-  const data::Dataset& dataset_;
+  datastore::SampleStore dataset_;
   CostModel cost_model_;
   evolve::Grid grid_;
   GenomeStore store_;

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,12 +30,15 @@ struct Dataset {
   /// Copy of samples [begin, end).
   Dataset slice(std::size_t begin, std::size_t end) const;
 
-  /// Uniform random subsample of `count` items (without replacement).
-  Dataset subsample(std::size_t count, common::Rng& rng) const;
-
   /// Per-class counts (histogram over labels).
   std::vector<std::size_t> class_histogram() const;
 };
+
+/// Uniform random choice of `count` of `size` row indices, without
+/// replacement: the first `count` entries of a shuffled identity order. Data
+/// dieting draws each cell's rows with it.
+std::vector<std::uint32_t> subsample_rows(std::size_t size, std::size_t count,
+                                          common::Rng& rng);
 
 /// Load the four MNIST IDX files (train-images-idx3-ubyte,
 /// train-labels-idx1-ubyte, t10k-images-idx3-ubyte, t10k-labels-idx1-ubyte)
@@ -51,13 +55,20 @@ bool mnist_idx_present(const std::string& dir, std::string* error = nullptr);
 enum class MnistSplit { kTrain, kTest };
 
 /// Load one split's image/label pair from `dir` (the half of load_mnist_idx
-/// a caller needs now); nullopt with `error` set when it is unreadable or
-/// misshapen.
+/// a caller needs now); nullopt with `error` set when it is unreadable,
+/// misshapen, or holds a label outside 0..9 (the error names the labels file
+/// and the first bad index).
 std::optional<Dataset> load_mnist_split(const std::string& dir, MnistSplit split,
                                         std::string* error = nullptr);
 
 /// Area-average the square images of a dataset down to new_side x new_side
 /// (used to feed reduced architectures in tests and wall-clock benchmarks).
 Dataset downsampled(const Dataset& dataset, std::size_t new_side);
+
+/// Area-average one old_side x old_side image into `out`, new_side x
+/// new_side: the per-row step of downsampled(), for callers that build a
+/// small set row by row.
+void downsample_image(std::span<const float> image, std::size_t old_side,
+                      std::span<float> out, std::size_t new_side);
 
 }  // namespace cellgan::data

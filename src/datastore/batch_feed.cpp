@@ -6,12 +6,14 @@
 
 namespace cellgan::datastore {
 
-StoreFeed::StoreFeed(std::shared_ptr<const SampleStore> store, std::size_t batch_size,
-                     std::vector<std::uint32_t> labels)
-    : shuffle_(store->samples()), store_(std::move(store)), batch_size_(batch_size),
-      labels_(std::move(labels)) {
+StoreFeed::StoreFeed(SampleStore store, std::size_t batch_size,
+                     std::vector<std::uint32_t> rows)
+    : store_(std::move(store)),
+      rows_(std::move(rows)),
+      shuffle_(rows_.empty() ? store_.samples() : rows_.size()),
+      batch_size_(batch_size) {
   CG_EXPECT(batch_size_ > 0);
-  CG_EXPECT(labels_.empty() || labels_.size() == store_->samples());
+  CG_EXPECT(shuffle_.order().size() >= batch_size_);
 }
 
 std::size_t StoreFeed::batches_per_epoch() const {
@@ -24,35 +26,30 @@ void StoreFeed::restore_order(std::vector<std::uint32_t> order) {
   shuffle_.restore(std::move(order));
 }
 
-tensor::Tensor StoreFeed::batch(std::size_t index) {
+tensor::Tensor StoreFeed::batch(std::size_t index) const {
   CG_EXPECT(index < batches_per_epoch());
-  const std::size_t dim = store_->sample_dim();
+  const std::size_t dim = store_.sample_dim();
   tensor::Tensor out(batch_size_, dim);
-  const std::uint32_t* rows = shuffle_.order().data() + index * batch_size_;
+  const std::uint32_t* positions = shuffle_.order().data() + index * batch_size_;
   float* dst = out.data().data();
-  for (std::size_t i = 0; i < batch_size_; ++i) store_->stage_row(rows[i], dst + i * dim);
+  for (std::size_t i = 0; i < batch_size_; ++i) {
+    store_.stage_row(row(positions[i]), dst + i * dim);
+  }
   return out;
 }
 
 std::vector<std::uint32_t> StoreFeed::batch_labels(std::size_t index) const {
   CG_EXPECT(index < batches_per_epoch());
-  CG_EXPECT(!labels_.empty());  // feed built without a label plane
-  const auto& order = shuffle_.order();
+  const auto labels = store_.labels();
+  const std::uint32_t* positions = shuffle_.order().data() + index * batch_size_;
   std::vector<std::uint32_t> out(batch_size_);
-  for (std::size_t i = 0; i < batch_size_; ++i) {
-    out[i] = labels_[order[index * batch_size_ + i]];
-  }
+  for (std::size_t i = 0; i < batch_size_; ++i) out[i] = labels[row(positions[i])];
   return out;
 }
 
-std::unique_ptr<BatchFeed> make_feed(DataPlane plane, const data::Dataset& dataset,
+std::unique_ptr<StoreFeed> make_feed(DataPlane /*plane*/, const data::Dataset& dataset,
                                      std::size_t batch_size) {
-  if (plane == DataPlane::kStore) {
-    auto store = SampleStore::for_dataset(dataset);
-    CG_EXPECT(store->sample_dim() == dataset.images.cols());
-    return std::make_unique<StoreFeed>(std::move(store), batch_size, dataset.labels);
-  }
-  return std::make_unique<LegacyFeed>(dataset, batch_size);
+  return std::make_unique<StoreFeed>(dataset, batch_size);
 }
 
 }  // namespace cellgan::datastore

@@ -1,19 +1,16 @@
-// BatchFeed — the seam between training loops and the data plane.
+// StoreFeed — a cell's training batches, staged from the training set's store.
 //
-// CellTrainer consumes batches through this interface; which plane serves
-// them is TrainingConfig::data_plane (see data_plane.hpp):
-//
-//   * LegacyFeed forwards to data::DataLoader — byte-for-byte the historical
-//     path, the parity baseline.
-//   * StoreFeed stages each batch synchronously from a shared SampleStore on
-//     the calling lane (gather + normalize, ~0.35 ms per paper-shape batch).
-//
-// Contract (both planes, pinned by tests/datastore/store_feed_test.cpp):
+// CellTrainer reads every batch through this feed, staged synchronously on
+// the calling lane (gather + normalize). Contract, pinned by
+// tests/datastore/store_feed_test.cpp against data::DataLoader as the oracle:
 //   * construction leaves the identity order, like a fresh DataLoader;
 //   * reshuffle() consumes exactly the Rng draws DataLoader::reshuffle does;
 //   * batch(i) is repeatable — the trainer peeks an index in
 //     evaluate_center_fitness() and reads it again in train();
 //   * order()/restore_order() round-trip through checkpoints.
+// A dieting cell passes the list of rows it trains on: the feed shuffles
+// positions in that list and stages the rows they name, which are the batches
+// a DataLoader over a copy of those rows would serve.
 // Feeds are single-consumer: all methods are called from the owning trainer's
 // thread. Any number of feeds may read one shared store concurrently.
 #pragma once
@@ -23,7 +20,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "data/dataloader.hpp"
 #include "data/dataset.hpp"
 #include "datastore/data_plane.hpp"
 #include "datastore/sample_store.hpp"
@@ -32,76 +28,42 @@
 
 namespace cellgan::datastore {
 
-class BatchFeed {
+class StoreFeed {
  public:
-  virtual ~BatchFeed() = default;
+  /// Serve `rows` of `store` (every row when `rows` is empty) in batches of
+  /// `batch_size`.
+  StoreFeed(SampleStore store, std::size_t batch_size,
+            std::vector<std::uint32_t> rows = {});
 
-  virtual DataPlane plane() const = 0;
-  virtual std::size_t batch_size() const = 0;
-  virtual std::size_t batches_per_epoch() const = 0;
-  virtual void reshuffle(common::Rng& rng) = 0;
-  virtual const std::vector<std::uint32_t>& order() const = 0;
-  virtual void restore_order(std::vector<std::uint32_t> order) = 0;
+  /// Number of full batches per epoch (the tail partial batch is dropped).
+  std::size_t batches_per_epoch() const;
+  void reshuffle(common::Rng& rng);
+  /// The epoch order over positions in the served rows, for checkpointing.
+  const std::vector<std::uint32_t>& order() const { return shuffle_.order(); }
+  void restore_order(std::vector<std::uint32_t> order);
   /// Materialize batch `index` of the current epoch. Repeatable: reading the
   /// same index twice (peek, then consume) returns identical tensors.
-  virtual tensor::Tensor batch(std::size_t index) = 0;
-  /// Row-aligned class labels of batch `index` — the conditional pathway's
-  /// label plane. Follows the same order() the image batch uses, so labels[i]
-  /// annotates batch(index).row(i).
-  virtual std::vector<std::uint32_t> batch_labels(std::size_t index) const = 0;
-};
-
-/// The historical path: a thin forwarder around data::DataLoader.
-class LegacyFeed final : public BatchFeed {
- public:
-  LegacyFeed(const data::Dataset& dataset, std::size_t batch_size)
-      : loader_(dataset, batch_size) {}
-
-  DataPlane plane() const override { return DataPlane::kLegacy; }
-  std::size_t batch_size() const override { return loader_.batch_size(); }
-  std::size_t batches_per_epoch() const override { return loader_.batches_per_epoch(); }
-  void reshuffle(common::Rng& rng) override { loader_.reshuffle(rng); }
-  const std::vector<std::uint32_t>& order() const override { return loader_.order(); }
-  void restore_order(std::vector<std::uint32_t> order) override {
-    loader_.restore_order(std::move(order));
-  }
-  tensor::Tensor batch(std::size_t index) override { return loader_.batch(index); }
-  std::vector<std::uint32_t> batch_labels(std::size_t index) const override {
-    return loader_.batch_labels(index);
-  }
+  tensor::Tensor batch(std::size_t index) const;
+  /// Row-aligned class labels of batch `index`: labels[i] annotates
+  /// batch(index).row(i).
+  std::vector<std::uint32_t> batch_labels(std::size_t index) const;
 
  private:
-  data::DataLoader loader_;
-};
+  /// The store row at `position` of the served rows.
+  std::size_t row(std::size_t position) const {
+    return rows_.empty() ? position : rows_[position];
+  }
 
-/// Store-served batches: batch(i) gathers the epoch order's rows from the
-/// shared SampleStore into a fresh tensor, bit-identical to LegacyFeed.
-class StoreFeed final : public BatchFeed {
- public:
-  StoreFeed(std::shared_ptr<const SampleStore> store, std::size_t batch_size,
-            std::vector<std::uint32_t> labels = {});
-
-  DataPlane plane() const override { return DataPlane::kStore; }
-  std::size_t batch_size() const override { return batch_size_; }
-  std::size_t batches_per_epoch() const override;
-  void reshuffle(common::Rng& rng) override;
-  const std::vector<std::uint32_t>& order() const override { return shuffle_.order(); }
-  void restore_order(std::vector<std::uint32_t> order) override;
-  tensor::Tensor batch(std::size_t index) override;
-  std::vector<std::uint32_t> batch_labels(std::size_t index) const override;
-
- private:
+  SampleStore store_;
+  std::vector<std::uint32_t> rows_;
   ShuffleService shuffle_;
-  std::shared_ptr<const SampleStore> store_;
   std::size_t batch_size_;
-  /// Per-sample class labels (copied from the dataset at feed construction);
-  /// the store itself only holds the pixel plane.
-  std::vector<std::uint32_t> labels_;
 };
 
-/// Build the feed `plane` selects. Store feeds intern the process-wide
-/// SampleStore for `dataset`.
-std::unique_ptr<BatchFeed> make_feed(DataPlane plane, const data::Dataset& dataset,
+/// A feed over every row of `dataset`'s floats. The plane names nothing
+/// any more: bench/ledger/ledger.cpp:800 still passes one, until ROADMAP
+/// item 1 stops it naming the data plane.
+std::unique_ptr<StoreFeed> make_feed(DataPlane plane, const data::Dataset& dataset,
                                      std::size_t batch_size);
 
 }  // namespace cellgan::datastore

@@ -35,7 +35,8 @@ class TruncatedFileError : public DataStoreError {
       : DataStoreError(message) {}
 };
 
-/// The magic number (or the dimension fields) are not an idx3-ubyte header.
+/// The magic number (or the dimension fields) are not an idx3-ubyte header,
+/// or the labels file is not idx1-ubyte.
 class BadMagicError : public DataStoreError {
  public:
   explicit BadMagicError(const std::string& message)
@@ -46,6 +47,21 @@ class BadMagicError : public DataStoreError {
 class EmptyStoreError : public DataStoreError {
  public:
   explicit EmptyStoreError(const std::string& message)
+      : DataStoreError(message) {}
+};
+
+/// The pair does not describe one MNIST split: images other than 28x28, or a
+/// labels file whose count differs from the images'.
+class ShapeMismatchError : public DataStoreError {
+ public:
+  explicit ShapeMismatchError(const std::string& message)
+      : DataStoreError(message) {}
+};
+
+/// A label outside the ten classes 0..9.
+class BadLabelError : public DataStoreError {
+ public:
+  explicit BadLabelError(const std::string& message)
       : DataStoreError(message) {}
 };
 

@@ -2,7 +2,7 @@
 //
 // The sample store keeps the IDX pixel plane as the kernel's page-cache copy
 // instead of a heap duplicate: one MappedFile per image file, shared by every
-// lane and rank in the process. PROT_READ means a stray write through the
+// copy of the store in the process. PROT_READ means a stray write through the
 // mapping faults instead of corrupting training data.
 #pragma once
 

@@ -1,20 +1,27 @@
 #include "datastore/sample_store.hpp"
 
-#include <algorithm>
+#include <cstdio>
 #include <cstring>
-#include <map>
-#include <mutex>
+#include <utility>
+#include <vector>
 
 #include "common/expect.hpp"
 #include "datastore/errors.hpp"
-#include "datastore/stats.hpp"
+#include "datastore/mapped_file.hpp"
 
 namespace cellgan::datastore {
+
+struct SampleStore::Mapping {
+  MappedFile images;
+  std::vector<std::uint32_t> labels;
+};
 
 namespace {
 
 constexpr std::uint32_t kImagesMagic = 0x00000803;  // idx3, ubyte
+constexpr std::uint32_t kLabelsMagic = 0x00000801;  // idx1, ubyte
 constexpr std::size_t kHeaderBytes = 16;            // magic + count + rows + cols
+constexpr std::size_t kLabelsHeaderBytes = 8;       // magic + count
 /// Sanity ceiling for one image side; a "dimension" above this is header
 /// corruption, not a plausible dataset. Also keeps rows*cols in 32 bits so
 /// the size arithmetic below cannot overflow.
@@ -25,44 +32,63 @@ std::uint32_t read_u32_be(const unsigned char* p) {
          (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
 }
 
-GlobalStats global_stats;
+std::string hex(std::uint32_t value) {
+  char text[16];
+  std::snprintf(text, sizeof(text), "0x%08x", value);
+  return text;
+}
 
-/// Registry of live stores keyed by the dataset's float storage address.
-/// Entries are weak so the registry never extends a store's lifetime; a dead
-/// entry is simply replaced on the next lookup. The (size, dim) pair is
-/// checked on hits so a recycled allocation address with a different shape
-/// cannot alias a stale store.
-struct Registry {
-  std::mutex mutex;
-  std::map<const float*, std::weak_ptr<SampleStore>> stores;
-
-  static Registry& instance() {
-    static Registry registry;
-    return registry;
+/// The `count` labels of an idx1-ubyte file, each checked to be a class.
+std::vector<std::uint32_t> read_labels(const std::string& path, std::uint32_t count) {
+  const MappedFile file(path);  // throws MissingFileError / MappingError
+  if (file.size() < kLabelsHeaderBytes) {
+    throw TruncatedFileError("datastore: '" + path + "' holds " +
+                             std::to_string(file.size()) +
+                             " bytes, smaller than the 8-byte IDX header");
   }
-};
-
-const float* dataset_key(const data::Dataset& dataset) {
-  return dataset.images.data().data();
+  const std::uint32_t magic = read_u32_be(file.data());
+  if (magic != kLabelsMagic) {
+    throw BadMagicError("datastore: '" + path + "' has magic " + hex(magic) +
+                        ", not idx1-ubyte (0x00000801)");
+  }
+  const std::uint32_t declared = read_u32_be(file.data() + 4);
+  if (declared != count) {
+    throw ShapeMismatchError("datastore: '" + path + "' declares " +
+                             std::to_string(declared) + " labels for " +
+                             std::to_string(count) + " images");
+  }
+  if (file.size() - kLabelsHeaderBytes < count) {
+    throw TruncatedFileError("datastore: '" + path + "' is truncated: header declares " +
+                             std::to_string(count) + " labels but only " +
+                             std::to_string(file.size() - kLabelsHeaderBytes) +
+                             " are on disk");
+  }
+  const unsigned char* bytes = file.data() + kLabelsHeaderBytes;
+  std::vector<std::uint32_t> labels(bytes, bytes + count);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    if (labels[i] >= data::kNumClasses) {
+      throw BadLabelError("datastore: '" + path + "' holds label " +
+                          std::to_string(labels[i]) + " at index " + std::to_string(i) +
+                          ", outside the classes 0-9");
+    }
+  }
+  return labels;
 }
 
 }  // namespace
 
-GlobalStats& stats() { return global_stats; }
-
-std::shared_ptr<SampleStore> SampleStore::map_idx(const std::string& images_path) {
-  MappedFile mapping(images_path);  // throws MissingFileError / MappingError
-  if (mapping.size() < kHeaderBytes) {
+SampleStore SampleStore::map_idx(const std::string& images_path,
+                                 const std::string& labels_path) {
+  MappedFile images(images_path);  // throws MissingFileError / MappingError
+  if (images.size() < kHeaderBytes) {
     throw TruncatedFileError("datastore: '" + images_path + "' holds " +
-                             std::to_string(mapping.size()) +
+                             std::to_string(images.size()) +
                              " bytes, smaller than the 16-byte IDX header");
   }
-  const unsigned char* head = mapping.data();
+  const unsigned char* head = images.data();
   const std::uint32_t magic = read_u32_be(head);
   if (magic != kImagesMagic) {
-    char hex[16];
-    std::snprintf(hex, sizeof(hex), "0x%08x", magic);
-    throw BadMagicError("datastore: '" + images_path + "' has magic " + hex +
+    throw BadMagicError("datastore: '" + images_path + "' has magic " + hex(magic) +
                         ", not idx3-ubyte (0x00000803)");
   }
   const std::uint32_t count = read_u32_be(head + 4);
@@ -81,7 +107,7 @@ std::shared_ptr<SampleStore> SampleStore::map_idx(const std::string& images_path
   // anywhere: division instead of count*rows*cols sidesteps overflow from a
   // garbage header.
   const std::uint64_t row_bytes = std::uint64_t{rows} * cols;
-  const std::uint64_t available = mapping.size() - kHeaderBytes;
+  const std::uint64_t available = images.size() - kHeaderBytes;
   if (count > available / row_bytes) {
     throw TruncatedFileError(
         "datastore: '" + images_path + "' is truncated: header declares " +
@@ -89,62 +115,33 @@ std::shared_ptr<SampleStore> SampleStore::map_idx(const std::string& images_path
         " bytes but only " + std::to_string(available) +
         " payload bytes are on disk");
   }
-
-  auto store = std::shared_ptr<SampleStore>(new SampleStore());
-  store->samples_ = count;
-  store->dim_ = static_cast<std::size_t>(row_bytes);
-  store->mapping_ = std::move(mapping);
-  store->pixels_ = store->mapping_->data() + kHeaderBytes;
-  global_stats.bytes_mapped.value.fetch_add(store->mapping_->size(),
-                                            std::memory_order_relaxed);
-  global_stats.stores_created.value.fetch_add(1, std::memory_order_relaxed);
-  return store;
-}
-
-std::shared_ptr<SampleStore> SampleStore::adopt(const data::Dataset& dataset) {
-  CG_EXPECT(dataset.size() > 0);
-  auto store = std::shared_ptr<SampleStore>(new SampleStore());
-  store->samples_ = dataset.size();
-  store->dim_ = dataset.images.cols();
-  store->floats_ = dataset.images.data().data();
-  global_stats.stores_created.value.fetch_add(1, std::memory_order_relaxed);
-  return store;
-}
-
-std::shared_ptr<SampleStore> SampleStore::for_dataset(const data::Dataset& dataset) {
-  Registry& registry = Registry::instance();
-  const float* key = dataset_key(dataset);
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  const auto it = registry.stores.find(key);
-  if (it != registry.stores.end()) {
-    if (auto live = it->second.lock();
-        live != nullptr && live->samples() == dataset.size() &&
-        live->sample_dim() == dataset.images.cols()) {
-      return live;
-    }
+  if (rows != data::kImageSide || cols != data::kImageSide) {
+    throw ShapeMismatchError("datastore: '" + images_path + "' holds " +
+                             std::to_string(rows) + "x" + std::to_string(cols) +
+                             " images, not MNIST's 28x28");
   }
-  auto store = adopt(dataset);
-  registry.stores[key] = store;
+
+  auto mapping = std::make_shared<Mapping>(
+      Mapping{std::move(images), read_labels(labels_path, count)});
+  SampleStore store;
+  store.samples_ = count;
+  store.dim_ = static_cast<std::size_t>(row_bytes);
+  store.pixels_ = mapping->images.data() + kHeaderBytes;
+  store.labels_ = mapping->labels;
+  store.mapping_ = std::move(mapping);
   return store;
 }
 
-std::shared_ptr<SampleStore> SampleStore::bind_idx(const data::Dataset& dataset,
-                                                   const std::string& images_path) {
-  auto store = map_idx(images_path);
-  if (store->samples() != dataset.size() ||
-      store->sample_dim() != dataset.images.cols()) {
-    throw DataStoreError(
-        "datastore: '" + images_path + "' shape (" +
-        std::to_string(store->samples()) + " x " +
-        std::to_string(store->sample_dim()) +
-        ") does not match the dataset it should back (" +
-        std::to_string(dataset.size()) + " x " +
-        std::to_string(dataset.images.cols()) + ")");
-  }
-  Registry& registry = Registry::instance();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  registry.stores[dataset_key(dataset)] = store;
-  return store;
+SampleStore::SampleStore(const data::Dataset& dataset)
+    : samples_(dataset.size()),
+      dim_(dataset.images.cols()),
+      floats_(dataset.images.data().data()),
+      labels_(dataset.labels) {
+  CG_EXPECT(dataset.labels.size() == dataset.size());
+}
+
+std::size_t SampleStore::bytes_mapped() const {
+  return mapping_ != nullptr ? mapping_->images.size() : 0;
 }
 
 void SampleStore::stage_row(std::size_t row, float* dst) const {
@@ -153,7 +150,7 @@ void SampleStore::stage_row(std::size_t row, float* dst) const {
     const unsigned char* src = pixels_ + row * dim_;
     for (std::size_t j = 0; j < dim_; ++j) {
       // bytes 0..255 -> [-1, 1]; must stay the exact expression
-      // data::load_idx_pair uses so staged floats are bit-identical.
+      // data::load_mnist_split uses so staged floats are bit-identical.
       dst[j] = static_cast<float>(src[j]) / 127.5f - 1.0f;
     }
   } else {

@@ -1,11 +1,11 @@
 // ShuffleService — deterministic epoch-order management.
 //
 // The one shuffle implementation in the system is common::Rng::shuffle
-// (Fisher-Yates); both the legacy data::DataLoader and this service delegate
-// to it, so a StoreFeed seeded like a DataLoader draws bit-identical epoch
-// orders — the property every cross-plane parity suite rests on. The order is
-// exposed for checkpointing exactly like the loader's: a resumed run restores
-// the interrupted epoch's permutation and cursor and replays the same batches.
+// (Fisher-Yates); both data::DataLoader (the classifier's loader and the
+// feed tests' oracle) and this service delegate to it, so a StoreFeed seeded
+// like a DataLoader draws bit-identical epoch orders. The order is exposed
+// for checkpointing exactly like the loader's: a resumed run restores the
+// interrupted epoch's permutation and cursor and replays the same batches.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,7 @@ class ShuffleService {
   explicit ShuffleService(std::size_t samples);
 
   /// Draw a new epoch order. Delegates to common::Rng::shuffle — the same
-  /// Fisher-Yates the legacy loader consumes, one uniform_int draw per
+  /// Fisher-Yates DataLoader consumes, one uniform_int draw per
   /// element, so the caller's Rng stream advances identically.
   void reshuffle(common::Rng& rng);
 

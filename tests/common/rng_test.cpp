@@ -144,9 +144,10 @@ TEST(RngTest, ShuffleIsAPermutation) {
 TEST(RngTest, ShuffleOrderIsPinnedForever) {
   // The historical Fisher-Yates order for seed 1234, n = 16 — two consecutive
   // epochs from one stream. This is the ONE shuffle implementation in the
-  // system: data::DataLoader::reshuffle and datastore::ShuffleService both
-  // delegate here, and every legacy-vs-store data-plane parity guarantee (and
-  // every past checkpoint's saved epoch order) assumes these exact values.
+  // system: data::DataLoader::reshuffle, datastore::ShuffleService and data
+  // dieting's row draw (data::subsample_rows) all delegate here, and every
+  // pinned trajectory (and every past checkpoint's saved epoch order)
+  // assumes these exact values.
   // If this test fails, the change broke replay compatibility — revert it.
   Rng rng(1234);
   std::vector<std::uint32_t> v(16);

@@ -175,22 +175,16 @@ TEST(RunSpecTest, PaperArchFlag) {
   EXPECT_EQ(noop->config.batch_size, 50u);
 }
 
-TEST(RunSpecTest, DataPlaneFlagAndTextRoundTrip) {
+TEST(RunSpecTest, DataPlaneFlagAndKeyAreUnknown) {
+  // Every run reads its batches through the store, so nothing selects a
+  // plane: the flag and the key are gone, and the text form names neither.
   RunSpec defaults;
-  EXPECT_EQ(defaults.config.data_plane, datastore::DataPlane::kLegacy);
-  const auto store = parse_args({"--data-plane", "store"}, defaults);
-  ASSERT_TRUE(store.has_value());
-  EXPECT_EQ(store->config.data_plane, datastore::DataPlane::kStore);
-  const auto legacy = parse_args({"--data-plane", "legacy"}, defaults);
-  ASSERT_TRUE(legacy.has_value());
-  EXPECT_EQ(legacy->config.data_plane, datastore::DataPlane::kLegacy);
-
-  // JSON text form round-trips the plane, so saved specs replay on it.
+  EXPECT_FALSE(parse_args({"--data-plane", "store"}, defaults).has_value());
   std::string error;
-  const auto reparsed = RunSpec::from_text(store->to_text(), &error);
-  ASSERT_TRUE(reparsed.has_value()) << error;
-  EXPECT_EQ(reparsed->config.data_plane, datastore::DataPlane::kStore);
-  EXPECT_EQ(*reparsed, *store);
+  EXPECT_FALSE(
+      RunSpec::from_text("{\"config\": {\"data_plane\": \"legacy\"}}", &error).has_value());
+  EXPECT_NE(error.find("unknown config key 'data_plane'"), std::string::npos) << error;
+  EXPECT_EQ(defaults.to_text().find("data_plane"), std::string::npos);
 }
 
 /// One bad value, offered both as a flag and as a spec-file key.
@@ -240,7 +234,6 @@ TEST(RunSpecTest, BadValuesAreRejected) {
   }
 
   EXPECT_FALSE(parse_args({"--backend", "gpu"}, defaults).has_value());
-  EXPECT_FALSE(parse_args({"--data-plane", "turbo"}, defaults).has_value());
   EXPECT_FALSE(parse_args({"--loss", "hinge"}, defaults).has_value());
   EXPECT_FALSE(parse_args({"--exchange", "ring"}, defaults).has_value());
   EXPECT_FALSE(parse_args({"--exchange-transport", "ring"}, defaults).has_value());
@@ -264,16 +257,12 @@ TEST(RunSpecTest, BadValuesAreRejected) {
 }
 
 TEST(RunSpecTest, AutoSelectionValuesAreRejected) {
-  // Planes, policies and kernels are always named explicitly: `auto` is not
-  // a value of any of them, in flags or in the JSON text form.
+  // Policies and kernels are always named explicitly: `auto` is not a value
+  // of either, in flags or in the JSON text form.
   RunSpec defaults;
-  EXPECT_FALSE(parse_args({"--data-plane", "auto"}, defaults).has_value());
   EXPECT_FALSE(parse_args({"--exchange", "auto"}, defaults).has_value());
   EXPECT_FALSE(parse_args({"--tensor-kernel", "auto"}, defaults).has_value());
   std::string error;
-  EXPECT_FALSE(
-      RunSpec::from_text("{\"config\": {\"data_plane\": \"auto\"}}", &error).has_value());
-  EXPECT_NE(error.find("unknown data_plane 'auto'"), std::string::npos) << error;
   EXPECT_FALSE(RunSpec::from_text("{\"config\": {\"exchange_policy\": \"auto\"}}", &error)
                    .has_value());
   EXPECT_NE(error.find("unknown exchange_policy 'auto'"), std::string::npos) << error;
@@ -283,7 +272,6 @@ TEST(RunSpecTest, AutoSelectionValuesAreRejected) {
   // The defaults print as the concrete names they run.
   const std::string text = defaults.to_text();
   EXPECT_NE(text.find("\"tensor_kernel\": \"simd\""), std::string::npos) << text;
-  EXPECT_NE(text.find("\"data_plane\": \"legacy\""), std::string::npos) << text;
   EXPECT_NE(text.find("\"exchange_policy\": \"cellular\""), std::string::npos) << text;
 }
 
@@ -512,7 +500,6 @@ TEST(RunSpecTest, EarlierSpecFilesStillLoad) {
     "data_dieting_fraction": 1,
     "genome_record_every": 0,
     "genome_record_every_b": 0,
-    "data_plane": "legacy",
     "seed": 42
   }
 })";

@@ -1,18 +1,20 @@
-// SampleStore: mmap ingest validation (every named failure path), staging
-// bit-identity against the legacy IDX loader, and registry interning.
+// SampleStore: mmap ingest validation (every named failure path of the image
+// and labels files), staging bit-identity against the IDX loader, borrowed
+// floats, and handle copies sharing one mapping.
 #include "datastore/sample_store.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <vector>
 
 #include "data/dataset.hpp"
 #include "data/idx.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "datastore/errors.hpp"
-#include "datastore/stats.hpp"
 #include "testsupport/temp_dir.hpp"
 
 namespace cellgan::datastore {
@@ -38,6 +40,18 @@ class SampleStoreTest : public ::testing::Test {
     return p;
   }
 
+  /// Write an idx1-ubyte labels file; returns its path.
+  std::string write_labels(const char* name, const std::vector<std::uint8_t>& labels) {
+    const std::string p = path(name);
+    EXPECT_TRUE(data::write_idx_labels(p, labels));
+    return p;
+  }
+
+  /// Map `images` with a matching labels file of `count` zeros.
+  SampleStore map_with_labels(const std::string& images, std::uint32_t count) {
+    return SampleStore::map_idx(images, write_labels("zeros", std::vector<std::uint8_t>(count)));
+  }
+
   testsupport::TempDir tmp_{"cellgan_store"};
 };
 
@@ -55,15 +69,18 @@ TEST_F(SampleStoreTest, MapIdxStagesBitIdenticalToLegacyLoader) {
   ASSERT_TRUE(loaded.has_value());
   const data::Dataset& train = loaded->first;
 
-  auto store = SampleStore::map_idx(path("train-images-idx3-ubyte"));
-  ASSERT_TRUE(store->mmap_backed());
-  EXPECT_EQ(store->samples(), 12u);
-  EXPECT_EQ(store->sample_dim(), data::kImageDim);
-  EXPECT_EQ(store->bytes_mapped(), 16u + 12u * data::kImageDim);
+  const SampleStore store = SampleStore::map_idx(path("train-images-idx3-ubyte"),
+                                                 path("train-labels-idx1-ubyte"));
+  ASSERT_TRUE(store.mmap_backed());
+  EXPECT_EQ(store.samples(), 12u);
+  EXPECT_EQ(store.sample_dim(), data::kImageDim);
+  EXPECT_EQ(store.bytes_mapped(), 16u + 12u * data::kImageDim);
+  EXPECT_TRUE(std::equal(store.labels().begin(), store.labels().end(),
+                         train.labels.begin(), train.labels.end()));
 
   std::vector<float> staged(data::kImageDim);
-  for (std::size_t row = 0; row < store->samples(); ++row) {
-    store->stage_row(row, staged.data());
+  for (std::size_t row = 0; row < store.samples(); ++row) {
+    store.stage_row(row, staged.data());
     const auto expected = train.images.data().subspan(row * data::kImageDim,
                                                       data::kImageDim);
     for (std::size_t j = 0; j < data::kImageDim; ++j) {
@@ -73,7 +90,7 @@ TEST_F(SampleStoreTest, MapIdxStagesBitIdenticalToLegacyLoader) {
 }
 
 TEST_F(SampleStoreTest, MissingFileThrowsNamedError) {
-  EXPECT_THROW(SampleStore::map_idx(path("nope")), MissingFileError);
+  EXPECT_THROW(SampleStore::map_idx(path("nope"), path("nope-labels")), MissingFileError);
 }
 
 TEST_F(SampleStoreTest, SmallerThanHeaderThrowsTruncated) {
@@ -81,26 +98,26 @@ TEST_F(SampleStoreTest, SmallerThanHeaderThrowsTruncated) {
   ASSERT_NE(f, nullptr);
   std::fputs("idx", f);
   std::fclose(f);
-  EXPECT_THROW(SampleStore::map_idx(path("tiny")), TruncatedFileError);
+  EXPECT_THROW(map_with_labels(path("tiny"), 1), TruncatedFileError);
 }
 
 TEST_F(SampleStoreTest, EmptyFileThrowsTruncated) {
   std::FILE* f = std::fopen(path("empty").c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fclose(f);
-  EXPECT_THROW(SampleStore::map_idx(path("empty")), TruncatedFileError);
+  EXPECT_THROW(map_with_labels(path("empty"), 1), TruncatedFileError);
 }
 
 TEST_F(SampleStoreTest, TruncatedPayloadThrowsTruncated) {
   const std::string p = write_images("trunc", 10);
   const auto full = std::filesystem::file_size(p);
   std::filesystem::resize_file(p, full / 2);
-  EXPECT_THROW(SampleStore::map_idx(p), TruncatedFileError);
+  EXPECT_THROW(map_with_labels(p, 10), TruncatedFileError);
 }
 
 TEST_F(SampleStoreTest, BadMagicThrowsNamedError) {
   ASSERT_TRUE(data::write_idx_labels(path("labels"), std::vector<std::uint8_t>(64, 1)));
-  EXPECT_THROW(SampleStore::map_idx(path("labels")), BadMagicError);
+  EXPECT_THROW(map_with_labels(path("labels"), 64), BadMagicError);
 }
 
 TEST_F(SampleStoreTest, ImplausibleDimensionsThrowBadMagic) {
@@ -111,7 +128,7 @@ TEST_F(SampleStoreTest, ImplausibleDimensionsThrowBadMagic) {
                                    0, 0, 0, 28};
   ASSERT_EQ(std::fwrite(header, 1, 16, f), 16u);
   std::fclose(f);
-  EXPECT_THROW(SampleStore::map_idx(path("dims")), BadMagicError);
+  EXPECT_THROW(map_with_labels(path("dims"), 1), BadMagicError);
 }
 
 TEST_F(SampleStoreTest, ZeroSamplesThrowsEmptyStore) {
@@ -121,66 +138,70 @@ TEST_F(SampleStoreTest, ZeroSamplesThrowsEmptyStore) {
                                    0, 0, 0, 28, 0, 0, 0, 28};
   ASSERT_EQ(std::fwrite(header, 1, 16, f), 16u);
   std::fclose(f);
-  EXPECT_THROW(SampleStore::map_idx(path("zero")), EmptyStoreError);
+  EXPECT_THROW(map_with_labels(path("zero"), 1), EmptyStoreError);
 }
 
 TEST_F(SampleStoreTest, AdoptStagesDatasetRowsWithoutCopying) {
   const data::Dataset dataset = data::make_synthetic_mnist(8, 21);
-  auto store = SampleStore::adopt(dataset);
-  EXPECT_FALSE(store->mmap_backed());
-  EXPECT_EQ(store->bytes_mapped(), 0u);
-  EXPECT_EQ(store->samples(), 8u);
-  std::vector<float> staged(store->sample_dim());
-  for (std::size_t row = 0; row < store->samples(); ++row) {
-    store->stage_row(row, staged.data());
+  const SampleStore store(dataset);
+  EXPECT_FALSE(store.mmap_backed());
+  EXPECT_EQ(store.bytes_mapped(), 0u);
+  EXPECT_EQ(store.samples(), 8u);
+  EXPECT_EQ(store.labels().data(), dataset.labels.data());  // borrowed, not copied
+  std::vector<float> staged(store.sample_dim());
+  for (std::size_t row = 0; row < store.samples(); ++row) {
+    store.stage_row(row, staged.data());
     const auto expected =
-        dataset.images.data().subspan(row * store->sample_dim(), store->sample_dim());
-    for (std::size_t j = 0; j < store->sample_dim(); ++j) {
+        dataset.images.data().subspan(row * store.sample_dim(), store.sample_dim());
+    for (std::size_t j = 0; j < store.sample_dim(); ++j) {
       ASSERT_EQ(staged[j], expected[j]);
     }
   }
 }
 
-TEST_F(SampleStoreTest, ForDatasetInternsOneStorePerDataset) {
-  const data::Dataset a = data::make_synthetic_mnist(6, 5);
-  const data::Dataset b = data::make_synthetic_mnist(6, 6);
-  auto store_a1 = SampleStore::for_dataset(a);
-  auto store_a2 = SampleStore::for_dataset(a);
-  auto store_b = SampleStore::for_dataset(b);
-  EXPECT_EQ(store_a1.get(), store_a2.get());  // every rank/lane shares one store
-  EXPECT_NE(store_a1.get(), store_b.get());
+TEST_F(SampleStoreTest, CopiesShareOneMappingThatOutlivesTheOriginal) {
+  const std::string images = write_images("shared", 5);
+  std::vector<float> from_original(data::kImageDim);
+  std::optional<SampleStore> original = map_with_labels(images, 5);
+  original->stage_row(4, from_original.data());
+  const SampleStore copy = *original;
+  EXPECT_EQ(copy.bytes_mapped(), original->bytes_mapped());
+  original.reset();  // the copy keeps the mapping alive
+  std::vector<float> from_copy(data::kImageDim);
+  copy.stage_row(4, from_copy.data());
+  EXPECT_EQ(from_copy, from_original);
+  EXPECT_EQ(copy.labels().size(), 5u);
 }
 
-TEST_F(SampleStoreTest, BindIdxServesMappedBytesForTheDataset) {
-  write_images("train-images-idx3-ubyte", 12);
-  write_images("t10k-images-idx3-ubyte", 4);
-  ASSERT_TRUE(data::write_idx_labels(path("train-labels-idx1-ubyte"),
-                                     {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1}));
-  ASSERT_TRUE(data::write_idx_labels(path("t10k-labels-idx1-ubyte"), {1, 2, 3, 4}));
-  auto loaded = data::load_mnist_idx(tmp_.path().string());
-  ASSERT_TRUE(loaded.has_value());
-
-  auto bound =
-      SampleStore::bind_idx(loaded->first, path("train-images-idx3-ubyte"));
-  ASSERT_TRUE(bound->mmap_backed());
-  // Feeds that intern the store for this dataset now get the mapped one.
-  auto interned = SampleStore::for_dataset(loaded->first);
-  EXPECT_EQ(interned.get(), bound.get());
+TEST_F(SampleStoreTest, MapIdxRejectsAMismatchedPair) {
+  const std::string images = write_images("images", 9);
+  // One label short, as a truncated download leaves it.
+  EXPECT_THROW(SampleStore::map_idx(images, write_labels("short", std::vector<std::uint8_t>(8))),
+               ShapeMismatchError);
+  EXPECT_THROW(SampleStore::map_idx(images, path("missing-labels")), MissingFileError);
+  EXPECT_THROW(SampleStore::map_idx(images, images), BadMagicError);
+  // A labels header that declares more labels than the file holds.
+  const std::string cut = write_labels("cut", std::vector<std::uint8_t>(9));
+  std::filesystem::resize_file(cut, 8 + 4);
+  EXPECT_THROW(SampleStore::map_idx(images, cut), TruncatedFileError);
+  // Images that are not MNIST's 28x28.
+  EXPECT_THROW(map_with_labels(write_images("small", 9, 27), 9), ShapeMismatchError);
 }
 
-TEST_F(SampleStoreTest, BindIdxRejectsShapeMismatch) {
-  const data::Dataset dataset = data::make_synthetic_mnist(5, 3);
-  write_images("wrong-count", 9);
-  EXPECT_THROW(SampleStore::bind_idx(dataset, path("wrong-count")), DataStoreError);
-}
-
-TEST_F(SampleStoreTest, MappingCountsIntoGlobalStats) {
-  const StatsSnapshot before = stats().snapshot();
-  const std::string p = write_images("counted", 3);
-  auto store = SampleStore::map_idx(p);
-  const StatsSnapshot after = stats().snapshot();
-  EXPECT_EQ(after.stores_created, before.stores_created + 1);
-  EXPECT_EQ(after.bytes_mapped, before.bytes_mapped + store->bytes_mapped());
+TEST_F(SampleStoreTest, MapIdxNamesTheFirstLabelOutsideTheClasses) {
+  const std::string images = write_images("images", 20);
+  std::vector<std::uint8_t> labels(20, 3);
+  labels[6] = 200;
+  labels[13] = 10;
+  const std::string bad = write_labels("bad-labels", labels);
+  try {
+    (void)SampleStore::map_idx(images, bad);
+    ADD_FAILURE() << "a label outside 0-9 was accepted";
+  } catch (const BadLabelError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find(bad), std::string::npos) << message;
+    EXPECT_NE(message.find("label 200 at index 6"), std::string::npos) << message;
+  }
 }
 
 }  // namespace

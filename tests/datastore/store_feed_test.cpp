@@ -1,19 +1,20 @@
-// The store plane's feed: StoreFeed vs. the legacy DataLoader (bit-identical
-// batch streams under the trainer's exact interleaving), synchronous staging
-// on the calling thread, and the concurrent-reader hammer the ASan job leans
-// on.
+// StoreFeed, the one batch path: bit-identical batch streams to
+// data::DataLoader (the oracle) under the trainer's exact interleaving, for
+// every row and for a dieting cell's rows, synchronous staging on the calling
+// thread, and the concurrent-reader hammer over one mapped store that the
+// sanitizer jobs lean on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <iterator>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/config.hpp"
 #include "data/dataloader.hpp"
+#include "data/idx.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "datastore/batch_feed.hpp"
 #include "datastore/sample_store.hpp"
@@ -60,7 +61,7 @@ TEST(StoreFeedTest, MatchesDataLoaderUnderTrainerInterleaving) {
   common::Rng rng_legacy(testsupport::deterministic_seed());
   common::Rng rng_store(testsupport::deterministic_seed());
   data::DataLoader loader(dataset, batch);
-  StoreFeed feed(SampleStore::adopt(dataset), batch);
+  StoreFeed feed(dataset, batch);
   ASSERT_EQ(feed.batches_per_epoch(), loader.batches_per_epoch());
 
   loader.reshuffle(rng_legacy);
@@ -75,7 +76,38 @@ TEST(StoreFeedTest, MatchesDataLoaderUnderTrainerInterleaving) {
     // Peek (evaluate_center_fitness), then consume (train) the same index.
     expect_same_tensor(feed.batch(next), loader.batch(next));
     expect_same_tensor(feed.batch(next), loader.batch(next));
+    EXPECT_EQ(feed.batch_labels(next), loader.batch_labels(next));
     ++next;
+  }
+  EXPECT_EQ(feed.order(), loader.order());
+}
+
+TEST(StoreFeedTest, DietingRowsMatchALoaderOverTheirCopy) {
+  // A dieting cell keeps row indices, not a copy: its feed must serve what a
+  // loader over a copy of those rows, in that order, serves.
+  const data::Dataset dataset = data::make_synthetic_mnist(60, 19);
+  common::Rng draw(testsupport::deterministic_seed());
+  const std::vector<std::uint32_t> rows = data::subsample_rows(dataset.size(), 30, draw);
+  data::Dataset copy;
+  copy.images = tensor::Tensor(rows.size(), dataset.images.cols());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto src = dataset.images.row_span(rows[i]);
+    std::copy(src.begin(), src.end(), copy.images.row_span(i).begin());
+    copy.labels.push_back(dataset.labels[rows[i]]);
+  }
+  const std::size_t batch = 8;  // 3 batches/epoch, tail dropped
+  common::Rng rng_legacy(testsupport::deterministic_seed(1));
+  common::Rng rng_store(testsupport::deterministic_seed(1));
+  data::DataLoader loader(copy, batch);
+  StoreFeed feed(dataset, batch, rows);
+  ASSERT_EQ(feed.batches_per_epoch(), loader.batches_per_epoch());
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    loader.reshuffle(rng_legacy);
+    feed.reshuffle(rng_store);
+    for (std::size_t i = 0; i < feed.batches_per_epoch(); ++i) {
+      expect_same_tensor(feed.batch(i), loader.batch(i));
+      EXPECT_EQ(feed.batch_labels(i), loader.batch_labels(i));
+    }
   }
   EXPECT_EQ(feed.order(), loader.order());
 }
@@ -87,7 +119,7 @@ TEST(StoreFeedTest, RestoreOrderReplaysCheckpointedEpoch) {
   loader.reshuffle(rng);
   const std::vector<std::uint32_t> saved = loader.order();
 
-  StoreFeed feed(SampleStore::adopt(dataset), 8);
+  StoreFeed feed(dataset, 8);
   feed.restore_order(saved);  // the checkpoint-resume path
   EXPECT_EQ(feed.order(), saved);
   for (std::size_t i = 0; i < feed.batches_per_epoch(); ++i) {
@@ -96,26 +128,17 @@ TEST(StoreFeedTest, RestoreOrderReplaysCheckpointedEpoch) {
 }
 
 TEST(StoreFeedTest, MakeFeedResolvesPlanes) {
+  // Whichever plane it names, make_feed serves the dataset's floats: the
+  // batches of a fresh DataLoader over them.
   const data::Dataset dataset = data::make_synthetic_mnist(24, 29);
-  auto legacy = make_feed(DataPlane::kLegacy, dataset, 8);
-  auto store = make_feed(DataPlane::kStore, dataset, 8);
-  EXPECT_EQ(legacy->plane(), DataPlane::kLegacy);
-  EXPECT_EQ(store->plane(), DataPlane::kStore);
-  EXPECT_EQ(legacy->batches_per_epoch(), store->batches_per_epoch());
-  // Identity order at construction: both serve the same batches untouched.
-  for (std::size_t i = 0; i < store->batches_per_epoch(); ++i) {
-    expect_same_tensor(store->batch(i), legacy->batch(i));
+  const data::DataLoader loader(dataset, 8);
+  for (const DataPlane plane : {DataPlane::kLegacy, DataPlane::kStore}) {
+    const auto feed = make_feed(plane, dataset, 8);
+    ASSERT_EQ(feed->batches_per_epoch(), loader.batches_per_epoch());
+    for (std::size_t i = 0; i < feed->batches_per_epoch(); ++i) {
+      expect_same_tensor(feed->batch(i), loader.batch(i));
+    }
   }
-}
-
-TEST(StoreFeedTest, EnvironmentDoesNotChooseThePlane) {
-  // A default config trains on the legacy plane whatever the environment
-  // says; only TrainingConfig::data_plane selects.
-  ::setenv("CELLGAN_DATA_PLANE", "store", 1);
-  const data::Dataset dataset = data::make_synthetic_mnist(24, 29);
-  EXPECT_EQ(make_feed(core::TrainingConfig{}.data_plane, dataset, 8)->plane(),
-            DataPlane::kLegacy);
-  ::unsetenv("CELLGAN_DATA_PLANE");
 }
 
 std::size_t live_threads() {
@@ -124,25 +147,44 @@ std::size_t live_threads() {
 }
 
 TEST(StoreFeedTest, StagesOnTheCallingThread) {
-  // The store plane stages every batch synchronously: building a feed and
-  // drawing two epochs must not start a single thread.
+  // A feed stages every batch synchronously: building one and drawing two
+  // epochs must not start a single thread.
   const data::Dataset dataset = data::make_synthetic_mnist(40, 47);
   const std::size_t threads_before = live_threads();
-  auto feed = make_feed(DataPlane::kStore, dataset, 8);
+  StoreFeed feed(dataset, 8);
   common::Rng rng(testsupport::deterministic_seed());
   for (int epoch = 0; epoch < 2; ++epoch) {
-    feed->reshuffle(rng);
-    for (std::size_t i = 0; i < feed->batches_per_epoch(); ++i) (void)feed->batch(i);
+    feed.reshuffle(rng);
+    for (std::size_t i = 0; i < feed.batches_per_epoch(); ++i) (void)feed.batch(i);
   }
   EXPECT_EQ(live_threads(), threads_before);
 }
 
 TEST(StoreFeedTest, ConcurrentStoreFeedsShareOneStore) {
-  // Several feeds (as parallel lanes would create) over one interned store,
-  // each on its own thread with its own rng/order — every feed must match its
-  // private legacy loader. The ASan job leans on this concurrent-reader
-  // hammer.
-  const data::Dataset dataset = data::make_synthetic_mnist(48, 43);
+  // Several feeds (as parallel lanes and in-process ranks create) over one
+  // mapped store, each on its own thread with its own copy of the handle and
+  // its own rng/order — every feed must match its private loader over the
+  // loaded floats. The sanitizer jobs lean on this concurrent-reader hammer.
+  testsupport::TempDir dir("cellgan_feed_hammer");
+  const data::Dataset digits = data::make_synthetic_mnist(48, 43);
+  data::IdxImages images;
+  images.count = static_cast<std::uint32_t>(digits.size());
+  images.rows = images.cols = data::kImageSide;
+  for (const float v : digits.images.data()) {
+    images.pixels.push_back(static_cast<std::uint8_t>((v + 1.0f) * 127.5f));
+  }
+  const std::vector<std::uint8_t> labels(digits.labels.begin(), digits.labels.end());
+  const std::string stem = dir.file("train").string();
+  ASSERT_TRUE(data::write_idx_images(stem + "-images-idx3-ubyte", images));
+  ASSERT_TRUE(data::write_idx_labels(stem + "-labels-idx1-ubyte", labels));
+  ASSERT_TRUE(data::write_idx_images(dir.file("t10k-images-idx3-ubyte").string(), images));
+  ASSERT_TRUE(data::write_idx_labels(dir.file("t10k-labels-idx1-ubyte").string(), labels));
+  const auto loaded = data::load_mnist_idx(dir.path().string());
+  ASSERT_TRUE(loaded.has_value());
+  const data::Dataset& dataset = loaded->first;
+  const SampleStore store =
+      SampleStore::map_idx(stem + "-images-idx3-ubyte", stem + "-labels-idx1-ubyte");
+
   const std::size_t lanes = 6;
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
@@ -151,18 +193,17 @@ TEST(StoreFeedTest, ConcurrentStoreFeedsShareOneStore) {
       common::Rng rng_a(testsupport::deterministic_seed(lane));
       common::Rng rng_b(testsupport::deterministic_seed(lane));
       data::DataLoader loader(dataset, 8);
-      StoreFeed feed(SampleStore::for_dataset(dataset), 8);
+      StoreFeed feed(store, 8);
       for (int epoch = 0; epoch < 4; ++epoch) {
         loader.reshuffle(rng_a);
         feed.reshuffle(rng_b);
         for (std::size_t i = 0; i < loader.batches_per_epoch(); ++i) {
           const tensor::Tensor a = loader.batch(i);
           const tensor::Tensor b = feed.batch(i);
-          for (std::size_t j = 0; j < a.size(); ++j) {
-            if (a.data()[j] != b.data()[j]) {
-              mismatches.fetch_add(1);
-              return;
-            }
+          if (!std::equal(a.data().begin(), a.data().end(), b.data().begin()) ||
+              loader.batch_labels(i) != feed.batch_labels(i)) {
+            mismatches.fetch_add(1);
+            return;
           }
         }
       }

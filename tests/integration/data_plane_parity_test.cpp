@@ -12,7 +12,6 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
-#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -21,7 +20,7 @@
 #include "core/workload.hpp"
 #include "data/idx.hpp"
 #include "data/synthetic_mnist.hpp"
-#include "datastore/data_plane.hpp"
+#include "datastore/sample_store.hpp"
 #include "testsupport/temp_dir.hpp"
 
 namespace cellgan::core {
@@ -119,15 +118,18 @@ TEST(DataPlaneParityTest, StoreMatchesLegacyOnEveryInProcessBackend) {
 }
 
 TEST(DataPlaneParityTest, StorePlaneRidesTheTcpConfigBroadcast) {
-  // A TCP world whose MASTER spec asks for the store plane: slaves learn the
-  // plane from the config broadcast (they never see the CLI), and the whole
-  // deployment must still match the in-process legacy run bit for bit.
+  // A TCP world (threads standing in for rank processes, over loopback)
+  // whose ranks each map the training file themselves, as cellgan_launch's
+  // processes do; slaves learn the config from the master's broadcast. The
+  // deployment must match the in-process run over the loaded floats.
+  testsupport::TempDir dir("cellgan_idx_tcp");
+  write_quartet(dir, 64, 8);
+  const auto loaded = data::load_mnist_idx(dir.path().string());
+  ASSERT_TRUE(loaded.has_value());
   TrainingConfig config = parity_config();
+  config.arch.image_dim = data::kImageDim;
   config.iterations = 2;
-  const auto dataset = make_matched_dataset(config, 64, 21);
 
-  TrainingConfig store_config = config;
-  store_config.data_plane = datastore::DataPlane::kStore;
   const int world_size = static_cast<int>(config.grid_cells()) + 1;
   std::vector<DistributedOutcome> outcomes(static_cast<std::size_t>(world_size));
   std::promise<std::string> endpoint_promise;
@@ -147,41 +149,38 @@ TEST(DataPlaneParityTest, StorePlaneRidesTheTcpConfigBroadcast) {
       } else {
         world.rendezvous = endpoint.get();
       }
+      const datastore::SampleStore mapped = datastore::SampleStore::map_idx(
+          dir.file("train-images-idx3-ubyte").string(),
+          dir.file("train-labels-idx1-ubyte").string());
       outcomes[static_cast<std::size_t>(rank)] =
-          run_distributed_tcp(world, store_config, dataset, CostModel{});
+          run_distributed_tcp(world, config, mapped, CostModel{});
     });
   }
   for (auto& thread : threads) thread.join();
 
-  const DistributedOutcome legacy = run_distributed(config, dataset, CostModel{});
+  const DistributedOutcome floats = run_distributed(config, loaded->first, CostModel{});
   const auto& tcp_master = outcomes[0].master;
-  ASSERT_EQ(tcp_master.results.size(), legacy.master.results.size());
+  ASSERT_EQ(tcp_master.results.size(), floats.master.results.size());
   for (std::size_t cell = 0; cell < tcp_master.results.size(); ++cell) {
     EXPECT_EQ(tcp_master.results[cell].center.g_fitness,
-              legacy.master.results[cell].center.g_fitness)
+              floats.master.results[cell].center.g_fitness)
         << "cell " << cell;
     EXPECT_EQ(tcp_master.results[cell].center.generator_params,
-              legacy.master.results[cell].center.generator_params)
+              floats.master.results[cell].center.generator_params)
         << "cell " << cell;
   }
-  EXPECT_EQ(tcp_master.best_cell, legacy.master.best_cell);
+  EXPECT_EQ(tcp_master.best_cell, floats.master.best_cell);
 }
 
 TEST(DataPlaneParityTest, MmapIdxSessionMatchesLegacyAndPublishesTelemetry) {
-  // A full-resolution IDX run matches the float run and publishes a
-  // data_store record that reports the mapped training images: the whole
-  // file, header included.
+  // Two full-resolution IDX runs in one process each match the float run and
+  // each publish a data_store record reporting their own mapping of the
+  // training images: the whole file, header included, not a process total.
   testsupport::TempDir dir("cellgan_idx_telemetry");
   write_quartet(dir, 64, 8);
   TrainingConfig config = parity_config();
   config.arch.image_dim = data::kImageDim;
   config.iterations = 2;
-  config.data_plane = datastore::DataPlane::kStore;
-  RunSpec spec = idx_spec(Backend::kSequential, config, dir);
-  spec.observers.telemetry = dir.file("telemetry.jsonl").string();
-  Session session(spec);
-  ASSERT_TRUE(session.prepare()) << session.error();
-  const RunResult store = session.run();
 
   const auto loaded = data::load_mnist_idx(dir.path().string());
   ASSERT_TRUE(loaded.has_value());
@@ -190,17 +189,26 @@ TEST(DataPlaneParityTest, MmapIdxSessionMatchesLegacyAndPublishesTelemetry) {
   Session floats(float_spec);
   floats.set_datasets(loaded->first, loaded->second);
   const RunResult legacy = floats.run();
-  EXPECT_EQ(store.g_fitnesses, legacy.g_fitnesses);
-  EXPECT_EQ(store.d_fitnesses, legacy.d_fitnesses);
 
-  std::ifstream telemetry(spec.observers.telemetry);
-  ASSERT_TRUE(telemetry.good());
-  std::stringstream buffer;
-  buffer << telemetry.rdbuf();
   const std::string expected =
       "\"event\":\"data_store\",\"bytes_mapped\":" +
       std::to_string(std::filesystem::file_size(dir.file("train-images-idx3-ubyte")));
-  EXPECT_NE(buffer.str().find(expected), std::string::npos) << buffer.str();
+  for (const char* name : {"first.jsonl", "second.jsonl"}) {
+    RunSpec spec = idx_spec(Backend::kSequential, config, dir);
+    spec.observers.telemetry = dir.file(name).string();
+    Session session(spec);
+    ASSERT_TRUE(session.prepare()) << session.error();
+    const RunResult store = session.run();
+    EXPECT_EQ(store.g_fitnesses, legacy.g_fitnesses) << name;
+    EXPECT_EQ(store.d_fitnesses, legacy.d_fitnesses) << name;
+
+    std::ifstream telemetry(spec.observers.telemetry);
+    ASSERT_TRUE(telemetry.good());
+    std::stringstream buffer;
+    buffer << telemetry.rdbuf();
+    EXPECT_NE(buffer.str().find(expected), std::string::npos) << name << ": "
+                                                              << buffer.str();
+  }
 }
 
 }  // namespace

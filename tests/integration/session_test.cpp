@@ -167,7 +167,8 @@ TEST(SessionTest, ExternalDatasetsMatchResolvedOnes) {
   for (std::size_t i = 0; i < reference.g_fitnesses.size(); ++i) {
     EXPECT_EQ(outcome.g_fitnesses[i], reference.g_fitnesses[i]);
   }
-  EXPECT_EQ(&external.train_set(), &train);
+  EXPECT_EQ(external.train_set().labels().data(), train.labels.data());
+  EXPECT_FALSE(external.train_set().mmap_backed());
   EXPECT_EQ(&external.test_set(), &test);
 }
 
@@ -209,9 +210,11 @@ TEST(SessionTest, IdxDatasetResolvesAndDownsamples) {
   spec.dataset.idx_dir = dir.path().string();
   Session session(spec);
   ASSERT_TRUE(session.prepare()) << session.error();
-  EXPECT_EQ(session.train_set().size(), 32u);
+  EXPECT_EQ(session.train_set().samples(), 32u);
   EXPECT_EQ(session.test_set().size(), 8u);
-  EXPECT_EQ(session.train_set().images.cols(), spec.config.arch.image_dim);
+  EXPECT_EQ(session.train_set().sample_dim(), spec.config.arch.image_dim);
+  // Downsampled floats replace the mapping; no file stays mapped.
+  EXPECT_FALSE(session.train_set().mmap_backed());
   const RunResult outcome = session.run();
   EXPECT_EQ(outcome.g_fitnesses.size(), 4u);
 }
@@ -253,7 +256,7 @@ TEST(SessionTest, TestSplitLoadsOnFirstUse) {
   spec.dataset.idx_dir = dir.path().string();
   Session session(spec);
   ASSERT_TRUE(session.prepare()) << session.error();
-  EXPECT_EQ(session.train_set().size(), 32u);
+  EXPECT_EQ(session.train_set().samples(), 32u);
   try {
     (void)session.test_set();
     ADD_FAILURE() << "a malformed test pair loaded";
@@ -267,6 +270,56 @@ TEST(SessionTest, TestSplitLoadsOnFirstUse) {
   EXPECT_FALSE(missing.prepare());
   EXPECT_NE(missing.error().find("t10k-labels-idx1-ubyte"), std::string::npos)
       << missing.error();
+}
+
+TEST(SessionTest, IdxLabelsOutsideTheClassesAreNamed) {
+  // Every 7th training label is 200: prepare() names the labels file and the
+  // first bad index, on a conditional run (which indexes one-hot rows by
+  // label) and an unconditional one alike.
+  testsupport::TempDir dir("session_idx_labels");
+  write_idx_pair(dir, "t10k", 8, 8);
+  data::IdxImages pixels;
+  pixels.count = 64;
+  pixels.rows = pixels.cols = 28;
+  pixels.pixels.assign(64 * 28 * 28, 128);
+  ASSERT_TRUE(
+      data::write_idx_images(dir.file("train-images-idx3-ubyte").string(), pixels));
+  std::vector<std::uint8_t> labels(64, 3);
+  for (std::size_t i = 6; i < labels.size(); i += 7) labels[i] = 200;
+  const std::string labels_path = dir.file("train-labels-idx1-ubyte").string();
+  ASSERT_TRUE(data::write_idx_labels(labels_path, labels));
+  for (const bool conditional : {true, false}) {
+    for (const std::size_t image_dim : {data::kImageDim, std::size_t{64}}) {
+      RunSpec spec = small_spec(Backend::kSequential, 2, 1);
+      spec.config.conditional = conditional ? 1 : 0;
+      spec.config.arch.image_dim = image_dim;
+      spec.dataset.kind = DatasetSpec::Kind::kIdx;
+      spec.dataset.idx_dir = dir.path().string();
+      Session session(spec);
+      EXPECT_FALSE(session.prepare());
+      EXPECT_NE(session.error().find(labels_path), std::string::npos) << session.error();
+      EXPECT_NE(session.error().find("label 200 at index 6"), std::string::npos)
+          << session.error();
+    }
+  }
+
+  // The test split, read at its first use, names its own file.
+  const std::string test_labels = dir.file("t10k-labels-idx1-ubyte").string();
+  ASSERT_TRUE(data::write_idx_labels(labels_path, std::vector<std::uint8_t>(64, 3)));
+  ASSERT_TRUE(data::write_idx_labels(test_labels, {1, 2, 3, 4, 5, 10, 6, 7}));
+  RunSpec spec = small_spec(Backend::kSequential, 2, 1);
+  spec.dataset.kind = DatasetSpec::Kind::kIdx;
+  spec.dataset.idx_dir = dir.path().string();
+  Session session(spec);
+  ASSERT_TRUE(session.prepare()) << session.error();
+  try {
+    (void)session.test_set();
+    ADD_FAILURE() << "a test label outside 0-9 was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(test_labels), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("label 10 at index 5"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SessionTest, TrainingSetSmallerThanOneBatchIsNamed) {
