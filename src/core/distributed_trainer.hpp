@@ -104,10 +104,11 @@ RecoveryOptions recovery_options_from_env();
 /// Exactly the same per-rank code as run_distributed — same seeds, same
 /// virtual-time accounting — so per-rank outcomes are bit-identical to the
 /// in-process simulation. Each rank process maps its own training file, and
-/// the page cache holds one copy for all of them. The returned outcome carries this rank's results:
-/// on rank 0 the full MasterOutcome and makespan, on slaves their own rank
-/// entry only. Throws minimpi::BootstrapError / TimeoutError /
-/// TransportError when the world cannot be formed or a peer dies.
+/// the page cache holds one copy for all of them. The returned outcome
+/// carries this rank's results: on rank 0 the full MasterOutcome and
+/// makespan, on slaves their own rank entry only. Throws
+/// minimpi::BootstrapError / TimeoutError / TransportError when the world
+/// cannot be formed or a peer dies.
 DistributedOutcome run_distributed_tcp(const TcpWorld& world,
                                        const TrainingConfig& config,
                                        const datastore::SampleStore& dataset,

@@ -60,9 +60,9 @@ class StoreFeed {
   std::size_t batch_size_;
 };
 
-/// A feed over every row of `dataset`'s floats. The plane names nothing
-/// any more: bench/ledger/ledger.cpp:800 still passes one, until ROADMAP
-/// item 1 stops it naming the data plane.
+/// A feed over every row of `dataset`'s floats. The plane argument selects
+/// nothing; bench/ledger/ledger.cpp:800 passes one until ROADMAP item 1
+/// stops it naming the data plane.
 std::unique_ptr<StoreFeed> make_feed(DataPlane plane, const data::Dataset& dataset,
                                      std::size_t batch_size);
 

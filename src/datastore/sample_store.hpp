@@ -45,10 +45,10 @@ class SampleStore {
   static SampleStore map_idx(const std::string& images_path,
                              const std::string& labels_path);
 
-  /// Borrow `dataset`'s floats and labels (no copy). Implicit, so code that
-  /// hands a Dataset to a trainer keeps compiling; `dataset` must outlive the
-  /// store and every copy of it.
-  SampleStore(const data::Dataset& dataset);  // NOLINT(google-explicit-constructor)
+  /// Borrow `dataset`'s floats and labels (no copy). Implicit, so every
+  /// trainer, feed and Session that takes a store also takes a Dataset;
+  /// `dataset` must outlive the store and every copy of it.
+  SampleStore(const data::Dataset& dataset);
 
   std::size_t samples() const { return samples_; }
   std::size_t sample_dim() const { return dim_; }

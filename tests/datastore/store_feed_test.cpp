@@ -96,13 +96,13 @@ TEST(StoreFeedTest, DietingRowsMatchALoaderOverTheirCopy) {
     copy.labels.push_back(dataset.labels[rows[i]]);
   }
   const std::size_t batch = 8;  // 3 batches/epoch, tail dropped
-  common::Rng rng_legacy(testsupport::deterministic_seed(1));
+  common::Rng rng_loader(testsupport::deterministic_seed(1));
   common::Rng rng_store(testsupport::deterministic_seed(1));
   data::DataLoader loader(copy, batch);
   StoreFeed feed(dataset, batch, rows);
   ASSERT_EQ(feed.batches_per_epoch(), loader.batches_per_epoch());
   for (int epoch = 0; epoch < 4; ++epoch) {
-    loader.reshuffle(rng_legacy);
+    loader.reshuffle(rng_loader);
     feed.reshuffle(rng_store);
     for (std::size_t i = 0; i < feed.batches_per_epoch(); ++i) {
       expect_same_tensor(feed.batch(i), loader.batch(i));
