@@ -14,9 +14,9 @@
 //     downsampled IDX sets, sets a caller resolved); staging is a row copy.
 //
 // The whole mapped file counts in a process's resident set once its rows
-// have been read: the page cache hands out large folios, so a few hundred
-// random rows touch most of it. Every process of a machine shares those
-// pages.
+// have been read: the page cache hands out large folios, so about a
+// hundred random rows touch most of it. Every process of a machine shares
+// those pages.
 //
 // All read paths are const and thread-safe; feeds on every lane and rank
 // read concurrently without synchronization.
