@@ -173,7 +173,7 @@ class Session {
   /// Floats train_set_ borrows when this session made them (a synthetic set,
   /// or IDX images downsampled for a smaller architecture).
   data::Dataset train_floats_;
-  std::optional<datastore::SampleStore> train_set_;  ///< set by prepare()
+  std::optional<datastore::SampleStore> train_set_;  ///< set_datasets() or prepare()
   std::optional<data::Dataset> test_set_;  ///< resolved by test_set()
   const data::Dataset* external_test_ = nullptr;
   CostModel cost_model_;
