@@ -3,8 +3,11 @@
 // standing in for processes so the suite needs no fork) must produce
 // per-rank outcomes bit-identical to run_distributed's thread-per-rank
 // simulation on the same seed — same fitnesses, same genomes, same virtual
-// clocks. The process-level twin of this check is the cellgan_launch
-// --verify-parity smoke ctest.
+// clocks. The 1x2 worlds have each slave read the other; the 2x2 tori have a
+// diagonal cell that no cellular neighborhood names, so there a slave gets
+// genomes it never reads (or, with readers-only delivery, none). The
+// process-level twin of this check is the cellgan_launch --verify-parity
+// smoke ctest.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -75,6 +78,9 @@ void expect_parity(const std::vector<DistributedOutcome>& tcp,
         << "cell " << cell;
     EXPECT_EQ(over_tcp.center.generator_params, simulated.center.generator_params)
         << "cell " << cell;
+    EXPECT_EQ(over_tcp.center.discriminator_params,
+              simulated.center.discriminator_params)
+        << "cell " << cell;
     EXPECT_EQ(over_tcp.mixture_weights, simulated.mixture_weights)
         << "cell " << cell;
     EXPECT_EQ(over_tcp.virtual_time_s, simulated.virtual_time_s)
@@ -118,6 +124,53 @@ TEST(TcpParityTest, CalibratedVirtualClocksMatchInProcessBitForBit) {
   const auto inproc = run_distributed(config, dataset, cost_model);
   expect_parity(tcp, inproc);
   EXPECT_GT(tcp[0].virtual_makespan_s, 0.0);
+}
+
+/// A 2x2 torus under `policy`, exchanging every epoch: on four cells the
+/// gap rotation reaches the diagonal donor at epoch 3 and ltfb pairings can
+/// match diagonal cells, so the partner is read outside the neighborhood.
+TrainingConfig torus_config(evolve::ExchangePolicyKind policy) {
+  TrainingConfig config = TrainingConfig::tiny();
+  config.grid_rows = 2;
+  config.grid_cols = 2;
+  config.iterations = 4;
+  config.exchange_policy = policy;
+  config.exchange_every = 1;
+  return config;
+}
+
+CostModel table3_model(const TrainingConfig& config, const data::Dataset& dataset) {
+  const WorkloadProbe probe = TrainerCore::measure_workload(config, dataset);
+  CostProfile profile = CostProfile::table3();
+  profile.reference_iterations = static_cast<double>(config.iterations);
+  return CostModel::calibrated(profile, probe);
+}
+
+TEST(TcpParityTest, TorusCellularMatchesInProcessUnderCalibratedClocks) {
+  const TrainingConfig config = torus_config(evolve::ExchangePolicyKind::kCellular);
+  const auto dataset = make_matched_dataset(config, 64, 22);
+  const CostModel cost_model = table3_model(config, dataset);
+  const auto tcp = run_tcp_world(config, dataset, cost_model);
+  const auto inproc = run_distributed(config, dataset, cost_model);
+  expect_parity(tcp, inproc);
+  EXPECT_GT(tcp[0].virtual_makespan_s, 0.0);
+}
+
+TEST(TcpParityTest, TorusLtfbMatchesInProcessUnderCalibratedClocks) {
+  const TrainingConfig config = torus_config(evolve::ExchangePolicyKind::kLtfb);
+  const auto dataset = make_matched_dataset(config, 64, 23);
+  const CostModel cost_model = table3_model(config, dataset);
+  const auto tcp = run_tcp_world(config, dataset, cost_model);
+  const auto inproc = run_distributed(config, dataset, cost_model);
+  expect_parity(tcp, inproc);
+}
+
+TEST(TcpParityTest, TorusGapMatchesInProcessBitForBit) {
+  const TrainingConfig config = torus_config(evolve::ExchangePolicyKind::kGap);
+  const auto dataset = make_matched_dataset(config, 64, 24);
+  const auto tcp = run_tcp_world(config, dataset, CostModel{});
+  const auto inproc = run_distributed(config, dataset, CostModel{});
+  expect_parity(tcp, inproc);
 }
 
 TEST(TcpParityTest, SessionBackendRequiresWorldEnvironment) {

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <string>
 #include <thread>
 
 #include "minimpi/comm.hpp"
@@ -27,6 +29,33 @@ Frame sample_frame() {
   frame.arrival_vt = 12.75;
   frame.payload = {0xde, 0xad, 0xbe, 0xef, 0x00, 0x42};
   return frame;
+}
+
+/// sample_frame() on the wire, field by field: magic "CGF1", context key,
+/// src, dst, tag, arrival_vt 12.75 as IEEE-754 bits, payload length and the
+/// six payload bytes, every integer little-endian.
+constexpr const char* kSampleFrameWireHex =
+    "43474631"          // magic
+    "8877665544332211"  // context_key
+    "03000000"          // src_rank
+    "01000000"          // dst_rank
+    "faffffff"          // tag -6
+    "0000000000802940"  // arrival_vt 12.75
+    "0600000000000000"  // payload length
+    "deadbeef0042";     // payload
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  std::string out;
+  char digits[3];
+  for (const std::uint8_t b : bytes) {
+    std::snprintf(digits, sizeof(digits), "%02x", b);
+    out += digits;
+  }
+  return out;
+}
+
+TEST(TransportFrameTest, WireBytesOfAFixedFrameArePinned) {
+  EXPECT_EQ(hex(encode_frame(sample_frame())), kSampleFrameWireHex);
 }
 
 TEST(TransportFrameTest, HeaderRoundTripsExactly) {
