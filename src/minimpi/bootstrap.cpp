@@ -6,8 +6,10 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -17,7 +19,6 @@
 
 #include "common/expect.hpp"
 #include "minimpi/errors.hpp"
-#include "minimpi/transport.hpp"  // store_le32/load_le32: shared wire codec
 
 namespace cellgan::minimpi {
 
@@ -297,6 +298,39 @@ bool write_all(int fd, const void* data, std::size_t n) {
     }
     if (wrote == 0) return false;
     sent += static_cast<std::size_t>(wrote);
+  }
+  return true;
+}
+
+bool write_frame(int fd, const FrameHeader& header,
+                 std::span<const std::uint8_t> payload) {
+  std::array<std::uint8_t, kFrameHeaderBytes> head;
+  encode_frame_header(header, payload.size(), head);
+  std::array<iovec, 2> parts{{
+      {head.data(), head.size()},
+      {const_cast<std::uint8_t*>(payload.data()), payload.size()},
+  }};
+  msghdr message{};
+  message.msg_iov = parts.data();
+  message.msg_iovlen = payload.empty() ? 1 : 2;
+  while (message.msg_iovlen > 0) {
+    const ssize_t wrote = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+    if (wrote < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    if (wrote == 0) return false;
+    // Skip what went out: whole iovecs first, then into the next one.
+    auto left = static_cast<std::size_t>(wrote);
+    while (message.msg_iovlen > 0 && left >= message.msg_iov->iov_len) {
+      left -= message.msg_iov->iov_len;
+      ++message.msg_iov;
+      --message.msg_iovlen;
+    }
+    if (message.msg_iovlen > 0) {
+      message.msg_iov->iov_base = static_cast<std::uint8_t*>(message.msg_iov->iov_base) + left;
+      message.msg_iov->iov_len -= left;
+    }
   }
   return true;
 }

@@ -14,7 +14,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <span>
 #include <vector>
+
+#include "minimpi/transport.hpp"
 
 namespace cellgan::minimpi {
 
@@ -61,6 +64,14 @@ int connect_with_retry(const Endpoint& endpoint, double timeout_s,
 
 /// Write exactly `n` bytes (EINTR-safe, SIGPIPE suppressed). False on error.
 bool write_all(int fd, const void* data, std::size_t n);
+
+/// Write one frame: the wire header, built on the stack, and `payload`, sent
+/// together by sendmsg over two iovecs — no copy of the payload, and never
+/// two writes per frame unless the socket takes it in parts. Retries partial
+/// writes and EINTR like write_all; the socket's send timeout still bounds
+/// each call. False on error.
+bool write_frame(int fd, const FrameHeader& header,
+                 std::span<const std::uint8_t> payload);
 
 /// Read exactly `n` bytes. False on EOF or error (check errno / bytes read
 /// via `got` when provided).

@@ -42,7 +42,22 @@ common::Rng& Comm::jitter_rng() {
   return runtime_->rank_state(world_rank_of(local_rank_)).jitter_rng;
 }
 
+void Comm::post(int dst, int tag, double arrival_vt, SharedPayload payload) {
+  OutboundFrame frame;
+  frame.context_key = context_->key;
+  frame.src_rank = local_rank_;
+  frame.dst_rank = dst;
+  frame.tag = tag;
+  frame.arrival_vt = arrival_vt;
+  frame.payload = std::move(payload);
+  runtime_->dispatch(context_->members[dst], std::move(frame));
+}
+
 void Comm::send(int dst, int tag, std::span<const std::uint8_t> bytes) {
+  send_shared(dst, tag, share_payload(bytes));
+}
+
+void Comm::send_shared(int dst, int tag, SharedPayload payload) {
   CG_EXPECT(dst >= 0 && dst < size());
   const NetModel& net = runtime_->net();
   common::VirtualClock& my_clock = clock();
@@ -51,28 +66,18 @@ void Comm::send(int dst, int tag, std::span<const std::uint8_t> bytes) {
   double arrival = 0.0;
   if (net.enabled()) {
     if (dst != local_rank_) {
-      my_clock.advance(net.send_cost_s(bytes.size()));
+      my_clock.advance(net.send_cost_s(payload ? payload->size() : 0));
       arrival = my_clock.now() + net.latency_s();
     } else {
       arrival = my_clock.now();
     }
   }
-  Message m;
-  m.source = local_rank_;
-  m.tag = tag;
-  m.arrival_vt = arrival;
-  m.payload.assign(bytes.begin(), bytes.end());
-  runtime_->dispatch(context_->key, context_->members[dst], dst, std::move(m));
+  post(dst, tag, arrival, std::move(payload));
 }
 
 void Comm::send_oob(int dst, int tag, std::span<const std::uint8_t> bytes) {
   CG_EXPECT(dst >= 0 && dst < size());
-  Message m;
-  m.source = local_rank_;
-  m.tag = tag;
-  m.arrival_vt = 0.0;
-  m.payload.assign(bytes.begin(), bytes.end());
-  runtime_->dispatch(context_->key, context_->members[dst], dst, std::move(m));
+  post(dst, tag, /*arrival_vt=*/0.0, share_payload(bytes));
 }
 
 Message Comm::pop_death_aware(int src, int tag) {
@@ -237,8 +242,9 @@ void Comm::barrier() {
 void Comm::bcast(std::vector<std::uint8_t>& bytes, int root) {
   if (size() == 1) return;
   if (local_rank_ == root) {
+    const SharedPayload payload = share_payload(bytes);
     for (int r = 0; r < size(); ++r) {
-      if (r != root) send(r, kTagBcast, bytes);
+      if (r != root) send_shared(r, kTagBcast, payload);
     }
   } else {
     bytes = recv(root, kTagBcast).payload;
@@ -264,66 +270,61 @@ std::vector<std::vector<std::uint8_t>> Comm::gather(std::span<const std::uint8_t
 
 std::vector<std::vector<std::uint8_t>> Comm::allgather(
     std::span<const std::uint8_t> bytes) {
-  // Every rank contributes its block and receives everyone else's. The
-  // simulated cost follows a ring-style overlapped exchange: each rank is
-  // busy for (n-1) block transfers — linear in communicator size, the
+  auto out = allgather_frames(share_payload(bytes), std::nullopt);
+  out[local_rank_].assign(bytes.begin(), bytes.end());
+  return out;
+}
+
+std::vector<std::vector<std::uint8_t>> Comm::allgather(std::vector<std::uint8_t>&& bytes,
+                                                       std::span<const int> readers) {
+  std::vector<std::uint8_t> own;
+  if (std::find(readers.begin(), readers.end(), local_rank_) != readers.end()) {
+    own = bytes;
+  }
+  auto out = allgather_frames(share_payload(std::move(bytes)), readers);
+  out[local_rank_] = std::move(own);
+  return out;
+}
+
+std::vector<std::vector<std::uint8_t>> Comm::allgather_frames(
+    const SharedPayload& payload, std::optional<std::span<const int>> readers) {
+  // Every rank sends its block and receives everyone else's. The simulated
+  // cost follows a ring-style overlapped exchange: each rank is busy for
+  // (n-1) block transfers — linear in communicator size, the
   // gather-scaling behaviour observed on the paper's cluster — and send /
   // receive phases overlap, so a rank's exchange completes one latency after
   // its (or the slowest peer's) transfer work ends. Payload movement itself
-  // is direct exchange for simplicity; only the clock model is ring-like.
+  // is direct exchange; only the clock model is ring-like, and it charges
+  // the full block to every member whether or not that member reads it.
   const int n = size();
   std::vector<std::vector<std::uint8_t>> out(n);
-  out[local_rank_].assign(bytes.begin(), bytes.end());
   if (n == 1) return out;
 
+  std::vector<bool> reads(static_cast<std::size_t>(n), !readers.has_value());
+  if (readers) {
+    for (const int r : *readers) {
+      CG_EXPECT(r >= 0 && r < n);
+      reads[static_cast<std::size_t>(r)] = true;
+    }
+  }
   const NetModel& net = runtime_->net();
   double completes_at = 0.0;
   if (net.enabled()) {
     common::VirtualClock& my_clock = clock();
-    my_clock.advance(static_cast<double>(n - 1) * net.send_cost_s(bytes.size()));
+    my_clock.advance(static_cast<double>(n - 1) *
+                     net.send_cost_s(payload ? payload->size() : 0));
     completes_at = my_clock.now() + net.latency_s();
   }
   for (int r = 0; r < n; ++r) {
     if (r == local_rank_) continue;
-    Message m;
-    m.source = local_rank_;
-    m.tag = kTagAllgather;
-    m.arrival_vt = completes_at;
-    m.payload.assign(bytes.begin(), bytes.end());
-    runtime_->dispatch(context_->key, context_->members[r], r, std::move(m));
+    post(r, kTagAllgather, completes_at,
+         reads[static_cast<std::size_t>(r)] ? payload : nullptr);
   }
   for (int r = 0; r < n; ++r) {
     if (r == local_rank_) continue;
-    Message m = recv(r, kTagAllgather);
-    out[r] = std::move(m.payload);
+    out[r] = recv(r, kTagAllgather).payload;
   }
   return out;
-}
-
-double Comm::allreduce_sum(double value) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
-  auto all = allgather(std::span<const std::uint8_t>(p, sizeof(double)));
-  double total = 0.0;
-  for (const auto& payload : all) {
-    double v;
-    CG_EXPECT(payload.size() == sizeof(double));
-    std::memcpy(&v, payload.data(), sizeof(double));
-    total += v;
-  }
-  return total;
-}
-
-double Comm::allreduce_max(double value) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
-  auto all = allgather(std::span<const std::uint8_t>(p, sizeof(double)));
-  double best = value;
-  for (const auto& payload : all) {
-    double v;
-    CG_EXPECT(payload.size() == sizeof(double));
-    std::memcpy(&v, payload.data(), sizeof(double));
-    best = std::max(best, v);
-  }
-  return best;
 }
 
 std::optional<Comm> Comm::split(int color, int key) {

@@ -1,11 +1,11 @@
 // Communicator handle: the rank-local view of one communication context.
 //
 // Mirrors the MPI surface the paper's comm-manager uses: point-to-point
-// send/recv with tags, probe, barrier, broadcast, gather, allgather,
-// allreduce, and split() to derive the LOCAL (active slaves) and GLOBAL
-// (slaves + master) contexts from WORLD. All collectives are implemented on
-// top of the p2p layer, so simulated time emerges from the same message
-// trace in both modes.
+// send/recv with tags, probe, barrier, broadcast, gather, allgather, and
+// split() to derive the LOCAL (active slaves) and GLOBAL (slaves + master)
+// contexts from WORLD. All collectives are implemented on top of the p2p
+// layer, so simulated time emerges from the same message trace in both
+// modes. A payload sent to several ranks is one shared buffer (transport.hpp).
 #pragma once
 
 #include <cstring>
@@ -109,10 +109,21 @@ class Comm {
   /// Returns, at root, payloads indexed by source rank (empty elsewhere).
   std::vector<std::vector<std::uint8_t>> gather(std::span<const std::uint8_t> bytes,
                                                 int root);
-  /// Every rank contributes `bytes`; everyone receives all payloads by rank.
+  /// Every rank contributes `bytes`; everyone receives all payloads by rank,
+  /// its own included.
   std::vector<std::vector<std::uint8_t>> allgather(std::span<const std::uint8_t> bytes);
-  double allreduce_sum(double value);
-  double allreduce_max(double value);
+  /// The same lockstep, with each payload going only to the ranks that read
+  /// it: every member still sends one frame to and receives one frame from
+  /// every other member, but only `readers` get `bytes` and the others an
+  /// empty frame; the caller's own slot holds `bytes` only when `readers`
+  /// names the caller. `bytes` moves into the one buffer every reader's
+  /// frame shares. Virtual time is the full allgather's: the sender is
+  /// charged (n-1) transfers of `bytes` and every frame carries the same
+  /// arrival stamp, reader or not; only a per-byte receive overhead (which
+  /// the calibrated cost model does not charge) skips the bytes a
+  /// non-reader never gets.
+  std::vector<std::vector<std::uint8_t>> allgather(std::vector<std::uint8_t>&& bytes,
+                                                   std::span<const int> readers);
 
   /// MPI_Comm_split: ranks with equal color form a new communicator ordered
   /// by (key, rank). color < 0 opts out (returns nullopt).
@@ -120,6 +131,16 @@ class Comm {
 
  private:
   int world_rank_of(int local_rank) const;
+
+  /// Hand one frame carrying `payload` to `dst`, stamped `arrival_vt`.
+  void post(int dst, int tag, double arrival_vt, SharedPayload payload);
+  /// send() of a shared buffer: same virtual-time charge, no copy.
+  void send_shared(int dst, int tag, SharedPayload payload);
+  /// The allgather lockstep: one frame to and from every other member,
+  /// carrying `payload` to `readers` (every member when nullopt) and nothing
+  /// to the rest. Returns the received payloads by rank, the own slot empty.
+  std::vector<std::vector<std::uint8_t>> allgather_frames(
+      const SharedPayload& payload, std::optional<std::span<const int>> readers);
 
   /// Blocking mailbox pop that, in distributed mode, wakes periodically to
   /// check the peer-loss registry — the mechanism behind death-aware recv.

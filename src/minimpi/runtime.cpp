@@ -138,7 +138,7 @@ int Runtime::create_context_locked(std::vector<int> members, std::uint64_t key) 
 }
 
 void Runtime::route(int context_id, int dst_local_rank, Message message) {
-  std::uint64_t key = 0;
+  OutboundFrame frame;
   int dst_world = -1;
   {
     std::lock_guard<std::mutex> lock(contexts_mutex_);
@@ -146,21 +146,18 @@ void Runtime::route(int context_id, int dst_local_rank, Message message) {
     const CommContext& ctx = *contexts_[context_id];
     CG_EXPECT(dst_local_rank >= 0 &&
               dst_local_rank < static_cast<int>(ctx.members.size()));
-    key = ctx.key;
+    frame.context_key = ctx.key;
     dst_world = ctx.members[dst_local_rank];
   }
-  dispatch(key, dst_world, dst_local_rank, std::move(message));
-}
-
-void Runtime::dispatch(std::uint64_t context_key, int dst_world_rank,
-                       int dst_local_rank, Message message) {
-  Frame frame;
-  frame.context_key = context_key;
   frame.src_rank = message.source;
   frame.dst_rank = dst_local_rank;
   frame.tag = message.tag;
   frame.arrival_vt = message.arrival_vt;
-  frame.payload = std::move(message.payload);
+  frame.payload = share_payload(std::move(message.payload));
+  dispatch(dst_world, std::move(frame));
+}
+
+void Runtime::dispatch(int dst_world_rank, OutboundFrame frame) {
   transport_->send(dst_world_rank, std::move(frame));
 }
 

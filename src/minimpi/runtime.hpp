@@ -129,14 +129,14 @@ class Runtime {
   RankState& rank_state(int world_rank);
   CommContext& context(int context_id);
 
-  /// Hand `message` to (context, dst local rank), through the transport.
-  /// The one way any payload moves between ranks, local or remote. route()
-  /// resolves the addressing under the context lock; dispatch() is the
-  /// lock-free fast path for callers (Comm) that already hold the immutable
-  /// context key/membership.
+  /// Hand a frame to `dst_world_rank` through the transport: the one way any
+  /// payload moves between ranks, local or remote. dispatch() is the
+  /// lock-free path for callers (Comm) that already hold the immutable
+  /// context key/membership and built the frame; route() resolves the
+  /// addressing of `message` to (context, dst local rank) under the context
+  /// lock first.
   void route(int context_id, int dst_local_rank, Message message);
-  void dispatch(std::uint64_t context_key, int dst_world_rank, int dst_local_rank,
-                Message message);
+  void dispatch(int dst_world_rank, OutboundFrame frame);
 
   /// Transport delivery sink: file an inbound frame into the addressed
   /// mailbox (or park it until its communicator exists). Throws

@@ -85,11 +85,11 @@ void TcpTransport::start() {
   }
 }
 
-void TcpTransport::send(int dst_world_rank, Frame frame) {
+void TcpTransport::send(int dst_world_rank, OutboundFrame frame) {
   CG_EXPECT(dst_world_rank >= 0 && dst_world_rank < options_.world_size);
   if (dst_world_rank == options_.rank) {
     // Self-sends skip the wire, exactly like the in-process path.
-    sink_(std::move(frame));
+    sink_(inbound_copy(frame));
     return;
   }
   CG_EXPECT(started_.load());
@@ -141,7 +141,7 @@ void TcpTransport::sender_loop(int peer_rank) {
   common::set_thread_log_label("tcp send -> " + std::to_string(peer_rank));
   Peer& peer = *peers_[static_cast<std::size_t>(peer_rank)];
   for (;;) {
-    Frame frame;
+    OutboundFrame frame;
     {
       std::unique_lock<std::mutex> lock(peer.mutex);
       peer.ready.wait(lock, [&] { return peer.closing || !peer.queue.empty(); });
@@ -149,8 +149,7 @@ void TcpTransport::sender_loop(int peer_rank) {
       frame = std::move(peer.queue.front());
       peer.queue.pop_front();
     }
-    const std::vector<std::uint8_t> wire = encode_frame(frame);
-    if (!write_all(peer.fd, wire.data(), wire.size())) {
+    if (!write_frame(peer.fd, frame, frame.bytes())) {
       if (stopping_.load()) break;  // peer already gone during teardown
       // Mid-run write failure means the peer's stream is dead. Record the
       // loss so the rank's own thread can raise PeerDeathError at its next

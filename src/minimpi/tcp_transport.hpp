@@ -7,7 +7,9 @@
 // two ranks streaming large payloads at each other cannot deadlock on full
 // kernel buffers) and one *receiver* thread decoding length-prefixed frames
 // into the owning Runtime's sink, where the existing mailbox matching logic
-// takes over.
+// takes over. A queued frame refers to the payload buffer it shares with the
+// message's other destinations; the sender writes header and payload with
+// one write_frame, so no copy of the payload is made for the wire.
 //
 // Failure policy: losing a peer's stream — a failed write, a poll error, a
 // mid-frame truncation, or a clean EOF (which is also what a SIGKILLed peer
@@ -64,7 +66,7 @@ class TcpTransport final : public Transport {
   std::string rendezvous_endpoint() const;
 
   void start() override;
-  void send(int dst_world_rank, Frame frame) override;
+  void send(int dst_world_rank, OutboundFrame frame) override;
   void shutdown() override;
   const char* name() const override { return "tcp"; }
 
@@ -82,7 +84,7 @@ class TcpTransport final : public Transport {
     std::thread receiver;
     std::mutex mutex;
     std::condition_variable ready;
-    std::deque<Frame> queue;
+    std::deque<OutboundFrame> queue;
     bool closing = false;
     std::atomic<bool> lost{false};
   };

@@ -6,24 +6,38 @@
 
 namespace cellgan::minimpi {
 
-std::vector<std::uint8_t> encode_frame(const Frame& frame) {
-  CG_EXPECT(frame.payload.size() <= kMaxFramePayload);
-  std::vector<std::uint8_t> out(kFrameHeaderBytes + frame.payload.size());
+SharedPayload share_payload(std::span<const std::uint8_t> bytes) {
+  if (bytes.empty()) return nullptr;
+  return std::make_shared<const std::vector<std::uint8_t>>(bytes.begin(), bytes.end());
+}
+
+SharedPayload share_payload(std::vector<std::uint8_t>&& bytes) {
+  if (bytes.empty()) return nullptr;
+  return std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
+}
+
+Frame inbound_copy(const OutboundFrame& frame) {
+  Frame out;
+  static_cast<FrameHeader&>(out) = frame;
+  const auto bytes = frame.bytes();
+  out.payload.assign(bytes.begin(), bytes.end());
+  return out;
+}
+
+void encode_frame_header(const FrameHeader& header, std::uint64_t payload_len,
+                         std::span<std::uint8_t, kFrameHeaderBytes> out) {
+  CG_EXPECT(payload_len <= kMaxFramePayload);
   std::uint8_t* p = out.data();
   store_le32(p, kFrameMagic);
-  store_le64(p + 4, frame.context_key);
-  store_le32(p + 12, static_cast<std::uint32_t>(frame.src_rank));
-  store_le32(p + 16, static_cast<std::uint32_t>(frame.dst_rank));
-  store_le32(p + 20, static_cast<std::uint32_t>(frame.tag));
+  store_le64(p + 4, header.context_key);
+  store_le32(p + 12, static_cast<std::uint32_t>(header.src_rank));
+  store_le32(p + 16, static_cast<std::uint32_t>(header.dst_rank));
+  store_le32(p + 20, static_cast<std::uint32_t>(header.tag));
   std::uint64_t vt_bits = 0;
-  static_assert(sizeof(vt_bits) == sizeof(frame.arrival_vt));
-  std::memcpy(&vt_bits, &frame.arrival_vt, sizeof(vt_bits));
+  static_assert(sizeof(vt_bits) == sizeof(header.arrival_vt));
+  std::memcpy(&vt_bits, &header.arrival_vt, sizeof(vt_bits));
   store_le64(p + 24, vt_bits);
-  store_le64(p + 32, frame.payload.size());
-  if (!frame.payload.empty()) {
-    std::memcpy(p + kFrameHeaderBytes, frame.payload.data(), frame.payload.size());
-  }
-  return out;
+  store_le64(p + 32, payload_len);
 }
 
 const char* to_string(FrameDecodeStatus status) {
@@ -37,7 +51,7 @@ const char* to_string(FrameDecodeStatus status) {
 }
 
 FrameDecodeStatus decode_frame_header(std::span<const std::uint8_t> bytes,
-                                      Frame* out, std::uint64_t* payload_len) {
+                                      FrameHeader* out, std::uint64_t* payload_len) {
   if (bytes.size() < kFrameHeaderBytes) return FrameDecodeStatus::kNeedMore;
   const std::uint8_t* p = bytes.data();
   if (load_le32(p) != kFrameMagic) return FrameDecodeStatus::kBadMagic;
@@ -53,10 +67,10 @@ FrameDecodeStatus decode_frame_header(std::span<const std::uint8_t> bytes,
   return FrameDecodeStatus::kOk;
 }
 
-void InProcTransport::send(int dst_world_rank, Frame frame) {
+void InProcTransport::send(int dst_world_rank, OutboundFrame frame) {
   (void)dst_world_rank;  // every rank is local; the sink routes by dst_rank
   CG_EXPECT(sink_ != nullptr);
-  sink_(std::move(frame));
+  sink_(inbound_copy(frame));
 }
 
 }  // namespace cellgan::minimpi

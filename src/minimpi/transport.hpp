@@ -7,35 +7,68 @@
 //
 //   InProcTransport  all ranks live in one process (thread-per-rank); a
 //                    frame is handed straight back to the owning Runtime's
-//                    sink — bit-identical to the historical direct mailbox
-//                    push.
+//                    sink, with its own copy of the payload — bit-identical
+//                    to the historical direct mailbox push.
 //   TcpTransport     one process per rank; frames are length-prefix encoded
 //                    and carried over POSIX sockets (tcp_transport.hpp).
 //
-// The wire format lives here (encode_frame / decode_frame_header) so that
-// framing is testable without sockets and shared by every remote transport.
+// An outbound frame refers to its payload through a shared, immutable
+// buffer: a collective that sends one payload to many ranks builds it once,
+// and every destination's frame points at it. An inbound frame owns the
+// bytes its receiver read. The wire format lives here (the header codec) so
+// that framing is testable without sockets and shared by every remote
+// transport; bootstrap.hpp's write_frame puts a frame on a socket.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 namespace cellgan::minimpi {
 
-/// One routed message: Message fields plus addressing. `context_key` is the
+/// Addressing and stamp of one routed message. `context_key` is the
 /// process-independent communicator id (Runtime derives equal keys for equal
 /// split sequences on every member), `src_rank` / `dst_rank` are local ranks
 /// within that communicator.
-struct Frame {
+struct FrameHeader {
   std::uint64_t context_key = 0;
   std::int32_t src_rank = 0;
   std::int32_t dst_rank = 0;
   std::int32_t tag = 0;
   double arrival_vt = 0.0;  ///< simulated arrival stamp (see message.hpp)
+};
+
+/// An inbound frame: the header plus the payload bytes its receiver owns.
+struct Frame : FrameHeader {
   std::vector<std::uint8_t> payload;
 };
+
+/// One immutable payload buffer, shared by every frame that carries it. The
+/// last frame to drop its reference frees it, on whichever thread that is.
+using SharedPayload = std::shared_ptr<const std::vector<std::uint8_t>>;
+
+/// An outbound frame: the header plus a reference to a payload buffer that
+/// other destinations of the same message may share. A null buffer carries
+/// zero bytes.
+struct OutboundFrame : FrameHeader {
+  SharedPayload payload;
+
+  std::span<const std::uint8_t> bytes() const {
+    return payload ? std::span<const std::uint8_t>(*payload)
+                   : std::span<const std::uint8_t>();
+  }
+};
+
+/// A buffer holding a copy of `bytes`; null for an empty span.
+SharedPayload share_payload(std::span<const std::uint8_t> bytes);
+/// A buffer that takes over `bytes`; null when it is empty.
+SharedPayload share_payload(std::vector<std::uint8_t>&& bytes);
+
+/// The frame a receiver of `frame` owns: same header, its own payload copy.
+Frame inbound_copy(const OutboundFrame& frame);
 
 // ---- wire format -----------------------------------------------------------
 //
@@ -71,8 +104,9 @@ inline constexpr std::size_t kFrameHeaderBytes = 4 + 8 + 4 + 4 + 4 + 8 + 8;
 /// allocation before being rejected.
 inline constexpr std::uint64_t kMaxFramePayload = 1ULL << 30;
 
-/// Serialize header + payload into one contiguous buffer.
-std::vector<std::uint8_t> encode_frame(const Frame& frame);
+/// Write the wire header of a frame carrying `payload_len` bytes to `out`.
+void encode_frame_header(const FrameHeader& header, std::uint64_t payload_len,
+                         std::span<std::uint8_t, kFrameHeaderBytes> out);
 
 enum class FrameDecodeStatus {
   kOk,           ///< header valid; *payload_len more bytes complete the frame
@@ -84,10 +118,10 @@ enum class FrameDecodeStatus {
 const char* to_string(FrameDecodeStatus status);
 
 /// Validate and decode a frame header from the front of `bytes`. On kOk the
-/// header fields of `out` are filled (payload untouched) and `payload_len`
-/// receives the advertised payload size.
+/// fields of `out` are filled and `payload_len` receives the advertised
+/// payload size.
 FrameDecodeStatus decode_frame_header(std::span<const std::uint8_t> bytes,
-                                      Frame* out, std::uint64_t* payload_len);
+                                      FrameHeader* out, std::uint64_t* payload_len);
 
 // ---- transport interface ---------------------------------------------------
 
@@ -123,8 +157,9 @@ class Transport {
   virtual void start() {}
 
   /// Deliver `frame` to `dst_world_rank`. Never blocks on the destination
-  /// consuming it (buffered-send semantics, like Comm::send).
-  virtual void send(int dst_world_rank, Frame frame) = 0;
+  /// consuming it (buffered-send semantics, like Comm::send). The payload
+  /// buffer is only read, never changed.
+  virtual void send(int dst_world_rank, OutboundFrame frame) = 0;
 
   /// Flush queued outbound frames and release I/O resources. Idempotent.
   virtual void shutdown() {}
@@ -138,9 +173,10 @@ class Transport {
 
 /// The historical single-process path behind the Transport interface: every
 /// world rank shares one Runtime, so delivery is the owning Runtime's sink.
+/// Each delivery copies the shared payload into the frame the receiver owns.
 class InProcTransport final : public Transport {
  public:
-  void send(int dst_world_rank, Frame frame) override;
+  void send(int dst_world_rank, OutboundFrame frame) override;
   const char* name() const override { return "inproc"; }
 };
 

@@ -102,12 +102,10 @@ StatsResponse StatsResponse::deserialize(std::span<const std::uint8_t> bytes) {
 }
 
 bool send_message(int fd, MsgType type, std::span<const std::uint8_t> payload) {
-  minimpi::Frame frame;
-  frame.context_key = kServeContextKey;
-  frame.tag = static_cast<std::int32_t>(type);
-  frame.payload.assign(payload.begin(), payload.end());
-  const auto wire = minimpi::encode_frame(frame);
-  return minimpi::write_all(fd, wire.data(), wire.size());
+  minimpi::FrameHeader header;
+  header.context_key = kServeContextKey;
+  header.tag = static_cast<std::int32_t>(type);
+  return minimpi::write_frame(fd, header, payload);
 }
 
 bool recv_message(int fd, Message* out) {
@@ -119,7 +117,7 @@ bool recv_message(int fd, Message* out) {
                         std::to_string(got) + " of " +
                         std::to_string(sizeof(header)) + " bytes)");
   }
-  minimpi::Frame frame;
+  minimpi::FrameHeader frame;
   std::uint64_t payload_len = 0;
   const auto status = minimpi::decode_frame_header(
       std::span<const std::uint8_t>(header, sizeof(header)), &frame,

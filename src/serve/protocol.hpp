@@ -1,9 +1,10 @@
 // Wire protocol of the cellgan serving plane.
 //
 // A serving conversation is a sequence of length-prefixed frames over one
-// TCP connection, reusing minimpi's Frame codec (transport.hpp) so the
-// serving plane inherits the same magic/length validation — and the same
-// oversized-payload guard — as the training transport. The mapping:
+// TCP connection, reusing minimpi's frame codec (transport.hpp) and frame
+// writer (bootstrap.hpp's write_frame: header and payload in one sendmsg) so
+// the serving plane inherits the same magic/length validation — and the
+// same oversized-payload guard — as the training transport. The mapping:
 //
 //   Frame.context_key = kServeContextKey   (rejects cross-plane traffic)
 //   Frame.tag         = MsgType

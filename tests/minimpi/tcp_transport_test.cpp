@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstring>
 #include <future>
 #include <thread>
 
@@ -120,8 +122,20 @@ TEST(TcpTransportTest, CollectivesRunOverTheWire) {
       EXPECT_EQ(all[static_cast<std::size_t>(r)][0], r + 1);
     }
 
-    EXPECT_EQ(world.allreduce_sum(static_cast<double>(world.rank())), 3.0);
-    EXPECT_EQ(world.allreduce_max(static_cast<double>(world.rank())), 2.0);
+    // A sum and a max, reduced over an allgather of doubles.
+    const double value = static_cast<double>(world.rank());
+    double sum = 0.0;
+    double max = value;
+    for (const auto& payload : world.allgather(std::span(
+             reinterpret_cast<const std::uint8_t*>(&value), sizeof(value)))) {
+      double v = 0.0;
+      ASSERT_EQ(payload.size(), sizeof(v));
+      std::memcpy(&v, payload.data(), sizeof(v));
+      sum += v;
+      max = std::max(max, v);
+    }
+    EXPECT_EQ(sum, 3.0);
+    EXPECT_EQ(max, 2.0);
   });
 }
 
@@ -169,7 +183,7 @@ TEST(TcpTransportTest, SplitBuildsConsistentCommunicatorsAcrossProcesses) {
 TEST(TcpTransportTest, StrayContextFrameIsQuarantined) {
   run_tcp_world(2, [](Runtime& runtime, Comm& world) {
     if (world.rank() == 0) {
-      Frame stray;
+      OutboundFrame stray;
       stray.context_key = 0xdecafbadULL;  // context that will never exist
       stray.src_rank = 0;
       stray.dst_rank = 0;

@@ -1,24 +1,32 @@
 // Wire-format and delivery-validation coverage for the transport seam:
-// frame encode/decode round trips, every malformed-frame class (truncated
-// header, bad magic, oversized length, wrong context id / destination), the
-// deadline-aware mailbox pop, and the InProc path behind the Transport
-// interface. Pure in-process — runs under ASan on every tier-1 pass.
+// pinned frame bytes (from the test encoder and from a TCP sender on a
+// loopback socket), header decode round trips, every malformed-frame class
+// (truncated header, bad magic, oversized length, wrong context id /
+// destination), the deadline-aware mailbox pop, and the InProc path behind
+// the Transport interface. One process, no fork — runs under ASan on every
+// tier-1 pass.
 #include "minimpi/transport.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
 
+#include "minimpi/bootstrap.hpp"
 #include "minimpi/comm.hpp"
 #include "minimpi/errors.hpp"
 #include "minimpi/mailbox.hpp"
 #include "minimpi/runtime.hpp"
+#include "minimpi/tcp_transport.hpp"
+#include "testsupport/frame_codec.hpp"
 
 namespace cellgan::minimpi {
 namespace {
+
+using testsupport::encode_frame;
 
 Frame sample_frame() {
   Frame frame;
@@ -56,6 +64,46 @@ std::string hex(std::span<const std::uint8_t> bytes) {
 
 TEST(TransportFrameTest, WireBytesOfAFixedFrameArePinned) {
   EXPECT_EQ(hex(encode_frame(sample_frame())), kSampleFrameWireHex);
+}
+
+TEST(TransportFrameTest, TcpSenderPutsThePinnedBytesOnTheSocket) {
+  // The test plays rank 0 of a two-rank world: it runs the bootstrap
+  // handshake, then reads the raw bytes rank 1's transport writes for one
+  // frame — header and payload from one write_frame.
+  std::string error;
+  const int listen_fd = listen_on(Endpoint{"127.0.0.1", 0}, &error);
+  ASSERT_GE(listen_fd, 0) << error;
+  const Endpoint rendezvous = local_endpoint_of(listen_fd);
+  const Frame sample = sample_frame();
+  std::vector<std::uint8_t> wire(kFrameHeaderBytes + sample.payload.size());
+  bool read_all = false;
+  std::thread rank0([&] {
+    try {
+      const Mesh mesh = bootstrap_mesh(listen_fd, 0, 2, rendezvous, 10.0);
+      read_all = read_exact(mesh.peer_fds[1], wire.data(), wire.size());
+      ::close(mesh.peer_fds[1]);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << e.what();
+    }
+    ::close(listen_fd);
+  });
+  {
+    TcpTransportOptions options;
+    options.world_size = 2;
+    options.rank = 1;
+    options.rendezvous = rendezvous.to_string();
+    options.timeout_s = 10.0;
+    TcpTransport transport(options);
+    transport.set_sink([](Frame) {});
+    transport.start();
+    OutboundFrame frame;
+    static_cast<FrameHeader&>(frame) = sample;
+    frame.payload = share_payload(std::span<const std::uint8_t>(sample.payload));
+    transport.send(0, std::move(frame));
+    rank0.join();
+  }
+  ASSERT_TRUE(read_all);
+  EXPECT_EQ(hex(wire), kSampleFrameWireHex);
 }
 
 TEST(TransportFrameTest, HeaderRoundTripsExactly) {
@@ -125,12 +173,12 @@ TEST(TransportFrameTest, OversizedLengthIsRejected) {
 /// drive a distributed-mode Runtime without sockets or peer processes.
 class CapturingTransport final : public Transport {
  public:
-  void send(int dst_world_rank, Frame frame) override {
+  void send(int dst_world_rank, OutboundFrame frame) override {
     sent.emplace_back(dst_world_rank, std::move(frame));
   }
   const char* name() const override { return "capture"; }
 
-  std::vector<std::pair<int, Frame>> sent;
+  std::vector<std::pair<int, OutboundFrame>> sent;
 };
 
 TEST(TransportFrameTest, DistributedRuntimeRoutesRemoteSendsThroughTransport) {
@@ -147,7 +195,7 @@ TEST(TransportFrameTest, DistributedRuntimeRoutesRemoteSendsThroughTransport) {
   EXPECT_EQ(captured->sent[0].first, 2);          // world rank of WORLD rank 2
   EXPECT_EQ(captured->sent[0].second.context_key, 0u);  // WORLD key
   EXPECT_EQ(captured->sent[0].second.tag, 42);
-  EXPECT_EQ(captured->sent[0].second.payload.size(), 3u);
+  EXPECT_EQ(captured->sent[0].second.bytes().size(), 3u);
 }
 
 TEST(TransportFrameTest, WrongContextIdIsQuarantinedNotDelivered) {

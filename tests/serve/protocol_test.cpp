@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "minimpi/transport.hpp"
+#include "testsupport/frame_codec.hpp"
 
 namespace cellgan::serve {
 namespace {
@@ -123,7 +124,7 @@ TEST_F(SocketPairTest, ForeignContextKeyThrowsProtocolError) {
   frame.context_key = 0x1234;  // not kServeContextKey
   frame.tag = static_cast<std::int32_t>(MsgType::kSampleRequest);
   frame.payload = {1, 2, 3};
-  const auto wire = minimpi::encode_frame(frame);
+  const auto wire = testsupport::encode_frame(frame);
   ASSERT_EQ(::write(fds_[0], wire.data(), wire.size()),
             static_cast<ssize_t>(wire.size()));
   Message msg;
