@@ -49,6 +49,10 @@ class ByteWriter {
     buffer_.insert(buffer_.end(), s.begin(), s.end());
   }
 
+  /// Make room for `bytes` in total, so a writer that knows its final size
+  /// fills one allocation instead of growing by doubling.
+  void reserve(std::size_t bytes) { buffer_.reserve(bytes); }
+
   const std::vector<std::uint8_t>& bytes() const { return buffer_; }
   std::vector<std::uint8_t> take() { return std::move(buffer_); }
   std::size_t size() const { return buffer_.size(); }

@@ -133,6 +133,17 @@ std::vector<int> CellTrainer::exchange_sources(std::uint32_t epoch) const {
   return policy_->sources(grid_, cell_, epoch);
 }
 
+std::vector<int> CellTrainer::exchange_readers(std::uint32_t epoch) const {
+  std::vector<int> readers;
+  for (int cell = 0; cell < grid_.size(); ++cell) {
+    const std::vector<int> sources = policy_->sources(grid_, cell, epoch);
+    if (std::find(sources.begin(), sources.end(), cell_) != sources.end()) {
+      readers.push_back(cell);
+    }
+  }
+  return readers;
+}
+
 const evolve::CellGenome* CellTrainer::subpop_genome(std::size_t slot) const {
   return subpop_[slot].genome.get();
 }

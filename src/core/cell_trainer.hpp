@@ -76,6 +76,11 @@ class CellTrainer : private evolve::ExchangeHost {
   /// (installation order). Drives the local comm-manager's read list; network
   /// transports may deliver a superset.
   std::vector<int> exchange_sources(std::uint32_t epoch) const;
+  /// The other side of exchange_sources: the cells q whose
+  /// exchange_sources(epoch) name this cell, ascending — the only cells that
+  /// read this cell's genome for `epoch`. Policies are pure functions of
+  /// (grid, cell, epoch, seed), so every cell computes the same lists.
+  std::vector<int> exchange_readers(std::uint32_t epoch) const;
   /// What the most recent update_genomes did (policy application outcome) —
   /// the payload of the `"event":"exchange"` telemetry.
   const evolve::ExchangeOutcome& last_exchange() const { return last_exchange_; }

@@ -37,7 +37,8 @@ LocalCommManager::LocalCommManager(GenomeStore& store, const evolve::Grid& grid,
 }
 
 std::vector<evolve::SharedGenome> LocalCommManager::exchange(
-    const evolve::SharedGenome& genome, std::span<const int> sources) {
+    const evolve::SharedGenome& genome, std::span<const int> sources,
+    std::span<const int> /*readers*/) {
   publish(genome);
   return collect(sources);
 }
@@ -71,8 +72,9 @@ void LocalCommManager::publish(evolve::SharedGenome genome) {
 MpiCommManager::MpiCommManager(minimpi::Comm& local_comm) : local_comm_(local_comm) {}
 
 std::vector<evolve::SharedGenome> MpiCommManager::exchange(
-    const evolve::SharedGenome& genome, std::span<const int> sources) {
-  const auto payloads = local_comm_.allgather(genome->serialize());
+    const evolve::SharedGenome& genome, std::span<const int> sources,
+    std::span<const int> readers) {
+  const auto payloads = local_comm_.allgather(genome->serialize(), readers);
   std::vector<evolve::SharedGenome> out(payloads.size());
   for (const int source : sources) {
     if (payloads[source].empty()) continue;
@@ -95,7 +97,8 @@ AsyncMpiCommManager::AsyncMpiCommManager(minimpi::Comm& local_comm, const evolve
 }
 
 std::vector<evolve::SharedGenome> AsyncMpiCommManager::exchange(
-    const evolve::SharedGenome& genome, std::span<const int> /*sources*/) {
+    const evolve::SharedGenome& genome, std::span<const int> /*sources*/,
+    std::span<const int> /*readers*/) {
   const int me = cell_id();
   // Publish to the cells whose sub-populations include this one (with the
   // default symmetric neighborhoods these are exactly our own neighbors).

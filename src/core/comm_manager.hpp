@@ -8,8 +8,9 @@
 // Every implementation hands out genomes as SharedGenome pointers, indexed by
 // cell id:
 //  * MpiCommManager  — allgather over the LOCAL communicator (active slaves),
-//    exactly the paper's distributed exchange path; each payload the cell
-//    reads is decoded once, on receipt.
+//    exactly the paper's distributed exchange path and its lockstep, with
+//    each serialized genome sent once, in one shared buffer, to the cells
+//    that read it; each payload the cell reads is decoded once, on receipt.
 //  * AsyncMpiCommManager — point-to-point sends to the neighbors, newest
 //    arrival per source wins.
 //  * LocalCommManager — in-process store for the single-core baseline; hands
@@ -39,11 +40,13 @@ class CommManager {
 
   /// Publish this cell's center genome and collect the latest genomes of
   /// other cells, indexed by cell id. `sources` names the cells the caller
-  /// will read (the exchange policy's list); entries this transport does not
-  /// deliver are null. Blocking in the MPI implementation (collective over
-  /// LOCAL).
+  /// will read (the exchange policy's list) and `readers` the cells that
+  /// read the caller's genome (CellTrainer::exchange_readers); entries this
+  /// transport does not deliver are null. Blocking in the MPI implementation
+  /// (collective over LOCAL).
   virtual std::vector<evolve::SharedGenome> exchange(
-      const evolve::SharedGenome& genome, std::span<const int> sources) = 0;
+      const evolve::SharedGenome& genome, std::span<const int> sources,
+      std::span<const int> readers) = 0;
 };
 
 /// Shared in-process genome store for LocalCommManager instances.
@@ -103,8 +106,10 @@ class LocalCommManager final : public CommManager {
                    const ExecContext& context);
 
   int cell_id() const override { return cell_; }
+  /// Readers need no list here: the store shares one pointer with all.
   std::vector<evolve::SharedGenome> exchange(const evolve::SharedGenome& genome,
-                                             std::span<const int> sources) override;
+                                             std::span<const int> sources,
+                                             std::span<const int> readers) override;
 
   /// Read the neighbors' visible (previous-epoch) genomes, charging the
   /// calibrated in-process copy cost to the cell's context.
@@ -129,14 +134,18 @@ class LocalCommManager final : public CommManager {
 
 /// MPI transport: local rank within the slaves-only communicator == cell id.
 /// Lockstep semantics — the per-epoch allgather synchronizes all slaves
-/// (the paper's implementation).
+/// (the paper's implementation). The serialized genome moves into the
+/// collective and goes only to `readers`; every other slave gets an empty
+/// frame in its place, so the lockstep, the virtual clocks and peer-death
+/// detection are the full allgather's.
 class MpiCommManager final : public CommManager {
  public:
   explicit MpiCommManager(minimpi::Comm& local_comm);
 
   int cell_id() const override { return local_comm_.rank(); }
   std::vector<evolve::SharedGenome> exchange(const evolve::SharedGenome& genome,
-                                             std::span<const int> sources) override;
+                                             std::span<const int> sources,
+                                             std::span<const int> readers) override;
 
  private:
   minimpi::Comm& local_comm_;
@@ -154,11 +163,13 @@ class AsyncMpiCommManager final : public CommManager {
   AsyncMpiCommManager(minimpi::Comm& local_comm, const evolve::Grid& grid);
 
   int cell_id() const override { return local_comm_.rank(); }
-  /// Hands out the neighbors' newest genomes; `sources` is not consulted
-  /// (this transport runs only the cellular policy, whose sources are the
-  /// neighbors).
+  /// Hands out the neighbors' newest genomes; `sources` and `readers` are
+  /// not consulted (this transport runs only the cellular policy, whose
+  /// sources are the neighbors and whose readers are the cells it
+  /// influences).
   std::vector<evolve::SharedGenome> exchange(const evolve::SharedGenome& genome,
-                                             std::span<const int> sources) override;
+                                             std::span<const int> sources,
+                                             std::span<const int> readers) override;
 
  private:
   minimpi::Comm& local_comm_;

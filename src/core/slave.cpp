@@ -114,7 +114,8 @@ protocol::SlaveResult Slave::run() {
           common::WallTimer gather_wall;
           const double vt_before = world_.clock().now();
           gathered = comm_manager.exchange(cell.export_genome(),
-                                           cell.exchange_sources(cell.iteration()));
+                                           cell.exchange_sources(cell.iteration()),
+                                           cell.exchange_readers(cell.iteration()));
           world_.profiler().add(common::routine::kGather, gather_wall.elapsed_s(),
                                 world_.clock().now() - vt_before);
         }

@@ -11,6 +11,7 @@ std::size_t CellGenome::byte_size() const {
 
 std::vector<std::uint8_t> CellGenome::serialize() const {
   common::ByteWriter w;
+  w.reserve(byte_size());
   w.write_vector(generator_params);
   w.write_vector(discriminator_params);
   w.write(g_learning_rate);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/workload.hpp"
@@ -37,6 +38,38 @@ TEST_F(CellFixture, StepWithEmptyInboxWorks) {
   EXPECT_TRUE(std::isfinite(cell.d_fitness()));
   EXPECT_EQ(cell.last_update_bytes(), 0.0);
   EXPECT_GT(cell.last_train_flops(), 0.0);
+}
+
+TEST_F(CellFixture, ReadersAreTheCellsWhoseSourcesNameThisCell) {
+  // Every policy on a 3x3 grid, over epochs with and without tournaments and
+  // rotations: q is among p's readers exactly when p is among q's sources.
+  evolve::Grid grid(3, 3);
+  for (const auto policy :
+       {evolve::ExchangePolicyKind::kCellular, evolve::ExchangePolicyKind::kLtfb,
+        evolve::ExchangePolicyKind::kGap}) {
+    config.exchange_policy = policy;
+    config.exchange_every = 2;
+    std::vector<CellTrainer> cells;
+    for (int cell = 0; cell < grid.size(); ++cell) cells.push_back(make_cell(grid, cell));
+    for (std::uint32_t epoch = 0; epoch < 6; ++epoch) {
+      std::size_t reads = 0;
+      for (int p = 0; p < grid.size(); ++p) {
+        const auto readers = cells[p].exchange_readers(epoch);
+        EXPECT_TRUE(std::is_sorted(readers.begin(), readers.end()));
+        reads += readers.size();
+        for (int q = 0; q < grid.size(); ++q) {
+          const auto sources = cells[q].exchange_sources(epoch);
+          const bool names_p = std::ranges::find(sources, p) != sources.end();
+          const bool reads_p = std::ranges::find(readers, q) != readers.end();
+          EXPECT_EQ(reads_p, names_p) << evolve::to_string(policy) << " epoch "
+                                      << epoch << " cell " << p << " reader " << q;
+        }
+      }
+      // A 3x3 neighborhood is four cells, so each cell has four readers
+      // besides a tournament partner or a rotation donor.
+      EXPECT_GE(reads, 9u * 4u);
+    }
+  }
 }
 
 TEST_F(CellFixture, ExportedGenomeCarriesState) {

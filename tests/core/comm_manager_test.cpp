@@ -99,7 +99,7 @@ TEST(LocalCommManagerTest, ReturnsNeighborsOnly) {
   }
   store.flip();
   LocalCommManager comm(store, grid, 4, context);
-  const auto gathered = comm.exchange(genome({}), grid.neighbors_of(4));
+  const auto gathered = comm.exchange(genome({}), grid.neighbors_of(4), {});
   ASSERT_EQ(gathered.size(), 9u);
   for (int cell = 0; cell < grid.size(); ++cell) {
     if (grid.is_neighbor(4, cell)) {
@@ -117,7 +117,7 @@ TEST(LocalCommManagerTest, ExchangePublishesOwnGenomeForNextEpoch) {
   ExecContext context;
   LocalCommManager comm(store, grid, 0, context);
   const evolve::SharedGenome mine = genome({7, 7});
-  (void)comm.exchange(mine, grid.neighbors_of(0));
+  (void)comm.exchange(mine, grid.neighbors_of(0), {});
   store.flip();
   EXPECT_EQ(store.latest(0), mine);
 }
@@ -158,7 +158,8 @@ TEST(LocalCommManagerTest, ChargesGatherWhenCostModelEnabled) {
   context.profiler = &profiler;
 
   LocalCommManager comm(store, grid, 0, context);
-  (void)comm.exchange(genome(std::vector<std::uint8_t>(100, 2)), grid.neighbors_of(0));
+  (void)comm.exchange(genome(std::vector<std::uint8_t>(100, 2)), grid.neighbors_of(0),
+                      {});
   EXPECT_GT(clock.now(), 0.0);
   EXPECT_GT(profiler.cost(common::routine::kGather).virtual_s, 0.0);
 }
@@ -169,7 +170,7 @@ TEST(MpiCommManagerTest, ExchangeMatchesAllgatherSemantics) {
     MpiCommManager comm(world);
     EXPECT_EQ(comm.cell_id(), world.rank());
     const auto mine = genome({static_cast<std::uint8_t>(world.rank())});
-    const auto gathered = comm.exchange(mine, all_cells(4));
+    const auto gathered = comm.exchange(mine, all_cells(4), all_cells(4));
     ASSERT_EQ(gathered.size(), 4u);
     for (int cell = 0; cell < 4; ++cell) {
       ASSERT_EQ(tag(gathered[cell]).size(), 1u);
@@ -184,10 +185,32 @@ TEST(MpiCommManagerTest, RepeatedExchangesSeeLatestGenomes) {
     MpiCommManager comm(world);
     for (std::uint8_t round = 0; round < 5; ++round) {
       const auto mine = genome({static_cast<std::uint8_t>(world.rank() * 10 + round)});
-      const auto gathered = comm.exchange(mine, all_cells(3));
+      const auto gathered = comm.exchange(mine, all_cells(3), all_cells(3));
       for (int cell = 0; cell < 3; ++cell) {
         ASSERT_EQ(tag(gathered[cell])[0],
                   static_cast<std::uint8_t>(cell * 10 + round));
+      }
+    }
+  });
+}
+
+TEST(MpiCommManagerTest, GenomesReachOnlyTheirReaders) {
+  // 2x2 torus, cellular sources: each cell reads its two neighbors, so its
+  // genome goes to those two and the diagonal cell gets an empty frame.
+  evolve::Grid grid(2, 2);
+  minimpi::Runtime runtime(4);
+  runtime.run([&grid](minimpi::Comm& world) {
+    MpiCommManager comm(world);
+    const int me = world.rank();
+    const auto& neighbors = grid.neighbors_of(me);
+    const auto gathered = comm.exchange(
+        genome({static_cast<std::uint8_t>(me)}), neighbors, neighbors);
+    for (int cell = 0; cell < 4; ++cell) {
+      if (grid.is_neighbor(me, cell)) {
+        ASSERT_EQ(tag(gathered[cell]).size(), 1u) << "cell " << cell;
+        EXPECT_EQ(tag(gathered[cell])[0], static_cast<std::uint8_t>(cell));
+      } else {
+        EXPECT_EQ(gathered[cell], nullptr) << "cell " << cell;
       }
     }
   });
@@ -201,12 +224,12 @@ TEST(AsyncMpiCommManagerTest, PublishedGenomesAreVisibleNextRound) {
     // Round 0: everyone publishes (sends enqueue synchronously); the first
     // read may legitimately see nothing — it must not block either way.
     const auto mine = genome({static_cast<std::uint8_t>(world.rank())});
-    (void)comm.exchange(mine, {});
+    (void)comm.exchange(mine, {}, {});
     // Once every rank has demonstrably published...
     world.barrier();
     // ...the next exchange must deliver every neighbor's genome, and only
     // neighbors' (non-neighbor slots stay empty).
-    const auto gathered = comm.exchange(mine, {});
+    const auto gathered = comm.exchange(mine, {}, {});
     for (int cell = 0; cell < 4; ++cell) {
       if (grid.is_neighbor(world.rank(), cell)) {
         ASSERT_FALSE(tag(gathered[cell]).empty()) << "neighbor " << cell;
@@ -226,13 +249,13 @@ TEST(AsyncMpiCommManagerTest, NewestGenomeWins) {
     if (world.rank() == 0) {
       // Publish three generations before rank 1 reads anything.
       for (std::uint8_t version = 1; version <= 3; ++version) {
-        (void)comm.exchange(genome({version}), {});
+        (void)comm.exchange(genome({version}), {}, {});
       }
       world.send_value<int>(1, 7, 1);  // signal: publications done
       (void)world.recv(1, 8);
     } else {
       (void)world.recv(0, 7);
-      const auto gathered = comm.exchange(genome({9}), {});
+      const auto gathered = comm.exchange(genome({9}), {}, {});
       ASSERT_FALSE(tag(gathered[0]).empty());
       EXPECT_EQ(tag(gathered[0])[0], 3);  // newest, older ones discarded
       world.send_value<int>(0, 8, 1);
@@ -252,16 +275,16 @@ TEST(AsyncMpiCommManagerTest, VirtualTimeRespectsCausality) {
   runtime.run([&grid](minimpi::Comm& world) {
     AsyncMpiCommManager comm(world, grid);
     if (world.rank() == 0) {
-      (void)comm.exchange(genome({42}), {});
+      (void)comm.exchange(genome({42}), {}, {});
       world.send_oob(1, 7, {});  // real-time signal, no virtual effect
       (void)world.recv(1, 8);
     } else {
       (void)world.recv(0, 7);
-      auto gathered = comm.exchange(genome({1}), {});
+      auto gathered = comm.exchange(genome({1}), {}, {});
       EXPECT_TRUE(tag(gathered[0]).empty()) << "message from the future was seen";
       // Advance past the arrival stamp: now it must be delivered.
       world.clock().advance(200.0);
-      gathered = comm.exchange(genome({2}), {});
+      gathered = comm.exchange(genome({2}), {}, {});
       ASSERT_FALSE(tag(gathered[0]).empty());
       EXPECT_EQ(tag(gathered[0])[0], 42);
       world.send_oob(0, 8, {});
