@@ -153,6 +153,15 @@ std::size_t idx_side(const TrainingConfig& config) {
       std::lround(std::sqrt(static_cast<double>(config.arch.image_dim))));
 }
 
+/// True in the rank-0 process of a TCP world, which hosts the master: it
+/// never trains, so it reads no training rows.
+bool tcp_master_process(const RunSpec& spec) {
+  if (spec.backend != Backend::kDistributedTcp) return false;
+  std::string env_error;
+  const auto world = tcp_world_from_env(&env_error);
+  return world.has_value() && world->rank == 0;
+}
+
 /// The mapped training split as floats of `side` x `side`, built row by row:
 /// no full-size float copy of the split exists at any point.
 data::Dataset downsampled_rows(const datastore::SampleStore& mapped, std::size_t side) {
@@ -230,12 +239,16 @@ bool Session::prepare() {
   // 1. Resolve the training set (unless the caller supplied resolved ones).
   // The test split waits for its first reader (test_set()).
   const auto& config = spec_.config;
+  const bool calibrates =
+      !cost_override_.has_value() && spec_.cost_profile != CostProfileKind::kNone;
+  std::size_t rows = 0;  // what the one-batch check below counts
   if (train_set_.has_value()) {
-    // nothing to do
+    rows = train_set_->samples();
   } else if (spec_.dataset.kind == DatasetSpec::Kind::kSynthetic) {
     train_floats_ = make_matched_dataset(config, spec_.dataset.samples,
                                          spec_.dataset.seed);
     train_set_.emplace(train_floats_);
+    rows = train_set_->samples();
   } else {
     if (config.arch.image_dim > data::kImageDim) {
       error_ = "IDX MNIST provides " + std::to_string(data::kImageDim) +
@@ -255,8 +268,14 @@ bool Session::prepare() {
       auto mapped = datastore::SampleStore::map_idx(
           spec_.dataset.idx_dir + "/train-images-idx3-ubyte",
           spec_.dataset.idx_dir + "/train-labels-idx1-ubyte");
+      rows = mapped.samples();
       if (side == data::kImageSide) {
         train_set_ = std::move(mapped);
+      } else if (tcp_master_process(spec_) && !calibrates) {
+        // Rank 0 of a TCP world validated and counted the pair like every
+        // rank; its master never trains, so it keeps no rows (the cost
+        // calibration below is the one reader it would build floats for).
+        train_set_.emplace(train_floats_);
       } else {
         // The mapping goes when `mapped` does; the run keeps the small floats.
         train_floats_ = downsampled_rows(mapped, side);
@@ -267,8 +286,8 @@ bool Session::prepare() {
       return false;
     }
   }
-  if (train_set_->samples() < config.batch_size) {
-    error_ = "the training set has " + std::to_string(train_set_->samples()) +
+  if (rows < config.batch_size) {
+    error_ = "the training set has " + std::to_string(rows) +
              " samples, fewer than one batch (batch_size " +
              std::to_string(config.batch_size) + ")";
     return false;
@@ -279,7 +298,7 @@ bool Session::prepare() {
   // run's iteration count, as the scaling benchmarks do).
   if (cost_override_.has_value()) {
     cost_model_ = *cost_override_;
-  } else if (spec_.cost_profile == CostProfileKind::kNone) {
+  } else if (!calibrates) {
     cost_model_ = CostModel{};
   } else {
     const WorkloadProbe probe = TrainerCore::measure_workload(config, *train_set_);

@@ -117,10 +117,12 @@ class Session {
 
   /// Resolved datasets; valid after a successful prepare(). The training set
   /// is a store: a full-resolution IDX run's is the mapped file, every other
-  /// run's borrows floats. The test split is made or loaded (and downsampled)
-  /// on the first test_set() call, since only evaluators read it; an
-  /// unreadable test pair throws std::runtime_error there (prepare() already
-  /// checked that it exists).
+  /// run's borrows floats — except in rank 0 of a TCP world on a
+  /// downsampled IDX run without a cost profile to calibrate, where it is
+  /// empty (the master trains nothing). The test split is made or loaded
+  /// (and downsampled) on the first test_set() call, since only evaluators
+  /// read it; an unreadable test pair throws std::runtime_error there
+  /// (prepare() already checked that it exists).
   const datastore::SampleStore& train_set() const;
   const data::Dataset& test_set();
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include "core/parallel_trainer.hpp"
 #include "core/workload.hpp"
 #include "data/idx.hpp"
+#include "minimpi/bootstrap.hpp"
 #include "testsupport/kind_guard.hpp"
 #include "testsupport/sequential.hpp"
 #include "testsupport/temp_dir.hpp"
@@ -339,6 +341,62 @@ TEST(SessionTest, TrainingSetSmallerThanOneBatchIsNamed) {
   Session idx(spec);
   EXPECT_FALSE(idx.prepare());
   EXPECT_NE(idx.error().find("fewer than one batch"), std::string::npos) << idx.error();
+}
+
+/// The CELLGAN_* environment of `rank` in a five-rank TCP world, for the
+/// guard's scope.
+class WorldEnvGuard {
+ public:
+  explicit WorldEnvGuard(int rank) {
+    ::setenv(minimpi::kEnvRank, std::to_string(rank).c_str(), 1);
+    ::setenv(minimpi::kEnvWorld, "5", 1);
+    ::setenv(minimpi::kEnvEndpoint, "127.0.0.1:1", 1);
+  }
+  ~WorldEnvGuard() {
+    ::unsetenv(minimpi::kEnvRank);
+    ::unsetenv(minimpi::kEnvWorld);
+    ::unsetenv(minimpi::kEnvEndpoint);
+  }
+  WorldEnvGuard(const WorldEnvGuard&) = delete;
+  WorldEnvGuard& operator=(const WorldEnvGuard&) = delete;
+};
+
+TEST(SessionTest, TcpMasterRankValidatesIdxWithoutAFloatCopy) {
+  // Rank 0 hosts the master, which never trains: on a downsampled IDX run it
+  // checks the pair like every rank, then keeps no rows. A slave rank, and
+  // rank 0 when a cost profile is calibrated on the set, build the floats.
+  testsupport::TempDir dir("session_idx_master");
+  write_idx_pair(dir, "train", 32, 32);
+  write_idx_pair(dir, "t10k", 8, 8);
+  RunSpec spec = small_spec(Backend::kDistributedTcp, 2, 1);
+  spec.dataset.kind = DatasetSpec::Kind::kIdx;
+  spec.dataset.idx_dir = dir.path().string();
+  ASSERT_LT(spec.config.arch.image_dim, data::kImageDim);
+  const auto prepared_rows = [&spec](int rank) -> std::size_t {
+    const WorldEnvGuard env(rank);
+    Session session(spec);
+    EXPECT_TRUE(session.prepare()) << session.error();
+    EXPECT_FALSE(session.train_set().mmap_backed());
+    return session.train_set().samples();
+  };
+  EXPECT_EQ(prepared_rows(0), 0u);
+  EXPECT_EQ(prepared_rows(1), 32u);
+  spec.cost_profile = CostProfileKind::kTable3;
+  EXPECT_EQ(prepared_rows(0), 32u);
+  spec.cost_profile = CostProfileKind::kNone;
+
+  // A bad pair still fails prepare() on rank 0, with the named errors.
+  const WorldEnvGuard env(0);
+  write_idx_pair(dir, "train", 32, 31);  // one label short
+  Session short_labels(spec);
+  EXPECT_FALSE(short_labels.prepare());
+  EXPECT_NE(short_labels.error().find("train-labels-idx1-ubyte"), std::string::npos)
+      << short_labels.error();
+  write_idx_pair(dir, "train", 4, 4);
+  Session short_set(spec);
+  EXPECT_FALSE(short_set.prepare());
+  EXPECT_NE(short_set.error().find("fewer than one batch"), std::string::npos)
+      << short_set.error();
 }
 
 TEST(SessionTest, IdxRefusesUpscaling) {
