@@ -170,11 +170,7 @@ protocol::SlaveResult Slave::run() {
   for (;;) {
     auto m = world_.recv(0, minimpi::kAnyTag);
     if (m.tag == protocol::kShutdown) break;
-    if (m.tag == protocol::kStatusRequest) {
-      protocol::StatusReply reply{state_.load(), iteration_.load(), cell_id_};
-      const auto bytes = reply.serialize();
-      world_.send_oob(0, protocol::kStatusReply, bytes);
-    }
+    if (m.tag == protocol::kStatusRequest) answer_status();
   }
   const auto result_bytes = result.serialize();
   global_.gather(result_bytes, /*root=*/0);
@@ -189,14 +185,19 @@ void Slave::main_thread_loop(std::atomic<bool>& training_done) {
       if (options_.mute_heartbeat != nullptr && options_.mute_heartbeat->load()) {
         continue;  // simulate an unresponsive slave
       }
-      protocol::StatusReply reply{state_.load(), iteration_.load(), cell_id_};
-      const auto bytes = reply.serialize();
-      world_.send_oob(0, protocol::kStatusReply, bytes);
+      answer_status();
     } else {
       common::log_warn() << "slave: unexpected tag " << m->tag
                          << " while processing";
     }
   }
+}
+
+void Slave::answer_status() {
+  protocol::StatusReply reply{state_.load(), iteration_.load(), cell_id_};
+  const auto bytes = reply.serialize();
+  world_.send_oob(0, protocol::kStatusReply, bytes);
+  status_replies_.fetch_add(1);
 }
 
 }  // namespace cellgan::core

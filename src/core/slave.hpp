@@ -58,9 +58,13 @@ class Slave {
   protocol::SlaveResult run();
 
   protocol::SlaveState state() const { return state_.load(); }
+  /// Status requests answered so far (heartbeat polls included).
+  std::uint64_t status_replies() const { return status_replies_.load(); }
 
  private:
   void main_thread_loop(std::atomic<bool>& training_done);
+  /// Send the master this slave's state, iteration and cell.
+  void answer_status();
 
   minimpi::Comm& world_;
   minimpi::Comm& local_;
@@ -70,6 +74,7 @@ class Slave {
   Options options_;
   std::atomic<protocol::SlaveState> state_{protocol::SlaveState::kInactive};
   std::atomic<std::uint32_t> iteration_{0};
+  std::atomic<std::uint64_t> status_replies_{0};
   std::uint32_t cell_id_ = 0;
 };
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
+#include "core/slave.hpp"
 #include "core/workload.hpp"
 #include "testsupport/sequential.hpp"
 
@@ -93,14 +95,39 @@ TEST(DistributedTrainerTest, ThreeByThreeGridWorks) {
 }
 
 TEST(DistributedTrainerTest, HeartbeatObservesCycles) {
-  TrainingConfig config = small_config(2, 4);
+  // Each slave holds its first epoch until it has answered a status request.
+  // The monitor sends requests only inside a polling cycle and counts every
+  // cycle it starts, so at least one completes however fast the run is:
+  // nothing depends on the run outlasting a heartbeat interval.
+  const TrainingConfig config = small_config(2, 4);
   const auto dataset = make_matched_dataset(config, 100, 7);
-  Master::Options options;
-  options.heartbeat.interval_s = 0.002;
-  options.heartbeat.reply_timeout_s = 0.05;
-  const DistributedOutcome outcome =
-      run_distributed(config, dataset, CostModel{}, options);
-  EXPECT_GE(outcome.master.heartbeat_cycles, 1u);
+  const CostModel cost_model;
+  MasterOutcome outcome;
+  minimpi::Runtime runtime(static_cast<int>(config.grid_cells()) + 1);
+  runtime.run([&](minimpi::Comm& world) {
+    auto local = world.split(world.rank() == 0 ? -1 : 0, world.rank());
+    auto global = world.split(0, world.rank());
+    if (world.rank() == 0) {
+      Master::Options options;
+      options.heartbeat.interval_s = 0.002;
+      options.heartbeat.reply_timeout_s = 0.05;
+      Master master(world, *global, config, cost_model, options);
+      outcome = master.run();
+    } else {
+      const Slave* self = nullptr;
+      Slave::Options options;
+      options.on_iteration = [&self](std::uint32_t iteration) {
+        while (iteration == 0 && self->status_replies() == 0) {
+          std::this_thread::yield();
+        }
+      };
+      Slave slave(world, *local, *global, dataset, cost_model, std::move(options));
+      self = &slave;
+      (void)slave.run();
+    }
+  });
+  EXPECT_EQ(outcome.results.size(), 4u);
+  EXPECT_GE(outcome.heartbeat_cycles, 1u);
 }
 
 TEST(DistributedTrainerTest, HeartbeatDisabledStillCompletes) {
