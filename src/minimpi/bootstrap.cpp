@@ -328,8 +328,9 @@ bool write_frame(int fd, const FrameHeader& header,
       --message.msg_iovlen;
     }
     if (message.msg_iovlen > 0) {
-      message.msg_iov->iov_base = static_cast<std::uint8_t*>(message.msg_iov->iov_base) + left;
-      message.msg_iov->iov_len -= left;
+      iovec& next = *message.msg_iov;
+      next.iov_base = static_cast<std::uint8_t*>(next.iov_base) + left;
+      next.iov_len -= left;
     }
   }
   return true;

@@ -50,7 +50,7 @@ void Comm::post(int dst, int tag, double arrival_vt, SharedPayload payload) {
   frame.tag = tag;
   frame.arrival_vt = arrival_vt;
   frame.payload = std::move(payload);
-  runtime_->dispatch(context_->members[dst], std::move(frame));
+  runtime_->transport().send(context_->members[dst], std::move(frame));
 }
 
 void Comm::send(int dst, int tag, std::span<const std::uint8_t> bytes) {
@@ -278,9 +278,7 @@ std::vector<std::vector<std::uint8_t>> Comm::allgather(
 std::vector<std::vector<std::uint8_t>> Comm::allgather(std::vector<std::uint8_t>&& bytes,
                                                        std::span<const int> readers) {
   std::vector<std::uint8_t> own;
-  if (std::find(readers.begin(), readers.end(), local_rank_) != readers.end()) {
-    own = bytes;
-  }
+  if (std::ranges::find(readers, local_rank_) != readers.end()) own = bytes;
   auto out = allgather_frames(share_payload(std::move(bytes)), readers);
   out[local_rank_] = std::move(own);
   return out;
@@ -300,13 +298,9 @@ std::vector<std::vector<std::uint8_t>> Comm::allgather_frames(
   std::vector<std::vector<std::uint8_t>> out(n);
   if (n == 1) return out;
 
-  std::vector<bool> reads(static_cast<std::size_t>(n), !readers.has_value());
-  if (readers) {
-    for (const int r : *readers) {
-      CG_EXPECT(r >= 0 && r < n);
-      reads[static_cast<std::size_t>(r)] = true;
-    }
-  }
+  const auto reads = [&readers](int r) {
+    return !readers || std::ranges::find(*readers, r) != readers->end();
+  };
   const NetModel& net = runtime_->net();
   double completes_at = 0.0;
   if (net.enabled()) {
@@ -317,8 +311,7 @@ std::vector<std::vector<std::uint8_t>> Comm::allgather_frames(
   }
   for (int r = 0; r < n; ++r) {
     if (r == local_rank_) continue;
-    post(r, kTagAllgather, completes_at,
-         reads[static_cast<std::size_t>(r)] ? payload : nullptr);
+    post(r, kTagAllgather, completes_at, reads(r) ? payload : nullptr);
   }
   for (int r = 0; r < n; ++r) {
     if (r == local_rank_) continue;

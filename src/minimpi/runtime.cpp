@@ -154,11 +154,7 @@ void Runtime::route(int context_id, int dst_local_rank, Message message) {
   frame.tag = message.tag;
   frame.arrival_vt = message.arrival_vt;
   frame.payload = share_payload(std::move(message.payload));
-  dispatch(dst_world, std::move(frame));
-}
-
-void Runtime::dispatch(int dst_world_rank, OutboundFrame frame) {
-  transport_->send(dst_world_rank, std::move(frame));
+  transport_->send(dst_world, std::move(frame));
 }
 
 void Runtime::deliver_locked(CommContext& context, Frame frame) {

@@ -129,14 +129,11 @@ class Runtime {
   RankState& rank_state(int world_rank);
   CommContext& context(int context_id);
 
-  /// Hand a frame to `dst_world_rank` through the transport: the one way any
-  /// payload moves between ranks, local or remote. dispatch() is the
-  /// lock-free path for callers (Comm) that already hold the immutable
-  /// context key/membership and built the frame; route() resolves the
-  /// addressing of `message` to (context, dst local rank) under the context
-  /// lock first.
+  /// Hand `message` to (context, dst local rank) through the transport,
+  /// resolving the addressing under the context lock. Comm, which holds the
+  /// immutable context key and membership, builds its frames itself and
+  /// hands them to transport() directly.
   void route(int context_id, int dst_local_rank, Message message);
-  void dispatch(int dst_world_rank, OutboundFrame frame);
 
   /// Transport delivery sink: file an inbound frame into the addressed
   /// mailbox (or park it until its communicator exists). Throws
