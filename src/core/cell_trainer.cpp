@@ -324,6 +324,9 @@ void CellTrainer::restore(const evolve::CellGenome& genome,
   }
 }
 
+// Hand-written, not a field list: restoring installs state into live networks,
+// optimizers and the feed, and a subpopulation slot carries a presence byte
+// where RankCheckpoint writes an empty blob.
 std::vector<std::uint8_t> CellTrainer::serialize_training_state() {
   common::ByteWriter w;
   w.write_vector(center_genome().serialize());

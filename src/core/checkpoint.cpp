@@ -30,42 +30,24 @@ struct FileCloser {
   }
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+
+constexpr auto kCheckpointFields = [](auto& v, auto& checkpoint) {
+  v.constant(kMagic);
+  v.constant(kVersion);
+  v.blob(checkpoint.config);
+  v(checkpoint.iteration);
+  v.blob(checkpoint.centers);
+  v(checkpoint.mixtures);
+  v.constant(kMagic);  // trailing magic doubles as a truncation check
+};
 }  // namespace
 
 std::vector<std::uint8_t> Checkpoint::serialize() const {
-  common::ByteWriter w;
-  w.write(kMagic);
-  w.write(kVersion);
-  w.write_vector(config.serialize());
-  w.write(iteration);
-  w.write<std::uint64_t>(centers.size());
-  for (const auto& genome : centers) w.write_vector(genome.serialize());
-  w.write<std::uint64_t>(mixtures.size());
-  for (const auto& weights : mixtures) w.write_vector(weights);
-  w.write(kMagic);  // trailing magic doubles as a truncation check
-  return w.take();
+  return common::encode(*this, kCheckpointFields);
 }
 
 Checkpoint Checkpoint::deserialize(std::span<const std::uint8_t> bytes) {
-  common::ByteReader r(bytes);
-  CG_EXPECT(r.read<std::uint32_t>() == kMagic);
-  CG_EXPECT(r.read<std::uint32_t>() == kVersion);
-  Checkpoint out;
-  out.config = TrainingConfig::deserialize(r.read_vector<std::uint8_t>());
-  out.iteration = r.read<std::uint32_t>();
-  const auto cells = r.read<std::uint64_t>();
-  out.centers.reserve(cells);
-  for (std::uint64_t i = 0; i < cells; ++i) {
-    out.centers.push_back(evolve::CellGenome::deserialize(r.read_vector<std::uint8_t>()));
-  }
-  const auto mixtures = r.read<std::uint64_t>();
-  out.mixtures.reserve(mixtures);
-  for (std::uint64_t i = 0; i < mixtures; ++i) {
-    out.mixtures.push_back(r.read_vector<double>());
-  }
-  CG_EXPECT(r.read<std::uint32_t>() == kMagic);
-  CG_ENSURE(r.exhausted());
-  return out;
+  return common::decode<Checkpoint>(bytes, kCheckpointFields);
 }
 
 bool write_file_atomic(const std::string& path,
@@ -123,7 +105,10 @@ Checkpoint checkpoint_from_results(
   return out;
 }
 
-std::optional<Checkpoint> load_checkpoint(const std::string& path) {
+std::optional<std::vector<std::uint8_t>> read_checkpoint_file(const std::string& path,
+                                                             const char* kind,
+                                                             std::uint32_t magic,
+                                                             std::uint32_t version) {
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (!f) return std::nullopt;
   std::fseek(f.get(), 0, SEEK_END);
@@ -135,22 +120,29 @@ std::optional<Checkpoint> load_checkpoint(const std::string& path) {
     return std::nullopt;
   }
   // Cheap integrity checks before handing to the aborting deserializer.
-  if (bytes.size() < 8) return std::nullopt;
-  std::uint32_t head, version, tail;
-  std::memcpy(&head, bytes.data(), 4);
-  std::memcpy(&version, bytes.data() + 4, 4);
-  std::memcpy(&tail, bytes.data() + bytes.size() - 4, 4);
-  if (head != kMagic || tail != kMagic) {
-    common::log_warn() << "checkpoint " << path << " is corrupt or foreign";
+  std::uint32_t head = 0, file_version = 0, tail = 0;
+  if (bytes.size() >= 3 * sizeof(std::uint32_t)) {
+    std::memcpy(&head, bytes.data(), 4);
+    std::memcpy(&file_version, bytes.data() + 4, 4);
+    std::memcpy(&tail, bytes.data() + bytes.size() - 4, 4);
+  }
+  if (head != magic || tail != magic) {
+    common::log_warn() << kind << " " << path << " is corrupt or foreign";
     return std::nullopt;
   }
-  if (version != kVersion) {
-    common::log_warn() << "checkpoint " << path << " has format version "
-                       << version << " (this build reads " << kVersion
+  if (file_version != version) {
+    common::log_warn() << kind << " " << path << " has format version "
+                       << file_version << " (this build reads " << version
                        << "); re-train or re-save it";
     return std::nullopt;
   }
-  return Checkpoint::deserialize(bytes);
+  return bytes;
+}
+
+std::optional<Checkpoint> load_checkpoint(const std::string& path) {
+  const auto bytes = read_checkpoint_file(path, "checkpoint", kMagic, kVersion);
+  if (!bytes) return std::nullopt;
+  return Checkpoint::deserialize(*bytes);
 }
 
 }  // namespace cellgan::core

@@ -63,6 +63,15 @@ void save_checkpoint_strict(const std::string& path, const Checkpoint& checkpoin
 bool write_file_atomic(const std::string& path,
                        const std::vector<std::uint8_t>& bytes, std::string* error);
 
+/// The bytes of the file at `path` if they carry the envelope every
+/// checkpoint kind shares: leading `magic`, `version`, trailing `magic`.
+/// nullopt for a missing or empty file; nullopt and a warning naming `kind`
+/// for a corrupt or foreign file, or one of another version.
+std::optional<std::vector<std::uint8_t>> read_checkpoint_file(const std::string& path,
+                                                             const char* kind,
+                                                             std::uint32_t magic,
+                                                             std::uint32_t version);
+
 /// Read a checkpoint file; nullopt on missing/corrupt file (corruption is
 /// detected by the length-prefixed format and a trailing magic).
 std::optional<Checkpoint> load_checkpoint(const std::string& path);

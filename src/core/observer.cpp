@@ -10,58 +10,43 @@ namespace cellgan::core {
 
 // --- records ----------------------------------------------------------------
 
+namespace {
+constexpr auto kCellRecordFields = [](auto& v, auto& rec) {
+  v(rec.cell);
+  v(rec.epoch);
+  v(rec.g_fitness);
+  v(rec.d_fitness);
+  v(rec.g_learning_rate);
+  v(rec.d_learning_rate);
+  v(rec.loss_kind);
+  v(rec.virtual_s);
+  v(rec.train_flops);
+  v(rec.genome);
+  v(rec.mixture_weights);
+  v(rec.exchange_policy);
+  v(rec.exchange_partner);
+  v(rec.exchange_g_adopted);
+  v(rec.exchange_d_adopted);
+  v(rec.exchange_g_before);
+  v(rec.exchange_g_after);
+  v(rec.exchange_d_before);
+  v(rec.exchange_d_after);
+  v(rec.exchange_wins);
+  v(rec.exchange_bytes);
+};
+
+constexpr auto kEpochRecordFields = [](auto& v, auto& record) {
+  v(record.epoch);
+  v.blob(record.cells);
+};
+}  // namespace
+
 std::vector<std::uint8_t> CellEpochRecord::serialize() const {
-  common::ByteWriter w;
-  w.write(cell);
-  w.write(epoch);
-  w.write(g_fitness);
-  w.write(d_fitness);
-  w.write(g_learning_rate);
-  w.write(d_learning_rate);
-  w.write(loss_kind);
-  w.write(virtual_s);
-  w.write(train_flops);
-  w.write_vector(genome);
-  w.write_vector(mixture_weights);
-  w.write(exchange_policy);
-  w.write(exchange_partner);
-  w.write(exchange_g_adopted);
-  w.write(exchange_d_adopted);
-  w.write(exchange_g_before);
-  w.write(exchange_g_after);
-  w.write(exchange_d_before);
-  w.write(exchange_d_after);
-  w.write(exchange_wins);
-  w.write(exchange_bytes);
-  return w.take();
+  return common::encode(*this, kCellRecordFields);
 }
 
 CellEpochRecord CellEpochRecord::deserialize(std::span<const std::uint8_t> bytes) {
-  common::ByteReader r(bytes);
-  CellEpochRecord rec;
-  rec.cell = r.read<std::uint32_t>();
-  rec.epoch = r.read<std::uint32_t>();
-  rec.g_fitness = r.read<double>();
-  rec.d_fitness = r.read<double>();
-  rec.g_learning_rate = r.read<double>();
-  rec.d_learning_rate = r.read<double>();
-  rec.loss_kind = r.read<std::uint32_t>();
-  rec.virtual_s = r.read<double>();
-  rec.train_flops = r.read<double>();
-  rec.genome = r.read_vector<std::uint8_t>();
-  rec.mixture_weights = r.read_vector<double>();
-  rec.exchange_policy = r.read<std::uint32_t>();
-  rec.exchange_partner = r.read<std::int32_t>();
-  rec.exchange_g_adopted = r.read<std::uint8_t>();
-  rec.exchange_d_adopted = r.read<std::uint8_t>();
-  rec.exchange_g_before = r.read<double>();
-  rec.exchange_g_after = r.read<double>();
-  rec.exchange_d_before = r.read<double>();
-  rec.exchange_d_after = r.read<double>();
-  rec.exchange_wins = r.read<std::uint64_t>();
-  rec.exchange_bytes = r.read<double>();
-  CG_ENSURE(r.exhausted());
-  return rec;
+  return common::decode<CellEpochRecord>(bytes, kCellRecordFields);
 }
 
 double EpochRecord::max_virtual_s() const {
@@ -95,25 +80,11 @@ bool EpochRecord::has_genomes() const {
 }
 
 std::vector<std::uint8_t> EpochRecord::serialize() const {
-  common::ByteWriter w;
-  w.write(epoch);
-  w.write<std::uint64_t>(cells.size());
-  for (const auto& cell : cells) w.write_vector(cell.serialize());
-  return w.take();
+  return common::encode(*this, kEpochRecordFields);
 }
 
 EpochRecord EpochRecord::deserialize(std::span<const std::uint8_t> bytes) {
-  common::ByteReader r(bytes);
-  EpochRecord record;
-  record.epoch = r.read<std::uint32_t>();
-  const auto count = r.read<std::uint64_t>();
-  record.cells.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto cell_bytes = r.read_vector<std::uint8_t>();
-    record.cells.push_back(CellEpochRecord::deserialize(cell_bytes));
-  }
-  CG_ENSURE(r.exhausted());
-  return record;
+  return common::decode<EpochRecord>(bytes, kEpochRecordFields);
 }
 
 // --- EventBus ---------------------------------------------------------------

@@ -11,60 +11,48 @@ const char* to_string(SlaveState state) {
   return "unknown";
 }
 
+namespace {
+constexpr auto kRunTaskFields = [](auto& v, auto& task) {
+  v(task.cell_id);
+  v(task.seed);
+};
+
+constexpr auto kStatusReplyFields = [](auto& v, auto& reply) {
+  v(reply.state);
+  v(reply.iteration);
+  v(reply.cell_id);
+};
+
+constexpr auto kSlaveResultFields = [](auto& v, auto& result) {
+  v(result.cell_id);
+  v(result.virtual_time_s);
+  v(result.mixture_weights);
+  v.blob(result.center);
+};
+}  // namespace
+
 std::vector<std::uint8_t> RunTask::serialize() const {
-  common::ByteWriter w;
-  w.write(cell_id);
-  w.write(seed);
-  return w.take();
+  return common::encode(*this, kRunTaskFields);
 }
 
 RunTask RunTask::deserialize(std::span<const std::uint8_t> bytes) {
-  common::ByteReader r(bytes);
-  RunTask t;
-  t.cell_id = r.read<std::uint32_t>();
-  t.seed = r.read<std::uint64_t>();
-  CG_ENSURE(r.exhausted());
-  return t;
+  return common::decode<RunTask>(bytes, kRunTaskFields);
 }
 
 std::vector<std::uint8_t> StatusReply::serialize() const {
-  common::ByteWriter w;
-  w.write(static_cast<std::uint32_t>(state));
-  w.write(iteration);
-  w.write(cell_id);
-  return w.take();
+  return common::encode(*this, kStatusReplyFields);
 }
 
 StatusReply StatusReply::deserialize(std::span<const std::uint8_t> bytes) {
-  common::ByteReader r(bytes);
-  StatusReply s;
-  s.state = static_cast<SlaveState>(r.read<std::uint32_t>());
-  s.iteration = r.read<std::uint32_t>();
-  s.cell_id = r.read<std::uint32_t>();
-  CG_ENSURE(r.exhausted());
-  return s;
+  return common::decode<StatusReply>(bytes, kStatusReplyFields);
 }
 
 std::vector<std::uint8_t> SlaveResult::serialize() const {
-  common::ByteWriter w;
-  w.write(cell_id);
-  w.write(virtual_time_s);
-  w.write_vector(mixture_weights);
-  const auto genome_bytes = center.serialize();
-  w.write_vector(genome_bytes);
-  return w.take();
+  return common::encode(*this, kSlaveResultFields);
 }
 
 SlaveResult SlaveResult::deserialize(std::span<const std::uint8_t> bytes) {
-  common::ByteReader r(bytes);
-  SlaveResult s;
-  s.cell_id = r.read<std::uint32_t>();
-  s.virtual_time_s = r.read<double>();
-  s.mixture_weights = r.read_vector<double>();
-  const auto genome_bytes = r.read_vector<std::uint8_t>();
-  s.center = evolve::CellGenome::deserialize(genome_bytes);
-  CG_ENSURE(r.exhausted());
-  return s;
+  return common::decode<SlaveResult>(bytes, kSlaveResultFields);
 }
 
 }  // namespace cellgan::core::protocol

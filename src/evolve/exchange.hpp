@@ -125,7 +125,8 @@ class ExchangePolicy {
                                 std::uint32_t epoch) = 0;
 
   /// Policy-private state (LTFB win counters) for rank checkpoints; the
-  /// default is stateless.
+  /// default is stateless. Hand-written, not a field list: each policy
+  /// appends its own state to the trainer's.
   virtual void serialize_state(common::ByteWriter& writer) const;
   virtual void restore_state(common::ByteReader& reader);
 };

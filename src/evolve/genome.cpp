@@ -4,38 +4,27 @@
 
 namespace cellgan::evolve {
 
-std::size_t CellGenome::byte_size() const {
-  return sizeof(float) * (generator_params.size() + discriminator_params.size()) +
-         4 * sizeof(double) + 2 * sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t);
-}
+namespace {
+constexpr auto kGenomeFields = [](auto& v, auto& genome) {
+  v(genome.generator_params);
+  v(genome.discriminator_params);
+  v(genome.g_learning_rate);
+  v(genome.d_learning_rate);
+  v(genome.g_fitness);
+  v(genome.d_fitness);
+  v(genome.origin_cell);
+  v(genome.iteration);
+};
+}  // namespace
+
+std::size_t CellGenome::byte_size() const { return common::encoded_size(*this, kGenomeFields); }
 
 std::vector<std::uint8_t> CellGenome::serialize() const {
-  common::ByteWriter w;
-  w.reserve(byte_size());
-  w.write_vector(generator_params);
-  w.write_vector(discriminator_params);
-  w.write(g_learning_rate);
-  w.write(d_learning_rate);
-  w.write(g_fitness);
-  w.write(d_fitness);
-  w.write(origin_cell);
-  w.write(iteration);
-  return w.take();
+  return common::encode(*this, kGenomeFields);
 }
 
 CellGenome CellGenome::deserialize(std::span<const std::uint8_t> bytes) {
-  common::ByteReader r(bytes);
-  CellGenome g;
-  g.generator_params = r.read_vector<float>();
-  g.discriminator_params = r.read_vector<float>();
-  g.g_learning_rate = r.read<double>();
-  g.d_learning_rate = r.read<double>();
-  g.g_fitness = r.read<double>();
-  g.d_fitness = r.read<double>();
-  g.origin_cell = r.read<std::uint32_t>();
-  g.iteration = r.read<std::uint32_t>();
-  CG_ENSURE(r.exhausted());
-  return g;
+  return common::decode<CellGenome>(bytes, kGenomeFields);
 }
 
 CellGenome CellGenome::capture(nn::Sequential& generator,

@@ -32,7 +32,7 @@ struct CellGenome {
   std::uint32_t origin_cell = 0;  ///< grid cell that produced this genome
   std::uint32_t iteration = 0;    ///< epoch at which it was exported
 
-  /// Exactly the bytes serialize() writes; serialize() reserves it first.
+  /// Exactly the bytes serialize() writes, counted without writing them.
   std::size_t byte_size() const;
   std::vector<std::uint8_t> serialize() const;
   static CellGenome deserialize(std::span<const std::uint8_t> bytes);

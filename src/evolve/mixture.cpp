@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/serialize.hpp"
 
 namespace cellgan::evolve {
 
@@ -55,20 +54,6 @@ std::size_t MixtureWeights::sample_index(common::Rng& rng) const {
     if (u < acc) return i;
   }
   return weights_.size() - 1;  // guard against rounding at u ~ 1
-}
-
-std::vector<std::uint8_t> MixtureWeights::serialize() const {
-  common::ByteWriter w;
-  w.write_vector(weights_);
-  return w.take();
-}
-
-MixtureWeights MixtureWeights::deserialize(std::span<const std::uint8_t> bytes) {
-  common::ByteReader r(bytes);
-  auto values = r.read_vector<double>();
-  MixtureWeights out(values.size());
-  out.set_weights(std::move(values));
-  return out;
 }
 
 MixtureDraw plan_mixture_draw(const MixtureWeights& weights,

@@ -43,9 +43,6 @@ class MixtureWeights {
   /// Sample a generator index from the weight distribution.
   std::size_t sample_index(common::Rng& rng) const;
 
-  std::vector<std::uint8_t> serialize() const;
-  static MixtureWeights deserialize(std::span<const std::uint8_t> bytes);
-
  private:
   void normalize();
   std::vector<double> weights_;

@@ -30,24 +30,4 @@ ModeReport mode_report(Classifier& classifier, const tensor::Tensor& images,
   return report;
 }
 
-double total_variation(const std::vector<std::size_t>& a,
-                       const std::vector<std::size_t>& b) {
-  CG_EXPECT(a.size() == b.size());
-  double total_a = 0.0, total_b = 0.0;
-  for (const auto v : a) total_a += static_cast<double>(v);
-  for (const auto v : b) total_b += static_cast<double>(v);
-  // Empty histograms carry no distribution: two empties are identical
-  // (distance 0), one empty is maximally far from any real one (distance 1)
-  // — defined values instead of a contract abort mid-telemetry.
-  if (total_a == 0.0 || total_b == 0.0) {
-    return total_a == total_b ? 0.0 : 1.0;
-  }
-  double tvd = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    tvd += std::abs(static_cast<double>(a[i]) / total_a -
-                    static_cast<double>(b[i]) / total_b);
-  }
-  return 0.5 * tvd;
-}
-
 }  // namespace cellgan::metrics

@@ -25,10 +25,4 @@ struct ModeReport {
 ModeReport mode_report(Classifier& classifier, const tensor::Tensor& images,
                        double min_share = 0.01);
 
-/// Total variation distance between two discrete distributions given as
-/// count histograms (not necessarily normalized). Empty histograms are
-/// defined: two empties are 0 apart, one empty is 1 from any non-empty.
-double total_variation(const std::vector<std::size_t>& a,
-                       const std::vector<std::size_t>& b);
-
 }  // namespace cellgan::metrics

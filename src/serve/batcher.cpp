@@ -46,11 +46,6 @@ void Batcher::drain_and_stop() {
   if (worker_.joinable()) worker_.join();
 }
 
-std::uint64_t Batcher::batches_executed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return batch_id_;
-}
-
 std::deque<SampleJob> Batcher::next_batch(std::unique_lock<std::mutex>& lock) {
   cv_.wait(lock, [&] { return !queue_.empty() || draining_; });
   if (queue_.empty()) return {};  // draining and nothing left
@@ -143,11 +138,7 @@ void Batcher::run_batch(std::deque<SampleJob> batch) {
   const auto finished = clock::now();
   const double forward_us = elapsed_us(forward_start, finished);
 
-  std::uint64_t batch_id = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    batch_id = ++batch_id_;
-  }
+  const std::uint64_t batch_id = ++batch_id_;
 
   if (observer_ != nullptr) {
     core::ServeBatchRecord record;

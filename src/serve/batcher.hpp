@@ -77,8 +77,6 @@ class Batcher {
   /// return all `done` callbacks have run.
   void drain_and_stop();
 
-  std::uint64_t batches_executed() const;
-
  private:
   void worker();
   /// Pop the next batch: front job plus up-to-max_batch successors sharing
@@ -90,11 +88,11 @@ class Batcher {
   BatchPolicy policy_;
   ServeObserver* observer_;
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<SampleJob> queue_;
   bool draining_ = false;
-  std::uint64_t batch_id_ = 0;
+  std::uint64_t batch_id_ = 0;  ///< worker thread only
 
   std::thread worker_;
 };

@@ -21,84 +21,61 @@ const char* to_string(MsgType type) {
   return "unknown";
 }
 
+namespace {
+constexpr auto kSampleRequestFields = [](auto& v, auto& request) {
+  v(request.request_id);
+  v(request.seed);
+  v(request.count);
+};
+
+constexpr auto kSampleResponseFields = [](auto& v, auto& response) {
+  v(response.request_id);
+  v(response.status);
+  v(response.error);
+  v(response.rows);
+  v(response.cols);
+  v(response.samples);
+  v(response.batch_requests);
+  v(response.queue_us);
+  v(response.forward_us);
+};
+
+constexpr auto kStatsResponseFields = [](auto& v, auto& stats) {
+  v(stats.requests);
+  v(stats.samples);
+  v(stats.batches);
+  v(stats.cache_hits);
+  v(stats.cache_misses);
+  v(stats.cache_evictions);
+  v(stats.rejected);
+  v(stats.uptime_s);
+  v(stats.total_queue_us);
+  v(stats.total_forward_us);
+};
+}  // namespace
+
 std::vector<std::uint8_t> SampleRequest::serialize() const {
-  common::ByteWriter w;
-  w.write(request_id);
-  w.write(seed);
-  w.write(count);
-  return w.take();
+  return common::encode(*this, kSampleRequestFields);
 }
 
 SampleRequest SampleRequest::deserialize(std::span<const std::uint8_t> bytes) {
-  common::ByteReader r(bytes);
-  SampleRequest req;
-  req.request_id = r.read<std::uint64_t>();
-  req.seed = r.read<std::uint64_t>();
-  req.count = r.read<std::uint32_t>();
-  CG_ENSURE(r.exhausted());
-  return req;
+  return common::decode<SampleRequest>(bytes, kSampleRequestFields);
 }
 
 std::vector<std::uint8_t> SampleResponse::serialize() const {
-  common::ByteWriter w;
-  w.write(request_id);
-  w.write(status);
-  w.write_string(error);
-  w.write(rows);
-  w.write(cols);
-  w.write_vector(samples);
-  w.write(batch_requests);
-  w.write(queue_us);
-  w.write(forward_us);
-  return w.take();
+  return common::encode(*this, kSampleResponseFields);
 }
 
 SampleResponse SampleResponse::deserialize(std::span<const std::uint8_t> bytes) {
-  common::ByteReader r(bytes);
-  SampleResponse resp;
-  resp.request_id = r.read<std::uint64_t>();
-  resp.status = r.read<std::uint32_t>();
-  resp.error = r.read_string();
-  resp.rows = r.read<std::uint32_t>();
-  resp.cols = r.read<std::uint32_t>();
-  resp.samples = r.read_vector<float>();
-  resp.batch_requests = r.read<std::uint32_t>();
-  resp.queue_us = r.read<double>();
-  resp.forward_us = r.read<double>();
-  CG_ENSURE(r.exhausted());
-  return resp;
+  return common::decode<SampleResponse>(bytes, kSampleResponseFields);
 }
 
 std::vector<std::uint8_t> StatsResponse::serialize() const {
-  common::ByteWriter w;
-  w.write(requests);
-  w.write(samples);
-  w.write(batches);
-  w.write(cache_hits);
-  w.write(cache_misses);
-  w.write(cache_evictions);
-  w.write(rejected);
-  w.write(uptime_s);
-  w.write(total_queue_us);
-  w.write(total_forward_us);
-  return w.take();
+  return common::encode(*this, kStatsResponseFields);
 }
 
 StatsResponse StatsResponse::deserialize(std::span<const std::uint8_t> bytes) {
-  common::ByteReader r(bytes);
-  StatsResponse stats;
-  stats.requests = r.read<std::uint64_t>();
-  stats.samples = r.read<std::uint64_t>();
-  stats.batches = r.read<std::uint64_t>();
-  stats.cache_hits = r.read<std::uint64_t>();
-  stats.cache_misses = r.read<std::uint64_t>();
-  stats.cache_evictions = r.read<std::uint64_t>();
-  stats.rejected = r.read<std::uint64_t>();
-  stats.uptime_s = r.read<double>();
-  stats.total_queue_us = r.read<double>();
-  stats.total_forward_us = r.read<double>();
-  CG_ENSURE(r.exhausted());
-  return stats;
+  return common::decode<StatsResponse>(bytes, kStatsResponseFields);
 }
 
 bool send_message(int fd, MsgType type, std::span<const std::uint8_t> payload) {

@@ -13,8 +13,9 @@ namespace cellgan::serve {
 
 namespace {
 
-/// Exact wire size of a SampleRequest payload (request_id + seed + count).
-constexpr std::size_t kSampleRequestBytes = 8 + 8 + 4;
+/// Exact wire size of a SampleRequest payload: every request encodes to the
+/// same length, having no variable-length field.
+const std::size_t kSampleRequestBytes = SampleRequest{}.serialize().size();
 
 }  // namespace
 

@@ -102,6 +102,32 @@ TEST(SerializeDeathTest, TruncatedVectorAborts) {
       "precondition");
 }
 
+TEST(SerializeDeathTest, WrappingVectorCountAborts) {
+  // 2^62 floats are 2^64 bytes: count * sizeof(float) wraps to 0.
+  ByteWriter w;
+  w.write<std::uint64_t>(std::uint64_t{1} << 62);
+  w.write<std::uint64_t>(0);
+  EXPECT_DEATH(
+      {
+        ByteReader r(w.bytes());
+        (void)r.read_vector<float>();
+      },
+      "precondition");
+}
+
+TEST(SerializeDeathTest, WrappingStringCountAborts) {
+  // The position after the count plus this count wraps past 2^64.
+  ByteWriter w;
+  w.write<std::uint64_t>(std::numeric_limits<std::uint64_t>::max() - 3);
+  w.write<std::uint64_t>(0);
+  EXPECT_DEATH(
+      {
+        ByteReader r(w.bytes());
+        (void)r.read_string();
+      },
+      "precondition");
+}
+
 TEST(SerializeTest, TakeMovesBufferOut) {
   ByteWriter w;
   w.write<std::uint32_t>(5);

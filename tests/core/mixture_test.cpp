@@ -93,15 +93,6 @@ TEST(MixtureWeightsTest, ZeroWeightNeverSampled) {
   for (int i = 0; i < 5000; ++i) EXPECT_NE(w.sample_index(rng), 1u);
 }
 
-TEST(MixtureWeightsTest, SerializeRoundtrip) {
-  evolve::MixtureWeights w(4);
-  w.set_weights({0.1, 0.2, 0.3, 0.4});
-  const evolve::MixtureWeights loaded = evolve::MixtureWeights::deserialize(w.serialize());
-  ASSERT_EQ(loaded.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_DOUBLE_EQ(loaded.weight(i), w.weight(i));
-  }
-}
 
 TEST(MixtureWeightsDeathTest, NegativeWeightAborts) {
   evolve::MixtureWeights w(2);

@@ -142,5 +142,17 @@ TEST(SerializeProtocolTest, TruncatedBufferIsRejected) {
   EXPECT_DEATH((void)RunTask::deserialize(half), "precondition");
 }
 
+TEST(SerializeProtocolDeathTest, UnknownLossModeAborts) {
+  std::vector<std::uint8_t> bytes = TrainingConfig::tiny().serialize();
+  bytes[96] = 7;  // loss_mode names no LossMode
+  EXPECT_DEATH((void)TrainingConfig::deserialize(bytes), "precondition");
+}
+
+TEST(SerializeProtocolDeathTest, UnknownSlaveStateAborts) {
+  StatusReply reply;
+  reply.state = static_cast<SlaveState>(9);
+  EXPECT_DEATH((void)StatusReply::deserialize(reply.serialize()), "precondition");
+}
+
 }  // namespace
 }  // namespace cellgan::core::protocol

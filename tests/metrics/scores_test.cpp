@@ -130,22 +130,6 @@ TEST(ModeCoverageTest, SingleClassInputCoversOne) {
   EXPECT_GT(report.tvd_from_uniform, 0.5);
 }
 
-TEST(TotalVariationTest, IdenticalIsZero) {
-  EXPECT_DOUBLE_EQ(total_variation({10, 20, 30}, {1, 2, 3}), 0.0);
-}
-
-TEST(TotalVariationTest, DisjointIsOne) {
-  EXPECT_DOUBLE_EQ(total_variation({10, 0}, {0, 10}), 1.0);
-}
-
-TEST(TotalVariationTest, KnownMidpoint) {
-  EXPECT_NEAR(total_variation({1, 1}, {1, 3}), 0.25, 1e-12);
-}
-
-TEST(TotalVariationDeathTest, MismatchedSizesAbort) {
-  EXPECT_DEATH((void)total_variation({1, 2}, {1, 2, 3}), "precondition");
-}
-
 // --- degenerate-input hardening: telemetry-path metrics must yield defined
 // --- values (or named errors), never NaN/UB ---------------------------------
 
@@ -187,12 +171,6 @@ TEST(ModeCoverageTest, EmptyBatchIsDefined) {
   EXPECT_EQ(report.class_counts, std::vector<std::size_t>(data::kNumClasses, 0));
   EXPECT_DOUBLE_EQ(report.tvd_from_uniform, 1.0);
   EXPECT_FALSE(std::isnan(report.tvd_from_uniform));
-}
-
-TEST(TotalVariationTest, EmptyHistogramsAreDefined) {
-  EXPECT_DOUBLE_EQ(total_variation({0, 0}, {0, 0}), 0.0);
-  EXPECT_DOUBLE_EQ(total_variation({0, 0}, {3, 1}), 1.0);
-  EXPECT_DOUBLE_EQ(total_variation({3, 1}, {0, 0}), 1.0);
 }
 
 }  // namespace
