@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-
 namespace cellgan::evolve {
 
 MixtureWeights::MixtureWeights(std::size_t size)

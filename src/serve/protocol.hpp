@@ -8,7 +8,7 @@
 //
 //   Frame.context_key = kServeContextKey   (rejects cross-plane traffic)
 //   Frame.tag         = MsgType
-//   Frame.payload     = the message body (ByteWriter little-endian codec)
+//   Frame.payload     = the message body (a field list, common/serialize.hpp)
 //
 // Requests carry client-assigned request ids, so a client may pipeline many
 // sample requests on one connection and match responses out of order — the

@@ -93,7 +93,6 @@ TEST(MixtureWeightsTest, ZeroWeightNeverSampled) {
   for (int i = 0; i < 5000; ++i) EXPECT_NE(w.sample_index(rng), 1u);
 }
 
-
 TEST(MixtureWeightsDeathTest, NegativeWeightAborts) {
   evolve::MixtureWeights w(2);
   EXPECT_DEATH(w.set_weights({0.5, -0.1}), "precondition");
