@@ -4,6 +4,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -155,21 +156,6 @@ void distributed_rank_main(minimpi::Comm& world, const TrainingConfig& config,
 }
 
 }  // namespace
-
-double average_slave_routine_virtual_min(
-    std::span<const minimpi::Runtime::RankResult> ranks,
-    const std::string& routine) {
-  if (ranks.size() <= 1) return 0.0;
-  double total = 0.0;
-  for (std::size_t r = 1; r < ranks.size(); ++r) {
-    total += ranks[r].profiler.cost(routine).virtual_s;
-  }
-  return total / static_cast<double>(ranks.size() - 1) / 60.0;
-}
-
-double DistributedOutcome::slave_routine_virtual_min(const std::string& routine) const {
-  return average_slave_routine_virtual_min(ranks, routine);
-}
 
 DistributedOutcome run_distributed(const TrainingConfig& config,
                                    const datastore::SampleStore& dataset,

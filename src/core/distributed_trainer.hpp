@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <span>
 #include <string>
 
 #include "core/config.hpp"
@@ -19,23 +18,12 @@
 
 namespace cellgan::core {
 
-/// Average of a routine's simulated minutes across slave ranks (index 0 is
-/// the master) — the per-slave view the paper's Table IV distributed column
-/// reports. Shared by DistributedOutcome and the Session facade's RunResult.
-double average_slave_routine_virtual_min(
-    std::span<const minimpi::Runtime::RankResult> ranks,
-    const std::string& routine);
-
 struct DistributedOutcome {
   double wall_s = 0.0;
   double virtual_makespan_s = 0.0;  ///< master clock at the end of the run
   MasterOutcome master;
   /// Per-rank profilers/clocks (index 0 = master, 1.. = slaves).
   std::vector<minimpi::Runtime::RankResult> ranks;
-
-  /// Average of a routine's simulated minutes across slaves (the per-slave
-  /// view the paper's Table IV distributed column reports).
-  double slave_routine_virtual_min(const std::string& routine) const;
 };
 
 /// Run the full master/slave training. Every rank thread reads `dataset`
@@ -103,12 +91,12 @@ RecoveryOptions recovery_options_from_env();
 /// Run this process' rank of the master/slave training over real sockets.
 /// Exactly the same per-rank code as run_distributed — same seeds, same
 /// virtual-time accounting — so per-rank outcomes are bit-identical to the
-/// in-process simulation. Each rank process maps its own training file, and
-/// the page cache holds one copy for all of them. The returned outcome
-/// carries this rank's results: on rank 0 the full MasterOutcome and
-/// makespan, on slaves their own rank entry only. Throws
-/// minimpi::BootstrapError / TimeoutError / TransportError when the world
-/// cannot be formed or a peer dies.
+/// in-process simulation. Each rank process opens its own training file and
+/// reads the rows it stages, and the page cache holds one copy for all of
+/// them. The returned outcome carries this rank's results: on rank 0 the
+/// full MasterOutcome and makespan, on slaves their own rank entry only.
+/// Throws minimpi::BootstrapError / TimeoutError / TransportError when the
+/// world cannot be formed or a peer dies.
 DistributedOutcome run_distributed_tcp(const TcpWorld& world,
                                        const TrainingConfig& config,
                                        const datastore::SampleStore& dataset,

@@ -157,9 +157,12 @@ struct ServeBatchRecord {
   double forward_us = 0.0;
 };
 
-/// The mapped training file of one run, published by the Session after the
-/// backend finishes, for every run that trained from a mapped IDX file: the
-/// bytes of that Session's mapping (SampleStore::bytes_mapped).
+/// The training file of one run, published by the Session after the backend
+/// finishes, for every run that trained from a full-resolution IDX file: the
+/// size of that Session's images file, header included
+/// (SampleStore::file_bytes). The field and its JSONL key stay
+/// "bytes_mapped": integration_data_plane_parity_test and every consumer of
+/// the stream parse that key.
 struct DataStoreRecord {
   std::uint64_t bytes_mapped = 0;
 };

@@ -24,7 +24,12 @@ namespace cellgan::core {
 // --- RunResult --------------------------------------------------------------
 
 double RunResult::slave_routine_virtual_min(const std::string& routine) const {
-  return average_slave_routine_virtual_min(ranks, routine);
+  if (ranks.size() <= 1) return 0.0;
+  double total = 0.0;
+  for (std::size_t r = 1; r < ranks.size(); ++r) {
+    total += ranks[r].profiler.cost(routine).virtual_s;
+  }
+  return total / static_cast<double>(ranks.size() - 1) / 60.0;
 }
 
 std::string to_json(const RunSpec& spec, const RunResult& result) {
@@ -162,16 +167,23 @@ bool tcp_master_process(const RunSpec& spec) {
   return world.has_value() && world->rank == 0;
 }
 
-/// The mapped training split as floats of `side` x `side`, built row by row:
-/// no full-size float copy of the split exists at any point.
-data::Dataset downsampled_rows(const datastore::SampleStore& mapped, std::size_t side) {
+/// The training split of a file store as floats of `side` x `side`, staged
+/// one read's worth of rows at a time: no full-size float copy of the split
+/// exists at any point.
+data::Dataset downsampled_rows(const datastore::SampleStore& file, std::size_t side) {
+  constexpr std::size_t kDownsampleRows = datastore::SampleStore::kRowsPerRead;
   data::Dataset out;
-  out.images = tensor::Tensor(mapped.samples(), side * side);
-  out.labels.assign(mapped.labels().begin(), mapped.labels().end());
-  std::vector<float> row(mapped.sample_dim());
-  for (std::size_t i = 0; i < mapped.samples(); ++i) {
-    mapped.stage_row(i, row.data());
-    data::downsample_image(row, data::kImageSide, out.images.row_span(i), side);
+  out.images = tensor::Tensor(file.samples(), side * side);
+  out.labels.assign(file.labels().begin(), file.labels().end());
+  const std::size_t dim = file.sample_dim();
+  std::vector<float> chunk(kDownsampleRows * dim);
+  for (std::size_t first = 0; first < file.samples(); first += kDownsampleRows) {
+    const std::size_t rows = std::min(kDownsampleRows, file.samples() - first);
+    file.stage_rows(first, rows, chunk.data());
+    for (std::size_t i = 0; i < rows; ++i) {
+      data::downsample_image(std::span<const float>(chunk).subspan(i * dim, dim),
+                             data::kImageSide, out.images.row_span(first + i), side);
+    }
   }
   return out;
 }
@@ -265,20 +277,21 @@ bool Session::prepare() {
     }
     if (!data::mnist_idx_present(spec_.dataset.idx_dir, &error_)) return false;
     try {
-      auto mapped = datastore::SampleStore::map_idx(
+      auto file = datastore::SampleStore::open_idx(
           spec_.dataset.idx_dir + "/train-images-idx3-ubyte",
           spec_.dataset.idx_dir + "/train-labels-idx1-ubyte");
-      rows = mapped.samples();
+      rows = file.samples();
       if (side == data::kImageSide) {
-        train_set_ = std::move(mapped);
+        train_set_ = std::move(file);
       } else if (tcp_master_process(spec_) && !calibrates) {
         // Rank 0 of a TCP world validated and counted the pair like every
         // rank; its master never trains, so it keeps no rows (the cost
         // calibration below is the one reader it would build floats for).
         train_set_.emplace(train_floats_);
       } else {
-        // The mapping goes when `mapped` does; the run keeps the small floats.
-        train_floats_ = downsampled_rows(mapped, side);
+        // The descriptor closes when `file` goes; the run keeps the small
+        // floats.
+        train_floats_ = downsampled_rows(file, side);
         train_set_.emplace(train_floats_);
       }
     } catch (const datastore::DataStoreError& e) {
@@ -407,9 +420,9 @@ RunResult Session::run() {
         Backend::kDistributed,
         run_distributed(spec_.config, train_set(), cost_model_, options));
   }
-  // A run that trained from a mapped file reports the mapping.
-  if (train_set_->mmap_backed()) {
-    observers_.data_store(DataStoreRecord{train_set_->bytes_mapped()});
+  // A run that trained from the IDX file reports the file.
+  if (train_set_->file_backed()) {
+    observers_.data_store(DataStoreRecord{train_set_->file_bytes()});
   }
   // Harvest the final metric snapshot from whichever evaluator subscribed.
   for (TrainObserver* observer : observers_.observers()) {

@@ -1,8 +1,8 @@
 // core::Session — one runtime facade over the three execution backends.
 //
 // A Session takes a RunSpec, resolves its training set (synthetic stand-in,
-// or real MNIST IDX files: mapped in place at full resolution, downsampled
-// row by row to a smaller architecture),
+// or real MNIST IDX files: read row by row from the file at full
+// resolution, downsampled to floats for a smaller architecture),
 // calibrates the virtual-time cost model when the spec asks for one, runs
 // the spec's backend, and returns one unified RunResult that subsumes both
 // TrainOutcome (the in-process trainers) and DistributedOutcome (the
@@ -89,7 +89,7 @@ class Session {
   /// Call before prepare().
   void set_cost_model(CostModel model);
   /// Use already-resolved datasets instead of resolving spec.dataset — sweep
-  /// benchmarks share one resolved training store (and its mapping) across
+  /// benchmarks share one resolved training store (and its file) across
   /// many sessions instead of reloading/regenerating it per point. Floats the
   /// store borrows, and `test`, must outlive the session. Call before
   /// prepare().
@@ -116,7 +116,7 @@ class Session {
   RunResult run();
 
   /// Resolved datasets; valid after a successful prepare(). The training set
-  /// is a store: a full-resolution IDX run's is the mapped file, every other
+  /// is a store: a full-resolution IDX run's reads the IDX file, every other
   /// run's borrows floats — except in rank 0 of a TCP world on a
   /// downsampled IDX run without a cost profile to calibrate, where it is
   /// empty (the master trains nothing). The test split is made or loaded

@@ -65,10 +65,11 @@ class BadLabelError : public DataStoreError {
       : DataStoreError(message) {}
 };
 
-/// The OS-level mmap itself failed (permissions, address space, I/O error).
-class MappingError : public DataStoreError {
+/// An fstat or read of an open file failed (an I/O error, a path naming a
+/// directory).
+class ReadError : public DataStoreError {
  public:
-  explicit MappingError(const std::string& message)
+  explicit ReadError(const std::string& message)
       : DataStoreError(message) {}
 };
 

@@ -204,14 +204,6 @@ bool Runtime::peer_lost(int world_rank) const {
   return losses_.contains(world_rank);
 }
 
-std::vector<int> Runtime::lost_peers() const {
-  std::lock_guard<std::mutex> lock(losses_mutex_);
-  std::vector<int> ranks;
-  ranks.reserve(losses_.size());
-  for (const auto& [rank, loss] : losses_) ranks.push_back(rank);
-  return ranks;
-}
-
 std::string Runtime::peer_loss_reason(int world_rank) const {
   std::lock_guard<std::mutex> lock(losses_mutex_);
   const auto it = losses_.find(world_rank);

@@ -110,8 +110,7 @@ class Runtime {
   // In distributed mode the transport reports every lost peer stream here
   // (installed as its PeerLossHandler). The registry is what makes rank
   // death *observable from the rank's own thread*: death-aware receives in
-  // Comm consult it and raise PeerDeathError instead of hanging, and a
-  // recovery layer reads lost_peers() to decide who to respawn. In-process
+  // Comm consult it and raise PeerDeathError instead of hanging. In-process
   // worlds never record losses.
 
   /// Record that `world_rank`'s stream is gone. Thread-safe; first report
@@ -119,8 +118,6 @@ class Runtime {
   void note_peer_loss(int world_rank, bool clean_eof, std::string reason);
   /// True once `world_rank` was reported lost (cleanly or not).
   bool peer_lost(int world_rank) const;
-  /// World ranks reported lost so far, ascending.
-  std::vector<int> lost_peers() const;
   /// The recorded reason for a lost rank ("" when not lost).
   std::string peer_loss_reason(int world_rank) const;
 

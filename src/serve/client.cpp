@@ -23,11 +23,6 @@ bool ServeClient::connect(const minimpi::Endpoint& endpoint, double timeout_s,
   return true;
 }
 
-bool ServeClient::connected() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return fd_ >= 0 && !reader_done_;
-}
-
 void ServeClient::close() {
   {
     std::lock_guard<std::mutex> lock(mutex_);

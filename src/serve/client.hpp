@@ -55,7 +55,6 @@ class ServeClient {
   /// everything already submitted (drain-first contract).
   bool shutdown_server(double timeout_s);
 
-  bool connected() const;
   void close();
 
  private:

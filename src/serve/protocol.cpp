@@ -9,18 +9,6 @@
 
 namespace cellgan::serve {
 
-const char* to_string(MsgType type) {
-  switch (type) {
-    case MsgType::kSampleRequest: return "sample_request";
-    case MsgType::kSampleResponse: return "sample_response";
-    case MsgType::kStatsRequest: return "stats_request";
-    case MsgType::kStatsResponse: return "stats_response";
-    case MsgType::kShutdownRequest: return "shutdown_request";
-    case MsgType::kShutdownAck: return "shutdown_ack";
-  }
-  return "unknown";
-}
-
 namespace {
 constexpr auto kSampleRequestFields = [](auto& v, auto& request) {
   v(request.request_id);

@@ -36,8 +36,6 @@ enum class MsgType : std::int32_t {
   kShutdownAck = 6,     ///< server -> client: empty payload ("will drain")
 };
 
-const char* to_string(MsgType type);
-
 /// Ask the server for `count` mixture samples drawn on Rng(seed). The reply
 /// is bit-identical to core::CheckpointMixture::sample(count, seed) on the
 /// server's checkpoint (per tensor-kernel kind), whatever batch the server

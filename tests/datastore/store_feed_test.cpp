@@ -183,7 +183,7 @@ TEST(StoreFeedTest, ConcurrentStoreFeedsShareOneStore) {
   ASSERT_TRUE(loaded.has_value());
   const data::Dataset& dataset = loaded->first;
   const SampleStore store =
-      SampleStore::map_idx(stem + "-images-idx3-ubyte", stem + "-labels-idx1-ubyte");
+      SampleStore::open_idx(stem + "-images-idx3-ubyte", stem + "-labels-idx1-ubyte");
 
   const std::size_t lanes = 6;
   std::atomic<int> mismatches{0};

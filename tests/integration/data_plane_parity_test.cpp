@@ -149,7 +149,7 @@ TEST(DataPlaneParityTest, StorePlaneRidesTheTcpConfigBroadcast) {
       } else {
         world.rendezvous = endpoint.get();
       }
-      const datastore::SampleStore mapped = datastore::SampleStore::map_idx(
+      const datastore::SampleStore mapped = datastore::SampleStore::open_idx(
           dir.file("train-images-idx3-ubyte").string(),
           dir.file("train-labels-idx1-ubyte").string());
       outcomes[static_cast<std::size_t>(rank)] =

@@ -170,7 +170,7 @@ TEST(SessionTest, ExternalDatasetsMatchResolvedOnes) {
     EXPECT_EQ(outcome.g_fitnesses[i], reference.g_fitnesses[i]);
   }
   EXPECT_EQ(external.train_set().labels().data(), train.labels.data());
-  EXPECT_FALSE(external.train_set().mmap_backed());
+  EXPECT_FALSE(external.train_set().file_backed());
   EXPECT_EQ(&external.test_set(), &test);
 }
 
@@ -216,7 +216,7 @@ TEST(SessionTest, IdxDatasetResolvesAndDownsamples) {
   EXPECT_EQ(session.test_set().size(), 8u);
   EXPECT_EQ(session.train_set().sample_dim(), spec.config.arch.image_dim);
   // Downsampled floats replace the mapping; no file stays mapped.
-  EXPECT_FALSE(session.train_set().mmap_backed());
+  EXPECT_FALSE(session.train_set().file_backed());
   const RunResult outcome = session.run();
   EXPECT_EQ(outcome.g_fitnesses.size(), 4u);
 }
@@ -376,7 +376,7 @@ TEST(SessionTest, TcpMasterRankValidatesIdxWithoutAFloatCopy) {
     const WorldEnvGuard env(rank);
     Session session(spec);
     EXPECT_TRUE(session.prepare()) << session.error();
-    EXPECT_FALSE(session.train_set().mmap_backed());
+    EXPECT_FALSE(session.train_set().file_backed());
     return session.train_set().samples();
   };
   EXPECT_EQ(prepared_rows(0), 0u);
