@@ -54,8 +54,9 @@ class OpenFile {
   explicit OpenFile(std::string path) : path_(std::move(path)) {
     fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd_ < 0) {
+      const int err = errno;
       throw MissingFileError("datastore: cannot open '" + path_ +
-                             "': " + std::strerror(errno));
+                             "': " + std::strerror(err));
     }
     struct stat st{};
     if (::fstat(fd_, &st) != 0) {
@@ -87,9 +88,8 @@ class OpenFile {
                                  std::to_string(size_) +
                                  " bytes when opened but now ends before byte " +
                                  std::to_string(offset + n));
-      } else if (errno != EINTR) {
-        throw ReadError("datastore: reading '" + path_ +
-                        "' failed: " + std::strerror(errno));
+      } else if (const int err = errno; err != EINTR) {
+        throw ReadError("datastore: reading '" + path_ + "' failed: " + std::strerror(err));
       }
     }
   }

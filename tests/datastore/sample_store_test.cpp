@@ -242,6 +242,8 @@ TEST_F(SampleStoreTest, FeedBatchPastTheEndOfAShrunkenFileThrowsTruncated) {
 }
 
 TEST_F(SampleStoreTest, ADirectoryIsAReadError) {
+  // Opening a directory succeeds; reading its "header" fails with EISDIR. A
+  // file inside keeps the directory's size above the 16-byte header check.
   write_images("beside", 1);
   EXPECT_THROW(open_with_labels(tmp_.path().string(), 1), ReadError);
 }
