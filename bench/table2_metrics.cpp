@@ -7,11 +7,11 @@
 // set — the same wiring `cellgan_run --eval-every` uses, on synthetic data
 // or real MNIST (`--dataset idx:DIR`).
 //
-// Methodology (DESIGN.md §1): the in-domain MLP classifier stands in for the
-// Inception network, preserving the fitness-ordering role the paper assigns
-// to the score; runs are reduced-scale reproductions, so the measured trend
-// across grid sizes (larger grids -> better mixtures), not the absolute
-// paper numbers, is the comparison target.
+// Methodology: the in-domain MLP classifier (metrics/classifier.hpp) stands
+// in for the Inception network, preserving the fitness-ordering role the
+// paper assigns to the score; runs are reduced-scale reproductions, so the
+// measured trend across grid sizes (larger grids -> better mixtures), not
+// the absolute paper numbers, is the comparison target.
 //
 // --json FILE writes the measured rows as machine-readable JSON so CI can
 // archive metric numbers (ci/check.sh --bench -> BENCH_metrics.json).
@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nshape check: the paper's Table II trend is larger grids ->"
               " better mixtures\n(higher IS); absolute values depend on the"
-              " reduced scale and the in-domain\nclassifier — see DESIGN.md"
-              " §1 and EXPERIMENTS.md\n");
+              " reduced scale and the in-domain\nclassifier — see README.md,"
+              " \"Observability & metrics\"\n");
   return 0;
 }

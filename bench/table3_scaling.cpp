@@ -7,7 +7,7 @@
 // max-over-lanes makespan (the "p cores" view) and wall time shows the
 // real speedup this machine's cores deliver.
 //
-// Methodology (DESIGN.md §4, EXPERIMENTS.md): the *real* training code runs
+// Methodology (core/cost_model.hpp): the *real* training code runs
 // at reduced scale (tiny networks, few iterations) and per-rank virtual
 // clocks advance through the calibrated cost model; Table II's resource
 // summary is printed from the actual world layout. Wall-clock times of the
@@ -189,6 +189,6 @@ int main(int argc, char** argv) {
 
   std::printf("\nshape check: superlinear speedup at 2x2/3x3 (memory-pressure"
               " model),\nsublinear at 4x4 (management + gather overhead) — see"
-              " EXPERIMENTS.md\n");
+              " src/core/cost_model.hpp\n");
   return 0;
 }

@@ -4,7 +4,7 @@
 //
 // Calibrated with the table4 cost profile (the paper's profiled run is a
 // different configuration than its Table III run — the two tables disagree
-// on overall speedup; see EXPERIMENTS.md). Routine times come out of the
+// on overall speedup; see core/cost_model.hpp). Routine times come out of the
 // per-rank Profiler buckets filled by the real trainer code.
 #include <cstdio>
 #include <string>

@@ -28,6 +28,20 @@ fi
 BUILD="${1:-$ROOT/build}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
+# Every *.md file that a source, bench, example or test file names must
+# exist beside that file or at the repo root: a pointer to a missing
+# document sends the reader nowhere.
+echo "=== check: markdown files named in src, bench, examples and tests ==="
+MISSING_DOCS=0
+while IFS=: read -r file line name; do
+  if [ ! -e "$ROOT/$(dirname "$file")/$name" ] && [ ! -e "$ROOT/$name" ]; then
+    echo "error: $file:$line names $name, which exists neither beside it nor at the repo root" >&2
+    MISSING_DOCS=1
+  fi
+done < <(cd "$ROOT" && grep -rIonE --exclude-dir=build \
+           '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b' src bench examples tests)
+[ "$MISSING_DOCS" -eq 0 ] || exit 1
+
 cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD" -j "$JOBS"
 

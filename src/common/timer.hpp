@@ -4,7 +4,8 @@
 // clock used by the minimpi NetModel to reproduce cluster-scale timings on a
 // laptop: compute and communication *costs* are added explicitly, and
 // synchronization points merge clocks (a receive completes no earlier than the
-// matching send). See DESIGN.md §4.
+// matching send). The costs come from core/cost_model.hpp and
+// minimpi/netmodel.hpp.
 #pragma once
 
 #include <chrono>

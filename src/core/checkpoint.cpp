@@ -22,7 +22,9 @@ constexpr std::uint32_t kMagic = 0xCE11'6A17;  // "cell gan"
 //     resolved `auto` value 0 is gone).
 // v6: TrainingConfig lost population_per_cell, which no trainer read (every
 //     cell trains one center), so the config bytes are 4 shorter.
-constexpr std::uint32_t kVersion = 6;
+// v7: TrainingConfig lost exchange_mode, since the allgather is the only
+//     genome transport, so the config bytes are 4 shorter.
+constexpr std::uint32_t kVersion = 7;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {

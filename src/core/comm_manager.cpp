@@ -36,13 +36,6 @@ LocalCommManager::LocalCommManager(GenomeStore& store, const evolve::Grid& grid,
   CG_EXPECT(static_cast<int>(store.size()) == grid.size());
 }
 
-std::vector<evolve::SharedGenome> LocalCommManager::exchange(
-    const evolve::SharedGenome& genome, std::span<const int> sources,
-    std::span<const int> /*readers*/) {
-  publish(genome);
-  return collect(sources);
-}
-
 std::vector<evolve::SharedGenome> LocalCommManager::collect() {
   return collect(grid_.neighbors_of(cell_));
 }
@@ -80,46 +73,6 @@ std::vector<evolve::SharedGenome> MpiCommManager::exchange(
     if (payloads[source].empty()) continue;
     out[source] = std::make_shared<const evolve::CellGenome>(
         evolve::CellGenome::deserialize(payloads[source]));
-  }
-  return out;
-}
-
-namespace {
-// User tag for asynchronous genome publications on the LOCAL communicator.
-constexpr int kTagAsyncGenome = 100;
-}  // namespace
-
-AsyncMpiCommManager::AsyncMpiCommManager(minimpi::Comm& local_comm, const evolve::Grid& grid)
-    : local_comm_(local_comm),
-      grid_(grid),
-      latest_(static_cast<std::size_t>(grid.size())) {
-  CG_EXPECT(grid_.size() == local_comm_.size());
-}
-
-std::vector<evolve::SharedGenome> AsyncMpiCommManager::exchange(
-    const evolve::SharedGenome& genome, std::span<const int> /*sources*/,
-    std::span<const int> /*readers*/) {
-  const int me = cell_id();
-  // Publish to the cells whose sub-populations include this one (with the
-  // default symmetric neighborhoods these are exactly our own neighbors).
-  const std::vector<std::uint8_t> bytes = genome->serialize();
-  for (const int target : grid_.influenced_by(me)) {
-    local_comm_.send(target, kTagAsyncGenome, bytes);
-  }
-  // Drain everything that has (causally) arrived, newest-per-source wins;
-  // only the winners are decoded.
-  std::vector<std::vector<std::uint8_t>> arrived(latest_.size());
-  while (auto m = local_comm_.try_recv_arrived(minimpi::kAnySource, kTagAsyncGenome)) {
-    arrived[m->source] = std::move(m->payload);
-  }
-  for (std::size_t source = 0; source < arrived.size(); ++source) {
-    if (arrived[source].empty()) continue;
-    latest_[source] = std::make_shared<const evolve::CellGenome>(
-        evolve::CellGenome::deserialize(arrived[source]));
-  }
-  std::vector<evolve::SharedGenome> out(latest_.size());
-  for (const int neighbor : grid_.neighbors_of(me)) {
-    out[neighbor] = latest_[neighbor];
   }
   return out;
 }

@@ -1,21 +1,16 @@
-// The comm-manager class — the second of the paper's two new classes
-// (Section III.C): an abstract wrapper over every inter-process communication
-// the trainer needs, "defined in an abstract way without defining explicitly
-// how the communications are implemented". The grid class does not depend on
-// it, and trainers only see this interface, so the message transport is
-// swappable (the paper's motivation for decoupling).
-//
-// Every implementation hands out genomes as SharedGenome pointers, indexed by
-// cell id:
-//  * MpiCommManager  — allgather over the LOCAL communicator (active slaves),
+// The comm-manager — the second of the paper's two new classes (Section
+// III.C): the trainer's inter-cell communication, "defined in an abstract way
+// without defining explicitly how the communications are implemented". The
+// grid class does not depend on it. Here it is two classes, one on each side
+// of the process boundary, and each backend runs exactly one of them:
+//  * LocalCommManager — in-process store for the sequential and threads
+//    backends; hands each cell only its sources' genomes, by pointer, and
+//    charges the calibrated in-process copy cost on their byte_size().
+//  * MpiCommManager — allgather over the LOCAL communicator (active slaves),
 //    exactly the paper's distributed exchange path and its lockstep, with
 //    each serialized genome sent once, in one shared buffer, to the cells
 //    that read it; each payload the cell reads is decoded once, on receipt.
-//  * AsyncMpiCommManager — point-to-point sends to the neighbors, newest
-//    arrival per source wins.
-//  * LocalCommManager — in-process store for the single-core baseline; hands
-//    each cell only its sources' genomes, by pointer, and charges the
-//    calibrated in-process copy cost on their byte_size().
+// Both hand out genomes as SharedGenome pointers, indexed by cell id.
 #pragma once
 
 #include <memory>
@@ -30,24 +25,6 @@
 #include "minimpi/comm.hpp"
 
 namespace cellgan::core {
-
-class CommManager {
- public:
-  virtual ~CommManager() = default;
-
-  /// Grid cell this manager serves.
-  virtual int cell_id() const = 0;
-
-  /// Publish this cell's center genome and collect the latest genomes of
-  /// other cells, indexed by cell id. `sources` names the cells the caller
-  /// will read (the exchange policy's list) and `readers` the cells that
-  /// read the caller's genome (CellTrainer::exchange_readers); entries this
-  /// transport does not deliver are null. Blocking in the MPI implementation
-  /// (collective over LOCAL).
-  virtual std::vector<evolve::SharedGenome> exchange(
-      const evolve::SharedGenome& genome, std::span<const int> sources,
-      std::span<const int> readers) = 0;
-};
 
 /// Shared in-process genome store for LocalCommManager instances.
 ///
@@ -98,18 +75,12 @@ class GenomeStore {
 
 /// Single-process transport: hands out the store's genome pointers.
 /// collect()/publish() split the exchange so the trainer loop can gather the
-/// epoch's inbox before stepping and stage the result afterwards; exchange()
-/// keeps the one-call CommManager interface (publish, then collect).
-class LocalCommManager final : public CommManager {
+/// epoch's inbox before stepping and stage the result afterwards. Readers
+/// need no list here: the store shares one pointer with all.
+class LocalCommManager {
  public:
   LocalCommManager(GenomeStore& store, const evolve::Grid& grid, int cell,
                    const ExecContext& context);
-
-  int cell_id() const override { return cell_; }
-  /// Readers need no list here: the store shares one pointer with all.
-  std::vector<evolve::SharedGenome> exchange(const evolve::SharedGenome& genome,
-                                             std::span<const int> sources,
-                                             std::span<const int> readers) override;
 
   /// Read the neighbors' visible (previous-epoch) genomes, charging the
   /// calibrated in-process copy cost to the cell's context.
@@ -138,45 +109,20 @@ class LocalCommManager final : public CommManager {
 /// collective and goes only to `readers`; every other slave gets an empty
 /// frame in its place, so the lockstep, the virtual clocks and peer-death
 /// detection are the full allgather's.
-class MpiCommManager final : public CommManager {
+class MpiCommManager {
  public:
   explicit MpiCommManager(minimpi::Comm& local_comm);
 
-  int cell_id() const override { return local_comm_.rank(); }
+  /// Publish this cell's center genome and collect the genomes of `sources`
+  /// (the exchange policy's list), indexed by cell id; the other entries are
+  /// null. `readers` names the cells that read the caller's genome
+  /// (CellTrainer::exchange_readers). Blocking: collective over LOCAL.
   std::vector<evolve::SharedGenome> exchange(const evolve::SharedGenome& genome,
                                              std::span<const int> sources,
-                                             std::span<const int> readers) override;
+                                             std::span<const int> readers);
 
  private:
   minimpi::Comm& local_comm_;
-};
-
-/// Asynchronous MPI transport: publishes the genome to grid neighbors with
-/// point-to-point sends and polls (never blocks on) incoming genomes,
-/// keeping the newest per source — "newest available" cellular semantics.
-/// A slave is never delayed by a straggling neighbor; it simply trains
-/// against the freshest genome it has. Also moves (s-1) instead of (n-1)
-/// genomes per epoch.
-class AsyncMpiCommManager final : public CommManager {
- public:
-  /// `grid` defines whom to publish to; must outlive the manager.
-  AsyncMpiCommManager(minimpi::Comm& local_comm, const evolve::Grid& grid);
-
-  int cell_id() const override { return local_comm_.rank(); }
-  /// Hands out the neighbors' newest genomes; `sources` and `readers` are
-  /// not consulted (this transport runs only the cellular policy, whose
-  /// sources are the neighbors and whose readers are the cells it
-  /// influences).
-  std::vector<evolve::SharedGenome> exchange(const evolve::SharedGenome& genome,
-                                             std::span<const int> sources,
-                                             std::span<const int> readers) override;
-
- private:
-  minimpi::Comm& local_comm_;
-  const evolve::Grid& grid_;
-  /// Latest genome seen from each cell (null until first arrival), decoded
-  /// once when it arrives.
-  std::vector<evolve::SharedGenome> latest_;
 };
 
 }  // namespace cellgan::core

@@ -4,14 +4,6 @@
 
 namespace cellgan::core {
 
-const char* to_string(ExchangeMode mode) {
-  switch (mode) {
-    case ExchangeMode::kAllgather: return "allgather";
-    case ExchangeMode::kAsyncNeighbors: return "async-neighbors";
-  }
-  return "unknown";
-}
-
 const char* to_string(LossMode mode) {
   switch (mode) {
     case LossMode::kHeuristic: return "heuristic";
@@ -55,7 +47,6 @@ constexpr auto kConfigFields = [](auto& v, auto& config) {
   v(config.batches_per_iteration);
   v(config.fitness_eval_samples);
   v(config.loss_mode);
-  v(config.exchange_mode);
   v(config.data_dieting_fraction);
   v(config.genome_record_every);
   v(config.genome_record_every_b);

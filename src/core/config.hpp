@@ -31,18 +31,6 @@ enum class LossMode : std::uint32_t {
 
 const char* to_string(LossMode mode);
 
-/// How slaves exchange center genomes after each epoch.
-enum class ExchangeMode : std::uint32_t {
-  /// Collective allgather over the LOCAL communicator — the paper's
-  /// implementation. Synchronizes the whole grid every epoch.
-  kAllgather = 0,
-  /// Point-to-point publication to neighbors + non-blocking newest-available
-  /// reads: no epoch barrier, stragglers never stall the grid.
-  kAsyncNeighbors = 1,
-};
-
-const char* to_string(ExchangeMode mode);
-
 struct TrainingConfig {
   // -- Network topology (Table I) -------------------------------------------
   nn::GanArch arch = nn::GanArch::paper();
@@ -67,7 +55,6 @@ struct TrainingConfig {
   std::uint32_t batches_per_iteration = 1;  ///< gradient batches per epoch/cell
   std::uint32_t fitness_eval_samples = 100; ///< batch used for fitness evals
   LossMode loss_mode = LossMode::kHeuristic;
-  ExchangeMode exchange_mode = ExchangeMode::kAllgather;
   /// Data dieting [Toutouh et al., 2020, ref. 20 of the paper]: each cell
   /// trains on an independent random subsample of this fraction of the
   /// training set (1.0 = full data, Lipizzaner's default), kept as a list of

@@ -1,4 +1,4 @@
-// Calibrated virtual-time cost model (DESIGN.md §4, EXPERIMENTS.md).
+// Calibrated virtual-time cost model.
 //
 // The paper's evaluation ran on a 30-node cluster for up to 32 CPU-hours per
 // configuration; this environment has two cores and no MPI. The benchmarks
@@ -10,7 +10,8 @@
 // Two calibration profiles exist because the paper's own tables disagree
 // (Table III implies a 15.17x overall 4x4 speedup, Table IV implies 5.21x
 // for the same grid): `table3()` targets the scaling table, `table4()` the
-// per-routine profiling table. Both derivations are in EXPERIMENTS.md.
+// per-routine profiling table. Both derivations are the comments in
+// CostProfile::table3() and table4() (cost_model.cpp).
 //
 // The model is event-driven: time only accrues when the training code
 // actually performs work (flops counted by the tensor library, bytes counted
@@ -38,7 +39,8 @@ enum class ExecMode {
 };
 
 /// Calibration targets, all in minutes per reference run (200 iterations)
-/// unless stated otherwise. See EXPERIMENTS.md for the fits.
+/// unless stated otherwise. The fits are commented in CostProfile::table3()
+/// and table4() (cost_model.cpp).
 struct CostProfile {
   // Sequential (single-core) per-cell routine costs, before memory penalty.
   double seq_train_percell_min = 0.0;

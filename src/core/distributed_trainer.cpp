@@ -277,15 +277,6 @@ DistributedOutcome run_distributed_tcp(const TcpWorld& world_config,
         " does not match the configured grid (" + std::to_string(expected_world) +
         " = " + std::to_string(config.grid_cells()) + " cells + 1 master)");
   }
-  if (recovery.enabled &&
-      config.exchange_mode == ExchangeMode::kAsyncNeighbors) {
-    // The skew-≤1 bound the rollback negotiation rests on comes from the
-    // allgather lockstep; the asynchronous exchange offers no such fence.
-    common::log_warn() << "recovery: only the allgather exchange is supported; "
-                          "disabling rank-death recovery for this run";
-    recovery.enabled = false;
-  }
-
   // Generation loop: a detected rank death tears this generation down and
   // the next one re-bootstraps at the same rendezvous — the surviving
   // processes and the respawned rank (relaunched by cellgan_launch with the

@@ -63,9 +63,8 @@ std::optional<TcpWorld> tcp_world_from_env(std::string* error);
 /// re-bootstrap at the same rendezvous (a dead rank's replacement, respawned
 /// by cellgan_launch, joins them there), agree on the rollback epoch
 /// E = min over the ranks' newest checkpoints, restore, and replay epochs
-/// E..N-1 bit-identically to an undisturbed run. Requires the allgather
-/// exchange (the lockstep that bounds checkpoint skew to one epoch);
-/// silently disabled — with a warning — under kAsyncNeighbors.
+/// E..N-1 bit-identically to an undisturbed run. The allgather lockstep
+/// bounds checkpoint skew between ranks to one epoch.
 struct RecoveryOptions {
   bool enabled = false;
   std::string state_dir;  ///< rolling per-rank checkpoints live here

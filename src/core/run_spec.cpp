@@ -58,28 +58,6 @@ std::optional<LossMode> loss_mode_from_string(std::string_view name) {
   return std::nullopt;
 }
 
-std::optional<ExchangeMode> exchange_mode_from_string(std::string_view name) {
-  if (name == "allgather") return ExchangeMode::kAllgather;
-  if (name == "async-neighbors" || name == "async") {
-    return ExchangeMode::kAsyncNeighbors;
-  }
-  return std::nullopt;
-}
-
-bool validate_exchange(const TrainingConfig& config, std::string* error) {
-  if (config.exchange_policy != evolve::ExchangePolicyKind::kCellular &&
-      config.exchange_mode == ExchangeMode::kAsyncNeighbors) {
-    if (error != nullptr) {
-      *error = std::string("exchange policy '") +
-               evolve::to_string(config.exchange_policy) +
-               "' needs the allgather transport (async-neighbors only moves "
-               "neighbor genomes)";
-    }
-    return false;
-  }
-  return true;
-}
-
 // --- checked parsers, one per kind ------------------------------------------
 //
 // Each returns "" on success, or a diagnostic naming `name`: the flag or the
@@ -423,10 +401,6 @@ const std::vector<Setting>& settings() {
       one_of({"config", "loss_mode", "loss", "objective"},
              [](auto& s) -> auto& { return s.config.loss_mode; },
              "heuristic | minimax | lsq | mustangs | wasserstein", loss_mode_from_string),
-      one_of({"config", "exchange_mode", "exchange-transport",
-              "genome transport (async-neighbors: cellular only)"},
-             [](auto& s) -> auto& { return s.config.exchange_mode; },
-             "allgather | async-neighbors", exchange_mode_from_string),
       one_of({"config", "exchange_policy", "exchange", "population-exchange policy"},
              [](auto& s) -> auto& { return s.config.exchange_policy; },
              "cellular | ltfb | gap", evolve::exchange_policy_from_string),
@@ -457,8 +431,6 @@ const std::vector<Setting>& settings() {
 
 /// The checks that span settings, run once after every setting is applied.
 std::string cross_check(const RunSpec& spec) {
-  std::string problem;
-  if (!validate_exchange(spec.config, &problem)) return problem;
   if (spec.observers.checkpoint_every > 0 && spec.observers.checkpoint_path.empty()) {
     return "--checkpoint-every needs --checkpoint-path (checkpoint_every needs "
            "checkpoint_path)";

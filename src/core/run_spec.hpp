@@ -58,13 +58,6 @@ const char* to_string(CostProfileKind kind);
 std::optional<CostProfileKind> cost_profile_from_string(std::string_view name);
 
 std::optional<LossMode> loss_mode_from_string(std::string_view name);
-std::optional<ExchangeMode> exchange_mode_from_string(std::string_view name);
-
-/// Check the exchange policy/transport combination: ltfb and gap need
-/// non-neighbor genomes, which the async-neighbors transport never carries.
-/// On failure fills `error` with a named diagnostic. Called by from_cli,
-/// from_text and Session::prepare (a spec built in code passes neither).
-bool validate_exchange(const TrainingConfig& config, std::string* error);
 
 /// The settings table's count parser, for programs with flags of their own
 /// (cellgan_launch): `text` must be digits only, at least `min` and at most

@@ -216,9 +216,6 @@ bool Session::prepare() {
   if (prepared_) return true;
   if (!error_.empty()) return false;
 
-  // A spec built in code passes neither from_cli nor from_text, so the
-  // exchange policy/transport combination is re-checked here.
-  if (!validate_exchange(spec_.config, &error_)) return false;
   keep_step_memory_in_the_heap();
 
   // Pin the tensor microkernel kind before anything computes (the cost-model

@@ -86,14 +86,7 @@ protocol::SlaveResult Slave::run() {
     try {
       CellTrainer cell(config, grid, static_cast<int>(cell_id_), dataset_,
                        master_rng.fork(cell_id_), context);
-      // Exchange transport per configuration: the paper's collective allgather
-      // or the asynchronous neighbors-only publication.
-      MpiCommManager allgather_manager(local_);
-      AsyncMpiCommManager async_manager(local_, grid);
-      CommManager& comm_manager =
-          config.exchange_mode == ExchangeMode::kAsyncNeighbors
-              ? static_cast<CommManager&>(async_manager)
-              : static_cast<CommManager&>(allgather_manager);
+      MpiCommManager comm_manager(local_);
       std::vector<evolve::SharedGenome> gathered(grid.size());
       if (options_.restore != nullptr) {
         cell.restore_training_state(options_.restore->trainer_state);

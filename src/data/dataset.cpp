@@ -17,15 +17,6 @@ Dataset Dataset::slice(std::size_t begin, std::size_t end) const {
   return out;
 }
 
-std::vector<std::size_t> Dataset::class_histogram() const {
-  std::vector<std::size_t> hist(kNumClasses, 0);
-  for (const auto y : labels) {
-    CG_EXPECT(y < kNumClasses);
-    ++hist[y];
-  }
-  return hist;
-}
-
 std::vector<std::uint32_t> subsample_rows(std::size_t size, std::size_t count,
                                           common::Rng& rng) {
   CG_EXPECT(count <= size);

@@ -29,9 +29,6 @@ struct Dataset {
 
   /// Copy of samples [begin, end).
   Dataset slice(std::size_t begin, std::size_t end) const;
-
-  /// Per-class counts (histogram over labels).
-  std::vector<std::size_t> class_histogram() const;
 };
 
 /// Uniform random choice of `count` of `size` row indices, without

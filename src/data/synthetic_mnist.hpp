@@ -1,4 +1,4 @@
-// Procedural MNIST stand-in (substitution documented in DESIGN.md §1).
+// Procedural MNIST stand-in.
 //
 // Each digit 0-9 is a polyline glyph in the unit square, rendered into a
 // 28x28 grayscale image with a soft-edged stroke, after a per-sample random

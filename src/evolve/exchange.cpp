@@ -77,11 +77,6 @@ const CellGenome* gathered_genome(std::span<const SharedGenome> gathered, int so
   return gathered[source].get();
 }
 
-bool is_neighbor_of(const Grid& grid, int cell, int other) {
-  const auto& neighbors = grid.neighbors_of(cell);
-  return std::find(neighbors.begin(), neighbors.end(), other) != neighbors.end();
-}
-
 // --- cellular ---------------------------------------------------------------
 
 /// The paper's Section II.B migration: install gathered neighbors, then a
@@ -185,7 +180,7 @@ class LtfbPolicy final : public ExchangePolicy {
     outcome.partner = partner;
     const CellGenome* rival = gathered_genome(gathered, partner);
     if (rival != nullptr) {
-      if (!is_neighbor_of(grid, cell, partner)) {
+      if (!grid.is_neighbor(cell, partner)) {
         outcome.bytes_in += static_cast<double>(rival->byte_size());
       }
       // Both partners evaluate the same symmetric predicate, so exactly one
@@ -262,7 +257,7 @@ class GapPolicy final : public ExchangePolicy {
       outcome.partner = donor;
       const CellGenome* genome = gathered_genome(gathered, donor);
       if (genome != nullptr) {
-        if (!is_neighbor_of(grid, cell, donor)) {
+        if (!grid.is_neighbor(cell, donor)) {
           outcome.bytes_in += static_cast<double>(genome->byte_size());
         }
         host.adopt_discriminator(*genome);

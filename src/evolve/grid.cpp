@@ -69,13 +69,4 @@ bool Grid::is_neighbor(int cell, int other) const {
   return std::find(ns.begin(), ns.end(), other) != ns.end();
 }
 
-std::vector<int> Grid::influenced_by(int cell) const {
-  check_cell(cell);
-  std::vector<int> out;
-  for (int other = 0; other < size(); ++other) {
-    if (other != cell && is_neighbor(other, cell)) out.push_back(other);
-  }
-  return out;
-}
-
 }  // namespace cellgan::evolve

@@ -62,12 +62,6 @@ class Grid {
   /// True if `other` is in `cell`'s neighbor list.
   bool is_neighbor(int cell, int other) const;
 
-  /// Cells whose neighborhoods contain `cell` — the overlapping
-  /// neighborhoods through which updates propagate (Fig. 1's N1,1 / N1,3
-  /// example). With default neighborhoods this is symmetric with
-  /// neighbors_of, but dynamic rewiring can make influence asymmetric.
-  std::vector<int> influenced_by(int cell) const;
-
  private:
   void check_cell(int cell) const;
 

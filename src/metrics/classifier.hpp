@@ -3,8 +3,7 @@
 // Inception score and FID both need (a) class posteriors p(y|x) and (b) a
 // feature embedding. A small MLP trained on the (synthetic or real) MNIST
 // training set provides both: softmax outputs for (a), penultimate hidden
-// activations for (b). See DESIGN.md §1 for why this substitution preserves
-// the fitness-ordering role the paper assigns to the inception score.
+// activations for (b).
 #pragma once
 
 #include <cstdint>

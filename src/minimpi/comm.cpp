@@ -192,17 +192,6 @@ std::optional<Message> Comm::try_recv(int src, int tag) {
   return m;
 }
 
-std::optional<Message> Comm::try_recv_arrived(int src, int tag) {
-  const NetModel& net = runtime_->net();
-  if (!net.enabled()) {
-    return context_->mailboxes[local_rank_]->try_pop(src, tag);
-  }
-  auto m = context_->mailboxes[local_rank_]->try_pop_arrived(
-      src, tag, clock().now());
-  if (m) clock().advance(net.recv_cost_s(m->payload.size()));
-  return m;
-}
-
 bool Comm::probe(int src, int tag) {
   return context_->mailboxes[local_rank_]->probe(src, tag);
 }

@@ -75,10 +75,6 @@ class Comm {
   std::optional<Message> recv_oob_for(int src, int tag, double timeout_s);
   /// Non-blocking receive.
   std::optional<Message> try_recv(int src, int tag);
-  /// Non-blocking receive that only yields messages already arrived in
-  /// simulated time (all messages, when the net model is off). The basis of
-  /// asynchronous neighbor exchange: polling never advances the clock.
-  std::optional<Message> try_recv_arrived(int src, int tag);
   /// Non-destructive check.
   bool probe(int src, int tag);
 

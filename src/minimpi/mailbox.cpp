@@ -61,18 +61,6 @@ std::optional<Message> Mailbox::try_pop(int source, int tag) {
   return extract_locked(source, tag);
 }
 
-std::optional<Message> Mailbox::try_pop_arrived(int source, int tag, double now_vt) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (matches(*it, source, tag) && it->arrival_vt <= now_vt) {
-      Message m = std::move(*it);
-      queue_.erase(it);
-      return m;
-    }
-  }
-  return std::nullopt;
-}
-
 bool Mailbox::probe(int source, int tag) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& m : queue_) {

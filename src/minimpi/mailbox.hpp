@@ -38,12 +38,6 @@ class Mailbox {
   /// Non-blocking: remove and return a matching message if one is queued.
   std::optional<Message> try_pop(int source, int tag);
 
-  /// Non-blocking, causality-respecting: like try_pop but only yields a
-  /// message whose simulated arrival time is <= `now_vt` — a rank polling
-  /// its mailbox must not see messages "from the future". Pass +inf (or use
-  /// try_pop) when virtual time is off.
-  std::optional<Message> try_pop_arrived(int source, int tag, double now_vt);
-
   /// Non-destructive check for a matching message.
   bool probe(int source, int tag);
 

@@ -6,8 +6,7 @@
 // additionally pay a per-byte deserialization overhead. When disabled all
 // costs are zero and minimpi behaves as a plain in-process message layer.
 //
-// Default constants are calibrated against the paper's Cluster-UY runs; see
-// EXPERIMENTS.md for the derivation.
+// Default constants are calibrated against the paper's Cluster-UY runs.
 #pragma once
 
 #include <cstddef>

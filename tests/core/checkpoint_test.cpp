@@ -74,6 +74,27 @@ TEST_F(CheckpointTest, TruncatedFileRejected) {
   EXPECT_FALSE(load_checkpoint(path("trunc.ckpt")).has_value());
 }
 
+TEST_F(CheckpointTest, OtherFormatVersionRejected) {
+  // A checkpoint of another format version (bytes 4-8, after the magic) is
+  // refused, not decoded with this build's field list.
+  ASSERT_TRUE(save_checkpoint(path("old.ckpt"), make_checkpoint()));
+  std::fstream file(path("old.ckpt"), std::ios::binary | std::ios::in | std::ios::out);
+  std::uint32_t version = 0;
+  file.seekg(4);
+  file.read(reinterpret_cast<char*>(&version), sizeof(version));
+  ASSERT_TRUE(file.good());
+  const auto write_version = [&](std::uint32_t value) {
+    file.seekp(4);
+    file.write(reinterpret_cast<const char*>(&value), sizeof(value));
+    file.flush();
+  };
+  write_version(version - 1);
+  EXPECT_FALSE(load_checkpoint(path("old.ckpt")).has_value());
+  // The same bytes with this build's version load again.
+  write_version(version);
+  EXPECT_TRUE(load_checkpoint(path("old.ckpt")).has_value());
+}
+
 TEST_F(CheckpointTest, OverwriteIsAtomicRename) {
   const Checkpoint first = make_checkpoint();
   ASSERT_TRUE(save_checkpoint(path("same.ckpt"), first));

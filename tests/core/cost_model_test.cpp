@@ -1,6 +1,7 @@
 // Analytic checks that the calibrated cost model reproduces the paper's
 // Table III numbers by construction — the closed-form backbone of the
-// scaling benchmark. See EXPERIMENTS.md for the derivations.
+// scaling benchmark. The derivations are the comments in
+// CostProfile::table3() and table4() (src/core/cost_model.cpp).
 #include "core/cost_model.hpp"
 
 #include <gtest/gtest.h>

@@ -117,15 +117,12 @@ TEST_F(Fixture, MustangsTrainingStaysFinite) {
 
 TEST_F(Fixture, ConfigRoundtripKeepsNewKnobs) {
   config.loss_mode = LossMode::kLeastSquares;
-  config.exchange_mode = ExchangeMode::kAsyncNeighbors;
   config.data_dieting_fraction = 0.42;
   const TrainingConfig loaded = TrainingConfig::deserialize(config.serialize());
   EXPECT_EQ(loaded, config);
 }
 
 TEST_F(Fixture, ModeNamesAreStable) {
-  EXPECT_STREQ(to_string(ExchangeMode::kAllgather), "allgather");
-  EXPECT_STREQ(to_string(ExchangeMode::kAsyncNeighbors), "async-neighbors");
   EXPECT_STREQ(to_string(LossMode::kMustangs), "mustangs");
 }
 

@@ -182,7 +182,7 @@ TEST(GoldenBytes, StatsResponse) {
 
 TEST(GoldenBytes, TinyTrainingConfig) {
   const auto bytes = core::TrainingConfig::tiny().serialize();
-  ASSERT_EQ(bytes.size(), 156u);
+  ASSERT_EQ(bytes.size(), 152u);
   EXPECT_EQ(hex(bytes),
             "0800000000000000"    // arch.latent_dim
             "1000000000000000"    // arch.hidden_dim
@@ -201,7 +201,6 @@ TEST(GoldenBytes, TinyTrainingConfig) {
             "01000000"            // batches_per_iteration
             "10000000"            // fitness_eval_samples
             "00000000"            // loss_mode = heuristic
-            "00000000"            // exchange_mode = allgather
             "000000000000f03f"    // data_dieting_fraction = 1.0
             "00000000"            // genome_record_every
             "00000000"            // genome_record_every_b
@@ -282,7 +281,7 @@ TEST(GoldenBytes, Checkpoint) {
   checkpoint.centers = {make_genome(0), make_genome(1)};
   checkpoint.mixtures = {{0.5, 0.5}, {0.75, 0.125, 0.125}};
   const auto bytes = checkpoint.serialize();
-  EXPECT_EQ(pin(bytes), (Pin{764, 0xd46181b3bf58ce4full}));
+  EXPECT_EQ(pin(bytes), (Pin{760, 0x809318ea736202faull}));
   expect_reencodes<core::Checkpoint>(bytes);
 }
 

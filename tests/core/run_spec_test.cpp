@@ -115,8 +115,8 @@ TEST(RunSpecTest, FlagsOverrideDefaults) {
   const auto spec = parse_args(
       {"--backend", "threads", "--threads", "4", "--grid", "3", "--iterations",
        "17", "--dataset", "synthetic:128@5", "--seed", "7", "--loss", "mustangs",
-       "--exchange", "cellular", "--exchange-transport", "async-neighbors",
-       "--dieting", "0.5", "--cost-profile", "table4", "--result-json", "out.json"},
+       "--exchange", "cellular", "--dieting", "0.5", "--cost-profile", "table4",
+       "--result-json", "out.json"},
       defaults);
   ASSERT_TRUE(spec.has_value());
   EXPECT_EQ(spec->backend, Backend::kThreads);
@@ -128,7 +128,6 @@ TEST(RunSpecTest, FlagsOverrideDefaults) {
   EXPECT_EQ(spec->dataset.seed, 5u);
   EXPECT_EQ(spec->config.seed, 7u);
   EXPECT_EQ(spec->config.loss_mode, LossMode::kMustangs);
-  EXPECT_EQ(spec->config.exchange_mode, ExchangeMode::kAsyncNeighbors);
   EXPECT_DOUBLE_EQ(spec->config.data_dieting_fraction, 0.5);
   EXPECT_EQ(spec->cost_profile, CostProfileKind::kTable4);
   EXPECT_EQ(spec->result_json, "out.json");
@@ -236,7 +235,6 @@ TEST(RunSpecTest, BadValuesAreRejected) {
   EXPECT_FALSE(parse_args({"--backend", "gpu"}, defaults).has_value());
   EXPECT_FALSE(parse_args({"--loss", "hinge"}, defaults).has_value());
   EXPECT_FALSE(parse_args({"--exchange", "ring"}, defaults).has_value());
-  EXPECT_FALSE(parse_args({"--exchange-transport", "ring"}, defaults).has_value());
   EXPECT_FALSE(parse_args({"--exchange-every", "0"}, defaults).has_value());
   EXPECT_FALSE(parse_args({"--weight-clip", "0"}, defaults).has_value());
   EXPECT_FALSE(parse_args({"--weight-clip", "-0.5"}, defaults).has_value());
@@ -315,30 +313,17 @@ TEST(RunSpecTest, UnknownExchangePolicyListsRegisteredNames) {
   }
 }
 
-TEST(RunSpecTest, NonCellularPolicyRejectsAsyncTransport) {
+TEST(RunSpecTest, ExchangeTransportFlagAndKeyAreUnknown) {
+  // The allgather is the only genome transport, so nothing selects one: the
+  // flag and the key are gone, and the text form names neither.
   RunSpec defaults;
-  defaults.config = TrainingConfig::tiny();
-  // ltfb and gap need non-neighbor genomes the async transport never moves.
-  EXPECT_FALSE(parse_args({"--exchange", "ltfb", "--exchange-transport",
-                           "async-neighbors"},
-                          defaults)
-                   .has_value());
-  EXPECT_FALSE(parse_args({"--exchange", "gap", "--exchange-transport", "async"},
-                          defaults)
-                   .has_value());
-  // Cellular stays fine on async.
-  const auto ok = parse_args({"--exchange", "cellular", "--exchange-transport",
-                              "async-neighbors"},
-                             defaults);
-  EXPECT_TRUE(ok.has_value());
-
-  TrainingConfig config = TrainingConfig::tiny();
-  config.exchange_policy = evolve::ExchangePolicyKind::kGap;
-  config.exchange_mode = ExchangeMode::kAsyncNeighbors;
+  EXPECT_FALSE(parse_args({"--exchange-transport", "allgather"}, defaults).has_value());
   std::string error;
-  EXPECT_FALSE(validate_exchange(config, &error));
-  EXPECT_NE(error.find("gap"), std::string::npos) << error;
-  EXPECT_NE(error.find("allgather"), std::string::npos) << error;
+  EXPECT_FALSE(
+      RunSpec::from_text("{\"config\": {\"exchange_mode\": \"allgather\"}}", &error)
+          .has_value());
+  EXPECT_NE(error.find("unknown config key 'exchange_mode'"), std::string::npos) << error;
+  EXPECT_EQ(defaults.to_text().find("exchange_mode"), std::string::npos);
 }
 
 TEST(RunSpecTest, ObserverFlagsParse) {
@@ -388,9 +373,8 @@ TEST(RunSpecTest, ArgsToTextToSpecRoundTrip) {
   const auto spec = parse_args(
       {"--backend", "distributed", "--grid", "3", "--iterations", "21",
        "--dataset", "idx:/data/mnist", "--loss", "lsq", "--exchange", "cellular",
-       "--exchange-transport", "async-neighbors", "--dieting", "0.25", "--seed",
-       "12345",
-       "--cost-profile", "table3", "--batch-size", "37", "--paper-arch", "true"},
+       "--dieting", "0.25", "--seed", "12345", "--cost-profile", "table3",
+       "--batch-size", "37", "--paper-arch", "true"},
       defaults);
   ASSERT_TRUE(spec.has_value());
 
@@ -492,7 +476,6 @@ TEST(RunSpecTest, EarlierSpecFilesStillLoad) {
     "batches_per_iteration": 1,
     "fitness_eval_samples": 16,
     "loss_mode": "heuristic",
-    "exchange_mode": "allgather",
     "exchange_policy": "cellular",
     "exchange_every": 1,
     "conditional": 0,

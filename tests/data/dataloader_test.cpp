@@ -5,6 +5,7 @@
 #include <set>
 
 #include "data/synthetic_mnist.hpp"
+#include "testsupport/label_counts.hpp"
 
 namespace cellgan::data {
 namespace {
@@ -63,7 +64,7 @@ TEST(DataLoaderTest, EpochCoversEverySampleOnce) {
     for (const auto y : loader.batch_labels(b)) seen.insert(y);
   }
   EXPECT_EQ(seen.size(), 40u);
-  const auto hist = ds.class_histogram();
+  const auto hist = testsupport::label_counts(ds.labels);
   for (std::uint32_t c = 0; c < kNumClasses; ++c) {
     EXPECT_EQ(seen.count(c), hist[c]);
   }

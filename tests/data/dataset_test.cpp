@@ -41,14 +41,6 @@ TEST(DatasetTest, SubsampleSmaller) {
   EXPECT_EQ(rng(), full_rng());  // both consumed the same draws
 }
 
-TEST(DatasetTest, ClassHistogramCountsAll) {
-  const Dataset ds = make_synthetic_mnist(30, 4);
-  const auto hist = ds.class_histogram();
-  std::size_t total = 0;
-  for (const auto c : hist) total += c;
-  EXPECT_EQ(total, 30u);
-}
-
 TEST(DatasetTest, DownsampleHalvesSide) {
   const Dataset ds = make_synthetic_mnist(10, 5);
   const Dataset small = downsampled(ds, 14);

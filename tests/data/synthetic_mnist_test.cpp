@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "testsupport/label_counts.hpp"
+
 namespace cellgan::data {
 namespace {
 
@@ -24,7 +26,7 @@ TEST(SyntheticMnistTest, PixelsInGanRange) {
 
 TEST(SyntheticMnistTest, LabelsAreBalanced) {
   const Dataset ds = make_synthetic_mnist(200, 3);
-  const auto hist = ds.class_histogram();
+  const auto hist = testsupport::label_counts(ds.labels);
   ASSERT_EQ(hist.size(), kNumClasses);
   for (const auto count : hist) EXPECT_EQ(count, 20u);
 }

@@ -141,35 +141,10 @@ TEST(DistributedTrainerTest, HeartbeatDisabledStillCompletes) {
   EXPECT_EQ(outcome.master.heartbeat_cycles, 0u);
 }
 
-TEST(DistributedTrainerTest, AsyncExchangeModeCompletes) {
-  TrainingConfig config = small_config(3, 4);
-  config.exchange_mode = ExchangeMode::kAsyncNeighbors;
-  const auto dataset = make_matched_dataset(config, 100, 10);
-  const DistributedOutcome outcome = run_distributed(config, dataset);
-  ASSERT_EQ(outcome.master.results.size(), 9u);
-  for (const auto& result : outcome.master.results) {
-    EXPECT_EQ(result.center.iteration, 4u);
-    EXPECT_TRUE(std::isfinite(result.center.g_fitness));
-  }
-}
-
-TEST(DistributedTrainerTest, AsyncExchangeStillSpreadsGenomes) {
-  // With enough iterations every cell must have installed neighbor bytes
-  // (update_genomes calls > 0 on every slave's profiler).
-  TrainingConfig config = small_config(2, 6);
-  config.exchange_mode = ExchangeMode::kAsyncNeighbors;
-  const auto dataset = make_matched_dataset(config, 100, 11);
-  const DistributedOutcome outcome = run_distributed(config, dataset);
-  for (std::size_t r = 1; r < outcome.ranks.size(); ++r) {
-    EXPECT_GT(outcome.ranks[r].profiler.cost(common::routine::kUpdateGenomes).calls,
-              0u);
-  }
-}
-
 TEST(DistributedTrainerTest, ResultsMatchSequentialStructure) {
   // Same config through both harnesses: identical genome sizes and finite
-  // fitness everywhere (trajectories differ by exchange schedule; see
-  // DESIGN.md on asynchronous vs lockstep exchange).
+  // fitness everywhere (bit-identical trajectories are the cross-backend
+  // parity suites' job).
   const TrainingConfig config = small_config(2, 3);
   const auto dataset = make_matched_dataset(config, 100, 9);
   auto seq = testsupport::sequential_trainer(config, dataset);

@@ -148,24 +148,5 @@ TEST(RankDeathTest, RejoinFromRolledBackCheckpointReplaysBitIdentically) {
   expect_parity(rejoined, inproc);
 }
 
-TEST(RankDeathTest, RecoveryDisabledUnderAsyncExchangeStillCompletes) {
-  // kAsyncNeighbors has no lockstep to bound checkpoint skew, so recovery
-  // is refused (with a warning) rather than offering a rollback that could
-  // break parity — and the run itself proceeds untouched.
-  TrainingConfig config = recovery_config();
-  config.exchange_mode = ExchangeMode::kAsyncNeighbors;
-  const auto dataset = make_matched_dataset(config, 64, 21);
-  testsupport::TempDir dir("rank-death-async");
-
-  RecoveryOptions recovery;
-  recovery.enabled = true;
-  recovery.state_dir = dir.path().string();
-
-  const auto tcp = run_recovering_world(config, dataset, recovery);
-  EXPECT_EQ(tcp[0].master.results.size(), 2u);
-  // No lockstep, no rolling checkpoints.
-  EXPECT_FALSE(load_latest_rank_checkpoint(recovery.state_dir, 1).has_value());
-}
-
 }  // namespace
 }  // namespace cellgan::core
